@@ -16,31 +16,28 @@ probability conservation failure, 2 usage or circuit errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import dsl
-from .nogo import NogoRow, transparency_nogo_scan
+from .nogo import transparency_nogo_scan
 from .protocols import (
     ATOM_LEVELS,
     AtomSpec,
     ConservationError,
     POL_STATES,
     ProtocolOutcome,
-    build_mz,
     haar_random_atoms,
+    initial_state,
     mz_closed_form,
     run_direct,
     run_fabry_perot,
     run_mz_chain,
-    run_two_pass,
 )
-from .state import JointState, make_layout
 
 
 def _fmt(x: float) -> str:
@@ -187,15 +184,11 @@ def cmd_nogo_check(args) -> None:
                 raise SystemExit2(f"unknown atom levels in mask: {sorted(unknown)}")
             masks.append(levels)
     samples = haar_random_atoms(args.atoms, seed=args.seed)
-    layout, elements, _ = build_mz(args.stages)
-
-    def initial_factory(atom: AtomSpec) -> JointState:
-        amps = np.zeros(layout.dim, dtype=complex)
-        mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-        mat[layout.photon_index(("l", "+"))] = atom.level_vector(layout)
-        return JointState(layout, amps)
-
-    results = transparency_nogo_scan(layout, elements, initial_factory, masks, samples)
+    circuit = dsl.compile_circuit(dsl.parse(dsl.load_golden("mz")), {"N": args.stages})
+    factory = functools.partial(
+        initial_state, circuit.layout, circuit.input_path, circuit.input_pol
+    )
+    results = transparency_nogo_scan(circuit.layout, circuit.elements, factory, masks, samples)
     rows = []
     for row in results:
         rows.append(

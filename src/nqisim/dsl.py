@@ -41,16 +41,18 @@ from .elements import (
     PolRotator,
     Relabel,
     POL_FLIP,
+    run_sequence,
     sink_pair_labels,
 )
-from .state import BasisLayout, JointState, PhotonMode, make_layout
-from .protocols import (
+from .state import (
+    ATOM_LEVELS,
     AtomSpec,
-    POL_STATES,
+    BasisLayout,
     ProtocolOutcome,
     assemble_outcome,
+    initial_state,
     make_classifier,
-    run_sequence,
+    make_layout,
 )
 from .tolerances import NORM_TOL, PROB_TOL
 
@@ -342,6 +344,7 @@ class _Parser:
         self.paths: list[str] = []
         self.sinks: list[str] = []
         self.levels: list[str] = []
+        self.levels_line = 1
         self.input_decl: tuple[str, str] | None = None
         self.lets: list[LetBinding] = []
         self.classifier: list[tuple[str, str]] | None = None
@@ -363,6 +366,13 @@ class _Parser:
             raise ParseError(1, 1, "no declarations")
         if self.input_decl is None:
             raise ParseError(1, 1, "missing input statement")
+        missing = [lev for lev in ATOM_LEVELS if lev not in self.levels]
+        if missing:
+            raise self.error(
+                self.levels_line,
+                f"atom-levels must declare {' '.join(ATOM_LEVELS)}; missing {' '.join(missing)}",
+                "atom-levels",
+            )
         if self.classifier is None:
             raise ParseError(len(self.lines) or 1, 1, "missing classify statement")
         return CircuitAst(
@@ -413,6 +423,7 @@ class _Parser:
             return None
         if keyword == "atom-levels":
             self._declare(lineno, words[1:], self.levels, "atom level")
+            self.levels_line = lineno
             return None
         if keyword == "input":
             if len(words) != 3:
@@ -725,32 +736,22 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     )
 
 
-def initial_state(circuit: CompiledCircuit, atom: AtomSpec) -> JointState:
-    layout = circuit.layout
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    pol = POL_STATES[circuit.input_pol]
-    atom_vec = atom.level_vector(layout)
-    for i, pol_label in enumerate(layout.polarizations):
-        mat[layout.photon_index((circuit.input_path, pol_label))] = pol[i] * atom_vec
-    return JointState(layout, amps)
-
-
 def run_compiled(
     circuit: CompiledCircuit, atom: AtomSpec, prob_tol: float = PROB_TOL
 ) -> ProtocolOutcome:
     """Execute a compiled circuit for one atom specification."""
-    initial = initial_state(circuit, atom)
+    layout = circuit.layout
+    initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
     final = run_sequence(
-        circuit.layout,
+        layout,
         circuit.elements,
         initial,
         atom_present=atom.present,
-        mask_override=atom.transparency_mask if atom.present else None,
+        mask_override=atom.transparency_mask,
     )
-    atom_vec = atom.level_vector(circuit.layout)
-    atom_init = atom_vec / np.linalg.norm(atom_vec)
-    return assemble_outcome(final, circuit.classifier(), atom_init, prob_tol=prob_tol)
+    return assemble_outcome(
+        final, circuit.classifier(), atom.level_vector(layout), prob_tol=prob_tol
+    )
 
 
 def load_golden(name: str) -> str:

@@ -11,15 +11,17 @@ Phase conventions:
 * Scattered photons never propagate again: every element acts as the
   identity on sink modes.
 
-The public ``apply_*`` functions are pure (they return a new state); the
-underscore in-place kernels are shared with the protocol runners, which
-own their work buffers.
+``run_sequence`` is the one propagation loop: every runner, the circuit
+executor and the witness scan apply their element lists through it.  It
+and ``apply_element`` are pure (they return a new state); the underscore
+in-place kernels work on the loop's own buffer.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -152,7 +154,9 @@ def _phase_inplace(mat: np.ndarray, layout: BasisLayout, ps: PhaseShift) -> None
     mat[r1] *= phase
 
 
-def _atom_inplace(mat: np.ndarray, layout: BasisLayout, atom: AtomInteraction) -> None:
+def _atom_inplace(
+    mat: np.ndarray, layout: BasisLayout, atom: AtomInteraction, extra_mask: frozenset[str]
+) -> None:
     r_plus, r_minus = _path_rows(layout, atom.path)
     for sink in (atom.sink_plus, atom.sink_minus):
         if sink not in layout.sinks:
@@ -163,7 +167,7 @@ def _atom_inplace(mat: np.ndarray, layout: BasisLayout, atom: AtomInteraction) -
         (r_minus, atom.minus_level, atom.sink_minus),
     )
     for row, level, sink in transitions:
-        if level in atom.transparency_mask:
+        if level in atom.transparency_mask or level in extra_mask:
             continue
         lev = layout.level_index(level)
         amp = mat[row, lev]
@@ -186,52 +190,37 @@ _KERNELS = {
     Mirror: _mirror_inplace,
     PolRotator: _pol_rotator_inplace,
     PhaseShift: _phase_inplace,
-    AtomInteraction: _atom_inplace,
     Relabel: _relabel_inplace,
 }
 
 
-def apply_element_inplace(mat: np.ndarray, layout: BasisLayout, element: Element) -> None:
-    _KERNELS[type(element)](mat, layout, element)
-
-
-def _applied(state: JointState, element: Element) -> JointState:
-    amps = state.amplitudes.copy()
-    mat = amps.reshape(state.layout.n_photon_modes, state.layout.n_levels)
-    apply_element_inplace(mat, state.layout, element)
-    return JointState(state.layout, amps)
-
-
-def apply_beam_splitter(state: JointState, bs: BeamSplitter) -> JointState:
-    return _applied(state, bs)
-
-
-def apply_mirror(state: JointState, path: str) -> JointState:
-    return _applied(state, Mirror(path))
-
-
-def apply_pol_rotator(state: JointState, path: str, u: np.ndarray) -> JointState:
-    return _applied(state, PolRotator(path, u))
-
-
-def apply_phase(state: JointState, path: str, phi: float) -> JointState:
-    return _applied(state, PhaseShift(path, phi))
-
-
-def apply_atom(state: JointState, atom: AtomInteraction) -> JointState:
-    return _applied(state, atom)
-
-
 def apply_element(state: JointState, element: Element) -> JointState:
-    return _applied(state, element)
+    return run_sequence(state.layout, [element], state)
 
 
-def apply_sequence(state: JointState, elements) -> JointState:
-    amps = state.amplitudes.copy()
-    mat = amps.reshape(state.layout.n_photon_modes, state.layout.n_levels)
+def run_sequence(
+    layout: BasisLayout,
+    elements: Iterable[Element],
+    initial: JointState,
+    *,
+    atom_present: bool = True,
+    mask_override: frozenset[str] = frozenset(),
+) -> JointState:
+    """Apply an element sequence to a copy of ``initial``.
+
+    With ``atom_present`` false every atom interaction is skipped.  Levels
+    in ``mask_override`` are transparent in every atom interaction, in
+    addition to the interaction's own mask.
+    """
+    amps = initial.amplitudes.copy()
+    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
     for el in elements:
-        apply_element_inplace(mat, state.layout, el)
-    return JointState(state.layout, amps)
+        if isinstance(el, AtomInteraction):
+            if atom_present:
+                _atom_inplace(mat, layout, el, mask_override)
+        else:
+            _KERNELS[type(el)](mat, layout, el)
+    return JointState(layout, amps)
 
 
 def sink_pair_labels(event: int, base_plus: str = "S+", base_minus: str = "S-") -> tuple[str, str]:

@@ -18,9 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .elements import AtomInteraction, Element
-from .state import BasisLayout, JointState, fidelity
-from .protocols import AtomSpec, run_sequence
+from .elements import Element, run_sequence
+from .state import AtomSpec, BasisLayout, JointState
 from .tolerances import RANK_TOL
 
 
@@ -36,7 +35,7 @@ class FinalStatePair:
     def absent_probe_vector(self) -> np.ndarray:
         """Probe factor of the (product) atom-absent final state."""
         mat = self.absent.matrix()
-        u, s, _ = np.linalg.svd(mat)
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
         if s.size > 1 and s[1] > RANK_TOL:
             raise ValueError(
                 f"atom-absent state is not a product (second singular value {s[1]:.3e})"

@@ -5,6 +5,13 @@ atom, the N-stage Mach-Zehnder chain, and the Fabry-Perot cavity, plus
 the two-pass demonstration that a superposed atom absorbs an intracavity
 photon with certainty once the polarization is flipped between passes.
 
+The chain and the cavity are described only by the bundled circuits
+``mz.nqi`` and ``fp.nqi``: the runners compile them (``dsl``) and
+propagate the element lists through ``elements.run_sequence``, the one
+propagation loop.  Every run starts from ``state.initial_state`` and ends
+in ``state.assemble_outcome``; those names, the atom and outcome types,
+``POL_STATES`` and ``ATOM_LEVELS`` are re-exported here.
+
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
 per arm, second atom pass on the redirected beam).  The recombining beam
@@ -12,84 +19,42 @@ splitter of a stage is the splitting beam splitter of the next stage;
 after the last stage the arm ends are the exit ports.  This reproduces
 the stage-by-stage amplitude trace exactly and gives the closed-form
 success probability [cos^2(pi/2N)]^N.
+
+Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip starting
+at the entry mirror, which reflects the incoming photon out (i r) and the
+intracavity beam back in.  The cavity runner compiles the circuit at
+K = 1 and applies that round trip until the intracavity amplitude is
+spent, so ``details["round_trips"]`` is the K at which the compiled
+``fp.nqi`` reproduces the run.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import (
-    AtomInteraction,
-    BeamSplitter,
-    Element,
-    Mirror,
-    PhaseShift,
-    PolRotator,
-    Relabel,
-    POL_FLIP,
-    apply_element_inplace,
-    sink_pair_labels,
-)
+from .dsl import CircuitAst, CompiledCircuit, compile_circuit, load_golden, parse, run_compiled
+from .elements import AtomInteraction, Element, PolRotator, POL_FLIP, run_sequence
 from .state import (
+    ATOM_LEVELS,
+    AtomSpec,
     BasisLayout,
+    ConservationError,
     JointState,
+    POL_STATES,
     PhotonMode,
-    fidelity,
+    ProtocolOutcome,
+    assemble_outcome,
+    initial_state,
+    make_classifier,
     make_layout,
     partition_branches,
-    product_factors,
 )
-from .tolerances import NORM_TOL, PROB_TOL, RANK_TOL
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Polarization states in (plus, minus) coordinates.  Linear x and y are
-# fixed once and for all; x is the combination that appears in the direct
-# interaction formula.
-POL_STATES: dict[str, np.ndarray] = {
-    "+": np.array([1.0, 0.0], dtype=complex),
-    "-": np.array([0.0, 1.0], dtype=complex),
-    "x": np.array([-_INV_SQRT2, _INV_SQRT2], dtype=complex),
-    "y": np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
-}
-
-ATOM_LEVELS = ("m+", "m-", "g")
-
-
-class ConservationError(RuntimeError):
-    """Branch probabilities failed to sum to one."""
-
-
-@dataclass(frozen=True)
-class AtomSpec:
-    """Atom prepared in alpha|m+> + beta|m->, or absent."""
-
-    alpha: complex = _INV_SQRT2
-    beta: complex = _INV_SQRT2
-    present: bool = True
-    transparency_mask: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(
-            self, "transparency_mask", frozenset(self.transparency_mask)
-        )
-        if self.present:
-            n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-            if abs(n - 1.0) > NORM_TOL:
-                raise ValueError(f"atom amplitudes are not normalized: |a|^2+|b|^2={n}")
-
-    def level_vector(self, layout: BasisLayout) -> np.ndarray:
-        vec = np.zeros(layout.n_levels, dtype=complex)
-        vec[layout.level_index("m+")] = self.alpha
-        vec[layout.level_index("m-")] = self.beta
-        return vec
+from .tolerances import NORM_TOL, PROB_TOL
 
 
 def haar_random_atoms(n: int, seed: int) -> list[AtomSpec]:
@@ -106,124 +71,10 @@ def haar_random_atoms(n: int, seed: int) -> list[AtomSpec]:
     return samples
 
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    success_prob: float
-    failure_prob: float
-    absorbed_prob: float
-    success_atom_state: np.ndarray | None
-    success_fidelity: float | None
-    final_state: JointState
-    exit_polarization: str
-    details: dict = field(default_factory=dict)
-
-
-def run_sequence(
-    layout: BasisLayout,
-    elements: Iterable[Element],
-    initial: JointState,
-    *,
-    atom_present: bool = True,
-    mask_override: frozenset[str] | None = None,
-) -> JointState:
-    """Apply an element sequence; atom interactions can be skipped (atom
-    absent) or have their transparency mask replaced."""
-    amps = initial.amplitudes.copy()
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    for el in elements:
-        if isinstance(el, AtomInteraction):
-            if not atom_present:
-                continue
-            if mask_override is not None:
-                el = dataclasses.replace(el, transparency_mask=mask_override)
-        apply_element_inplace(mat, layout, el)
-    return JointState(layout, amps)
-
-
-def make_classifier(
-    path_labels: dict[str, str], sink_label: str = "absorbed"
-) -> Callable[[PhotonMode], str]:
-    def classify(mode: PhotonMode) -> str:
-        if isinstance(mode, str):
-            return sink_label
-        return path_labels[mode[0]]
-
-    return classify
-
-
-def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
-    """Name the polarization of a photon-sector vector confined to one path."""
-    by_path: dict[str, np.ndarray] = {}
-    weight = 0.0
-    for i, mode in enumerate(layout.photon_modes):
-        if isinstance(mode, str):
-            continue
-        if abs(photon_vec[i]) > 1e-9:
-            path, pol = mode
-            vec = by_path.setdefault(path, np.zeros(2, dtype=complex))
-            vec[layout.polarizations.index(pol)] = photon_vec[i]
-            weight += abs(photon_vec[i]) ** 2
-    if not by_path:
-        return "none"
-    if len(by_path) > 1:
-        return "mixed"
-    (vec,) = by_path.values()
-    vec = vec / np.linalg.norm(vec)
-    for label, ref in POL_STATES.items():
-        if abs(np.vdot(ref, vec)) ** 2 > 1.0 - 1e-9:
-            return label
-    return "mixed"
-
-
-def assemble_outcome(
-    final: JointState,
-    classifier: Callable[[PhotonMode], str],
-    atom_init: np.ndarray,
-    details: dict | None = None,
-    prob_tol: float = PROB_TOL,
-) -> ProtocolOutcome:
-    branches = {b.label: b for b in partition_branches(final, classifier)}
-    probs = {
-        label: branches[label].probability if label in branches else 0.0
-        for label in ("success", "failure", "absorbed")
-    }
-    total = sum(probs.values())
-    if abs(total - 1.0) > prob_tol:
-        raise ConservationError(
-            f"branch probabilities sum to {total!r}, expected 1"
-        )
-
-    success_atom = None
-    success_fid = None
-    exit_pol = "none"
-    if probs["success"] > PROB_TOL:
-        photon_vec, atom_vec = product_factors(branches["success"].state)
-        success_atom = atom_vec
-        success_fid = fidelity(atom_vec, atom_init)
-        exit_pol = _polarization_label(final.layout, photon_vec)
-    elif probs["failure"] > PROB_TOL:
-        try:
-            photon_vec, _ = product_factors(branches["failure"].state)
-            exit_pol = _polarization_label(final.layout, photon_vec)
-        except ValueError:
-            exit_pol = "mixed"
-
-    return ProtocolOutcome(
-        success_prob=probs["success"],
-        failure_prob=probs["failure"],
-        absorbed_prob=probs["absorbed"],
-        success_atom_state=success_atom,
-        success_fidelity=success_fid,
-        final_state=final,
-        exit_polarization=exit_pol,
-        details=details or {},
-    )
-
-
-def _normalized_atom_init(atom: AtomSpec, layout: BasisLayout) -> np.ndarray:
-    vec = atom.level_vector(layout)
-    n = np.linalg.norm(vec)
-    return vec / n if n > 0 else vec
+@functools.cache
+def _golden(name: str) -> CircuitAst:
+    """A bundled circuit, parsed on first use."""
+    return parse(load_golden(name))
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +89,12 @@ def run_direct(polarization: str | np.ndarray, atom: AtomSpec) -> JointState:
     """One pass of a polarized photon through the atom; returns the full
     joint state (no post-selection)."""
     layout = _single_path_layout()
-    pol = POL_STATES[polarization] if isinstance(polarization, str) else np.asarray(
-        polarization, dtype=complex
-    )
-    if abs(np.vdot(pol, pol).real - 1.0) > 1e-9:
-        raise ValueError("polarization state is not normalized")
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    atom_vec = atom.level_vector(layout)
-    for i, pol_label in enumerate(layout.polarizations):
-        mat[layout.photon_index(("a", pol_label))] = pol[i] * atom_vec
-    state = JointState(layout, amps)
-    if not atom.present:
-        return state
     return run_sequence(
         layout,
-        [AtomInteraction("a", transparency_mask=atom.transparency_mask)],
-        state,
+        [AtomInteraction("a")],
+        initial_state(layout, "a", polarization, atom),
+        atom_present=atom.present,
+        mask_override=atom.transparency_mask,
     )
 
 
@@ -265,34 +105,36 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     what makes the superposed atom equivalent to an opaque object.
     """
     layout = _single_path_layout()
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    mat[layout.photon_index(("a", "+"))] = atom.level_vector(layout)
-    state = JointState(layout, amps)
-
-    interaction = AtomInteraction("a", transparency_mask=atom.transparency_mask)
+    interaction = AtomInteraction("a")
     classifier = make_classifier({"a": "failure"})
-    first = run_sequence(layout, [interaction], state, atom_present=atom.present)
-    absorbed_first = sum(
-        b.probability for b in partition_branches(first, classifier) if b.label == "absorbed"
+
+    def absorbed(st) -> float:
+        return sum(
+            b.probability for b in partition_branches(st, classifier) if b.label == "absorbed"
+        )
+
+    first = run_sequence(
+        layout,
+        [interaction],
+        initial_state(layout, "a", "+", atom),
+        atom_present=atom.present,
+        mask_override=atom.transparency_mask,
     )
     final = run_sequence(
         layout,
         [PolRotator("a", POL_FLIP), interaction],
         first,
         atom_present=atom.present,
+        mask_override=atom.transparency_mask,
     )
-    absorbed_total = sum(
-        b.probability for b in partition_branches(final, classifier) if b.label == "absorbed"
-    )
-    atom_init = _normalized_atom_init(atom, layout)
+    absorbed_first = absorbed(first)
     return assemble_outcome(
         final,
         classifier,
-        atom_init,
+        atom.level_vector(layout),
         details={
             "first_pass_absorbed": absorbed_first,
-            "second_pass_absorbed": absorbed_total - absorbed_first,
+            "second_pass_absorbed": absorbed(final) - absorbed_first,
         },
     )
 
@@ -308,123 +150,40 @@ def mz_closed_form(n_stages: int) -> float:
     return math.cos(math.pi / (2 * n_stages)) ** (2 * n_stages)
 
 
-def build_mz(
-    n_stages: int, transparency_mask: frozenset[str] = frozenset()
-) -> tuple[BasisLayout, list[Element], Callable[[PhotonMode], str]]:
-    """Layout, element sequence and exit classifier for the N-stage chain.
+@functools.lru_cache(maxsize=4)
+def _mz_circuit(n_stages: int) -> CompiledCircuit:
+    """``mz.nqi`` compiled at N = n_stages.
 
-    Every atom interaction gets a fresh sink pair: scattered photons from
-    different stages are distinguishable, and merging them coherently
-    would break probability conservation from N=3 on.
+    Sweeps loop over atoms inside a loop over N, so the last few chains
+    are enough to keep.  Every atom interaction gets a fresh sink pair:
+    scattered photons from different stages are distinguishable, and
+    merging them coherently would break probability conservation from
+    N=3 on.
     """
     if n_stages < 1:
         raise ValueError("the chain needs at least one stage")
-    t = math.sin(math.pi / (2 * n_stages))
-    r = math.cos(math.pi / (2 * n_stages))
-    sinks: list[str] = []
-    elements: list[Element] = []
-    event = 0
-    for _ in range(n_stages):
-        elements.append(BeamSplitter(t, r, "u", "l"))
-        for _pass in range(2):
-            sp, sm = sink_pair_labels(event)
-            event += 1
-            sinks.extend([sp, sm])
-            if _pass == 0:
-                elements.append(
-                    AtomInteraction("u", transparency_mask, sink_plus=sp, sink_minus=sm)
-                )
-            else:
-                elements.extend(
-                    [
-                        Mirror("u"),
-                        Mirror("u"),
-                        Mirror("l"),
-                        Mirror("l"),
-                        PolRotator("u", POL_FLIP),
-                        PolRotator("l", POL_FLIP),
-                        AtomInteraction(
-                            "u", transparency_mask, sink_plus=sp, sink_minus=sm
-                        ),
-                    ]
-                )
-    layout = make_layout(["l", "u"], sinks, list(ATOM_LEVELS))
-    classifier = make_classifier({"l": "success", "u": "failure"})
-    return layout, elements, classifier
+    return compile_circuit(_golden("mz"), {"N": n_stages})
+
+
+def build_mz(
+    n_stages: int,
+) -> tuple[BasisLayout, tuple[Element, ...], Callable[[PhotonMode], str]]:
+    """Layout, element sequence and exit classifier of the N-stage chain."""
+    circuit = _mz_circuit(n_stages)
+    return circuit.layout, circuit.elements, circuit.classifier()
 
 
 def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
     """Simulate the N-stage chain for a |+> photon entering the lower port."""
-    layout, elements, classifier = build_mz(
-        n_stages, atom.transparency_mask if atom.present else frozenset()
-    )
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    mat[layout.photon_index(("l", "+"))] = atom.level_vector(layout)
-    initial = JointState(layout, amps)
-    final = run_sequence(layout, elements, initial, atom_present=atom.present)
-    atom_init = _normalized_atom_init(atom, layout)
-    return assemble_outcome(final, classifier, atom_init, details={"n_stages": n_stages})
+    out = run_compiled(_mz_circuit(n_stages), atom)
+    out.details["n_stages"] = n_stages
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Fabry-Perot cavity
 
-# Polarization rotations for the four cavity half-segments:
-# x -> + on the way in, + -> y after the atom, y -> - on the way back,
-# - -> x before the beam reaches the entry mirror again.
-_ROT_X_TO_PLUS = np.array([[-1, 1], [1, 1]], dtype=complex) * _INV_SQRT2
-_ROT_PLUS_TO_Y = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-_ROT_Y_TO_MINUS = _ROT_X_TO_PLUS
-_ROT_MINUS_TO_X = np.array([[1, -1], [1, 1]], dtype=complex) * _INV_SQRT2
-
-_FP_PATHS = ("in", "fwd", "bwd", "tport", "mport", "refl", "trans")
-
-
-def _fp_trip_elements(
-    r: float, t: float, r_prime: float, t_prime: float
-) -> list[Element]:
-    """One intracavity round trip.
-
-    Mirror phases: +i r' on the far mirror combined with the pi phase
-    shift, +i r on the entry mirror, so adjacent out-coupled beams are in
-    phase (the stated 4*pi round-trip phase) while the direct external
-    reflection keeps its i r coefficient.
-    """
-    sp1, sm1 = sink_pair_labels(0)
-    sp2, sm2 = sink_pair_labels(1)
-    return [
-        PolRotator("fwd", _ROT_X_TO_PLUS),
-        AtomInteraction("fwd", sink_plus=sp1, sink_minus=sm1),
-        PolRotator("fwd", _ROT_PLUS_TO_Y),
-        BeamSplitter(t_prime, r_prime, "fwd", "tport"),
-        Relabel("tport", "trans"),
-        PhaseShift("fwd", math.pi),
-        BeamSplitter(1.0, 0.0, "fwd", "bwd"),
-        PolRotator("bwd", _ROT_Y_TO_MINUS),
-        AtomInteraction("bwd", sink_plus=sp2, sink_minus=sm2),
-        PolRotator("bwd", _ROT_MINUS_TO_X),
-        BeamSplitter(t, r, "bwd", "mport"),
-        Relabel("mport", "refl"),
-        BeamSplitter(1.0, 0.0, "bwd", "fwd"),
-    ]
-
-
-def fp_layout() -> BasisLayout:
-    sp1, sm1 = sink_pair_labels(0)
-    sp2, sm2 = sink_pair_labels(1)
-    return make_layout(list(_FP_PATHS), [sp1, sm1, sp2, sm2], list(ATOM_LEVELS))
-
-
-FP_CLASSIFIER_PATHS = {
-    "refl": "success",
-    "trans": "failure",
-    "in": "failure",
-    "fwd": "failure",
-    "bwd": "failure",
-    "tport": "failure",
-    "mport": "failure",
-}
+_FP_EXITS = ("refl", "trans")
 
 
 def run_fabry_perot(
@@ -445,61 +204,44 @@ def run_fabry_perot(
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if abs(tt**2 + rr**2 - 1.0) > NORM_TOL:
             raise ValueError(f"{name} mirror is not unitary: t^2+r^2 = {tt**2 + rr**2}")
-    layout = fp_layout()
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    pol = POL_STATES["x"]
-    atom_vec = atom.level_vector(layout)
-    for i, pol_label in enumerate(layout.polarizations):
-        mat[layout.photon_index(("in", pol_label))] = pol[i] * atom_vec
-    state = JointState(layout, amps)
+    circuit = compile_circuit(
+        _golden("fp"), {"T": t, "R": r, "TP": t_prime, "RP": r_prime, "K": 1}
+    )
+    layout = circuit.layout
+    state = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
 
-    entry = [BeamSplitter(t, r, "in", "fwd"), Relabel("in", "refl")]
-    state = run_sequence(layout, entry, state, atom_present=atom.present)
-    trip = _fp_trip_elements(r, t, r_prime, t_prime)
-    if atom.present and atom.transparency_mask:
-        trip = [
-            dataclasses.replace(el, transparency_mask=atom.transparency_mask)
-            if isinstance(el, AtomInteraction)
-            else el
-            for el in trip
-        ]
+    def rows(paths) -> list[int]:
+        return [layout.photon_index((p, pol)) for p in paths for pol in layout.polarizations]
 
-    intracavity_rows = [
-        layout.photon_index((p, pol_label))
-        for p in ("in", "fwd", "bwd", "tport", "mport")
-        for pol_label in layout.polarizations
-    ]
+    def prob(st: JointState, idx: list[int]) -> float:
+        return float(np.sum(np.abs(st.matrix()[idx]) ** 2))
 
-    def residual(st: JointState) -> float:
-        m = st.matrix()
-        return float(np.sum(np.abs(m[intracavity_rows]) ** 2))
-
+    intracavity = rows(p for p in layout.paths if p not in _FP_EXITS)
     trips = 0
-    while residual(state) >= eps:
+    while prob(state, intracavity) >= eps:
         if trips >= max_trips:
             raise RuntimeError("Fabry-Perot iteration failed to converge")
-        state = run_sequence(layout, trip, state, atom_present=atom.present)
+        state = run_sequence(
+            layout,
+            circuit.elements,
+            state,
+            atom_present=atom.present,
+            mask_override=atom.transparency_mask,
+        )
         trips += 1
-
-    classifier = make_classifier(FP_CLASSIFIER_PATHS)
-    atom_init = _normalized_atom_init(atom, layout)
-
-    def path_prob(path: str) -> float:
-        m = state.matrix()
-        rows = [layout.photon_index((path, p)) for p in layout.polarizations]
-        return float(np.sum(np.abs(m[rows]) ** 2))
 
     details = {
         "round_trips": trips,
-        "reflected": path_prob("refl"),
-        "transmitted": path_prob("trans"),
-        "residual": residual(state),
+        "reflected": prob(state, rows(["refl"])),
+        "transmitted": prob(state, rows(["trans"])),
+        "residual": prob(state, intracavity),
     }
     # Truncation stops the coherent accumulation of out-coupled beams one
     # amplitude tail short, so the norm deficit scales like sqrt(eps).
     slack = max(PROB_TOL, 8.0 * math.sqrt(eps) / max(1e-6, 1.0 - r * r_prime))
-    return assemble_outcome(state, classifier, atom_init, details=details, prob_tol=slack)
+    return assemble_outcome(
+        state, circuit.classifier(), atom.level_vector(layout), details=details, prob_tol=slack
+    )
 
 
 # ---------------------------------------------------------------------------

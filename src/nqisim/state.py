@@ -5,21 +5,41 @@ terminal sink label recording a scattered photon.  The joint basis is the
 product of photon modes with atom levels, flattened into one dense complex
 amplitude vector.  All operations here are pure functions on immutable
 values; states are never mutated in place.
+
+The two ends of every run live here as well: ``initial_state`` puts the
+photon and the atom superposition on an input mode, and
+``assemble_outcome`` splits a final state into success, failure and
+absorbed branches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .tolerances import NORM_TOL, RANK_TOL
+from .tolerances import NORM_TOL, PROB_TOL, RANK_TOL
 
 PhotonMode = Union[tuple[str, str], str]
 
 POLARIZATIONS = ("+", "-")
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Polarization states in (plus, minus) coordinates.  Linear x and y are
+# fixed once and for all; x is the combination that appears in the direct
+# interaction formula.
+POL_STATES: dict[str, np.ndarray] = {
+    "+": np.array([1.0, 0.0], dtype=complex),
+    "-": np.array([0.0, 1.0], dtype=complex),
+    "x": np.array([-_INV_SQRT2, _INV_SQRT2], dtype=complex),
+    "y": np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
+}
+
+ATOM_LEVELS = ("m+", "m-", "g")
 
 
 def _check_unique(kind: str, labels: Sequence[str]) -> None:
@@ -238,7 +258,7 @@ def product_factors(
     state up to a global phase absorbed into the photon factor.
     """
     mat = state.matrix()
-    u, s, vh = np.linalg.svd(mat)
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     if s.size > 1 and s[1] > tol:
         raise ValueError(
             f"state is not a photon-atom product (second singular value {s[1]:.3e})"
@@ -246,3 +266,155 @@ def product_factors(
     if s[0] == 0.0:
         raise ValueError("cannot factor the zero state")
     return u[:, 0].copy(), vh[0].copy()
+
+
+# ---------------------------------------------------------------------------
+# The atom, the input state and the outcome of a run
+
+
+class ConservationError(RuntimeError):
+    """Branch probabilities failed to sum to one."""
+
+
+@dataclass(frozen=True)
+class AtomSpec:
+    """Atom prepared in alpha|m+> + beta|m->, or absent."""
+
+    alpha: complex = _INV_SQRT2
+    beta: complex = _INV_SQRT2
+    present: bool = True
+    transparency_mask: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "beta", complex(self.beta))
+        object.__setattr__(
+            self, "transparency_mask", frozenset(self.transparency_mask)
+        )
+        if self.present:
+            n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+            if abs(n - 1.0) > NORM_TOL:
+                raise ValueError(f"atom amplitudes are not normalized: |a|^2+|b|^2={n}")
+
+    def level_vector(self, layout: BasisLayout) -> np.ndarray:
+        vec = np.zeros(layout.n_levels, dtype=complex)
+        vec[layout.level_index("m+")] = self.alpha
+        vec[layout.level_index("m-")] = self.beta
+        return vec
+
+
+def initial_state(
+    layout: BasisLayout,
+    path: str,
+    polarization: str | np.ndarray,
+    atom: AtomSpec,
+) -> JointState:
+    """The photon on ``path`` times the atom superposition.
+
+    ``polarization`` is a ``POL_STATES`` label or a normalized
+    (plus, minus) 2-vector.
+    """
+    if isinstance(polarization, str):
+        pol = POL_STATES[polarization]
+    else:
+        pol = np.asarray(polarization, dtype=complex)
+        if abs(np.vdot(pol, pol).real - 1.0) > 1e-9:
+            raise ValueError("polarization state is not normalized")
+    amps = np.zeros(layout.dim, dtype=complex)
+    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
+    atom_vec = atom.level_vector(layout)
+    for i, pol_label in enumerate(layout.polarizations):
+        mat[layout.photon_index((path, pol_label))] = pol[i] * atom_vec
+    return JointState(layout, amps)
+
+
+@dataclass(frozen=True)
+class ProtocolOutcome:
+    success_prob: float
+    failure_prob: float
+    absorbed_prob: float
+    success_atom_state: np.ndarray | None
+    success_fidelity: float | None
+    final_state: JointState
+    exit_polarization: str
+    details: dict = field(default_factory=dict)
+
+
+def make_classifier(
+    path_labels: dict[str, str], sink_label: str = "absorbed"
+) -> Callable[[PhotonMode], str]:
+    def classify(mode: PhotonMode) -> str:
+        if isinstance(mode, str):
+            return sink_label
+        return path_labels[mode[0]]
+
+    return classify
+
+
+def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
+    """Name the polarization of a photon-sector vector confined to one path."""
+    by_path: dict[str, np.ndarray] = {}
+    for i, mode in enumerate(layout.photon_modes):
+        if isinstance(mode, str):
+            continue
+        if abs(photon_vec[i]) > 1e-9:
+            path, pol = mode
+            vec = by_path.setdefault(path, np.zeros(2, dtype=complex))
+            vec[layout.polarizations.index(pol)] = photon_vec[i]
+    if not by_path:
+        return "none"
+    if len(by_path) > 1:
+        return "mixed"
+    (vec,) = by_path.values()
+    vec = vec / np.linalg.norm(vec)
+    for label, ref in POL_STATES.items():
+        if abs(np.vdot(ref, vec)) ** 2 > 1.0 - 1e-9:
+            return label
+    return "mixed"
+
+
+def assemble_outcome(
+    final: JointState,
+    classifier: Callable[[PhotonMode], str],
+    atom_init: np.ndarray,
+    details: dict | None = None,
+    prob_tol: float = PROB_TOL,
+) -> ProtocolOutcome:
+    """Branch probabilities of a final state, and the post-selected atom
+    state with its fidelity to ``atom_init`` (normalized here)."""
+    branches = {b.label: b for b in partition_branches(final, classifier)}
+    probs = {
+        label: branches[label].probability if label in branches else 0.0
+        for label in ("success", "failure", "absorbed")
+    }
+    total = sum(probs.values())
+    if abs(total - 1.0) > prob_tol:
+        raise ConservationError(
+            f"branch probabilities sum to {total!r}, expected 1"
+        )
+
+    success_atom = None
+    success_fid = None
+    exit_pol = "none"
+    if probs["success"] > PROB_TOL:
+        photon_vec, atom_vec = product_factors(branches["success"].state)
+        success_atom = atom_vec
+        success_fid = fidelity(atom_vec, atom_init / np.linalg.norm(atom_init))
+        exit_pol = _polarization_label(final.layout, photon_vec)
+    elif probs["failure"] > PROB_TOL:
+        try:
+            photon_vec, _ = product_factors(branches["failure"].state)
+            exit_pol = _polarization_label(final.layout, photon_vec)
+        except ValueError:
+            exit_pol = "mixed"
+
+    return ProtocolOutcome(
+        success_prob=probs["success"],
+        failure_prob=probs["failure"],
+        absorbed_prob=probs["absorbed"],
+        success_atom_state=success_atom,
+        success_fidelity=success_fid,
+        final_state=final,
+        exit_polarization=exit_pol,
+        details=details or {},
+    )

@@ -18,7 +18,15 @@ from nqisim.dsl import (
     run_compiled,
     strip_positions,
 )
-from nqisim.elements import AtomInteraction, BeamSplitter, Mirror, Relabel
+from nqisim.elements import (
+    POL_FLIP,
+    AtomInteraction,
+    BeamSplitter,
+    Mirror,
+    PolRotator,
+    Relabel,
+)
+from nqisim.state import make_layout
 from nqisim.protocols import (
     AtomSpec,
     build_mz,
@@ -166,17 +174,50 @@ class TestParser:
         with pytest.raises(ParseError, match="unknown polarization: z"):
             parse(src)
 
+    def test_atom_levels_must_name_the_atom_roles(self):
+        # The atom interaction and AtomSpec act on m+, m- and g by name.
+        src = MINIMAL.replace("atom-levels m+ m- g", "atom-levels up down g")
+        with pytest.raises(ParseError, match="missing m\\+ m-") as exc:
+            parse(src)
+        assert exc.value.line == 3
+        assert exc.value.token == "atom-levels"
+        parse(MINIMAL.replace("atom-levels m+ m- g", "atom-levels m+ m- g e"))
+
 
 class TestCompiler:
     def test_compiled_mz_matches_library_builder(self):
-        # [DERIVED] dual implementation: the golden circuit compiles to the
-        # exact element list the library constructs by hand.
+        # [DERIVED] independent oracle: the chain written out by hand,
+        # element by element, with a fresh sink pair per atom pass.
+        def stage(n, first, second):
+            t, r = math.sin(math.pi / (2 * n)), math.cos(math.pi / (2 * n))
+            return [
+                BeamSplitter(t, r, "u", "l"),
+                AtomInteraction("u", sink_plus=f"S+{first}", sink_minus=f"S-{first}"),
+                Mirror("u"),
+                Mirror("u"),
+                Mirror("l"),
+                Mirror("l"),
+                PolRotator("u", POL_FLIP),
+                PolRotator("l", POL_FLIP),
+                AtomInteraction("u", sink_plus=f"S+{second}", sink_minus=f"S-{second}"),
+            ]
+
+        by_hand = {
+            1: (["S+", "S-", "S+#2", "S-#2"], stage(1, "", "#2")),
+            2: (
+                ["S+", "S-", "S+#2", "S-#2", "S+#3", "S-#3", "S+#4", "S-#4"],
+                stage(2, "", "#2") + stage(2, "#3", "#4"),
+            ),
+        }
         ast = parse(load_golden("mz"))
-        for n in (1, 2, 5):
+        for n, (sinks, elements) in by_hand.items():
+            layout = make_layout(["l", "u"], sinks, ["m+", "m-", "g"])
             circuit = compile_circuit(ast, {"N": n})
-            layout, elements, _ = build_mz(n)
             assert circuit.layout == layout
-            assert list(circuit.elements) == list(elements)
+            assert list(circuit.elements) == elements
+            built_layout, built, _ = build_mz(n)
+            assert built_layout == layout
+            assert list(built) == elements
 
     def test_fresh_sink_pairs_per_atom_statement(self):
         src = MINIMAL.replace("atom a", "repeat 3 {\natom a\n}")
@@ -219,6 +260,29 @@ class TestCompiler:
         with pytest.raises(CompileError, match="division by zero"):
             compile_circuit(parse(src), {"K": 0.0})
 
+    def test_circuit_mask_survives_an_unmasked_atom(self):
+        # An atom without a mask of its own keeps the circuit's
+        # transparency: a |+> photon passes an m+ atom untouched.
+        src = MINIMAL.replace("input a x", "input a +").replace(
+            "atom a", "atom a transparent: m+"
+        )
+        circuit = compile_circuit(parse(src))
+        out = run_compiled(circuit, AtomSpec(1, 0))
+        assert out.absorbed_prob == 0.0
+        assert out.failure_prob == pytest.approx(1.0, abs=1e-12)
+
+    def test_atom_mask_adds_to_circuit_mask(self):
+        src = MINIMAL.replace("atom a", "atom a transparent: m+")
+        circuit = compile_circuit(parse(src))
+        # Circuit m+ and atom m-: nothing interacts.
+        out = run_compiled(circuit, AtomSpec(0.6, 0.8, transparency_mask={"m-"}))
+        assert out.absorbed_prob == 0.0
+        # Both masks m+: only the m- component of the x photon scatters.
+        out = run_compiled(circuit, AtomSpec(0.6, 0.8, transparency_mask={"m+"}))
+        assert out.absorbed_prob == pytest.approx(0.8**2 / 2, abs=1e-12)
+        # The compiled elements keep their own masks.
+        (atom,) = [el for el in circuit.elements if isinstance(el, AtomInteraction)]
+        assert atom.transparency_mask == frozenset({"m+"})
 
 class TestGoldens:
     def test_goldens_parse_and_round_trip(self):

@@ -14,7 +14,7 @@ from nqisim.elements import (
     POL_FLIP,
     Relabel,
     apply_element,
-    apply_sequence,
+    run_sequence,
     sink_pair_labels,
 )
 from nqisim.state import JointState, basis_state, make_layout, superpose
@@ -64,7 +64,7 @@ class TestBeamSplitter:
         s = 1 / np.sqrt(2)
         bs = BeamSplitter(s, s, "a", "b")
         state = basis_state(layout, ("a", "+"), "g")
-        out = apply_sequence(state, [bs, bs])
+        out = run_sequence(layout, [bs, bs], state)
         assert out.amplitude(("b", "+"), "g") == pytest.approx(1j)
         assert abs(out.amplitude(("a", "+"), "g")) < 1e-15
 
@@ -90,7 +90,7 @@ class TestMirrorAndPhase:
     def test_two_mirrors_give_minus_one(self):
         layout = layout2()
         state = basis_state(layout, ("a", "+"), "m+")
-        out = apply_sequence(state, [Mirror("a"), Mirror("a")])
+        out = run_sequence(layout, [Mirror("a"), Mirror("a")], state)
         assert out.amplitude(("a", "+"), "m+") == pytest.approx(-1.0)
 
     def test_phase_shift(self):
@@ -102,7 +102,7 @@ class TestMirrorAndPhase:
     def test_sinks_untouched(self):
         layout = layout2()
         state = basis_state(layout, "S+", "g")
-        out = apply_sequence(state, [Mirror("a"), PhaseShift("a", 0.7)])
+        out = run_sequence(layout, [Mirror("a"), PhaseShift("a", 0.7)], state)
         assert out.amplitude("S+", "g") == 1.0
 
 

@@ -1,6 +1,7 @@
 """Witness existence: least-squares decision versus the brute-force grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from nqisim.elements import AtomInteraction, PolRotator, POL_FLIP
 from nqisim.nogo import (
     Absence,
+    FinalStatePair,
     Witness,
     build_final_states,
     find_witness,
@@ -57,6 +59,22 @@ class TestFinalStatePair:
         # All weight on the upper exit port without the atom.
         up = [layout.photon_index(("u", p)) for p in layout.polarizations]
         assert sum(abs(psi[i]) ** 2 for i in up) == pytest.approx(1.0)
+
+    def test_absent_probe_vector_in_thin_memory(self):
+        # A full SVD would allocate a 4000 x 4000 complex u (256 MB).
+        layout = make_layout(["a"], [f"S{i}" for i in range(3998)], list(ATOM_LEVELS))
+        probe = np.zeros(layout.n_photon_modes, dtype=complex)
+        probe[[0, 3999]] = 0.6, 0.8j
+        absent = JointState(layout, np.outer(probe, [0.6, 0.8, 0.0]).reshape(-1))
+        pair = FinalStatePair(absent, absent, layout.n_photon_modes, layout.n_levels)
+        tracemalloc.start()
+        try:
+            psi = pair.absent_probe_vector()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(np.vdot(psi, probe)) == pytest.approx(1.0, abs=1e-12)
 
     def test_layout_mismatch_rejected(self):
         layout, elements, _ = build_mz(2)

@@ -1,5 +1,7 @@
 """Basis layout, joint states, branching, and product factoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,3 +190,22 @@ class TestProductFactors:
         state = JointState(layout, np.zeros(layout.dim))
         with pytest.raises(ValueError, match="zero state"):
             product_factors(state)
+
+    def test_large_product_factors_in_thin_memory(self):
+        # A full SVD would allocate a 4000 x 4000 complex u (256 MB).
+        layout = make_layout(["a"], [f"S{i}" for i in range(3998)], ["m+", "m-", "g"])
+        assert layout.n_photon_modes == 4000
+        rng = np.random.default_rng(3)
+        photon = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        photon /= np.linalg.norm(photon)
+        atom = np.array([0.6, 0.8j, 0.0])
+        state = JointState(layout, np.outer(photon, atom).reshape(-1))
+        tracemalloc.start()
+        try:
+            p, a = product_factors(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(np.vdot(p, photon)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(a, atom)) == pytest.approx(1.0, abs=1e-12)
