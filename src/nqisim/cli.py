@@ -31,6 +31,7 @@ from .protocols import (
     ConservationError,
     POL_STATES,
     ProtocolOutcome,
+    build_mz,
     haar_random_atoms,
     initial_state,
     mz_closed_form,
@@ -184,11 +185,10 @@ def cmd_nogo_check(args) -> None:
                 raise SystemExit2(f"unknown atom levels in mask: {sorted(unknown)}")
             masks.append(levels)
     samples = haar_random_atoms(args.atoms, seed=args.seed)
-    circuit = dsl.compile_circuit(dsl.parse(dsl.load_golden("mz")), {"N": args.stages})
-    factory = functools.partial(
-        initial_state, circuit.layout, circuit.input_path, circuit.input_pol
-    )
-    results = transparency_nogo_scan(circuit.layout, circuit.elements, factory, masks, samples)
+    layout, elements, _ = build_mz(args.stages)
+    # The chain's input: a |+> photon on the lower port, as in mz.nqi.
+    factory = functools.partial(initial_state, layout, "l", "+")
+    results = transparency_nogo_scan(layout, elements, factory, masks, samples)
     rows = []
     for row in results:
         rows.append(
@@ -208,7 +208,7 @@ def cmd_run(args) -> None:
     path = Path(args.circuit)
     if path.exists():
         source = path.read_text()
-    elif args.circuit in ("mz", "fp", "direct"):
+    elif args.circuit in dsl.golden_names():
         source = dsl.load_golden(args.circuit)
     else:
         raise SystemExit2(f"no such circuit file: {args.circuit}")
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nogo_check)
 
     p = sub.add_parser("run", help="compile and execute a circuit file")
-    p.add_argument("circuit", help="path to a .nqi file, or a bundled name (mz, fp, direct)")
+    p.add_argument("circuit", help="path to a .nqi file, or the name of a bundled circuit")
     p.add_argument("--bind", action="append", metavar="NAME=VALUE")
     p.add_argument("--prob-tol", type=float, default=1e-9)
     p.add_argument(

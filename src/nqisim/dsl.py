@@ -54,7 +54,7 @@ from .state import (
     make_classifier,
     make_layout,
 )
-from .tolerances import NORM_TOL, PROB_TOL
+from .tolerances import PROB_TOL
 
 
 class ParseError(ValueError):
@@ -674,12 +674,10 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
             if isinstance(stmt, BsStmt):
                 t = eval_expr(stmt.t_expr, env, stmt.line)
                 r = eval_expr(stmt.r_expr, env, stmt.line)
-                if abs(t * t + r * r - 1.0) > NORM_TOL or t < 0 or r < 0:
-                    raise CompileError(
-                        stmt.line,
-                        f"beam splitter is not unitary after substitution: t={t!r} r={r!r}",
-                    )
-                elements.append(BeamSplitter(t, r, stmt.path_a, stmt.path_b))
+                try:
+                    elements.append(BeamSplitter(t, r, stmt.path_a, stmt.path_b))
+                except ValueError as exc:
+                    raise CompileError(stmt.line, str(exc)) from None
             elif isinstance(stmt, MirrorStmt):
                 elements.append(Mirror(stmt.path))
             elif isinstance(stmt, RotStmt):
@@ -754,8 +752,13 @@ def run_compiled(
     )
 
 
+def golden_names() -> list[str]:
+    """Names of the bundled circuits: the ``.nqi`` files in the package's
+    ``circuits`` directory, listed on each call."""
+    files = resources.files("nqisim").joinpath("circuits").iterdir()
+    return sorted(f.name[:-4] for f in files if f.name.endswith(".nqi"))
+
+
 def load_golden(name: str) -> str:
-    """Source text of a bundled circuit (mz, fp, or direct)."""
-    return (
-        resources.files("nqisim").joinpath("circuits").joinpath(f"{name}.nqi").read_text()
-    )
+    """Source text of the bundled circuit ``name`` (one of ``golden_names()``)."""
+    return resources.files("nqisim").joinpath("circuits").joinpath(f"{name}.nqi").read_text()

@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import BasisLayout, JointState
+from .state import ATOM_LEVELS, BasisLayout, JointState
 from .tolerances import NORM_TOL
 
 
@@ -61,8 +61,9 @@ class PolRotator:
         u = np.asarray(self.u, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError("polarization rotator must be a 2x2 matrix")
-        if not np.allclose(u.conj().T @ u, np.eye(2), atol=NORM_TOL):
-            raise ValueError("polarization rotator is not unitary")
+        defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
+        if defect > NORM_TOL:
+            raise ValueError(f"polarization rotator is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "u", u)
 
     def __eq__(self, other):
@@ -94,9 +95,6 @@ class AtomInteraction:
     transparency_mask: frozenset[str] = frozenset()
     sink_plus: str = "S+"
     sink_minus: str = "S-"
-    plus_level: str = "m+"
-    minus_level: str = "m-"
-    ground_level: str = "g"
 
     def __post_init__(self):
         object.__setattr__(self, "transparency_mask", frozenset(self.transparency_mask))
@@ -118,10 +116,17 @@ Element = BeamSplitter | Mirror | PolRotator | PhaseShift | AtomInteraction | Re
 
 
 def _path_rows(layout: BasisLayout, path: str) -> tuple[int, int]:
-    if not layout.has_path(path):
-        raise ValueError(f"path {path!r} is not in the layout")
-    pol_plus, pol_minus = layout.polarizations
-    return layout.photon_index((path, pol_plus)), layout.photon_index((path, pol_minus))
+    try:
+        return layout.path_rows[path]
+    except KeyError:
+        raise ValueError(f"path {path!r} is not in the layout") from None
+
+
+def _sink_row(layout: BasisLayout, sink: str) -> int:
+    try:
+        return layout.photon_index(sink)
+    except ValueError:
+        raise ValueError(f"sink {sink!r} is not in the layout") from None
 
 
 def _beam_splitter_inplace(mat: np.ndarray, layout: BasisLayout, bs: BeamSplitter) -> None:
@@ -158,21 +163,19 @@ def _atom_inplace(
     mat: np.ndarray, layout: BasisLayout, atom: AtomInteraction, extra_mask: frozenset[str]
 ) -> None:
     r_plus, r_minus = _path_rows(layout, atom.path)
-    for sink in (atom.sink_plus, atom.sink_minus):
-        if sink not in layout.sinks:
-            raise ValueError(f"sink {sink!r} is not in the layout")
-    g = layout.level_index(atom.ground_level)
+    plus, minus, ground = ATOM_LEVELS
+    g = layout.level_index(ground)
     transitions = (
-        (r_plus, atom.plus_level, atom.sink_plus),
-        (r_minus, atom.minus_level, atom.sink_minus),
+        (r_plus, plus, _sink_row(layout, atom.sink_plus)),
+        (r_minus, minus, _sink_row(layout, atom.sink_minus)),
     )
-    for row, level, sink in transitions:
+    for row, level, sink_row in transitions:
         if level in atom.transparency_mask or level in extra_mask:
             continue
         lev = layout.level_index(level)
         amp = mat[row, lev]
         if amp != 0.0:
-            mat[layout.photon_index(sink), g] += amp
+            mat[sink_row, g] += amp
             mat[row, lev] = 0.0
 
 

@@ -203,7 +203,8 @@ def transparency_nogo_scan(
     """Tabulate witness existence over (transparency mask, atom sample) pairs.
 
     ``initial_factory(atom)`` must build the initial joint state for one
-    sample on the given layout.
+    sample on the given layout.  A sample's own transparency mask adds to
+    the scan mask.
     """
     masks = list(masks)
     if not masks:
@@ -212,7 +213,9 @@ def transparency_nogo_scan(
     for mask in masks:
         for atom in samples:
             initial = initial_factory(atom)
-            pair = build_final_states(layout, elements, initial, frozenset(mask))
+            pair = build_final_states(
+                layout, elements, initial, frozenset(mask) | atom.transparency_mask
+            )
             atom_init = atom.level_vector(layout)
             result = find_witness(pair, atom_init)
             if isinstance(result, Witness):

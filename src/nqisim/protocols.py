@@ -5,12 +5,13 @@ atom, the N-stage Mach-Zehnder chain, and the Fabry-Perot cavity, plus
 the two-pass demonstration that a superposed atom absorbs an intracavity
 photon with certainty once the polarization is flipped between passes.
 
-The chain and the cavity are described only by the bundled circuits
-``mz.nqi`` and ``fp.nqi``: the runners compile them (``dsl``) and
-propagate the element lists through ``elements.run_sequence``, the one
-propagation loop.  Every run starts from ``state.initial_state`` and ends
-in ``state.assemble_outcome``; those names, the atom and outcome types,
-``POL_STATES`` and ``ATOM_LEVELS`` are re-exported here.
+Every network is described only by a bundled circuit -- ``direct.nqi``,
+``twopass.nqi``, ``mz.nqi`` and ``fp.nqi`` -- which the runners compile
+(``dsl``) and propagate through ``elements.run_sequence``, the one
+propagation loop; no element is built here.  Every run starts from
+``state.initial_state`` and ends in ``state.assemble_outcome``; those
+names, the atom and outcome types, ``POL_STATES`` and ``ATOM_LEVELS``
+are re-exported here.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dsl import CircuitAst, CompiledCircuit, compile_circuit, load_golden, parse, run_compiled
-from .elements import AtomInteraction, Element, PolRotator, POL_FLIP, run_sequence
+from .elements import Element, run_sequence, sink_pair_labels
 from .state import (
     ATOM_LEVELS,
     AtomSpec,
@@ -51,10 +52,11 @@ from .state import (
     assemble_outcome,
     initial_state,
     make_classifier,
-    make_layout,
-    partition_branches,
 )
 from .tolerances import NORM_TOL, PROB_TOL
+
+# Round trips after which a cavity run is taken not to converge.
+_FP_MAX_TRIPS = 1_000_000
 
 
 def haar_random_atoms(n: int, seed: int) -> list[AtomSpec]:
@@ -77,66 +79,51 @@ def _golden(name: str) -> CircuitAst:
     return parse(load_golden(name))
 
 
+@functools.cache
+def _fixed_circuit(name: str) -> CompiledCircuit:
+    """A bundled circuit without parameters, compiled on first use."""
+    return compile_circuit(_golden(name))
+
+
+def _probability(state: JointState, rows: list[int]) -> float:
+    """Total probability on the given photon rows."""
+    return float(np.sum(np.abs(state.matrix()[rows]) ** 2))
+
+
 # ---------------------------------------------------------------------------
 # Direct interaction and the two-pass opacity demonstration
 
 
-def _single_path_layout() -> BasisLayout:
-    return make_layout(["a"], ["S+", "S-"], list(ATOM_LEVELS))
-
-
 def run_direct(polarization: str | np.ndarray, atom: AtomSpec) -> JointState:
-    """One pass of a polarized photon through the atom; returns the full
-    joint state (no post-selection)."""
-    layout = _single_path_layout()
+    """One pass of a photon with the given polarization (a ``POL_STATES``
+    label or a (plus, minus) 2-vector) through the atom of ``direct.nqi``;
+    returns the full joint state (no post-selection)."""
+    circuit = _fixed_circuit("direct")
+    layout = circuit.layout
     return run_sequence(
         layout,
-        [AtomInteraction("a")],
-        initial_state(layout, "a", polarization, atom),
+        circuit.elements,
+        initial_state(layout, circuit.input_path, polarization, atom),
         atom_present=atom.present,
         mask_override=atom.transparency_mask,
     )
 
 
 def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
-    """Send |+> through the atom, flip the polarization, pass again.
+    """Send |+> through the atom, flip the polarization, pass again
+    (``twopass.nqi``).
 
     With the atom present the photon is absorbed with certainty, which is
-    what makes the superposed atom equivalent to an opaque object.
+    what makes the superposed atom equivalent to an opaque object.  Each
+    pass scatters into its own sink pair (``S+ S-``, then ``S+#2 S-#2``),
+    from which ``details`` reads the absorption of that pass.
     """
-    layout = _single_path_layout()
-    interaction = AtomInteraction("a")
-    classifier = make_classifier({"a": "failure"})
-
-    def absorbed(st) -> float:
-        return sum(
-            b.probability for b in partition_branches(st, classifier) if b.label == "absorbed"
-        )
-
-    first = run_sequence(
-        layout,
-        [interaction],
-        initial_state(layout, "a", "+", atom),
-        atom_present=atom.present,
-        mask_override=atom.transparency_mask,
-    )
-    final = run_sequence(
-        layout,
-        [PolRotator("a", POL_FLIP), interaction],
-        first,
-        atom_present=atom.present,
-        mask_override=atom.transparency_mask,
-    )
-    absorbed_first = absorbed(first)
-    return assemble_outcome(
-        final,
-        classifier,
-        atom.level_vector(layout),
-        details={
-            "first_pass_absorbed": absorbed_first,
-            "second_pass_absorbed": absorbed(final) - absorbed_first,
-        },
-    )
+    out = run_compiled(_fixed_circuit("twopass"), atom)
+    layout = out.final_state.layout
+    for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
+        rows = [layout.photon_index(sink) for sink in sink_pair_labels(event)]
+        out.details[key] = _probability(out.final_state, rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +180,6 @@ def run_fabry_perot(
     t_prime: float,
     atom: AtomSpec,
     eps: float = 1e-12,
-    max_trips: int = 1_000_000,
 ) -> ProtocolOutcome:
     """Iterate cavity round trips until the intracavity amplitude is spent.
 
@@ -211,15 +197,12 @@ def run_fabry_perot(
     state = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
 
     def rows(paths) -> list[int]:
-        return [layout.photon_index((p, pol)) for p in paths for pol in layout.polarizations]
-
-    def prob(st: JointState, idx: list[int]) -> float:
-        return float(np.sum(np.abs(st.matrix()[idx]) ** 2))
+        return [row for p in paths for row in layout.path_rows[p]]
 
     intracavity = rows(p for p in layout.paths if p not in _FP_EXITS)
     trips = 0
-    while prob(state, intracavity) >= eps:
-        if trips >= max_trips:
+    while _probability(state, intracavity) >= eps:
+        if trips >= _FP_MAX_TRIPS:
             raise RuntimeError("Fabry-Perot iteration failed to converge")
         state = run_sequence(
             layout,
@@ -232,9 +215,9 @@ def run_fabry_perot(
 
     details = {
         "round_trips": trips,
-        "reflected": prob(state, rows(["refl"])),
-        "transmitted": prob(state, rows(["trans"])),
-        "residual": prob(state, intracavity),
+        "reflected": _probability(state, rows(["refl"])),
+        "transmitted": _probability(state, rows(["trans"])),
+        "residual": _probability(state, intracavity),
     }
     # Truncation stops the coherent accumulation of out-coupled beams one
     # amplitude tail short, so the norm deficit scales like sqrt(eps).

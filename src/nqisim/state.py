@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class BasisLayout:
     paths: tuple[str, ...]
     sinks: tuple[str, ...]
     atom_levels: tuple[str, ...]
-    polarizations: tuple[str, str] = POLARIZATIONS
+    polarizations: ClassVar[tuple[str, str]] = POLARIZATIONS
 
     @cached_property
     def photon_modes(self) -> tuple[PhotonMode, ...]:
@@ -74,6 +74,14 @@ class BasisLayout:
     @cached_property
     def _photon_index(self) -> dict[PhotonMode, int]:
         return {m: i for i, m in enumerate(self.photon_modes)}
+
+    @cached_property
+    def path_rows(self) -> dict[str, tuple[int, int]]:
+        """The two photon rows (one per polarization) of each path."""
+        return {
+            p: tuple(self.photon_index((p, pol)) for pol in self.polarizations)
+            for p in self.paths
+        }
 
     @cached_property
     def _level_index(self) -> dict[str, int]:
@@ -105,12 +113,6 @@ class BasisLayout:
 
     def index(self, mode: PhotonMode, level: str) -> int:
         return self.photon_index(mode) * self.n_levels + self.level_index(level)
-
-    def has_path(self, path: str) -> bool:
-        return path in self.paths
-
-    def is_sink(self, mode: PhotonMode) -> bool:
-        return isinstance(mode, str)
 
 
 def make_layout(

@@ -9,7 +9,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from nqisim import dsl
@@ -34,20 +33,13 @@ from nqisim.protocols import (
     run_mz_chain,
     run_two_pass,
 )
-from nqisim.state import JointState, make_layout
+from nqisim.state import initial_state, make_layout
 
 from test_dsl import _random_source
 
 
 def report(n, text):
     print(f"PASS criterion {n}: {text}")
-
-
-def mz_initial(layout, atom):
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    mat[layout.photon_index(("l", "+"))] = atom.level_vector(layout)
-    return JointState(layout, amps)
 
 
 def check_conserved(out):
@@ -170,7 +162,7 @@ def test_criterion_7_nogo_scan():
     rows = transparency_nogo_scan(
         layout,
         elements,
-        lambda atom: mz_initial(layout, atom),
+        lambda atom: initial_state(layout, "l", "+", atom),
         [frozenset(), frozenset({"m+"})],
         samples,
     )
@@ -186,14 +178,6 @@ def test_criterion_7_nogo_scan():
     # instances, one without a witness and one with.
     small = make_layout(["a"], ["S+", "S-"], list(ATOM_LEVELS))
 
-    def initial(pol, atom):
-        amps = np.zeros(small.dim, dtype=complex)
-        mat = amps.reshape(small.n_photon_modes, small.n_levels)
-        vec = atom.level_vector(small)
-        for i, p in enumerate(small.polarizations):
-            mat[small.photon_index(("a", p))] = POL_STATES[pol][i] * vec
-        return JointState(small, amps)
-
     interaction = AtomInteraction("a")
     agreements = 0
     cases = [
@@ -202,7 +186,7 @@ def test_criterion_7_nogo_scan():
         ([interaction], "x", AtomSpec(0.0, 1.0)),
     ]
     for elems, pol, atom in cases:
-        pair = build_final_states(small, elems, initial(pol, atom))
+        pair = build_final_states(small, elems, initial_state(small, "a", pol, atom))
         assert pair.probe_dim - 1 <= 3
         atom_init = atom.level_vector(small)
         decided = find_witness(pair, atom_init)

@@ -145,6 +145,12 @@ class TestRun:
         row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
         assert float(row["success_prob"]) == pytest.approx(0.530790042945, abs=1e-10)
 
+    def test_bundled_twopass(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "twopass", "--alpha", "0.6", "--beta", "0.8")
+        assert code == 0
+        row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
+        assert float(row["absorbed_prob"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_print_canonical(self, capsys):
         code, out, _ = run_cli(capsys, "run", "mz", "--print")
         assert code == 0

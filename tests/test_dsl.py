@@ -250,8 +250,17 @@ class TestCompiler:
             compile_circuit(ast, {"K": 0})
 
     def test_non_unitary_rot_cites_line(self):
-        src = MINIMAL.replace("atom a", "rot a matrix(1,1,0,1)")
-        with pytest.raises(CompileError, match="not unitary") as exc:
+        # The second matrix is off by 8e-6 in u^dag u: well inside numpy's
+        # default relative tolerance, far outside NORM_TOL.
+        for rot in ("rot a matrix(1,1,0,1)", "rot a matrix(1.000004, 0, 0, 1)"):
+            src = MINIMAL.replace("atom a", rot)
+            with pytest.raises(CompileError, match="not unitary") as exc:
+                compile_circuit(parse(src))
+            assert exc.value.line == 5
+
+    def test_beam_splitter_errors_cite_line(self):
+        src = MINIMAL.replace("atom a", "bs a a t=0.6 r=0.8")
+        with pytest.raises(CompileError, match="two distinct paths") as exc:
             compile_circuit(parse(src))
         assert exc.value.line == 5
 
@@ -286,7 +295,9 @@ class TestCompiler:
 
 class TestGoldens:
     def test_goldens_parse_and_round_trip(self):
-        for name in ("mz", "fp", "direct"):
+        names = dsl.golden_names()
+        assert {"mz", "fp", "direct", "twopass"} <= set(names)
+        for name in names:
             ast = parse(load_golden(name))
             again = parse(print_circuit(ast))
             assert strip_positions(again) == strip_positions(ast)

@@ -1,5 +1,6 @@
 """Witness existence: least-squares decision versus the brute-force grid."""
 
+import functools
 import math
 import tracemalloc
 
@@ -21,39 +22,18 @@ from nqisim.nogo import (
 from nqisim.protocols import (
     ATOM_LEVELS,
     AtomSpec,
-    POL_STATES,
     build_mz,
     haar_random_atoms,
     mz_closed_form,
 )
-from nqisim.state import JointState, make_layout
-
-
-def mz_initial_factory(layout):
-    def factory(atom):
-        amps = np.zeros(layout.dim, dtype=complex)
-        mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-        mat[layout.photon_index(("l", "+"))] = atom.level_vector(layout)
-        return JointState(layout, amps)
-
-    return factory
-
-
-def single_path_initial(layout, pol, atom):
-    amps = np.zeros(layout.dim, dtype=complex)
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    vec = atom.level_vector(layout)
-    pol_vec = POL_STATES[pol]
-    for i, p in enumerate(layout.polarizations):
-        mat[layout.photon_index(("a", p))] = pol_vec[i] * vec
-    return JointState(layout, amps)
+from nqisim.state import JointState, initial_state, make_layout
 
 
 class TestFinalStatePair:
     def test_absent_probe_vector_is_a_product(self):
         layout, elements, _ = build_mz(3)
         atom = AtomSpec(0.6, 0.8)
-        pair = build_final_states(layout, elements, mz_initial_factory(layout)(atom))
+        pair = build_final_states(layout, elements, initial_state(layout, "l", "+", atom))
         psi = pair.absent_probe_vector()
         assert np.linalg.norm(psi) == pytest.approx(1.0)
         # All weight on the upper exit port without the atom.
@@ -90,7 +70,7 @@ class TestFindWitness:
     def test_full_interaction_always_has_a_witness(self, n, seed):
         layout, elements, _ = build_mz(n)
         atom = haar_random_atoms(1, seed=seed)[0]
-        pair = build_final_states(layout, elements, mz_initial_factory(layout)(atom))
+        pair = build_final_states(layout, elements, initial_state(layout, "l", "+", atom))
         atom_init = atom.level_vector(layout)
         result = find_witness(pair, atom_init)
         assert isinstance(result, Witness)
@@ -100,7 +80,7 @@ class TestFindWitness:
     def test_witness_properties(self):
         layout, elements, _ = build_mz(4)
         atom = AtomSpec(0.6, 0.8j)
-        pair = build_final_states(layout, elements, mz_initial_factory(layout)(atom))
+        pair = build_final_states(layout, elements, initial_state(layout, "l", "+", atom))
         atom_init = atom.level_vector(layout)
         w = find_witness(pair, atom_init)
         assert isinstance(w, Witness)
@@ -116,7 +96,7 @@ class TestFindWitness:
         layout, elements, _ = build_mz(6)
         atom = AtomSpec(0.6, 0.8)
         pair = build_final_states(
-            layout, elements, mz_initial_factory(layout)(atom), frozenset({"m+"})
+            layout, elements, initial_state(layout, "l", "+", atom), frozenset({"m+"})
         )
         result = find_witness(pair, atom.level_vector(layout))
         assert isinstance(result, Absence)
@@ -126,7 +106,7 @@ class TestFindWitness:
         layout, elements, _ = build_mz(6)
         atom = AtomSpec(0.0, 1.0)
         pair = build_final_states(
-            layout, elements, mz_initial_factory(layout)(atom), frozenset({"m+"})
+            layout, elements, initial_state(layout, "l", "+", atom), frozenset({"m+"})
         )
         result = find_witness(pair, atom.level_vector(layout))
         assert isinstance(result, Witness)
@@ -140,7 +120,7 @@ class TestGridOracle:
         atom = AtomSpec(0.6, 0.8)
         elements = [AtomInteraction("a")]
         pair = build_final_states(
-            layout, elements, single_path_initial(layout, "x", atom)
+            layout, elements, initial_state(layout, "a", "x", atom)
         )
         atom_init = atom.level_vector(layout)
         lstsq_result = find_witness(pair, atom_init)
@@ -155,7 +135,7 @@ class TestGridOracle:
         interaction = AtomInteraction("a")
         elements = [interaction, PolRotator("a", POL_FLIP), interaction]
         pair = build_final_states(
-            layout, elements, single_path_initial(layout, "+", atom)
+            layout, elements, initial_state(layout, "a", "+", atom)
         )
         atom_init = atom.level_vector(layout)
         assert isinstance(find_witness(pair, atom_init), Absence)
@@ -171,7 +151,7 @@ class TestGridOracle:
         pair = build_final_states(
             layout,
             [AtomInteraction("a")],
-            single_path_initial(layout, "x", atom),
+            initial_state(layout, "a", "x", atom),
         )
         atom_init = atom.level_vector(layout)
         w = find_witness(pair, atom_init)
@@ -187,7 +167,7 @@ class TestScan:
         rows = transparency_nogo_scan(
             layout,
             elements,
-            mz_initial_factory(layout),
+            functools.partial(initial_state, layout, "l", "+"),
             [frozenset(), frozenset({"m+"})],
             samples,
         )
@@ -202,9 +182,18 @@ class TestScan:
             assert not r.witness_found
             assert r.residual >= min(abs(r.alpha), abs(r.beta)) / 2
 
+    def test_sample_mask_adds_to_scan_mask(self):
+        # An atom whose m+ level never interacts has no witness, whatever
+        # the scan mask says.
+        layout, elements, _ = build_mz(6)
+        atom = AtomSpec(0.6, 0.8, transparency_mask={"m+"})
+        factory = functools.partial(initial_state, layout, "l", "+")
+        (row,) = transparency_nogo_scan(layout, elements, factory, [frozenset()], [atom])
+        assert not row.witness_found
+        assert row.residual >= 0.6 - 1e-9
+
     def test_empty_mask_list_rejected(self):
         layout, elements, _ = build_mz(2)
+        factory = functools.partial(initial_state, layout, "l", "+")
         with pytest.raises(ValueError, match="at least one mask"):
-            transparency_nogo_scan(
-                layout, elements, mz_initial_factory(layout), [], haar_random_atoms(1, 1)
-            )
+            transparency_nogo_scan(layout, elements, factory, [], haar_random_atoms(1, 1))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nqisim import dsl, protocols
 from nqisim.protocols import (
     AtomSpec,
     ConservationError,
@@ -22,6 +23,7 @@ from nqisim.protocols import (
     run_two_pass,
     success_fidelity_scan,
 )
+from nqisim.elements import run_sequence
 from nqisim.state import partition_branches
 
 
@@ -99,6 +101,22 @@ class TestTwoPass:
         assert out.absorbed_prob == pytest.approx(1.0, abs=1e-12)
         assert out.details["first_pass_absorbed"] == pytest.approx(abs(atom.alpha) ** 2)
         assert out.details["second_pass_absorbed"] == pytest.approx(abs(atom.beta) ** 2)
+
+    def test_one_propagation_with_a_sink_pair_per_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(dsl, "run_sequence", counted)
+        monkeypatch.setattr(protocols, "run_sequence", counted)
+        out = run_two_pass(AtomSpec(0.6, 0.8))
+        assert len(calls) == 1
+        final = out.final_state
+        assert final.layout.sinks == ("S+", "S-", "S+#2", "S-#2")
+        assert abs(final.amplitude("S+", "g")) == pytest.approx(0.6, abs=1e-12)
+        assert abs(final.amplitude("S-#2", "g")) == pytest.approx(0.8, abs=1e-12)
 
     def test_absent_atom_never_absorbs(self):
         out = run_two_pass(AtomSpec(present=False))
