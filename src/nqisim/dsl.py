@@ -261,7 +261,7 @@ def print_expr(expr: Expr) -> str:
 
 @dataclass(frozen=True)
 class BsStmt:
-    line: int
+    line: int = field(compare=False)
     path_a: str
     path_b: str
     t_expr: Expr
@@ -270,41 +270,41 @@ class BsStmt:
 
 @dataclass(frozen=True)
 class MirrorStmt:
-    line: int
+    line: int = field(compare=False)
     path: str
 
 
 @dataclass(frozen=True)
 class RotStmt:
-    line: int
+    line: int = field(compare=False)
     path: str
     entries: tuple[Expr, Expr, Expr, Expr] | None  # None means flip
 
 
 @dataclass(frozen=True)
 class PhaseStmt:
-    line: int
+    line: int = field(compare=False)
     path: str
     phi_expr: Expr
 
 
 @dataclass(frozen=True)
 class AtomStmt:
-    line: int
+    line: int = field(compare=False)
     path: str
     transparent: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class RelabelStmt:
-    line: int
+    line: int = field(compare=False)
     src: str
     dst: str
 
 
 @dataclass(frozen=True)
 class RepeatStmt:
-    line: int
+    line: int = field(compare=False)
     count_expr: Expr
     body: tuple["Stmt", ...]
 
@@ -314,7 +314,7 @@ Stmt = Union[BsStmt, MirrorStmt, RotStmt, PhaseStmt, AtomStmt, RelabelStmt, Repe
 
 @dataclass(frozen=True)
 class LetBinding:
-    line: int
+    line: int = field(compare=False)
     name: str
     expr: Expr
 
@@ -364,6 +364,8 @@ class _Parser:
         statements = self._parse_block(top_level=True)
         if not self.paths:
             raise ParseError(1, 1, "no declarations")
+        if not self.sinks:
+            raise ParseError(1, 1, "missing sinks statement")
         if self.input_decl is None:
             raise ParseError(1, 1, "missing input statement")
         missing = [lev for lev in ATOM_LEVELS if lev not in self.levels]
@@ -417,6 +419,8 @@ class _Parser:
             self._declare(lineno, words[1:], self.paths, "path")
             return None
         if keyword == "sinks":
+            if self.sinks:
+                raise self.error(lineno, "duplicate sinks statement", keyword)
             if len(words) != 3:
                 raise self.error(lineno, "sinks needs exactly two labels", keyword)
             self._declare(lineno, words[1:], self.sinks, "sink")
@@ -605,7 +609,7 @@ def _print_stmt(stmt: Stmt, indent: str, out: list[str]) -> None:
 
 def print_circuit(ast: CircuitAst) -> str:
     """Render an AST back to canonical source; parse(print_circuit(x)) == x
-    up to statement line numbers."""
+    (equality ignores statement line numbers)."""
     out = [
         f"paths {' '.join(ast.paths)}",
         f"sinks {' '.join(ast.sinks)}",
@@ -618,26 +622,6 @@ def print_circuit(ast: CircuitAst) -> str:
         _print_stmt(stmt, "", out)
     out.append("classify " + " ".join(f"{p}={l}" for p, l in ast.classifier))
     return "\n".join(out) + "\n"
-
-
-def strip_positions(ast: CircuitAst) -> CircuitAst:
-    """AST with all line numbers zeroed, for position-independent comparison."""
-
-    def strip(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, RepeatStmt):
-            return RepeatStmt(0, stmt.count_expr, tuple(strip(s) for s in stmt.body))
-        return type(stmt)(0, *[getattr(stmt, f) for f in stmt.__dataclass_fields__ if f != "line"])
-
-    return CircuitAst(
-        paths=ast.paths,
-        sinks=ast.sinks,
-        atom_levels=ast.atom_levels,
-        input_path=ast.input_path,
-        input_pol=ast.input_pol,
-        lets=tuple(LetBinding(0, l.name, l.expr) for l in ast.lets),
-        statements=tuple(strip(s) for s in ast.statements),
-        classifier=ast.classifier,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -708,7 +692,9 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
                 elements.append(Relabel(stmt.src, stmt.dst))
             elif isinstance(stmt, RepeatStmt):
                 count = eval_expr(stmt.count_expr, env, stmt.line)
-                if abs(count - round(count)) > 1e-9 or round(count) < 1:
+                if not (
+                    math.isfinite(count) and abs(count - round(count)) <= 1e-9 and round(count) >= 1
+                ):
                     raise CompileError(
                         stmt.line, f"repeat count must be a positive integer, got {count!r}"
                     )

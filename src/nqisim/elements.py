@@ -11,6 +11,13 @@ Phase conventions:
 * Scattered photons never propagate again: every element acts as the
   identity on sink modes.
 
+A path's ``+`` and ``-`` rows are adjacent (``BasisLayout.path_block``),
+so each kernel is one operation on that (2, n_levels) block: a mirror or
+phase shift scales it, a rotator multiplies it by ``u``, a beam splitter
+mixes two blocks, a relabel adds one block into another.  The atom
+interaction reads the block's first row (``+``) at m+ and its second
+row (``-``) at m-.
+
 ``run_sequence`` is the one propagation loop: every runner, the circuit
 executor and the witness scan apply their element lists through it.  It
 and ``apply_element`` are pure (they return a new state); the underscore
@@ -39,7 +46,7 @@ class BeamSplitter:
     def __post_init__(self):
         if self.t < 0 or self.r < 0:
             raise ValueError("beam splitter amplitudes must be non-negative")
-        if abs(self.t**2 + self.r**2 - 1.0) > NORM_TOL:
+        if not abs(self.t**2 + self.r**2 - 1.0) <= NORM_TOL:
             raise ValueError(
                 f"beam splitter is not unitary: t^2 + r^2 = {self.t**2 + self.r**2}"
             )
@@ -62,7 +69,7 @@ class PolRotator:
         if u.shape != (2, 2):
             raise ValueError("polarization rotator must be a 2x2 matrix")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-        if defect > NORM_TOL:
+        if not defect <= NORM_TOL:
             raise ValueError(f"polarization rotator is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "u", u)
 
@@ -115,9 +122,9 @@ class Relabel:
 Element = BeamSplitter | Mirror | PolRotator | PhaseShift | AtomInteraction | Relabel
 
 
-def _path_rows(layout: BasisLayout, path: str) -> tuple[int, int]:
+def _block(layout: BasisLayout, path: str) -> slice:
     try:
-        return layout.path_rows[path]
+        return layout.path_block[path]
     except KeyError:
         raise ValueError(f"path {path!r} is not in the layout") from None
 
@@ -130,62 +137,55 @@ def _sink_row(layout: BasisLayout, sink: str) -> int:
 
 
 def _beam_splitter_inplace(mat: np.ndarray, layout: BasisLayout, bs: BeamSplitter) -> None:
-    a0, a1 = _path_rows(layout, bs.path_a)
-    b0, b1 = _path_rows(layout, bs.path_b)
+    a = _block(layout, bs.path_a)
+    b = _block(layout, bs.path_b)
     ir = 1j * bs.r
-    for a, b in ((a0, b0), (a1, b1)):
-        ina = mat[a].copy()
-        mat[a] = ir * ina + bs.t * mat[b]
-        mat[b] = bs.t * ina + ir * mat[b]
+    ina = mat[a].copy()
+    mat[a] = ir * ina + bs.t * mat[b]
+    mat[b] = bs.t * ina + ir * mat[b]
 
 
 def _mirror_inplace(mat: np.ndarray, layout: BasisLayout, m: Mirror) -> None:
-    r0, r1 = _path_rows(layout, m.path)
-    mat[r0] *= 1j
-    mat[r1] *= 1j
+    mat[_block(layout, m.path)] *= 1j
 
 
 def _pol_rotator_inplace(mat: np.ndarray, layout: BasisLayout, rot: PolRotator) -> None:
-    r0, r1 = _path_rows(layout, rot.path)
-    block = rot.u @ np.vstack((mat[r0], mat[r1]))
-    mat[r0] = block[0]
-    mat[r1] = block[1]
+    block = _block(layout, rot.path)
+    mat[block] = rot.u @ mat[block]
 
 
 def _phase_inplace(mat: np.ndarray, layout: BasisLayout, ps: PhaseShift) -> None:
-    r0, r1 = _path_rows(layout, ps.path)
-    phase = cmath.exp(1j * ps.phi)
-    mat[r0] *= phase
-    mat[r1] *= phase
+    mat[_block(layout, ps.path)] *= cmath.exp(1j * ps.phi)
+
+
+def _scatter(mat: np.ndarray, row: int, level: int, sink_row: int, ground: int) -> None:
+    """Move the amplitude at (row, level) onto (sink_row, ground)."""
+    amp = mat[row, level]
+    if amp != 0.0:
+        mat[sink_row, ground] += amp
+        mat[row, level] = 0.0
 
 
 def _atom_inplace(
     mat: np.ndarray, layout: BasisLayout, atom: AtomInteraction, extra_mask: frozenset[str]
 ) -> None:
-    r_plus, r_minus = _path_rows(layout, atom.path)
+    """Row ``start`` of the path's block (+) meets m+, row ``start + 1``
+    (-) meets m-."""
+    start = _block(layout, atom.path).start
+    sink_plus = _sink_row(layout, atom.sink_plus)
+    sink_minus = _sink_row(layout, atom.sink_minus)
     plus, minus, ground = ATOM_LEVELS
     g = layout.level_index(ground)
-    transitions = (
-        (r_plus, plus, _sink_row(layout, atom.sink_plus)),
-        (r_minus, minus, _sink_row(layout, atom.sink_minus)),
-    )
-    for row, level, sink_row in transitions:
-        if level in atom.transparency_mask or level in extra_mask:
-            continue
-        lev = layout.level_index(level)
-        amp = mat[row, lev]
-        if amp != 0.0:
-            mat[sink_row, g] += amp
-            mat[row, lev] = 0.0
+    if plus not in atom.transparency_mask and plus not in extra_mask:
+        _scatter(mat, start, layout.level_index(plus), sink_plus, g)
+    if minus not in atom.transparency_mask and minus not in extra_mask:
+        _scatter(mat, start + 1, layout.level_index(minus), sink_minus, g)
 
 
 def _relabel_inplace(mat: np.ndarray, layout: BasisLayout, rl: Relabel) -> None:
-    s0, s1 = _path_rows(layout, rl.src)
-    d0, d1 = _path_rows(layout, rl.dst)
-    mat[d0] += mat[s0]
-    mat[d1] += mat[s1]
-    mat[s0] = 0.0
-    mat[s1] = 0.0
+    src = _block(layout, rl.src)
+    mat[_block(layout, rl.dst)] += mat[src]
+    mat[src] = 0.0
 
 
 _KERNELS = {

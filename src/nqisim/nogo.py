@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elements import Element, run_sequence
-from .state import AtomSpec, BasisLayout, JointState
+from .state import AtomSpec, BasisLayout, JointState, product_factors
 from .tolerances import RANK_TOL
 
 
@@ -34,13 +34,7 @@ class FinalStatePair:
 
     def absent_probe_vector(self) -> np.ndarray:
         """Probe factor of the (product) atom-absent final state."""
-        mat = self.absent.matrix()
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        if s.size > 1 and s[1] > RANK_TOL:
-            raise ValueError(
-                f"atom-absent state is not a product (second singular value {s[1]:.3e})"
-            )
-        return u[:, 0].copy()
+        return product_factors(self.absent)[0]
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,8 @@ def _fixed_circuit(name: str) -> CompiledCircuit:
     return compile_circuit(_golden(name))
 
 
-def _probability(state: JointState, rows: list[int]) -> float:
-    """Total probability on the given photon rows."""
+def _probability(state: JointState, rows) -> float:
+    """Total probability on the given photon rows (indices or a block)."""
     return float(np.sum(np.abs(state.matrix()[rows]) ** 2))
 
 
@@ -188,18 +188,18 @@ def run_fabry_perot(
     mid-cavity between the two rotations of each half.
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
-        if abs(tt**2 + rr**2 - 1.0) > NORM_TOL:
+        if not abs(tt**2 + rr**2 - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} mirror is not unitary: t^2+r^2 = {tt**2 + rr**2}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     circuit = compile_circuit(
         _golden("fp"), {"T": t, "R": r, "TP": t_prime, "RP": r_prime, "K": 1}
     )
     layout = circuit.layout
     state = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
 
-    def rows(paths) -> list[int]:
-        return [row for p in paths for row in layout.path_rows[p]]
-
-    intracavity = rows(p for p in layout.paths if p not in _FP_EXITS)
+    blocks = layout.path_block
+    intracavity = np.r_[tuple(blocks[p] for p in layout.paths if p not in _FP_EXITS)]
     trips = 0
     while _probability(state, intracavity) >= eps:
         if trips >= _FP_MAX_TRIPS:
@@ -215,8 +215,8 @@ def run_fabry_perot(
 
     details = {
         "round_trips": trips,
-        "reflected": _probability(state, rows(["refl"])),
-        "transmitted": _probability(state, rows(["trans"])),
+        "reflected": _probability(state, blocks["refl"]),
+        "transmitted": _probability(state, blocks["trans"]),
         "residual": _probability(state, intracavity),
     }
     # Truncation stops the coherent accumulation of out-coupled beams one

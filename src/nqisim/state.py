@@ -56,7 +56,8 @@ class BasisLayout:
 
     Index convention: photon modes run lexicographically (paths x
     polarizations, then sinks), atom levels fastest, so
-    ``index = photon_index * n_levels + level_index``.
+    ``index = photon_index * n_levels + level_index``.  Path ``i`` owns
+    photon rows ``2i`` (``+``) and ``2i + 1`` (``-``): its block.
     """
 
     paths: tuple[str, ...]
@@ -76,12 +77,9 @@ class BasisLayout:
         return {m: i for i, m in enumerate(self.photon_modes)}
 
     @cached_property
-    def path_rows(self) -> dict[str, tuple[int, int]]:
-        """The two photon rows (one per polarization) of each path."""
-        return {
-            p: tuple(self.photon_index((p, pol)) for pol in self.polarizations)
-            for p in self.paths
-        }
+    def path_block(self) -> dict[str, slice]:
+        """The two adjacent photon rows of each path: ``+`` then ``-``."""
+        return {p: slice(2 * i, 2 * i + 2) for i, p in enumerate(self.paths)}
 
     @cached_property
     def _level_index(self) -> dict[str, int]:
@@ -195,7 +193,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for name, v in (("a", a), ("b", b)):
-        if abs(np.vdot(v, v).real - 1.0) > 1e-9:
+        if not abs(np.vdot(v, v).real - 1.0) <= 1e-9:
             raise ValueError(f"fidelity: argument {name} is not normalized")
     f = abs(np.vdot(a, b)) ** 2
     return float(min(f, 1.0))
@@ -214,7 +212,7 @@ def condition_on_probe(
         raise ValueError(
             f"probe has shape {probe.shape}, expected ({state.layout.n_photon_modes},)"
         )
-    if abs(np.vdot(probe, probe).real - 1.0) > 1e-9:
+    if not abs(np.vdot(probe, probe).real - 1.0) <= 1e-9:
         raise ValueError("probe vector is not normalized")
     atom_vec = probe.conj() @ state.matrix()
     prob = float(np.vdot(atom_vec, atom_vec).real)
@@ -295,7 +293,7 @@ class AtomSpec:
         )
         if self.present:
             n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-            if abs(n - 1.0) > NORM_TOL:
+            if not abs(n - 1.0) <= NORM_TOL:
                 raise ValueError(f"atom amplitudes are not normalized: |a|^2+|b|^2={n}")
 
     def level_vector(self, layout: BasisLayout) -> np.ndarray:
@@ -320,13 +318,13 @@ def initial_state(
         pol = POL_STATES[polarization]
     else:
         pol = np.asarray(polarization, dtype=complex)
-        if abs(np.vdot(pol, pol).real - 1.0) > 1e-9:
+        if not abs(np.vdot(pol, pol).real - 1.0) <= 1e-9:
             raise ValueError("polarization state is not normalized")
+    if path not in layout.path_block:
+        raise ValueError(f"path {path!r} is not in the layout")
     amps = np.zeros(layout.dim, dtype=complex)
     mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    atom_vec = atom.level_vector(layout)
-    for i, pol_label in enumerate(layout.polarizations):
-        mat[layout.photon_index((path, pol_label))] = pol[i] * atom_vec
+    mat[layout.path_block[path]] = np.outer(pol, atom.level_vector(layout))
     return JointState(layout, amps)
 
 
@@ -355,20 +353,13 @@ def make_classifier(
 
 def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
     """Name the polarization of a photon-sector vector confined to one path."""
-    by_path: dict[str, np.ndarray] = {}
-    for i, mode in enumerate(layout.photon_modes):
-        if isinstance(mode, str):
-            continue
-        if abs(photon_vec[i]) > 1e-9:
-            path, pol = mode
-            vec = by_path.setdefault(path, np.zeros(2, dtype=complex))
-            vec[layout.polarizations.index(pol)] = photon_vec[i]
-    if not by_path:
+    blocks = [photon_vec[block] for block in layout.path_block.values()]
+    populated = [vec for vec in blocks if np.max(np.abs(vec)) > 1e-9]
+    if not populated:
         return "none"
-    if len(by_path) > 1:
+    if len(populated) > 1:
         return "mixed"
-    (vec,) = by_path.values()
-    vec = vec / np.linalg.norm(vec)
+    vec = populated[0] / np.linalg.norm(populated[0])
     for label, ref in POL_STATES.items():
         if abs(np.vdot(ref, vec)) ** 2 > 1.0 - 1e-9:
             return label
@@ -390,7 +381,7 @@ def assemble_outcome(
         for label in ("success", "failure", "absorbed")
     }
     total = sum(probs.values())
-    if abs(total - 1.0) > prob_tol:
+    if not abs(total - 1.0) <= prob_tol:
         raise ConservationError(
             f"branch probabilities sum to {total!r}, expected 1"
         )

@@ -66,6 +66,12 @@ class TestMzSweep:
         assert code == 2
         assert "min <= max" in err
 
+    def test_nan_amplitude_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "mz-sweep", "--min", "2", "--max", "2", "--alpha", "nan")
+        assert code == 2
+        assert out == ""
+        assert "not normalized" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "mz-sweep", "--min", "2", "--max", "2", "-o", str(target))
@@ -92,6 +98,20 @@ class TestFp:
         row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
         assert float(row["transmitted"]) == pytest.approx(1.0, abs=1e-9)
         assert row["alpha"] == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--r", "nan"), "mirror is not unitary"),
+            (("--r", "0.9", "--eps", "0"), "eps must be positive"),
+            (("--r", "0.9", "--eps", "nan"), "eps must be positive"),
+        ],
+    )
+    def test_bad_numbers_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "fp", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestDirect:
@@ -184,6 +204,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "mz", "--bind", "N")
         assert code == 2
         assert "malformed binding" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_repeat_count(self, capsys, value):
+        code, _, err = run_cli(capsys, "run", "mz", "--bind", f"N={value}")
+        assert code == 2
+        assert "positive integer" in err
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.nqi"

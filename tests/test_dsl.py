@@ -16,7 +16,6 @@ from nqisim.dsl import (
     parse_expr,
     print_circuit,
     run_compiled,
-    strip_positions,
 )
 from nqisim.elements import (
     POL_FLIP,
@@ -99,7 +98,7 @@ class TestParser:
 
     def test_comments_and_blank_lines_ignored(self):
         src = MINIMAL.replace("atom a", "# comment\n\natom a  # trailing")
-        assert strip_positions(parse(src)) == strip_positions(parse(MINIMAL))
+        assert parse(src) == parse(MINIMAL)
 
     def test_undeclared_path_is_located(self):
         src = MINIMAL.replace("atom a", "atom b")
@@ -119,6 +118,18 @@ class TestParser:
         src = "\n".join(MINIMAL.splitlines()[:-1]) + "\n"
         with pytest.raises(ParseError, match="missing classify"):
             parse(src)
+
+    def test_missing_sinks(self):
+        src = MINIMAL.replace("sinks S+ S-\n", "")
+        with pytest.raises(ParseError, match="missing sinks statement"):
+            parse(src)
+
+    def test_duplicate_sinks(self):
+        src = MINIMAL.replace("sinks S+ S-", "sinks S+ S-\nsinks T+ T-")
+        with pytest.raises(ParseError, match="duplicate sinks statement") as exc:
+            parse(src)
+        assert exc.value.line == 3
+        assert exc.value.token == "sinks"
 
     def test_missing_input(self):
         src = MINIMAL.replace("input a x\n", "")
@@ -248,6 +259,10 @@ class TestCompiler:
             compile_circuit(ast, {"K": 2.5})
         with pytest.raises(CompileError, match="positive integer"):
             compile_circuit(ast, {"K": 0})
+        for count in (math.nan, math.inf):
+            with pytest.raises(CompileError, match="positive integer") as exc:
+                compile_circuit(ast, {"K": count})
+            assert exc.value.line == 5
 
     def test_non_unitary_rot_cites_line(self):
         # The second matrix is off by 8e-6 in u^dag u: well inside numpy's
@@ -300,7 +315,7 @@ class TestGoldens:
         for name in names:
             ast = parse(load_golden(name))
             again = parse(print_circuit(ast))
-            assert strip_positions(again) == strip_positions(ast)
+            assert again == ast
             # Printing is idempotent once canonical.
             assert print_circuit(again) == print_circuit(ast)
 
@@ -429,5 +444,5 @@ class TestFuzzedRoundTrip:
             ast = parse(src)
             printed = print_circuit(ast)
             again = parse(printed)
-            assert strip_positions(again) == strip_positions(ast), src
+            assert again == ast, src
             assert print_circuit(again) == printed, src

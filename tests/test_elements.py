@@ -17,7 +17,7 @@ from nqisim.elements import (
     run_sequence,
     sink_pair_labels,
 )
-from nqisim.state import JointState, basis_state, make_layout, superpose
+from nqisim.state import AtomSpec, JointState, basis_state, initial_state, make_layout, superpose
 
 LEVELS = ["m+", "m-", "g"]
 
@@ -34,8 +34,9 @@ def random_state(layout, seed):
 
 class TestBeamSplitter:
     def test_validation(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            BeamSplitter(0.9, 0.9, "a", "b")
+        for t, r in ((0.9, 0.9), (np.nan, 0.8), (0.6, np.nan), (np.nan, np.nan)):
+            with pytest.raises(ValueError, match="not unitary"):
+                BeamSplitter(t, r, "a", "b")
         with pytest.raises(ValueError, match="non-negative"):
             BeamSplitter(-0.6, 0.8, "a", "b")
         with pytest.raises(ValueError, match="distinct"):
@@ -115,8 +116,9 @@ class TestPolRotator:
         assert out.amplitude(("a", "+"), "m-") == 0.0
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            PolRotator("a", np.array([[1.0, 1.0], [0.0, 1.0]]))
+        for u in ([[1.0, 1.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="not unitary"):
+                PolRotator("a", np.array(u))
         with pytest.raises(ValueError, match="2x2"):
             PolRotator("a", np.eye(3))
 
@@ -188,6 +190,25 @@ class TestAtomInteraction:
         state = basis_state(layout, ("a", "+"), "m+")
         with pytest.raises(ValueError, match="sink"):
             apply_element(state, AtomInteraction("a"))
+
+
+class TestUnknownPath:
+    def test_every_block_reader_names_the_path(self):
+        layout = layout2()
+        with pytest.raises(ValueError, match="path 'q' is not in the layout"):
+            initial_state(layout, "q", "+", AtomSpec())
+        state = initial_state(layout, "a", "+", AtomSpec())
+        for element in (
+            BeamSplitter(0.6, 0.8, "a", "q"),
+            Mirror("q"),
+            PhaseShift("q", 0.5),
+            PolRotator("q", POL_FLIP),
+            AtomInteraction("q"),
+            Relabel("q", "a"),
+            Relabel("a", "q"),
+        ):
+            with pytest.raises(ValueError, match="path 'q' is not in the layout"):
+                apply_element(state, element)
 
 
 class TestRelabel:

@@ -24,7 +24,7 @@ from nqisim.protocols import (
     success_fidelity_scan,
 )
 from nqisim.elements import run_sequence
-from nqisim.state import partition_branches
+from nqisim.state import JointState, partition_branches
 
 
 def atoms_strategy():
@@ -38,8 +38,9 @@ def atoms_strategy():
 
 class TestAtomSpec:
     def test_normalization_enforced(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            AtomSpec(1.0, 1.0)
+        for alpha, beta in ((1.0, 1.0), (math.nan, 0.8), (0.6, math.nan)):
+            with pytest.raises(ValueError, match="not normalized"):
+                AtomSpec(alpha, beta)
 
     def test_absent_atom_skips_check(self):
         AtomSpec(0.0, 0.0, present=False)
@@ -230,6 +231,18 @@ class TestFabryPerot:
     def test_bad_mirror_rejected(self):
         with pytest.raises(ValueError, match="mirror is not unitary"):
             run_fabry_perot(0.9, 0.9, 0.9, 0.435889894354, AtomSpec())
+        with pytest.raises(ValueError, match="entry mirror is not unitary"):
+            run_fabry_perot(math.nan, 0.0, 0.9, 0.435889894354, AtomSpec())
+        with pytest.raises(ValueError, match="far mirror is not unitary"):
+            run_fabry_perot(0.9, 0.435889894354, 0.9, math.nan, AtomSpec())
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # eps = 0 would run a million round trips before giving up;
+        # eps = nan would stop after none.
+        t = math.sqrt(1 - 0.9 * 0.9)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            run_fabry_perot(0.9, t, 0.9, t, AtomSpec(), eps=eps)
 
 
 class TestOutcomeAssembly:
@@ -244,6 +257,14 @@ class TestOutcomeAssembly:
                 lambda m: "success" if m == ("l", "+") else "ignored",
                 np.array([0.6, 0.8, 0.0]),
             )
+
+    def test_nan_amplitude_fails_conservation(self):
+        out = run_mz_chain(2, AtomSpec(0.6, 0.8))
+        amps = out.final_state.amplitudes.copy()
+        amps[0] = complex(math.nan, 0.0)
+        final = JointState(out.final_state.layout, amps)
+        with pytest.raises(ConservationError, match="sum to nan"):
+            assemble_outcome(final, build_mz(2)[2], np.array([0.6, 0.8, 0.0]))
 
     def test_scan_helper(self):
         samples = haar_random_atoms(3, seed=9)

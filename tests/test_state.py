@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nqisim.state import (
+    AtomSpec,
     basis_state,
     condition_on_probe,
     fidelity,
+    initial_state,
     make_layout,
     partition_branches,
     photon_probe,
@@ -43,6 +45,14 @@ class TestLayout:
         assert layout.dim == 18
         assert layout.index(("u", "-"), "g") == 3 * 3 + 2
         assert layout.index("S+", "m+") == 4 * 3 + 0
+
+    def test_path_block_is_two_adjacent_rows(self):
+        # Path i owns photon rows 2i (+) and 2i + 1 (-).
+        layout = small_layout()
+        assert layout.path_block == {"l": slice(0, 2), "u": slice(2, 4)}
+        for path, block in layout.path_block.items():
+            rows = [layout.photon_index((path, pol)) for pol in layout.polarizations]
+            assert rows == list(range(block.start, block.stop))
 
     def test_unknown_labels_raise(self):
         layout = small_layout()
@@ -110,6 +120,14 @@ class TestFidelity:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
             fidelity(np.array([2.0, 0]), np.array([1.0, 0]))
+        with pytest.raises(ValueError, match="argument b is not normalized"):
+            fidelity(np.array([1.0, 0]), np.array([np.nan, 0]))
+
+
+class TestInitialState:
+    def test_nan_polarization_rejected(self):
+        with pytest.raises(ValueError, match="polarization state is not normalized"):
+            initial_state(small_layout(), "l", np.array([np.nan, 0.0]), AtomSpec())
 
 
 class TestConditioning:
@@ -131,6 +149,13 @@ class TestConditioning:
         state = basis_state(layout, ("l", "+"), "m+")
         with pytest.raises(ValueError, match="shape"):
             condition_on_probe(state, np.ones(3))
+
+    def test_nan_probe_rejected(self):
+        layout = small_layout()
+        state = basis_state(layout, ("l", "+"), "m+")
+        probe = photon_probe(layout, [(np.nan, ("l", "+"))])
+        with pytest.raises(ValueError, match="probe vector is not normalized"):
+            condition_on_probe(state, probe)
 
 
 class TestPartition:
