@@ -5,9 +5,12 @@ final joint states.  A successful nondistortion interrogation requires a
 probe vector orthogonal to the atom-absent final probe state whose
 contraction against the atom-present state is proportional to the initial
 atom superposition.  Existence is decided by least squares on the
-atom-present amplitude matrix restricted to that orthogonal complement;
-if any populated component of the superposition is transparent to the
-probe, the restricted row space cannot contain it and no witness exists.
+atom-present amplitude matrix projected onto that orthogonal complement
+with ``I - psi psi^dagger``, applied as a rank-one update (no basis of the
+complement is built, so the cost is linear in the number of photon
+modes); if any populated component of the superposition is transparent
+to the probe, the projected row space cannot contain it and no witness
+exists.
 """
 
 from __future__ import annotations
@@ -86,41 +89,60 @@ def _complement_basis(psi_f: np.ndarray) -> np.ndarray:
     return q[:, : dim - 1]
 
 
+def _unit_atom_vector(atom_init: np.ndarray, atom_dim: int) -> np.ndarray:
+    """atom_init as a unit vector of length atom_dim, or a ValueError."""
+    atom_init = np.asarray(atom_init, dtype=complex)
+    if atom_init.shape != (atom_dim,):
+        raise ValueError(f"atom_init has shape {atom_init.shape}, expected ({atom_dim},)")
+    norm = np.linalg.norm(atom_init)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"atom_init must be finite and nonzero (norm {norm})")
+    return atom_init / norm
+
+
 def find_witness(
     pair: FinalStatePair, atom_init: np.ndarray, tol: float = RANK_TOL
 ) -> Witness | Absence:
     """Decide whether a witness probe vector exists.
 
-    Reshapes the atom-present state into a probe x atom matrix, restricts
-    the probe index to the complement of the atom-absent probe state, and
-    asks by least squares whether the initial atom vector lies in the
-    restricted row space.
+    Reshapes the atom-present state into a probe x atom matrix, projects
+    its probe index onto the complement of the atom-absent probe state
+    psi_f with ``I - psi_f psi_f^dagger`` (never forming the projector or
+    a basis of the complement), and asks by least squares whether the
+    initial atom vector lies in the projected row space.
     """
+    atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
     present = pair.present.matrix()
-    if np.linalg.norm(present) < tol:
-        raise ValueError("atom-present final state is zero")
-    atom_init = np.asarray(atom_init, dtype=complex)
-    atom_init = atom_init / np.linalg.norm(atom_init)
+    if not np.linalg.norm(present) >= tol:
+        raise ValueError("atom-present final state is zero or not finite")
 
     psi_f = pair.absent_probe_vector()
-    q = _complement_basis(psi_f)
-    restricted = q.conj().T @ present  # (probe_dim-1, atom_dim)
+    restricted = present - np.outer(psi_f, psi_f.conj() @ present)  # (probe_dim, atom_dim)
 
-    # Solve restricted^T c = atom_init; conj(c) are the witness
-    # coefficients in the complement basis.
-    sol, residual_sq, _, _ = np.linalg.lstsq(restricted.T, atom_init, rcond=None)
+    # Minimum-norm solution of restricted^T c = atom_init from the thin SVD
+    # restricted = u s vh: c = conj(u) s^-1 conj(vh) atom_init.  conj(c)
+    # lies in the range of restricted, so it is orthogonal to psi_f: it is
+    # the witness itself, with the residual and norm a complement basis
+    # would give.  Singular values at the roundoff level of present count
+    # as zero; a cutoff relative to the largest one alone would fit
+    # roundoff when every populated level is transparent.
+    u, s, vh = np.linalg.svd(restricted, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(present.shape) * np.linalg.norm(present)
+    sol = u[:, kept].conj() @ ((vh[kept].conj() @ atom_init) / s[kept])
     defect = restricted.T @ sol - atom_init
     residual = float(np.linalg.norm(defect))
     coeff_norm = float(np.linalg.norm(sol))
     if residual < tol and coeff_norm > tol and coeff_norm < 1.0 / tol:
-        phi_p = q @ sol.conj()
-        phi_p = phi_p / np.linalg.norm(phi_p)
+        phi_p = sol.conj() / coeff_norm
         delta = complex(1.0 / coeff_norm)
         # Fix the witness phase so the contraction is exactly delta * atom_init.
         contraction = phi_p.conj() @ present
         phase = np.vdot(atom_init, contraction / np.linalg.norm(contraction))
         return Witness(phi_p=phi_p, delta=delta * phase, residual=residual)
     return Absence(residual=residual)
+
+
+_GRID_DIM_MAX = 3
 
 
 def grid_witness_search(
@@ -135,46 +157,49 @@ def grid_witness_search(
     Scans a grid of candidate probe directions (basis vectors, pairwise
     superpositions over a phase grid, and seeded random points) and
     returns the smallest relative defect from proportionality to
-    atom_init together with the best candidate.  Intended for complements
-    of dimension <= 3; defect below ``amp_tol`` means a witness exists.
+    atom_init together with the best candidate (the first one on a tie).
+    Candidates whose contraction has norm below ``amp_tol`` are skipped.
+    Complements of dimension above 3 are rejected; defect below
+    ``amp_tol`` means a witness exists.
     """
+    atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
+    dim = pair.probe_dim - 1
+    if dim > _GRID_DIM_MAX:
+        raise ValueError(
+            f"grid oracle covers complements of dimension <= {_GRID_DIM_MAX}, got {dim}"
+        )
     present = pair.present.matrix()
-    atom_init = np.asarray(atom_init, dtype=complex)
-    atom_init = atom_init / np.linalg.norm(atom_init)
-    psi_f = pair.absent_probe_vector()
-    q = _complement_basis(psi_f)
-    dim = q.shape[1]
+    q = _complement_basis(pair.absent_probe_vector())
 
-    candidates: list[np.ndarray] = []
     eye = np.eye(dim, dtype=complex)
-    candidates.extend(eye)
     phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
     weights = np.linspace(0.0, 1.0, n_angles + 1)[1:-1]
-    for i, j in itertools.combinations(range(dim), 2):
-        for w in weights:
-            for ph in phases:
-                candidates.append(
-                    np.sqrt(1 - w) * eye[i] + np.sqrt(w) * ph * eye[j]
-                )
-    rng = np.random.default_rng(seed)
-    for _ in range(200 * dim):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        candidates.append(z / np.linalg.norm(z))
+    # Pairwise superpositions, ordered by pair, then weight, then phase.
+    root_1w = np.sqrt(1 - weights)[:, None, None]
+    root_w = np.sqrt(weights)[:, None, None]
+    pairs = [
+        (root_1w * eye[i] + root_w * phases[:, None] * eye[j]).reshape(-1, dim)
+        for i, j in itertools.combinations(range(dim), 2)
+    ]
+    # One draw of (real, imaginary) rows per random candidate.
+    z = np.random.default_rng(seed).standard_normal((200 * dim, 2, dim))
+    z = z[:, 0] + 1j * z[:, 1]
+    candidates = np.concatenate([eye, *pairs, z / np.linalg.norm(z, axis=1)[:, None]])
 
-    best = np.inf
-    best_vec = None
-    for c in candidates:
-        w = q @ c
-        atom_vec = w.conj() @ present
-        norm = np.linalg.norm(atom_vec)
-        if norm < amp_tol:
-            continue
-        overlap = np.vdot(atom_init, atom_vec)
-        defect = float(np.linalg.norm(atom_vec - overlap * atom_init) / norm)
-        if defect < best:
-            best = defect
-            best_vec = w
-    return best, best_vec
+    probes = candidates @ q.T
+    atom_vecs = probes.conj() @ present
+    norms = np.linalg.norm(atom_vecs, axis=1)
+    overlaps = atom_vecs @ atom_init.conj()
+    defects = np.full(len(candidates), np.inf)
+    kept = norms >= amp_tol
+    defects[kept] = (
+        np.linalg.norm(atom_vecs[kept] - overlaps[kept, None] * atom_init, axis=1)
+        / norms[kept]
+    )
+    if not kept.any():
+        return np.inf, None
+    best = int(np.argmin(defects))
+    return float(defects[best]), probes[best]
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,46 @@ class TestNogoCheck:
         assert all(r[3] == "yes" for r in empty_rows)
         assert all(r[3] == "no" for r in masked_rows)
 
+    EIGHT_STAGES = [
+        "# seed=0",
+        "mask,alpha,beta,witness,residual,delta_sq",
+        "none,0.186516876395+0.95004710319i,-0.195973460027+0.155616064417i,yes,2.35513868803e-16,0.733133440547",
+        "none,-0.308494933051+0.750980785493i,0.20824457743+0.545429126535i,yes,3.04047097224e-16,0.733133440547",
+        "none,-0.446268676989-0.395245051896i,-0.802457994119+0.0262065748454i,yes,2.55729072798e-16,0.733133440547",
+        "none,-0.846605715283-0.453669405233i,-0.0796678801683-0.266638073943i,yes,2.91433543964e-16,0.733133440547",
+        "none,-0.423379621294+0.320207816669i,-0.246050216233+0.810972219937i,yes,2.98936698014e-16,0.733133440547",
+        "none,-0.082121356152-0.424995774997i,0.873039464713+0.224581315234i,yes,2.43554187579e-16,0.733133440547",
+        "none,0.605352488414-0.498167100443i,0.0629910975999-0.617584023782i,yes,2.22477863103e-16,0.733133440547",
+        "none,-0.398235992702-0.878399856475i,0.191576744562-0.181989387613i,yes,2.25487362244e-16,0.733133440547",
+        "none,-0.227409808931+0.30658242735i,0.7724514581+0.507553680828i,yes,1.68830575362e-16,0.733133440547",
+        "none,-0.36050871202+0.432269226057i,-0.0714665027956+0.823449648576i,yes,2.88444402958e-16,0.733133440547",
+        "m+,0.186516876395+0.95004710319i,-0.195973460027+0.155616064417i,no,0.968182856417,",
+        "m+,-0.308494933051+0.750980785493i,0.20824457743+0.545429126535i,no,0.811875152901,",
+        "m+,-0.446268676989-0.395245051896i,-0.802457994119+0.0262065748454i,no,0.596132856928,",
+        "m+,-0.846605715283-0.453669405233i,-0.0796678801683-0.266638073943i,no,0.96049839479,",
+        "m+,-0.423379621294+0.320207816669i,-0.246050216233+0.810972219937i,no,0.530832694531,",
+        "m+,-0.082121356152-0.424995774997i,0.873039464713+0.224581315234i,no,0.432857165704,",
+        "m+,0.605352488414-0.498167100443i,0.0629910975999-0.617584023782i,no,0.783978376737,",
+        "m+,-0.398235992702-0.878399856475i,0.191576744562-0.181989387613i,no,0.964457471193,",
+        "m+,-0.227409808931+0.30658242735i,0.7724514581+0.507553680828i,no,0.38171718059,",
+        "m+,-0.36050871202+0.432269226057i,-0.0714665027956+0.823449648576i,no,0.56287051374,",
+    ]
+
+    def test_pinned_output_at_eight_stages(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "nogo-check", "--stages", "8", "--mask", "none", "--mask", "m+"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == len(self.EIGHT_STAGES)
+        for line, expected in zip(lines, self.EIGHT_STAGES):
+            row, want = line.split(","), expected.split(",")
+            if len(want) == 6 and want[3] == "yes":
+                # A witness row's residual is roundoff: only its size is fixed.
+                assert float(row[4]) < 1e-14
+                row[4] = want[4]
+            assert row == want
+
     def test_unknown_level_rejected(self, capsys):
         code, _, err = run_cli(capsys, "nogo-check", "--mask", "bogus")
         assert code == 2

@@ -1,6 +1,7 @@
 """Witness existence: least-squares decision versus the brute-force grid."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -27,6 +28,83 @@ from nqisim.protocols import (
     mz_closed_form,
 )
 from nqisim.state import JointState, initial_state, make_layout
+from nqisim.tolerances import RANK_TOL
+
+
+def reference_complement_basis(psi):
+    """Orthonormal basis of the complement of psi from the SVD of I - psi psi^dagger."""
+    dim = psi.shape[0]
+    q, _, _ = np.linalg.svd(np.eye(dim, dtype=complex) - np.outer(psi, psi.conj()))
+    return q[:, : dim - 1]
+
+
+def reference_witness(pair, atom_init, tol=RANK_TOL, absolute_cutoff=True):
+    """Witness decision by least squares on q^dagger present, q a complement basis.
+
+    Singular values up to the roundoff level of the present matrix count as
+    zero; with ``absolute_cutoff=False``, only those small relative to the
+    largest one (numpy's lstsq default).  Returns (found, residual,
+    coefficient norm); |delta|^2 is 1 / norm^2.
+    """
+    present = pair.present.matrix()
+    q = reference_complement_basis(pair.absent_probe_vector())
+    restricted = q.conj().T @ present
+    if absolute_cutoff:
+        cutoff = np.finfo(float).eps * max(present.shape) * np.linalg.norm(present)
+        top = np.linalg.norm(restricted, 2)
+        sol = np.linalg.pinv(restricted.T, rtol=cutoff / top if top > 0 else 0.0) @ atom_init
+    else:
+        sol = np.linalg.lstsq(restricted.T, atom_init, rcond=None)[0]
+    residual = float(np.linalg.norm(restricted.T @ sol - atom_init))
+    coeff_norm = float(np.linalg.norm(sol))
+    return residual < tol and tol < coeff_norm < 1.0 / tol, residual, coeff_norm
+
+
+def reference_grid_defect(pair, atom_init, n_angles=12, seed=0, amp_tol=1e-6):
+    """Smallest grid defect, scanning the candidates one at a time."""
+    present = pair.present.matrix()
+    q = reference_complement_basis(pair.absent_probe_vector())
+    dim = q.shape[1]
+    eye = np.eye(dim, dtype=complex)
+    candidates = list(eye)
+    phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    weights = np.linspace(0.0, 1.0, n_angles + 1)[1:-1]
+    for i, j in itertools.combinations(range(dim), 2):
+        for w in weights:
+            for ph in phases:
+                candidates.append(np.sqrt(1 - w) * eye[i] + np.sqrt(w) * ph * eye[j])
+    rng = np.random.default_rng(seed)
+    for _ in range(200 * dim):
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        candidates.append(z / np.linalg.norm(z))
+    best = np.inf
+    for c in candidates:
+        atom_vec = (q @ c).conj() @ present
+        norm = np.linalg.norm(atom_vec)
+        if norm < amp_tol:
+            continue
+        defect = np.linalg.norm(atom_vec - np.vdot(atom_init, atom_vec) * atom_init) / norm
+        best = min(best, float(defect))
+    return best
+
+
+def single_path_pair(elements, pol, atom):
+    """Final states of elements on one path with a sink pair (4 photon modes)."""
+    layout = make_layout(["a"], ["S+", "S-"], list(ATOM_LEVELS))
+    pair = build_final_states(layout, elements, initial_state(layout, "a", pol, atom))
+    return pair, atom.level_vector(layout)
+
+
+# The three single-path instances of acceptance criterion 7.
+CRITERION_7_CASES = {
+    "one-pass-x": ([AtomInteraction("a")], "x", AtomSpec(0.6, 0.8)),
+    "two-pass": (
+        [AtomInteraction("a"), PolRotator("a", POL_FLIP), AtomInteraction("a")],
+        "+",
+        AtomSpec(0.6, 0.8),
+    ),
+    "pinned-minus": ([AtomInteraction("a")], "x", AtomSpec(0.0, 1.0)),
+}
 
 
 class TestFinalStatePair:
@@ -111,8 +189,128 @@ class TestFindWitness:
         result = find_witness(pair, atom.level_vector(layout))
         assert isinstance(result, Witness)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([frozenset(), frozenset({"m+"}), frozenset({"m-"})]),
+        st.one_of(
+            st.integers(0, 2**31 - 1).map(lambda seed: haar_random_atoms(1, seed=seed)[0]),
+            st.sampled_from([AtomSpec(1.0, 0.0), AtomSpec(0.0, 1.0)]),
+        ),
+    )
+    def test_decides_as_a_complement_basis_does(self, n, mask, atom):
+        layout, elements, _ = build_mz(n)
+        pair = build_final_states(
+            layout, elements, initial_state(layout, "l", "+", atom), mask
+        )
+        atom_init = atom.level_vector(layout)
+        found, residual, coeff_norm = reference_witness(pair, atom_init)
+        result = find_witness(pair, atom_init)
+        assert isinstance(result, Witness) == found
+        # A relative cutoff alone fits roundoff in some absences, which
+        # changes their residual but never the decision.
+        assert reference_witness(pair, atom_init, absolute_cutoff=False)[0] == found
+        if not found:
+            assert result.residual == pytest.approx(residual, abs=1e-12)
+            return
+        assert abs(result.delta) ** 2 == pytest.approx(coeff_norm**-2, abs=1e-12)
+        assert abs(np.vdot(pair.absent_probe_vector(), result.phi_p)) < 1e-12
+        contraction = result.phi_p.conj() @ pair.present.matrix()
+        assert np.allclose(contraction, result.delta * atom_init, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "mask,atom",
+        [
+            ({"m+"}, AtomSpec(1.0, 0.0)),
+            ({"m-"}, AtomSpec(0.0, 1.0)),
+            ({"m+", "m-"}, AtomSpec(0.6, 0.8)),
+        ],
+    )
+    def test_fully_transparent_atom_leaves_all_of_it(self, n, mask, atom):
+        # Every populated level rides the atom-absent trajectory: the
+        # projected matrix is roundoff, and fitting it must not report a
+        # small residual.
+        layout, elements, _ = build_mz(n)
+        pair = build_final_states(
+            layout, elements, initial_state(layout, "l", "+", atom), frozenset(mask)
+        )
+        result = find_witness(pair, atom.level_vector(layout))
+        assert isinstance(result, Absence)
+        assert result.residual == pytest.approx(1.0, abs=1e-12)
+
+    def test_find_witness_in_thin_memory(self):
+        # A complement basis would allocate I - psi psi^dagger and the u of
+        # its SVD, each a 4000 x 4000 complex matrix (256 MB).
+        layout = make_layout(["a"], [f"S{i}" for i in range(3998)], list(ATOM_LEVELS))
+        n_modes = layout.n_photon_modes
+        atom = np.array([0.6, 0.8, 0.0])
+        probe = np.zeros(n_modes, dtype=complex)
+        probe[[0, 3999]] = 0.6, 0.8j
+        hit = np.zeros(n_modes, dtype=complex)
+        hit[1] = 1.0
+        absent = JointState(layout, np.outer(probe, atom).reshape(-1))
+        present = JointState(layout, np.outer(0.6 * probe + 0.8 * hit, atom).reshape(-1))
+        pair = FinalStatePair(absent, present, n_modes, layout.n_levels)
+        tracemalloc.start()
+        try:
+            result = find_witness(pair, atom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert isinstance(result, Witness)
+        assert abs(result.delta) ** 2 == pytest.approx(0.64, abs=1e-12)
+        assert abs(np.vdot(hit, result.phi_p)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWitnessInputs:
+    SEARCHES = pytest.mark.parametrize("search", [find_witness, grid_witness_search])
+
+    @SEARCHES
+    @pytest.mark.parametrize(
+        "atom_init", [[0, 0, 0], [math.nan, 1, 0], [math.inf, 0, 0]]
+    )
+    def test_zero_or_non_finite_atom_rejected(self, search, atom_init):
+        pair, _ = single_path_pair(*CRITERION_7_CASES["one-pass-x"])
+        with pytest.raises(ValueError, match="atom_init must be finite and nonzero"):
+            search(pair, np.array(atom_init, dtype=complex))
+
+    @SEARCHES
+    def test_wrong_length_atom_rejected(self, search):
+        pair, _ = single_path_pair(*CRITERION_7_CASES["one-pass-x"])
+        with pytest.raises(ValueError, match=r"atom_init has shape \(2,\), expected \(3,\)"):
+            search(pair, [0.6, 0.8])
+
+    def test_nan_present_state_rejected(self):
+        pair, atom_init = single_path_pair(*CRITERION_7_CASES["one-pass-x"])
+        nan_present = JointState(pair.present.layout, np.full(pair.present.layout.dim, np.nan))
+        bad = FinalStatePair(pair.absent, nan_present, pair.probe_dim, pair.atom_dim)
+        with pytest.raises(ValueError, match="atom-present final state is zero or not finite"):
+            find_witness(bad, atom_init)
+
 
 class TestGridOracle:
+    @pytest.mark.parametrize("case", sorted(CRITERION_7_CASES))
+    def test_matches_the_candidate_loop(self, case):
+        pair, atom_init = single_path_pair(*CRITERION_7_CASES[case])
+        best, vec = grid_witness_search(pair, atom_init)
+        assert best == pytest.approx(reference_grid_defect(pair, atom_init), abs=1e-12)
+        atom_vec = vec.conj() @ pair.present.matrix()
+        overlap = np.vdot(atom_init, atom_vec)
+        defect = np.linalg.norm(atom_vec - overlap * atom_init) / np.linalg.norm(atom_vec)
+        assert defect == pytest.approx(best, abs=1e-12)
+
+    def test_large_complement_rejected(self):
+        # Two paths and a sink pair: six photon modes, complement dimension 5.
+        layout = make_layout(["a", "b"], ["S+", "S-"], list(ATOM_LEVELS))
+        atom = AtomSpec(0.6, 0.8)
+        pair = build_final_states(
+            layout, [AtomInteraction("a")], initial_state(layout, "a", "x", atom)
+        )
+        with pytest.raises(ValueError, match="dimension <= 3, got 5"):
+            grid_witness_search(pair, atom.level_vector(layout))
+
     def test_agrees_on_direct_interaction(self):
         # Single path, complement dimension 3: one pass of an x photon
         # leaves an entangled remainder with no witness.
