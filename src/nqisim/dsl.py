@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Iterable, Sequence, Union
 
@@ -48,6 +49,8 @@ from .state import (
     ATOM_LEVELS,
     AtomSpec,
     BasisLayout,
+    BranchClassifier,
+    JointState,
     ProtocolOutcome,
     assemble_outcome,
     initial_state,
@@ -636,9 +639,51 @@ class CompiledCircuit:
     sink_label: str
     input_path: str
     input_pol: str
+    # Level responses by (atom present, transparency mask); see run_compiled.
+    _responses: dict[tuple[bool, frozenset[str]], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def classifier(self):
-        return make_classifier(self.path_labels, self.sink_label)
+    def classifier(self) -> BranchClassifier:
+        """The exit classifier, one object per circuit."""
+        return self._classifier
+
+    @cached_property
+    def _classifier(self) -> BranchClassifier:
+        return BranchClassifier(self.layout, make_classifier(self.path_labels, self.sink_label))
+
+    @cached_property
+    def _plus_cells(self) -> np.ndarray:
+        """Cells of the (photon mode, level) matrix that carry m+ amplitude:
+        the m+ column and, in the g column, each interaction's S+ row."""
+        layout = self.layout
+        cells = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=bool)
+        cells[:, layout.level_index("m+")] = True
+        ground = layout.level_index("g")
+        for el in self.elements:
+            if isinstance(el, AtomInteraction):
+                cells[layout.photon_index(el.sink_plus), ground] = True
+        return cells
+
+    def _level_response(self, present: bool, mask: frozenset[str]) -> np.ndarray:
+        """Final (photon mode, level) matrix for the atom (1, 1), propagated
+        once per key and kept, read-only."""
+        key = (present, mask) if present else (False, frozenset())
+        response = self._responses.get(key)
+        if response is None:
+            initial = initial_state(self.layout, self.input_path, self.input_pol, AtomSpec())
+            final = run_sequence(
+                self.layout, self.elements, initial, atom_present=present, mask_override=mask
+            )
+            response = final.matrix() * math.sqrt(2.0)
+            response.flags.writeable = False
+            self._responses[key] = response
+        return response
+
+
+# Unrolled program size beyond which a circuit is rejected, not built: about
+# 200 bytes an element, and the chain at N = 10^5 is 900,000 elements.
+_MAX_ELEMENTS = 1_000_000
 
 
 def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -> CompiledCircuit:
@@ -698,7 +743,15 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
                     raise CompileError(
                         stmt.line, f"repeat count must be a positive integer, got {count!r}"
                     )
-                for _ in range(int(round(count))):
+                count = int(round(count))
+                start = len(elements)
+                emit(stmt.body)
+                body_size = len(elements) - start
+                if start + count * body_size > _MAX_ELEMENTS:
+                    raise CompileError(
+                        stmt.line, f"repeat unrolls to more than {_MAX_ELEMENTS} elements"
+                    )
+                for _ in range(count - 1 if body_size else 0):
                     emit(stmt.body)
             else:
                 raise CompileError(getattr(stmt, "line", 0), f"unknown statement: {stmt!r}")
@@ -723,18 +776,26 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
 def run_compiled(
     circuit: CompiledCircuit, atom: AtomSpec, prob_tol: float = PROB_TOL
 ) -> ProtocolOutcome:
-    """Execute a compiled circuit for one atom specification."""
+    """Execute a compiled circuit for one atom specification.
+
+    Every element is linear and acts on one atom level at a time: optical
+    elements never mix levels, and an interaction moves the ``(+, m+)``
+    amplitude only into its S+ row at g and ``(-, m-)`` only into its S-
+    row.  So the final state is the circuit's level response -- one
+    propagation of the atom (1, 1) per circuit, presence and mask -- with
+    every m+ cell scaled by alpha and every m- cell by beta.  The sink
+    rows of the g column split by level the same way, which is why one
+    response and one cell mask serve every atom.  Conservation, fidelity
+    and the exit label are then checked on each atom's own final state.
+    """
     layout = circuit.layout
-    initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
-    final = run_sequence(
-        layout,
-        circuit.elements,
-        initial,
-        atom_present=atom.present,
-        mask_override=atom.transparency_mask,
-    )
+    response = circuit._level_response(atom.present, atom.transparency_mask)
+    amps = response * np.where(circuit._plus_cells, atom.alpha, atom.beta)
     return assemble_outcome(
-        final, circuit.classifier(), atom.level_vector(layout), prob_tol=prob_tol
+        JointState(layout, amps.reshape(-1)),
+        circuit.classifier(),
+        atom.level_vector(layout),
+        prob_tol=prob_tol,
     )
 
 

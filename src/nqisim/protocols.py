@@ -13,6 +13,15 @@ propagation loop; no element is built here.  Every run starts from
 names, the atom and outcome types, ``POL_STATES`` and ``ATOM_LEVELS``
 are re-exported here.
 
+The chain and the two-pass runner go through ``dsl.run_compiled``, which
+propagates a compiled circuit once per atom presence and transparency
+mask and builds each atom's final state from that level response: the
+m+ and m- columns evolve apart, and each interaction's S+ sink row holds
+only m+ amplitude and its S- row only m- amplitude, so alpha and beta
+scale disjoint cells.  A sweep over atoms therefore costs one
+propagation per chain length; the cavity iterates ``run_sequence``
+itself.
+
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
 per arm, second atom pass on the redirected beam).  The recombining beam
@@ -33,8 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -116,7 +124,8 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     With the atom present the photon is absorbed with certainty, which is
     what makes the superposed atom equivalent to an opaque object.  Each
     pass scatters into its own sink pair (``S+ S-``, then ``S+#2 S-#2``),
-    from which ``details`` reads the absorption of that pass.
+    from which ``details`` reads the absorption of that pass.  The circuit
+    is propagated once per transparency mask and serves every atom.
     """
     out = run_compiled(_fixed_circuit("twopass"), atom)
     layout = out.final_state.layout
@@ -141,11 +150,11 @@ def mz_closed_form(n_stages: int) -> float:
 def _mz_circuit(n_stages: int) -> CompiledCircuit:
     """``mz.nqi`` compiled at N = n_stages.
 
-    Sweeps loop over atoms inside a loop over N, so the last few chains
-    are enough to keep.  Every atom interaction gets a fresh sink pair:
-    scattered photons from different stages are distinguishable, and
-    merging them coherently would break probability conservation from
-    N=3 on.
+    Sweeps loop over atoms inside a loop over N, so the last few chains,
+    each with its level responses, are enough to keep.  Every atom
+    interaction gets a fresh sink pair: scattered photons from different
+    stages are distinguishable, and merging them coherently would break
+    probability conservation from N=3 on.
     """
     if n_stages < 1:
         raise ValueError("the chain needs at least one stage")
@@ -225,28 +234,3 @@ def run_fabry_perot(
     return assemble_outcome(
         state, circuit.classifier(), atom.level_vector(layout), details=details, prob_tol=slack
     )
-
-
-# ---------------------------------------------------------------------------
-# Fidelity scan
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    alpha: complex
-    beta: complex
-    success_prob: float
-    fidelity: float | None
-
-
-def success_fidelity_scan(
-    runner: Callable[[AtomSpec], ProtocolOutcome], samples: Sequence[AtomSpec]
-) -> list[ScanRow]:
-    """Tabulate success probability and post-selected fidelity per sample."""
-    rows = []
-    for atom in samples:
-        out = runner(atom)
-        rows.append(
-            ScanRow(atom.alpha, atom.beta, out.success_prob, out.success_fidelity)
-        )
-    return rows

@@ -229,43 +229,64 @@ def photon_probe(
     return probe
 
 
+def _group_rows(
+    layout: BasisLayout, classifier: Callable[[PhotonMode], str]
+) -> dict[str, np.ndarray]:
+    groups: dict[str, list[int]] = {}
+    for i, mode in enumerate(layout.photon_modes):
+        groups.setdefault(classifier(mode), []).append(i)
+    return {label: np.array(groups[label]) for label in sorted(groups)}
+
+
+def _branch_rows(
+    layout: BasisLayout, classifier: Callable[[PhotonMode], str]
+) -> dict[str, np.ndarray]:
+    """Photon rows of each branch label, labels in sorted order.
+
+    A ``BranchClassifier`` bound to ``layout`` answers from the grouping
+    it keeps; any other classifier is called once per photon mode.
+    """
+    if isinstance(classifier, BranchClassifier) and classifier.layout is layout:
+        return classifier.rows
+    return _group_rows(layout, classifier)
+
+
 def partition_branches(
     state: JointState, classifier: Callable[[PhotonMode], str]
 ) -> list[Branch]:
     """Split a state by classifying each photon mode; probabilities add up
     to the total squared norm."""
-    layout = state.layout
-    groups: dict[str, list[int]] = {}
-    for i, mode in enumerate(layout.photon_modes):
-        groups.setdefault(classifier(mode), []).append(i)
     mat = state.matrix()
     branches = []
-    for label in sorted(groups):
+    for label, rows in _branch_rows(state.layout, classifier).items():
         part = np.zeros_like(mat)
-        part[groups[label]] = mat[groups[label]]
-        st = JointState(layout, part.reshape(-1))
+        part[rows] = mat[rows]
+        st = JointState(state.layout, part.reshape(-1))
         branches.append(Branch(st, st.norm2, label))
     return branches
 
 
 def product_factors(
-    state: JointState, tol: float = RANK_TOL
+    state: JointState, tol: float = RANK_TOL, rows=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factor a (sub-normalized) state into photon (x) atom unit vectors.
 
     Raises if the photon-atom amplitude matrix has rank > 1 beyond tol.
     The product of the two factors times the state's norm reproduces the
-    state up to a global phase absorbed into the photon factor.
+    state up to a global phase absorbed into the photon factor.  With
+    ``rows`` (photon row indices or a slice) only those rows are
+    factored, and the photon factor is zero on every other row.
     """
-    mat = state.matrix()
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = np.linalg.svd(state.matrix()[rows], full_matrices=False)
     if s.size > 1 and s[1] > tol:
         raise ValueError(
             f"state is not a photon-atom product (second singular value {s[1]:.3e})"
         )
     if s[0] == 0.0:
         raise ValueError("cannot factor the zero state")
-    return u[:, 0].copy(), vh[0].copy()
+    photon = np.zeros(state.layout.n_photon_modes, dtype=complex)
+    photon[rows] = u[:, 0]
+    return photon, vh[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +372,27 @@ def make_classifier(
     return classify
 
 
+@dataclass(frozen=True, eq=False)
+class BranchClassifier:
+    """An exit classifier bound to one layout.
+
+    Called on a photon mode it gives that mode's branch label; ``rows``
+    groups the layout's photon rows by label once, so that every run
+    that assembles an outcome with it sums its branches without
+    classifying a mode again.
+    """
+
+    layout: BasisLayout
+    classify: Callable[[PhotonMode], str]
+
+    def __call__(self, mode: PhotonMode) -> str:
+        return self.classify(mode)
+
+    @cached_property
+    def rows(self) -> dict[str, np.ndarray]:
+        return _group_rows(self.layout, self.classify)
+
+
 def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
     """Name the polarization of a photon-sector vector confined to one path."""
     blocks = [photon_vec[block] for block in layout.path_block.values()]
@@ -375,11 +417,12 @@ def assemble_outcome(
 ) -> ProtocolOutcome:
     """Branch probabilities of a final state, and the post-selected atom
     state with its fidelity to ``atom_init`` (normalized here)."""
-    branches = {b.label: b for b in partition_branches(final, classifier)}
-    probs = {
-        label: branches[label].probability if label in branches else 0.0
-        for label in ("success", "failure", "absorbed")
-    }
+    rows = _branch_rows(final.layout, classifier)
+    mat = final.matrix()
+    probs = dict.fromkeys(("success", "failure", "absorbed"), 0.0)
+    for label in probs.keys() & rows.keys():
+        part = mat[rows[label]]
+        probs[label] = float(np.vdot(part, part).real)
     total = sum(probs.values())
     if not abs(total - 1.0) <= prob_tol:
         raise ConservationError(
@@ -390,13 +433,13 @@ def assemble_outcome(
     success_fid = None
     exit_pol = "none"
     if probs["success"] > PROB_TOL:
-        photon_vec, atom_vec = product_factors(branches["success"].state)
+        photon_vec, atom_vec = product_factors(final, rows=rows["success"])
         success_atom = atom_vec
         success_fid = fidelity(atom_vec, atom_init / np.linalg.norm(atom_init))
         exit_pol = _polarization_label(final.layout, photon_vec)
     elif probs["failure"] > PROB_TOL:
         try:
-            photon_vec, _ = product_factors(branches["failure"].state)
+            photon_vec, _ = product_factors(final, rows=rows["failure"])
             exit_pol = _polarization_label(final.layout, photon_vec)
         except ValueError:
             exit_pol = "mixed"

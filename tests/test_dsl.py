@@ -1,5 +1,6 @@
 """Circuit language: parser, canonical printer, compiler, golden circuits."""
 
+import itertools
 import math
 import random
 
@@ -24,8 +25,9 @@ from nqisim.elements import (
     Mirror,
     PolRotator,
     Relabel,
+    run_sequence,
 )
-from nqisim.state import make_layout
+from nqisim.state import ConservationError, assemble_outcome, initial_state, make_layout
 from nqisim.protocols import (
     AtomSpec,
     build_mz,
@@ -264,6 +266,19 @@ class TestCompiler:
                 compile_circuit(ast, {"K": count})
             assert exc.value.line == 5
 
+    def test_unrolled_size_is_bounded(self):
+        # pi/sin(pi) is an integral float near 2.6e16: it must fail cleanly,
+        # not unroll until memory runs out.  The check also sees the product
+        # of nested counts and a body that emits nothing.
+        nested = "repeat 1000 {\nrepeat 1000 {\nrepeat 2 {\natom a\n}\n}\n}"
+        for body, line in (("repeat pi/sin(pi) {\nmirror a\n}", 5), (nested, 5)):
+            ast = parse(MINIMAL.replace("atom a", body))
+            with pytest.raises(CompileError, match="more than 1000000 elements") as exc:
+                compile_circuit(ast)
+            assert exc.value.line == line
+        empty = parse(MINIMAL.replace("atom a", "repeat pi/sin(pi) {\n}\natom a"))
+        assert len(compile_circuit(empty).elements) == 1
+
     def test_non_unitary_rot_cites_line(self):
         # The second matrix is off by 8e-6 in u^dag u: well inside numpy's
         # default relative tolerance, far outside NORM_TOL.
@@ -446,3 +461,88 @@ class TestFuzzedRoundTrip:
             again = parse(printed)
             assert again == ast, src
             assert print_circuit(again) == printed, src
+
+
+def _outcome_or_error(run):
+    """The outcome of ``run()``, or the type of the error it raised."""
+    try:
+        return run()
+    except (ConservationError, ValueError) as exc:
+        return type(exc)
+
+
+class TestLevelResponse:
+    def test_atoms_are_linear_combinations_of_one_propagation(self):
+        # run_compiled serves every atom from one propagation per circuit
+        # and (presence, mask); the oracle propagates each atom itself.
+        rng = random.Random(20261018)
+        bindings = {"N": 3, "K": 3, "T": 0.6, "R": 0.8, "TP": 0.6, "RP": 0.8}
+        circuits = [
+            compile_circuit(parse(load_golden(name)), bindings) for name in dsl.golden_names()
+        ]
+        while len(circuits) < 100:
+            try:
+                circuits.append(compile_circuit(parse(_random_source(rng))))
+            except CompileError:
+                continue
+        masks = [frozenset(), frozenset({"m+"}), frozenset({"m-"})]
+        raised = 0
+        for index, circuit in enumerate(circuits):
+            layout = circuit.layout
+            for atom in haar_random_atoms(2, seed=index):
+                for mask, present in itertools.product(masks, (True, False)):
+                    spec = AtomSpec(atom.alpha, atom.beta, present, mask)
+
+                    def oracle():
+                        initial = initial_state(layout, circuit.input_path, circuit.input_pol, spec)
+                        final = run_sequence(
+                            layout,
+                            circuit.elements,
+                            initial,
+                            atom_present=present,
+                            mask_override=mask,
+                        )
+                        return assemble_outcome(
+                            final, circuit.classifier(), spec.level_vector(layout)
+                        )
+
+                    want = _outcome_or_error(oracle)
+                    got = _outcome_or_error(lambda: run_compiled(circuit, spec))
+                    if isinstance(want, type):
+                        assert got is want, (index, spec)
+                        raised += 1
+                        continue
+                    dev = np.max(np.abs(got.final_state.amplitudes - want.final_state.amplitudes))
+                    assert dev <= 1e-12, (index, spec)
+                    for name in ("success_prob", "failure_prob", "absorbed_prob"):
+                        assert getattr(got, name) == pytest.approx(
+                            getattr(want, name), abs=1e-12
+                        ), (index, spec, name)
+        # Both kinds of case occur: runs that conserve and runs that do not.
+        assert 0 < raised < 100 * 2 * 6
+
+    def test_one_propagation_per_presence_and_mask(self, monkeypatch):
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 4})
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return run_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(dsl, "run_sequence", counted)
+        for atom in haar_random_atoms(5, seed=1):
+            for mask in (frozenset(), frozenset({"m+"})):
+                run_compiled(circuit, AtomSpec(atom.alpha, atom.beta, transparency_mask=mask))
+            absent = AtomSpec(atom.alpha, atom.beta, present=False, transparency_mask={"m-"})
+            run_compiled(circuit, absent)
+        assert len(calls) == 3
+
+    def test_returned_state_does_not_reach_the_cache(self):
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 3})
+        atom = AtomSpec(0.6, 0.8j)
+        first = run_compiled(circuit, atom)
+        kept = first.final_state.amplitudes.copy()
+        first.final_state.amplitudes[:] = 7.0
+        again = run_compiled(circuit, atom)
+        assert np.array_equal(again.final_state.amplitudes, kept)
+        assert again.success_prob == pytest.approx(mz_closed_form(3), abs=1e-12)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nqisim.elements import AtomInteraction, PolRotator, POL_FLIP
@@ -47,10 +47,15 @@ def reference_witness(pair, atom_init, tol=RANK_TOL, absolute_cutoff=True):
     coefficient norm); |delta|^2 is 1 / norm^2.
     """
     present = pair.present.matrix()
-    q = reference_complement_basis(pair.absent_probe_vector())
+    psi = pair.absent_probe_vector()
+    q = reference_complement_basis(psi)
     restricted = q.conj().T @ present
     if absolute_cutoff:
-        cutoff = np.finfo(float).eps * max(present.shape) * np.linalg.norm(present)
+        # The product's roundoff, plus the part of psi that q itself fails
+        # to remove: a column of present along psi (a transparent level)
+        # survives in restricted as |q^dagger psi| times its norm.
+        leak = np.linalg.norm(q.conj().T @ psi)
+        cutoff = (np.finfo(float).eps * max(present.shape) + leak) * np.linalg.norm(present)
         top = np.linalg.norm(restricted, 2)
         sol = np.linalg.pinv(restricted.T, rtol=cutoff / top if top > 0 else 0.0) @ atom_init
     else:
@@ -198,6 +203,10 @@ class TestFindWitness:
             st.sampled_from([AtomSpec(1.0, 0.0), AtomSpec(0.0, 1.0)]),
         ),
     )
+    # Absences where the leak of the full-SVD basis q along psi once made
+    # the reference fit roundoff (residuals 0.83 and 0.30 against 1.0).
+    @example(1, frozenset({"m+"}), haar_random_atoms(1, seed=112768129)[0])
+    @example(1, frozenset({"m+"}), haar_random_atoms(1, seed=880091737)[0])
     def test_decides_as_a_complement_basis_does(self, n, mask, atom):
         layout, elements, _ = build_mz(n)
         pair = build_final_states(

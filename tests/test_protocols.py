@@ -21,7 +21,6 @@ from nqisim.protocols import (
     run_fabry_perot,
     run_mz_chain,
     run_two_pass,
-    success_fidelity_scan,
 )
 from nqisim.elements import run_sequence
 from nqisim.state import JointState, partition_branches
@@ -104,6 +103,8 @@ class TestTwoPass:
         assert out.details["second_pass_absorbed"] == pytest.approx(abs(atom.beta) ** 2)
 
     def test_one_propagation_with_a_sink_pair_per_pass(self, monkeypatch):
+        # A fresh circuit, so that no earlier test has propagated it.
+        circuit = dsl.compile_circuit(dsl.parse(dsl.load_golden("twopass")))
         calls = []
 
         def counted(*args, **kwargs):
@@ -111,13 +112,23 @@ class TestTwoPass:
             return run_sequence(*args, **kwargs)
 
         monkeypatch.setattr(dsl, "run_sequence", counted)
-        monkeypatch.setattr(protocols, "run_sequence", counted)
-        out = run_two_pass(AtomSpec(0.6, 0.8))
+        out = dsl.run_compiled(circuit, AtomSpec(0.6, 0.8))
         assert len(calls) == 1
         final = out.final_state
         assert final.layout.sinks == ("S+", "S-", "S+#2", "S-#2")
         assert abs(final.amplitude("S+", "g")) == pytest.approx(0.6, abs=1e-12)
         assert abs(final.amplitude("S-#2", "g")) == pytest.approx(0.8, abs=1e-12)
+
+        # Another atom is served from the same propagation ...
+        other = dsl.run_compiled(circuit, AtomSpec(0.8, -0.6j))
+        assert len(calls) == 1
+        assert abs(other.final_state.amplitude("S+", "g")) == pytest.approx(0.8, abs=1e-12)
+        assert abs(other.final_state.amplitude("S-#2", "g")) == pytest.approx(0.6, abs=1e-12)
+        # ... and a new transparency mask propagates once more.
+        masked = dsl.run_compiled(circuit, AtomSpec(0.6, 0.8, transparency_mask={"m+"}))
+        assert len(calls) == 2
+        assert masked.final_state.amplitude("S+", "g") == 0.0
+        assert masked.absorbed_prob == pytest.approx(0.64, abs=1e-12)
 
     def test_absent_atom_never_absorbs(self):
         out = run_two_pass(AtomSpec(present=False))
@@ -267,12 +278,10 @@ class TestOutcomeAssembly:
             assemble_outcome(final, build_mz(2)[2], np.array([0.6, 0.8, 0.0]))
 
     def test_scan_helper(self):
-        samples = haar_random_atoms(3, seed=9)
-        rows = success_fidelity_scan(lambda a: run_mz_chain(4, a), samples)
-        assert len(rows) == 3
-        for row in rows:
-            assert row.success_prob == pytest.approx(mz_closed_form(4), abs=1e-12)
-            assert row.fidelity == pytest.approx(1.0, abs=1e-12)
+        for atom in haar_random_atoms(3, seed=9):
+            out = run_mz_chain(4, atom)
+            assert out.success_prob == pytest.approx(mz_closed_form(4), abs=1e-12)
+            assert out.success_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConservationEverywhere:
