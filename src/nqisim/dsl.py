@@ -2,9 +2,10 @@
 
 A ``.nqi`` file declares paths, sinks and atom levels, names the input
 mode, and lists element statements; ``repeat`` blocks unroll into stage
-chains and a single ``classify`` statement maps exit ports to branch
-labels.  Expressions are limited to +, -, *, /, sin, cos, pi and named
-parameters.  Example::
+chains and a single ``classify`` statement maps every path, and the
+sinks together, to one of the branch labels ``success``, ``failure``
+and ``absorbed``.  Expressions are limited to +, -, *, /, sin, cos, pi
+and named parameters.  Example::
 
     paths l u
     sinks S+ S-
@@ -18,8 +19,9 @@ parameters.  Example::
     classify l=success u=failure sinks=absorbed
 
 The compiler substitutes parameter bindings, checks beam-splitter
-unitarity after substitution, unrolls repeat blocks, and allocates a
-fresh sink pair per unrolled atom statement.
+unitarity after substitution, unrolls repeat blocks, allocates a fresh
+sink pair per unrolled atom statement, and compiles ``classify`` into the
+photon rows of each branch label (``CompiledCircuit.branches``).
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ from .elements import (
 )
 from .state import (
     ATOM_LEVELS,
+    BRANCH_LABELS,
     AtomSpec,
     BasisLayout,
-    BranchClassifier,
     JointState,
     ProtocolOutcome,
     assemble_outcome,
     initial_state,
-    make_classifier,
     make_layout,
 )
 from .tolerances import PROB_TOL
@@ -529,8 +530,15 @@ class _Parser:
                     self._check_path(lineno, port)
                 if port in seen_ports:
                     raise self.error(lineno, f"duplicate classify port: {port}", port)
+                label = m.group(2)
+                if label not in BRANCH_LABELS:
+                    raise self.error(
+                        lineno,
+                        f"unknown branch label: {label} (expected {', '.join(BRANCH_LABELS)})",
+                        word,
+                    )
                 seen_ports.add(port)
-                pairs.append((port, m.group(2)))
+                pairs.append((port, label))
             if "sinks" not in seen_ports:
                 raise self.error(lineno, "classify must assign sinks=...", keyword)
             missing = [p for p in self.paths if p not in seen_ports]
@@ -635,22 +643,15 @@ def print_circuit(ast: CircuitAst) -> str:
 class CompiledCircuit:
     layout: BasisLayout
     elements: tuple[Element, ...]
-    path_labels: dict[str, str]
-    sink_label: str
+    # Photon rows of each branch label, in increasing order: the classify
+    # statement compiled against the layout.
+    branches: dict[str, np.ndarray] = field(compare=False)
     input_path: str
     input_pol: str
     # Level responses by (atom present, transparency mask); see run_compiled.
     _responses: dict[tuple[bool, frozenset[str]], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def classifier(self) -> BranchClassifier:
-        """The exit classifier, one object per circuit."""
-        return self._classifier
-
-    @cached_property
-    def _classifier(self) -> BranchClassifier:
-        return BranchClassifier(self.layout, make_classifier(self.path_labels, self.sink_label))
 
     @cached_property
     def _plus_cells(self) -> np.ndarray:
@@ -761,13 +762,19 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     if not sinks:
         sinks = [base_plus, base_minus]
     layout = make_layout(ast.paths, sinks, ast.atom_levels)
-    path_labels = {p: l for p, l in ast.classifier if p != "sinks"}
-    sink_label = dict(ast.classifier)["sinks"]
+    # A port's label takes the port's path block; ``sinks`` takes every row
+    # after the path blocks.  Ports are visited in row order.
+    labels = dict(ast.classifier)
+    rows = np.arange(layout.n_photon_modes)
+    port_rows = {p: rows[block] for p, block in layout.path_block.items()}
+    port_rows["sinks"] = rows[2 * len(layout.paths) :]
+    groups: dict[str, list[np.ndarray]] = {}
+    for port, port_block in port_rows.items():
+        groups.setdefault(labels[port], []).append(port_block)
     return CompiledCircuit(
         layout=layout,
         elements=tuple(elements),
-        path_labels=path_labels,
-        sink_label=sink_label,
+        branches={label: np.concatenate(parts) for label, parts in groups.items()},
         input_path=ast.input_path,
         input_pol=ast.input_pol,
     )
@@ -793,7 +800,7 @@ def run_compiled(
     amps = response * np.where(circuit._plus_cells, atom.alpha, atom.beta)
     return assemble_outcome(
         JointState(layout, amps.reshape(-1)),
-        circuit.classifier(),
+        circuit.branches,
         atom.level_vector(layout),
         prob_tol=prob_tol,
     )

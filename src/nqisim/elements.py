@@ -20,8 +20,8 @@ row (``-``) at m-.
 
 ``run_sequence`` is the one propagation loop: every runner, the circuit
 executor and the witness scan apply their element lists through it.  It
-and ``apply_element`` are pure (they return a new state); the underscore
-in-place kernels work on the loop's own buffer.
+is pure (it returns a new state); the underscore in-place kernels work on
+the loop's own buffer.
 """
 
 from __future__ import annotations
@@ -195,10 +195,6 @@ _KERNELS = {
     PhaseShift: _phase_inplace,
     Relabel: _relabel_inplace,
 }
-
-
-def apply_element(state: JointState, element: Element) -> JointState:
-    return run_sequence(state.layout, [element], state)
 
 
 def run_sequence(

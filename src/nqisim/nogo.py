@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elements import Element, run_sequence
-from .state import AtomSpec, BasisLayout, JointState, product_factors
+from .state import AtomSpec, BasisLayout, JointState, condition_on_probe, product_factors
 from .tolerances import RANK_TOL
 
 
@@ -32,8 +32,14 @@ class FinalStatePair:
 
     absent: JointState
     present: JointState
-    probe_dim: int
-    atom_dim: int
+
+    @property
+    def probe_dim(self) -> int:
+        return self.absent.layout.n_photon_modes
+
+    @property
+    def atom_dim(self) -> int:
+        return self.absent.layout.n_levels
 
     def absent_probe_vector(self) -> np.ndarray:
         """Probe factor of the (product) atom-absent final state."""
@@ -73,12 +79,7 @@ def build_final_states(
     present = run_sequence(
         layout, elements, initial, atom_present=True, mask_override=transparency_mask
     )
-    return FinalStatePair(
-        absent=absent,
-        present=present,
-        probe_dim=layout.n_photon_modes,
-        atom_dim=layout.n_levels,
-    )
+    return FinalStatePair(absent=absent, present=present)
 
 
 def _complement_basis(psi_f: np.ndarray) -> np.ndarray:
@@ -100,9 +101,7 @@ def _unit_atom_vector(atom_init: np.ndarray, atom_dim: int) -> np.ndarray:
     return atom_init / norm
 
 
-def find_witness(
-    pair: FinalStatePair, atom_init: np.ndarray, tol: float = RANK_TOL
-) -> Witness | Absence:
+def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absence:
     """Decide whether a witness probe vector exists.
 
     Reshapes the atom-present state into a probe x atom matrix, projects
@@ -113,7 +112,7 @@ def find_witness(
     """
     atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
     present = pair.present.matrix()
-    if not np.linalg.norm(present) >= tol:
+    if not np.linalg.norm(present) >= RANK_TOL:
         raise ValueError("atom-present final state is zero or not finite")
 
     psi_f = pair.absent_probe_vector()
@@ -132,25 +131,26 @@ def find_witness(
     defect = restricted.T @ sol - atom_init
     residual = float(np.linalg.norm(defect))
     coeff_norm = float(np.linalg.norm(sol))
-    if residual < tol and coeff_norm > tol and coeff_norm < 1.0 / tol:
+    if residual < RANK_TOL and RANK_TOL < coeff_norm < 1.0 / RANK_TOL:
         phi_p = sol.conj() / coeff_norm
         delta = complex(1.0 / coeff_norm)
         # Fix the witness phase so the contraction is exactly delta * atom_init.
-        contraction = phi_p.conj() @ present
+        contraction, _ = condition_on_probe(pair.present, phi_p)
         phase = np.vdot(atom_init, contraction / np.linalg.norm(contraction))
         return Witness(phi_p=phi_p, delta=delta * phase, residual=residual)
     return Absence(residual=residual)
 
 
 _GRID_DIM_MAX = 3
+# Phase and weight steps of the pairwise candidates, the seed of the random
+# ones, and the contraction norm below which a candidate is skipped.
+_GRID_ANGLES = 12
+_GRID_SEED = 0
+_GRID_AMP_TOL = 1e-6
 
 
 def grid_witness_search(
-    pair: FinalStatePair,
-    atom_init: np.ndarray,
-    n_angles: int = 12,
-    seed: int = 0,
-    amp_tol: float = 1e-6,
+    pair: FinalStatePair, atom_init: np.ndarray
 ) -> tuple[float, np.ndarray | None]:
     """Brute-force oracle over probe vectors in the complement.
 
@@ -158,9 +158,9 @@ def grid_witness_search(
     superpositions over a phase grid, and seeded random points) and
     returns the smallest relative defect from proportionality to
     atom_init together with the best candidate (the first one on a tie).
-    Candidates whose contraction has norm below ``amp_tol`` are skipped.
-    Complements of dimension above 3 are rejected; defect below
-    ``amp_tol`` means a witness exists.
+    Candidates whose contraction has norm below ``_GRID_AMP_TOL`` are
+    skipped.  Complements of dimension above 3 are rejected; defect below
+    ``_GRID_AMP_TOL`` means a witness exists.
     """
     atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
     dim = pair.probe_dim - 1
@@ -172,8 +172,8 @@ def grid_witness_search(
     q = _complement_basis(pair.absent_probe_vector())
 
     eye = np.eye(dim, dtype=complex)
-    phases = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    weights = np.linspace(0.0, 1.0, n_angles + 1)[1:-1]
+    phases = np.exp(2j * np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES)
+    weights = np.linspace(0.0, 1.0, _GRID_ANGLES + 1)[1:-1]
     # Pairwise superpositions, ordered by pair, then weight, then phase.
     root_1w = np.sqrt(1 - weights)[:, None, None]
     root_w = np.sqrt(weights)[:, None, None]
@@ -182,7 +182,7 @@ def grid_witness_search(
         for i, j in itertools.combinations(range(dim), 2)
     ]
     # One draw of (real, imaginary) rows per random candidate.
-    z = np.random.default_rng(seed).standard_normal((200 * dim, 2, dim))
+    z = np.random.default_rng(_GRID_SEED).standard_normal((200 * dim, 2, dim))
     z = z[:, 0] + 1j * z[:, 1]
     candidates = np.concatenate([eye, *pairs, z / np.linalg.norm(z, axis=1)[:, None]])
 
@@ -191,7 +191,7 @@ def grid_witness_search(
     norms = np.linalg.norm(atom_vecs, axis=1)
     overlaps = atom_vecs @ atom_init.conj()
     defects = np.full(len(candidates), np.inf)
-    kept = norms >= amp_tol
+    kept = norms >= _GRID_AMP_TOL
     defects[kept] = (
         np.linalg.norm(atom_vecs[kept] - overlaps[kept, None] * atom_init, axis=1)
         / norms[kept]

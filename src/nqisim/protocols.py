@@ -2,16 +2,18 @@
 
 Three experiments: direct interaction of a polarized photon with the
 atom, the N-stage Mach-Zehnder chain, and the Fabry-Perot cavity, plus
-the two-pass demonstration that a superposed atom absorbs an intracavity
-photon with certainty once the polarization is flipped between passes.
+the two-pass demonstration that an atom in superposition absorbs an
+intracavity photon with certainty once the polarization is flipped
+between passes.
 
 Every network is described only by a bundled circuit -- ``direct.nqi``,
 ``twopass.nqi``, ``mz.nqi`` and ``fp.nqi`` -- which the runners compile
 (``dsl``) and propagate through ``elements.run_sequence``, the one
 propagation loop; no element is built here.  Every run starts from
-``state.initial_state`` and ends in ``state.assemble_outcome``; those
-names, the atom and outcome types, ``POL_STATES`` and ``ATOM_LEVELS``
-are re-exported here.
+``state.initial_state`` and ends in ``state.assemble_outcome``, which
+scores the final state by the exit rows the circuit's ``classify`` line
+compiles to (``CompiledCircuit.branches``); those names, the atom and
+outcome types, ``POL_STATES`` and ``ATOM_LEVELS`` are re-exported here.
 
 The chain and the two-pass runner go through ``dsl.run_compiled``, which
 propagates a compiled circuit once per atom presence and transparency
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -55,11 +56,9 @@ from .state import (
     ConservationError,
     JointState,
     POL_STATES,
-    PhotonMode,
     ProtocolOutcome,
     assemble_outcome,
     initial_state,
-    make_classifier,
 )
 from .tolerances import NORM_TOL, PROB_TOL
 
@@ -102,10 +101,10 @@ def _probability(state: JointState, rows) -> float:
 # Direct interaction and the two-pass opacity demonstration
 
 
-def run_direct(polarization: str | np.ndarray, atom: AtomSpec) -> JointState:
-    """One pass of a photon with the given polarization (a ``POL_STATES``
-    label or a (plus, minus) 2-vector) through the atom of ``direct.nqi``;
-    returns the full joint state (no post-selection)."""
+def run_direct(polarization: str, atom: AtomSpec) -> JointState:
+    """One pass of a photon with the ``POL_STATES`` polarization
+    ``polarization`` through the atom of ``direct.nqi``; returns the full
+    joint state (no post-selection)."""
     circuit = _fixed_circuit("direct")
     layout = circuit.layout
     return run_sequence(
@@ -122,10 +121,10 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     (``twopass.nqi``).
 
     With the atom present the photon is absorbed with certainty, which is
-    what makes the superposed atom equivalent to an opaque object.  Each
-    pass scatters into its own sink pair (``S+ S-``, then ``S+#2 S-#2``),
-    from which ``details`` reads the absorption of that pass.  The circuit
-    is propagated once per transparency mask and serves every atom.
+    what makes the atom in superposition equivalent to an opaque object.
+    Each pass scatters into its own sink pair (``S+ S-``, then ``S+#2
+    S-#2``), from which ``details`` reads the absorption of that pass.  The
+    circuit is propagated once per transparency mask and serves every atom.
     """
     out = run_compiled(_fixed_circuit("twopass"), atom)
     layout = out.final_state.layout
@@ -163,10 +162,11 @@ def _mz_circuit(n_stages: int) -> CompiledCircuit:
 
 def build_mz(
     n_stages: int,
-) -> tuple[BasisLayout, tuple[Element, ...], Callable[[PhotonMode], str]]:
-    """Layout, element sequence and exit classifier of the N-stage chain."""
+) -> tuple[BasisLayout, tuple[Element, ...], dict[str, np.ndarray]]:
+    """Layout, element sequence and exit rows (``CompiledCircuit.branches``)
+    of the N-stage chain."""
     circuit = _mz_circuit(n_stages)
-    return circuit.layout, circuit.elements, circuit.classifier()
+    return circuit.layout, circuit.elements, circuit.branches
 
 
 def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
@@ -232,5 +232,5 @@ def run_fabry_perot(
     # amplitude tail short, so the norm deficit scales like sqrt(eps).
     slack = max(PROB_TOL, 8.0 * math.sqrt(eps) / max(1e-6, 1.0 - r * r_prime))
     return assemble_outcome(
-        state, circuit.classifier(), atom.level_vector(layout), details=details, prob_tol=slack
+        state, circuit.branches, atom.level_vector(layout), details=details, prob_tol=slack
     )

@@ -6,10 +6,11 @@ product of photon modes with atom levels, flattened into one dense complex
 amplitude vector.  All operations here are pure functions on immutable
 values; states are never mutated in place.
 
-The two ends of every run live here as well: ``initial_state`` puts the
-photon and the atom superposition on an input mode, and
-``assemble_outcome`` splits a final state into success, failure and
-absorbed branches.
+The two ends of every run live here as well: ``initial_state`` puts a
+photon of one ``POL_STATES`` polarization on an input path, times the
+atom superposition, and ``assemble_outcome`` scores a final state by the
+photon rows of its three exits (``BRANCH_LABELS``: success, failure,
+absorbed), grouped once per circuit as ``CompiledCircuit.branches``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +41,9 @@ POL_STATES: dict[str, np.ndarray] = {
 }
 
 ATOM_LEVELS = ("m+", "m-", "g")
+
+# The exits that score a run, in the order a ``ProtocolOutcome`` lists them.
+BRANCH_LABELS = ("success", "failure", "absorbed")
 
 
 def _check_unique(kind: str, labels: Sequence[str]) -> None:
@@ -168,26 +172,6 @@ class Branch:
     label: str
 
 
-def basis_state(layout: BasisLayout, mode: PhotonMode, level: str) -> JointState:
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[layout.index(mode, level)] = 1.0
-    return JointState(layout, amps)
-
-
-def superpose(terms: Iterable[tuple[complex, JointState]]) -> JointState:
-    """Linear combination of states sharing one layout. No normalization."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("superpose needs at least one term")
-    layout = terms[0][1].layout
-    amps = np.zeros(layout.dim, dtype=complex)
-    for coeff, st in terms:
-        if st.layout is not layout and st.layout != layout:
-            raise ValueError("superpose: mixed layouts")
-        amps += complex(coeff) * st.amplitudes
-    return JointState(layout, amps)
-
-
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 for normalized state vectors (any sector)."""
     a = np.asarray(a, dtype=complex)
@@ -219,66 +203,33 @@ def condition_on_probe(
     return atom_vec, prob
 
 
-def photon_probe(
-    layout: BasisLayout, terms: Iterable[tuple[complex, PhotonMode]]
-) -> np.ndarray:
-    """Photon-sector vector from (coefficient, mode) terms."""
-    probe = np.zeros(layout.n_photon_modes, dtype=complex)
-    for coeff, mode in terms:
-        probe[layout.photon_index(mode)] += complex(coeff)
-    return probe
-
-
-def _group_rows(
-    layout: BasisLayout, classifier: Callable[[PhotonMode], str]
-) -> dict[str, np.ndarray]:
-    groups: dict[str, list[int]] = {}
-    for i, mode in enumerate(layout.photon_modes):
-        groups.setdefault(classifier(mode), []).append(i)
-    return {label: np.array(groups[label]) for label in sorted(groups)}
-
-
-def _branch_rows(
-    layout: BasisLayout, classifier: Callable[[PhotonMode], str]
-) -> dict[str, np.ndarray]:
-    """Photon rows of each branch label, labels in sorted order.
-
-    A ``BranchClassifier`` bound to ``layout`` answers from the grouping
-    it keeps; any other classifier is called once per photon mode.
-    """
-    if isinstance(classifier, BranchClassifier) and classifier.layout is layout:
-        return classifier.rows
-    return _group_rows(layout, classifier)
-
-
 def partition_branches(
-    state: JointState, classifier: Callable[[PhotonMode], str]
+    state: JointState, branches: dict[str, np.ndarray]
 ) -> list[Branch]:
-    """Split a state by classifying each photon mode; probabilities add up
-    to the total squared norm."""
+    """Split a state into the photon rows of each branch label
+    (``CompiledCircuit.branches``); probabilities add up to the squared
+    norm of the rows covered."""
     mat = state.matrix()
-    branches = []
-    for label, rows in _branch_rows(state.layout, classifier).items():
+    parts = []
+    for label, rows in branches.items():
         part = np.zeros_like(mat)
         part[rows] = mat[rows]
         st = JointState(state.layout, part.reshape(-1))
-        branches.append(Branch(st, st.norm2, label))
-    return branches
+        parts.append(Branch(st, st.norm2, label))
+    return parts
 
 
-def product_factors(
-    state: JointState, tol: float = RANK_TOL, rows=slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
+def product_factors(state: JointState, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Factor a (sub-normalized) state into photon (x) atom unit vectors.
 
-    Raises if the photon-atom amplitude matrix has rank > 1 beyond tol.
-    The product of the two factors times the state's norm reproduces the
-    state up to a global phase absorbed into the photon factor.  With
-    ``rows`` (photon row indices or a slice) only those rows are
-    factored, and the photon factor is zero on every other row.
+    Raises if the photon-atom amplitude matrix has rank > 1 beyond
+    ``RANK_TOL``.  The product of the two factors times the state's norm
+    reproduces the state up to a global phase absorbed into the photon
+    factor.  With ``rows`` (photon row indices or a slice) only those rows
+    are factored, and the photon factor is zero on every other row.
     """
     u, s, vh = np.linalg.svd(state.matrix()[rows], full_matrices=False)
-    if s.size > 1 and s[1] > tol:
+    if s.size > 1 and s[1] > RANK_TOL:
         raise ValueError(
             f"state is not a photon-atom product (second singular value {s[1]:.3e})"
         )
@@ -327,20 +278,14 @@ class AtomSpec:
 def initial_state(
     layout: BasisLayout,
     path: str,
-    polarization: str | np.ndarray,
+    polarization: str,
     atom: AtomSpec,
 ) -> JointState:
-    """The photon on ``path`` times the atom superposition.
-
-    ``polarization`` is a ``POL_STATES`` label or a normalized
-    (plus, minus) 2-vector.
-    """
-    if isinstance(polarization, str):
-        pol = POL_STATES[polarization]
-    else:
-        pol = np.asarray(polarization, dtype=complex)
-        if not abs(np.vdot(pol, pol).real - 1.0) <= 1e-9:
-            raise ValueError("polarization state is not normalized")
+    """The photon on ``path`` with the ``POL_STATES`` polarization
+    ``polarization``, times the atom superposition."""
+    pol = POL_STATES.get(polarization)
+    if pol is None:
+        raise ValueError(f"unknown polarization: {polarization!r}")
     if path not in layout.path_block:
         raise ValueError(f"path {path!r} is not in the layout")
     amps = np.zeros(layout.dim, dtype=complex)
@@ -361,38 +306,6 @@ class ProtocolOutcome:
     details: dict = field(default_factory=dict)
 
 
-def make_classifier(
-    path_labels: dict[str, str], sink_label: str = "absorbed"
-) -> Callable[[PhotonMode], str]:
-    def classify(mode: PhotonMode) -> str:
-        if isinstance(mode, str):
-            return sink_label
-        return path_labels[mode[0]]
-
-    return classify
-
-
-@dataclass(frozen=True, eq=False)
-class BranchClassifier:
-    """An exit classifier bound to one layout.
-
-    Called on a photon mode it gives that mode's branch label; ``rows``
-    groups the layout's photon rows by label once, so that every run
-    that assembles an outcome with it sums its branches without
-    classifying a mode again.
-    """
-
-    layout: BasisLayout
-    classify: Callable[[PhotonMode], str]
-
-    def __call__(self, mode: PhotonMode) -> str:
-        return self.classify(mode)
-
-    @cached_property
-    def rows(self) -> dict[str, np.ndarray]:
-        return _group_rows(self.layout, self.classify)
-
-
 def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
     """Name the polarization of a photon-sector vector confined to one path."""
     blocks = [photon_vec[block] for block in layout.path_block.values()]
@@ -410,18 +323,24 @@ def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
 
 def assemble_outcome(
     final: JointState,
-    classifier: Callable[[PhotonMode], str],
+    branches: dict[str, np.ndarray],
     atom_init: np.ndarray,
     details: dict | None = None,
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
     """Branch probabilities of a final state, and the post-selected atom
-    state with its fidelity to ``atom_init`` (normalized here)."""
-    rows = _branch_rows(final.layout, classifier)
+    state with its fidelity to ``atom_init`` (normalized here).
+
+    ``branches`` maps branch labels to photon rows; a label it lacks has
+    probability zero, and the probabilities must sum to one within
+    ``prob_tol``.
+    """
+    if not 0.0 <= prob_tol < math.inf:
+        raise ValueError(f"prob_tol must be finite and non-negative, got {prob_tol!r}")
     mat = final.matrix()
-    probs = dict.fromkeys(("success", "failure", "absorbed"), 0.0)
-    for label in probs.keys() & rows.keys():
-        part = mat[rows[label]]
+    probs = dict.fromkeys(BRANCH_LABELS, 0.0)
+    for label in probs.keys() & branches.keys():
+        part = mat[branches[label]]
         probs[label] = float(np.vdot(part, part).real)
     total = sum(probs.values())
     if not abs(total - 1.0) <= prob_tol:
@@ -433,13 +352,13 @@ def assemble_outcome(
     success_fid = None
     exit_pol = "none"
     if probs["success"] > PROB_TOL:
-        photon_vec, atom_vec = product_factors(final, rows=rows["success"])
+        photon_vec, atom_vec = product_factors(final, rows=branches["success"])
         success_atom = atom_vec
         success_fid = fidelity(atom_vec, atom_init / np.linalg.norm(atom_init))
         exit_pol = _polarization_label(final.layout, photon_vec)
     elif probs["failure"] > PROB_TOL:
         try:
-            photon_vec, _ = product_factors(final, rows=rows["failure"])
+            photon_vec, _ = product_factors(final, rows=branches["failure"])
             exit_pol = _polarization_label(final.layout, photon_vec)
         except ValueError:
             exit_pol = "mixed"

@@ -258,6 +258,23 @@ class TestRun:
         assert code == 2
         assert "unknown keyword" in err
 
+    def test_unknown_branch_label_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.nqi"
+        bad.write_text(
+            "paths a\nsinks S+ S-\natom-levels m+ m- g\ninput a x\n"
+            "atom a\nclassify a=win sinks=absorbed\n"
+        )
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert "line 6" in err
+        assert "unknown branch label: win" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_prob_tol_exit_code(self, capsys, value):
+        code, _, err = run_cli(capsys, "run", "direct", "--prob-tol", value)
+        assert code == 2
+        assert "prob_tol must be finite and non-negative" in err
+
     def test_conservation_failure_exit_code(self, capsys, monkeypatch):
         import nqisim.cli as cli
         from nqisim.protocols import ConservationError

@@ -187,6 +187,17 @@ class TestParser:
         with pytest.raises(ParseError, match="unknown polarization: z"):
             parse(src)
 
+    def test_unknown_branch_label(self):
+        src = MINIMAL.replace("a=failure", "a=win")
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.message == (
+            "unknown branch label: win (expected success, failure, absorbed)"
+        )
+        assert exc.value.line == 6
+        assert exc.value.token == "a=win"
+        assert exc.value.column == len("classify ") + 1
+
     def test_atom_levels_must_name_the_atom_roles(self):
         # The atom interaction and AtomSpec act on m+, m- and g by name.
         src = MINIMAL.replace("atom-levels m+ m- g", "atom-levels up down g")
@@ -231,6 +242,26 @@ class TestCompiler:
             built_layout, built, _ = build_mz(n)
             assert built_layout == layout
             assert list(built) == elements
+
+    def test_branches_from_classify(self):
+        # A port's label takes its path block; sinks= takes the sink tail.
+        bindings = {"N": 3, "K": 2, "T": 0.6, "R": 0.8, "TP": 0.6, "RP": 0.8}
+        expected = {
+            "direct": {"failure": [0, 1], "absorbed": [2, 3]},
+            "twopass": {"failure": [0, 1], "absorbed": [2, 3, 4, 5]},
+            "mz": {"success": [0, 1], "failure": [2, 3], "absorbed": list(range(4, 16))},
+            "fp": {
+                "success": [8, 9],
+                "failure": [0, 1, 2, 3, 4, 5, 6, 7, 10, 11],
+                "absorbed": list(range(12, 20)),
+            },
+        }
+        assert sorted(expected) == dsl.golden_names()
+        for name, rows in expected.items():
+            circuit = compile_circuit(parse(load_golden(name)), bindings)
+            got = {label: r.tolist() for label, r in circuit.branches.items()}
+            assert got == rows, name
+            assert circuit.layout.n_photon_modes == max(map(max, rows.values())) + 1
 
     def test_fresh_sink_pairs_per_atom_statement(self):
         src = MINIMAL.replace("atom a", "repeat 3 {\natom a\n}")
@@ -445,7 +476,7 @@ def _random_source(rng: random.Random) -> str:
         lines.extend(statement(0))
     lines.append(
         "classify "
-        + " ".join(f"{p}={rng.choice(['success', 'failure', 'other'])}" for p in paths)
+        + " ".join(f"{p}={rng.choice(['success', 'failure', 'absorbed'])}" for p in paths)
         + " sinks=absorbed"
     )
     return "\n".join(lines) + "\n"
@@ -503,7 +534,7 @@ class TestLevelResponse:
                             mask_override=mask,
                         )
                         return assemble_outcome(
-                            final, circuit.classifier(), spec.level_vector(layout)
+                            final, circuit.branches, spec.level_vector(layout)
                         )
 
                     want = _outcome_or_error(oracle)

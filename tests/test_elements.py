@@ -13,17 +13,24 @@ from nqisim.elements import (
     PolRotator,
     POL_FLIP,
     Relabel,
-    apply_element,
     run_sequence,
     sink_pair_labels,
 )
-from nqisim.state import AtomSpec, JointState, basis_state, initial_state, make_layout, superpose
+from nqisim.state import AtomSpec, JointState, initial_state, make_layout
 
 LEVELS = ["m+", "m-", "g"]
 
 
 def layout2():
     return make_layout(["a", "b"], ["S+", "S-"], LEVELS)
+
+
+def state_of(layout, *terms):
+    """The state with amplitude ``coeff`` on each ``(coeff, mode, level)``."""
+    amps = np.zeros(layout.dim, dtype=complex)
+    for coeff, mode, level in terms:
+        amps[layout.index(mode, level)] += coeff
+    return JointState(layout, amps)
 
 
 def random_state(layout, seed):
@@ -45,16 +52,16 @@ class TestBeamSplitter:
     def test_convention(self):
         # [TRIVIAL] transmission crosses paths with t, reflection stays with i r
         layout = layout2()
-        state = basis_state(layout, ("a", "+"), "g")
-        out = apply_element(state, BeamSplitter(0.6, 0.8, "a", "b"))
+        state = state_of(layout, (1.0, ("a", "+"), "g"))
+        out = run_sequence(layout, [BeamSplitter(0.6, 0.8, "a", "b")], state)
         assert out.amplitude(("a", "+"), "g") == pytest.approx(0.8j)
         assert out.amplitude(("b", "+"), "g") == pytest.approx(0.6)
 
     def test_full_reflection_is_not_identity(self):
         # r = 1 phases both paths by i; nothing crosses
         layout = layout2()
-        state = basis_state(layout, ("a", "-"), "m+")
-        out = apply_element(state, BeamSplitter(0.0, 1.0, "a", "b"))
+        state = state_of(layout, (1.0, ("a", "-"), "m+"))
+        out = run_sequence(layout, [BeamSplitter(0.0, 1.0, "a", "b")], state)
         assert out.amplitude(("a", "-"), "m+") == pytest.approx(1j)
         assert out.amplitude(("b", "-"), "m+") == 0.0
 
@@ -64,7 +71,7 @@ class TestBeamSplitter:
         layout = layout2()
         s = 1 / np.sqrt(2)
         bs = BeamSplitter(s, s, "a", "b")
-        state = basis_state(layout, ("a", "+"), "g")
+        state = state_of(layout, (1.0, ("a", "+"), "g"))
         out = run_sequence(layout, [bs, bs], state)
         assert out.amplitude(("b", "+"), "g") == pytest.approx(1j)
         assert abs(out.amplitude(("a", "+"), "g")) < 1e-15
@@ -78,31 +85,31 @@ class TestBeamSplitter:
         layout = layout2()
         state = random_state(layout, seed)
         bs = BeamSplitter(np.sin(theta), np.cos(theta), "a", "b")
-        assert apply_element(state, bs).norm2 == pytest.approx(state.norm2, abs=1e-12)
+        assert run_sequence(layout, [bs], state).norm2 == pytest.approx(state.norm2, abs=1e-12)
 
 
 class TestMirrorAndPhase:
     def test_mirror_phase(self):
         layout = layout2()
-        state = basis_state(layout, ("a", "+"), "m+")
-        out = apply_element(state, Mirror("a"))
+        state = state_of(layout, (1.0, ("a", "+"), "m+"))
+        out = run_sequence(layout, [Mirror("a")], state)
         assert out.amplitude(("a", "+"), "m+") == 1j
 
     def test_two_mirrors_give_minus_one(self):
         layout = layout2()
-        state = basis_state(layout, ("a", "+"), "m+")
+        state = state_of(layout, (1.0, ("a", "+"), "m+"))
         out = run_sequence(layout, [Mirror("a"), Mirror("a")], state)
         assert out.amplitude(("a", "+"), "m+") == pytest.approx(-1.0)
 
     def test_phase_shift(self):
         layout = layout2()
-        state = basis_state(layout, ("b", "-"), "g")
-        out = apply_element(state, PhaseShift("b", np.pi))
+        state = state_of(layout, (1.0, ("b", "-"), "g"))
+        out = run_sequence(layout, [PhaseShift("b", np.pi)], state)
         assert out.amplitude(("b", "-"), "g") == pytest.approx(-1.0)
 
     def test_sinks_untouched(self):
         layout = layout2()
-        state = basis_state(layout, "S+", "g")
+        state = state_of(layout, (1.0, "S+", "g"))
         out = run_sequence(layout, [Mirror("a"), PhaseShift("a", 0.7)], state)
         assert out.amplitude("S+", "g") == 1.0
 
@@ -110,8 +117,8 @@ class TestMirrorAndPhase:
 class TestPolRotator:
     def test_flip(self):
         layout = layout2()
-        state = basis_state(layout, ("a", "+"), "m-")
-        out = apply_element(state, PolRotator("a", POL_FLIP))
+        state = state_of(layout, (1.0, ("a", "+"), "m-"))
+        out = run_sequence(layout, [PolRotator("a", POL_FLIP)], state)
         assert out.amplitude(("a", "-"), "m-") == 1.0
         assert out.amplitude(("a", "+"), "m-") == 0.0
 
@@ -130,20 +137,15 @@ class TestPolRotator:
             [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
         )
         state = random_state(layout, seed)
-        out = apply_element(state, PolRotator("a", u))
+        out = run_sequence(layout, [PolRotator("a", u)], state)
         assert out.norm2 == pytest.approx(state.norm2, abs=1e-12)
 
 
 class TestAtomInteraction:
     def test_absorption_moves_to_sinks(self):
         layout = layout2()
-        state = superpose(
-            [
-                (0.6, basis_state(layout, ("a", "+"), "m+")),
-                (0.8, basis_state(layout, ("a", "-"), "m-")),
-            ]
-        )
-        out = apply_element(state, AtomInteraction("a"))
+        state = state_of(layout, (0.6, ("a", "+"), "m+"), (0.8, ("a", "-"), "m-"))
+        out = run_sequence(layout, [AtomInteraction("a")], state)
         assert out.amplitude("S+", "g") == pytest.approx(0.6)
         assert out.amplitude("S-", "g") == pytest.approx(0.8)
         assert out.amplitude(("a", "+"), "m+") == 0.0
@@ -151,19 +153,14 @@ class TestAtomInteraction:
 
     def test_mismatched_polarization_passes(self):
         layout = layout2()
-        state = superpose(
-            [
-                (0.6, basis_state(layout, ("a", "+"), "m-")),
-                (0.8, basis_state(layout, ("a", "-"), "m+")),
-            ]
-        )
-        out = apply_element(state, AtomInteraction("a"))
+        state = state_of(layout, (0.6, ("a", "+"), "m-"), (0.8, ("a", "-"), "m+"))
+        out = run_sequence(layout, [AtomInteraction("a")], state)
         assert out.amplitudes.tolist() == state.amplitudes.tolist()
 
     def test_transparency_mask(self):
         layout = layout2()
-        state = basis_state(layout, ("a", "+"), "m+")
-        out = apply_element(state, AtomInteraction("a", transparency_mask={"m+"}))
+        state = state_of(layout, (1.0, ("a", "+"), "m+"))
+        out = run_sequence(layout, [AtomInteraction("a", transparency_mask={"m+"})], state)
         assert out.amplitude(("a", "+"), "m+") == 1.0
         assert out.amplitude("S+", "g") == 0.0
 
@@ -176,20 +173,20 @@ class TestAtomInteraction:
         mat[layout.photon_index("S+")] = 0.0
         mat[layout.photon_index("S-")] = 0.0
         state = JointState(layout, amps / np.linalg.norm(amps))
-        out = apply_element(state, AtomInteraction("a"))
+        out = run_sequence(layout, [AtomInteraction("a")], state)
         assert out.norm2 == pytest.approx(state.norm2, abs=1e-12)
 
     def test_other_path_untouched(self):
         layout = layout2()
-        state = basis_state(layout, ("b", "+"), "m+")
-        out = apply_element(state, AtomInteraction("a"))
+        state = state_of(layout, (1.0, ("b", "+"), "m+"))
+        out = run_sequence(layout, [AtomInteraction("a")], state)
         assert out.amplitude(("b", "+"), "m+") == 1.0
 
     def test_missing_sink_raises(self):
         layout = make_layout(["a"], [], LEVELS)
-        state = basis_state(layout, ("a", "+"), "m+")
+        state = state_of(layout, (1.0, ("a", "+"), "m+"))
         with pytest.raises(ValueError, match="sink"):
-            apply_element(state, AtomInteraction("a"))
+            run_sequence(layout, [AtomInteraction("a")], state)
 
 
 class TestUnknownPath:
@@ -208,19 +205,14 @@ class TestUnknownPath:
             Relabel("a", "q"),
         ):
             with pytest.raises(ValueError, match="path 'q' is not in the layout"):
-                apply_element(state, element)
+                run_sequence(layout, [element], state)
 
 
 class TestRelabel:
     def test_moves_and_merges(self):
         layout = layout2()
-        state = superpose(
-            [
-                (0.6, basis_state(layout, ("a", "+"), "g")),
-                (0.8, basis_state(layout, ("b", "+"), "g")),
-            ]
-        )
-        out = apply_element(state, Relabel("a", "b"))
+        state = state_of(layout, (0.6, ("a", "+"), "g"), (0.8, ("b", "+"), "g"))
+        out = run_sequence(layout, [Relabel("a", "b")], state)
         assert out.amplitude(("b", "+"), "g") == pytest.approx(1.4)
         assert out.amplitude(("a", "+"), "g") == 0.0
 

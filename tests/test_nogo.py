@@ -129,7 +129,7 @@ class TestFinalStatePair:
         probe = np.zeros(layout.n_photon_modes, dtype=complex)
         probe[[0, 3999]] = 0.6, 0.8j
         absent = JointState(layout, np.outer(probe, [0.6, 0.8, 0.0]).reshape(-1))
-        pair = FinalStatePair(absent, absent, layout.n_photon_modes, layout.n_levels)
+        pair = FinalStatePair(absent, absent)
         tracemalloc.start()
         try:
             psi = pair.absent_probe_vector()
@@ -260,7 +260,7 @@ class TestFindWitness:
         hit[1] = 1.0
         absent = JointState(layout, np.outer(probe, atom).reshape(-1))
         present = JointState(layout, np.outer(0.6 * probe + 0.8 * hit, atom).reshape(-1))
-        pair = FinalStatePair(absent, present, n_modes, layout.n_levels)
+        pair = FinalStatePair(absent, present)
         tracemalloc.start()
         try:
             result = find_witness(pair, atom)
@@ -294,7 +294,7 @@ class TestWitnessInputs:
     def test_nan_present_state_rejected(self):
         pair, atom_init = single_path_pair(*CRITERION_7_CASES["one-pass-x"])
         nan_present = JointState(pair.present.layout, np.full(pair.present.layout.dim, np.nan))
-        bad = FinalStatePair(pair.absent, nan_present, pair.probe_dim, pair.atom_dim)
+        bad = FinalStatePair(pair.absent, nan_present)
         with pytest.raises(ValueError, match="atom-present final state is zero or not finite"):
             find_witness(bad, atom_init)
 

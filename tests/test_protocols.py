@@ -15,7 +15,6 @@ from nqisim.protocols import (
     assemble_outcome,
     build_mz,
     haar_random_atoms,
-    make_classifier,
     mz_closed_form,
     run_direct,
     run_fabry_perot,
@@ -23,7 +22,7 @@ from nqisim.protocols import (
     run_two_pass,
 )
 from nqisim.elements import run_sequence
-from nqisim.state import JointState, partition_branches
+from nqisim.state import JointState
 
 
 def atoms_strategy():
@@ -91,6 +90,10 @@ class TestDirect:
     def test_plus_photon_on_minus_atom_passes(self):
         final = run_direct("+", AtomSpec(0.0, 1.0))
         assert final.amplitude(("a", "+"), "m-") == pytest.approx(1.0)
+
+    def test_unknown_polarization_named(self):
+        with pytest.raises(ValueError, match="unknown polarization: 'z'"):
+            run_direct("z", AtomSpec())
 
 
 class TestTwoPass:
@@ -258,15 +261,18 @@ class TestFabryPerot:
 
 class TestOutcomeAssembly:
     def test_conservation_error_raised(self):
-        layout, elements, _ = build_mz(2)
-        atom = AtomSpec(0.6, 0.8)
-        out = run_mz_chain(2, atom)
-        bad_classifier = make_classifier({"l": "success", "u": "failure"}, "ignored")
+        out = run_mz_chain(2, AtomSpec(0.6, 0.8))
         with pytest.raises(ConservationError, match="sum to"):
             assemble_outcome(
-                out.final_state,
-                lambda m: "success" if m == ("l", "+") else "ignored",
-                np.array([0.6, 0.8, 0.0]),
+                out.final_state, {"success": np.array([0])}, np.array([0.6, 0.8, 0.0])
+            )
+
+    @pytest.mark.parametrize("prob_tol", [math.nan, -1.0, math.inf])
+    def test_prob_tol_must_be_finite_and_non_negative(self, prob_tol):
+        out = run_mz_chain(2, AtomSpec(0.6, 0.8))
+        with pytest.raises(ValueError, match="prob_tol must be finite and non-negative"):
+            assemble_outcome(
+                out.final_state, build_mz(2)[2], np.array([0.6, 0.8, 0.0]), prob_tol=prob_tol
             )
 
     def test_nan_amplitude_fails_conservation(self):
