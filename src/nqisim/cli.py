@@ -29,7 +29,6 @@ from .protocols import (
     ATOM_LEVELS,
     AtomSpec,
     ConservationError,
-    POL_STATES,
     ProtocolOutcome,
     build_mz,
     haar_random_atoms,
@@ -156,8 +155,6 @@ def cmd_fp(args) -> None:
 
 def cmd_direct(args) -> None:
     atom = _atom_from_args(args)
-    if args.pol not in POL_STATES:
-        raise SystemExit2(f"unknown polarization: {args.pol}")
     final = run_direct(args.pol, atom)
     rows = []
     layout = final.layout

@@ -18,10 +18,12 @@ and named parameters.  Example::
     }
     classify l=success u=failure sinks=absorbed
 
-The compiler substitutes parameter bindings, checks beam-splitter
-unitarity after substitution, unrolls repeat blocks, allocates a fresh
-sink pair per unrolled atom statement, and compiles ``classify`` into the
-photon rows of each branch label (``CompiledCircuit.branches``).
+The compiler substitutes parameter bindings and checks beam-splitter and
+rotator unitarity after substitution.  A repeat body has no loop index,
+so it is compiled once and tiled, its copies sharing the same immutable
+elements; the k-th atom interaction in program order then scatters into
+the k-th sink pair, and ``classify`` compiles into the photon rows of
+each branch label (``CompiledCircuit.branches``).
 """
 
 from __future__ import annotations
@@ -337,8 +339,15 @@ class CircuitAst:
 
 _LABEL = r"[A-Za-z_][A-Za-z0-9_+\-#.]*|[+\-]"
 _LABEL_RE = re.compile(f"^(?:{_LABEL})$")
+_WORD = re.compile(r"\S+")
+_ARG = re.compile(r"\S(?:.*\S)?")  # a span stripped of surrounding blanks
 
 _POLS = ("+", "-", "x", "y")
+
+
+def _words(line: str, pos: int = 0) -> list[tuple[str, int]]:
+    """The words of ``line`` from ``pos`` on, each with its offset."""
+    return [(m.group(), m.start()) for m in _WORD.finditer(line, pos)]
 
 
 class _Parser:
@@ -354,14 +363,16 @@ class _Parser:
         self.classifier: list[tuple[str, str]] | None = None
         self.let_names: set[str] = set()
 
-    def error(self, lineno: int, message: str, token: str = "") -> ParseError:
-        line = self.lines[lineno - 1] if 0 < lineno <= len(self.lines) else ""
-        col = (line.find(token) + 1) if token and token in line else 1
-        return ParseError(lineno, max(col, 1), message, token)
+    def error(self, lineno: int, message: str, token: str = "", at: int | None = None) -> ParseError:
+        """Error at offset ``at`` of the line, by default its first word."""
+        if at is None:
+            line = self.lines[lineno - 1]
+            at = len(line) - len(line.lstrip())
+        return ParseError(lineno, at + 1, message, token)
 
-    def _check_path(self, lineno: int, label: str) -> str:
+    def _check_path(self, lineno: int, label: str, at: int) -> str:
         if label not in self.paths:
-            raise self.error(lineno, f"undeclared path: {label}", label)
+            raise self.error(lineno, f"undeclared path: {label}", label, at)
         return label
 
     def parse(self) -> CircuitAst:
@@ -398,10 +409,10 @@ class _Parser:
             lineno = self.i + 1
             raw = self.lines[self.i]
             self.i += 1
-            line = raw.split("#", 1)[0].strip()
+            line = raw.split("#", 1)[0].rstrip()
             if not line:
                 continue
-            if line == "}":
+            if line.lstrip() == "}":
                 if top_level:
                     raise self.error(lineno, "unbalanced '}'", "}")
                 return statements
@@ -413,8 +424,9 @@ class _Parser:
         return statements
 
     def _parse_statement(self, lineno: int, line: str, top_level: bool) -> Stmt | None:
-        words = line.split()
-        keyword = words[0]
+        # ``line`` keeps its indentation: every offset is a source column.
+        words = _words(line)
+        keyword = words[0][0]
 
         if keyword in ("paths", "sinks", "atom-levels", "input", "classify") and not top_level:
             raise self.error(lineno, f"{keyword} is not allowed inside repeat", keyword)
@@ -436,84 +448,79 @@ class _Parser:
         if keyword == "input":
             if len(words) != 3:
                 raise self.error(lineno, "input needs a path and a polarization", keyword)
-            path = self._check_path(lineno, words[1])
-            if words[2] not in _POLS:
-                raise self.error(lineno, f"unknown polarization: {words[2]}", words[2])
+            path = self._check_path(lineno, *words[1])
+            pol = words[2][0]
+            if pol not in _POLS:
+                raise self.error(lineno, f"unknown polarization: {pol}", *words[2])
             if self.input_decl is not None:
                 raise self.error(lineno, "duplicate input statement", keyword)
-            self.input_decl = (path, words[2])
+            self.input_decl = (path, pol)
             return None
         if keyword == "let":
-            m = re.match(r"^let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", line)
+            m = re.match(r"^\s*let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", line)
             if m is None:
                 raise self.error(lineno, "malformed let binding", keyword)
             name = m.group(1)
             if name in self.let_names:
-                raise self.error(lineno, f"duplicate let binding: {name}", name)
+                raise self.error(lineno, f"duplicate let binding: {name}", name, m.start(1))
             self.let_names.add(name)
-            expr = parse_expr(m.group(2), lineno, line.find(m.group(2)))
+            expr = parse_expr(m.group(2), lineno, m.start(2))
             self.lets.append(LetBinding(lineno, name, expr))
             return None
         if keyword == "bs":
             m = re.match(
-                rf"^bs\s+({_LABEL})\s+({_LABEL})\s+t=(\S+)\s+r=(\S+)$", line
+                rf"^\s*bs\s+({_LABEL})\s+({_LABEL})\s+t=(\S+)\s+r=(\S+)$", line
             )
             if m is None:
                 raise self.error(lineno, "malformed bs statement (bs A B t=... r=...)", keyword)
-            a = self._check_path(lineno, m.group(1))
-            b = self._check_path(lineno, m.group(2))
+            a = self._check_path(lineno, m.group(1), m.start(1))
+            b = self._check_path(lineno, m.group(2), m.start(2))
             t_expr = parse_expr(m.group(3), lineno, m.start(3))
             r_expr = parse_expr(m.group(4), lineno, m.start(4))
             return BsStmt(lineno, a, b, t_expr, r_expr)
         if keyword == "mirror":
             if len(words) != 2:
                 raise self.error(lineno, "mirror needs one path", keyword)
-            return MirrorStmt(lineno, self._check_path(lineno, words[1]))
+            return MirrorStmt(lineno, self._check_path(lineno, *words[1]))
         if keyword == "rot":
-            m = re.match(rf"^rot\s+({_LABEL})\s+(flip|matrix\((.*)\))$", line)
+            m = re.match(rf"^\s*rot\s+({_LABEL})\s+(flip|matrix\((.*)\))$", line)
             if m is None:
                 raise self.error(lineno, "malformed rot statement (rot PATH flip|matrix(...))", keyword)
-            path = self._check_path(lineno, m.group(1))
+            path = self._check_path(lineno, m.group(1), m.start(1))
             if m.group(2) == "flip":
                 return RotStmt(lineno, path, None)
-            parts = self._split_args(lineno, m.group(3))
+            parts = self._split_args(lineno, line, m.start(3), m.end(3))
             if len(parts) != 4:
-                raise self.error(lineno, "matrix(...) needs four entries", "matrix")
-            entries = tuple(parse_expr(p, lineno, line.find(p)) for p in parts)
+                raise self.error(lineno, "matrix(...) needs four entries", "matrix", m.start(2))
+            entries = tuple(parse_expr(p, lineno, at) for p, at in parts)
             return RotStmt(lineno, path, entries)
         if keyword == "phase":
             if len(words) < 3:
                 raise self.error(lineno, "phase needs a path and an expression", keyword)
-            path = self._check_path(lineno, words[1])
-            expr_text = line.split(None, 2)[2]
-            return PhaseStmt(lineno, path, parse_expr(expr_text, lineno, line.find(expr_text)))
+            path = self._check_path(lineno, *words[1])
+            at = words[2][1]
+            return PhaseStmt(lineno, path, parse_expr(line[at:], lineno, at))
         if keyword == "atom":
-            m = re.match(rf"^atom\s+({_LABEL})(?:\s+transparent:\s*(.+))?$", line)
+            m = re.match(rf"^\s*atom\s+({_LABEL})(?:\s+transparent:\s*(.+))?$", line)
             if m is None:
                 raise self.error(lineno, "malformed atom statement", keyword)
-            path = self._check_path(lineno, m.group(1))
-            transparent: tuple[str, ...] = ()
-            if m.group(2):
-                levels = tuple(m.group(2).split())
-                for lev in levels:
-                    if lev not in self.levels:
-                        raise self.error(lineno, f"undeclared atom level: {lev}", lev)
-                transparent = levels
-            return AtomStmt(lineno, path, transparent)
+            path = self._check_path(lineno, m.group(1), m.start(1))
+            levels = _words(line, m.start(2)) if m.group(2) else []
+            for lev, at in levels:
+                if lev not in self.levels:
+                    raise self.error(lineno, f"undeclared atom level: {lev}", lev, at)
+            return AtomStmt(lineno, path, tuple(lev for lev, _ in levels))
         if keyword == "relabel":
-            m = re.match(rf"^relabel\s+({_LABEL})\s*->\s*({_LABEL})$", line)
+            m = re.match(rf"^\s*relabel\s+({_LABEL})\s*->\s*({_LABEL})$", line)
             if m is None:
                 raise self.error(lineno, "malformed relabel statement (relabel A -> B)", keyword)
-            return RelabelStmt(
-                lineno,
-                self._check_path(lineno, m.group(1)),
-                self._check_path(lineno, m.group(2)),
-            )
+            src = self._check_path(lineno, m.group(1), m.start(1))
+            return RelabelStmt(lineno, src, self._check_path(lineno, m.group(2), m.start(2)))
         if keyword == "repeat":
-            m = re.match(r"^repeat\s+(.+?)\s*\{$", line)
+            m = re.match(r"^\s*repeat\s+(.+?)\s*\{$", line)
             if m is None:
                 raise self.error(lineno, "malformed repeat statement (repeat N {)", keyword)
-            count = parse_expr(m.group(1), lineno, line.find(m.group(1)))
+            count = parse_expr(m.group(1), lineno, m.start(1))
             body = self._parse_block(top_level=False)
             return RepeatStmt(lineno, count, tuple(body))
         if keyword == "classify":
@@ -521,21 +528,22 @@ class _Parser:
                 raise self.error(lineno, "duplicate classify statement", keyword)
             pairs = []
             seen_ports = set()
-            for word in words[1:]:
+            for word, at in words[1:]:
                 m = re.match(rf"^({_LABEL}|sinks)=([A-Za-z_][A-Za-z0-9_]*)$", word)
                 if m is None:
-                    raise self.error(lineno, f"malformed classify entry: {word}", word)
+                    raise self.error(lineno, f"malformed classify entry: {word}", word, at)
                 port = m.group(1)
                 if port != "sinks":
-                    self._check_path(lineno, port)
+                    self._check_path(lineno, port, at)
                 if port in seen_ports:
-                    raise self.error(lineno, f"duplicate classify port: {port}", port)
+                    raise self.error(lineno, f"duplicate classify port: {port}", port, at)
                 label = m.group(2)
                 if label not in BRANCH_LABELS:
                     raise self.error(
                         lineno,
                         f"unknown branch label: {label} (expected {', '.join(BRANCH_LABELS)})",
                         word,
+                        at,
                     )
                 seen_ports.add(port)
                 pairs.append((port, label))
@@ -549,31 +557,30 @@ class _Parser:
 
         raise self.error(lineno, f"unknown keyword: {keyword}", keyword)
 
-    def _split_args(self, lineno: int, text: str) -> list[str]:
-        parts, depth, cur = [], 0, ""
-        for ch in text:
-            if ch == "," and depth == 0:
-                parts.append(cur.strip())
-                cur = ""
-                continue
-            if ch == "(":
+    def _split_args(self, lineno: int, line: str, start: int, end: int) -> list[tuple[str, int]]:
+        """The non-blank arguments of ``line[start:end]`` at parenthesis
+        depth 0, stripped, each with its offset."""
+        cuts, depth = [start - 1], 0
+        for i in range(start, end):
+            if line[i] == "," and depth == 0:
+                cuts.append(i)
+            elif line[i] == "(":
                 depth += 1
-            elif ch == ")":
+            elif line[i] == ")":
                 depth -= 1
                 if depth < 0:
-                    raise self.error(lineno, "unbalanced parentheses in matrix(...)", ")")
-            cur += ch
-        parts.append(cur.strip())
-        return [p for p in parts if p]
+                    raise self.error(lineno, "unbalanced parentheses in matrix(...)", ")", i)
+        spans = (_ARG.search(line, a + 1, b) for a, b in zip(cuts, cuts[1:] + [end]))
+        return [(m.group(), m.start()) for m in spans if m]
 
-    def _declare(self, lineno: int, labels: Sequence[str], target: list[str], kind: str):
+    def _declare(self, lineno: int, labels: Sequence[tuple[str, int]], target: list[str], kind: str):
         if not labels:
             raise self.error(lineno, f"empty {kind} declaration")
-        for label in labels:
+        for label, at in labels:
             if not _LABEL_RE.match(label):
-                raise self.error(lineno, f"invalid {kind} label: {label}", label)
+                raise self.error(lineno, f"invalid {kind} label: {label}", label, at)
             if label in self.paths or label in self.sinks or label in self.levels:
-                raise self.error(lineno, f"duplicate label: {label}", label)
+                raise self.error(lineno, f"duplicate label: {label}", label, at)
             target.append(label)
 
 
@@ -656,14 +663,12 @@ class CompiledCircuit:
     @cached_property
     def _plus_cells(self) -> np.ndarray:
         """Cells of the (photon mode, level) matrix that carry m+ amplitude:
-        the m+ column and, in the g column, each interaction's S+ row."""
+        the m+ column and, in the g column, each interaction's S+ row: every
+        other sink row, as the compiler lists the sinks in (S+, S-) pairs."""
         layout = self.layout
         cells = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=bool)
         cells[:, layout.level_index("m+")] = True
-        ground = layout.level_index("g")
-        for el in self.elements:
-            if isinstance(el, AtomInteraction):
-                cells[layout.photon_index(el.sink_plus), ground] = True
+        cells[2 * len(layout.paths) :: 2, layout.level_index("g")] = True
         return cells
 
     def _level_response(self, present: bool, mask: frozenset[str]) -> np.ndarray:
@@ -682,8 +687,10 @@ class CompiledCircuit:
         return response
 
 
-# Unrolled program size beyond which a circuit is rejected, not built: about
-# 200 bytes an element, and the chain at N = 10^5 is 900,000 elements.
+# Unrolled program size beyond which a circuit is rejected, not built.  The
+# copies of a repeat body share its elements, so the cost is mostly a list
+# slot per element and each interaction's own sink pair: mz.nqi at N = 10^5
+# (900,000 elements, 200,000 interactions) holds 58 MB once compiled.
 _MAX_ELEMENTS = 1_000_000
 
 
@@ -693,13 +700,10 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     for let in ast.lets:
         env[let.name] = eval_expr(let.expr, env, let.line)
 
-    base_plus, base_minus = ast.sinks
-    sinks: list[str] = []
-    elements: list[Element] = []
-    event = 0
-
-    def emit(stmts: Iterable[Stmt]) -> None:
-        nonlocal event
+    def emit(stmts: Iterable[Stmt], before: int) -> list[Element]:
+        """Elements of ``stmts``, which follow ``before`` emitted elements;
+        interactions get their sink pairs once the program is unrolled."""
+        elements: list[Element] = []
         for stmt in stmts:
             if isinstance(stmt, BsStmt):
                 t = eval_expr(stmt.t_expr, env, stmt.line)
@@ -723,17 +727,7 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
             elif isinstance(stmt, PhaseStmt):
                 elements.append(PhaseShift(stmt.path, eval_expr(stmt.phi_expr, env, stmt.line)))
             elif isinstance(stmt, AtomStmt):
-                sp, sm = sink_pair_labels(event, base_plus, base_minus)
-                event += 1
-                sinks.extend([sp, sm])
-                elements.append(
-                    AtomInteraction(
-                        stmt.path,
-                        frozenset(stmt.transparent),
-                        sink_plus=sp,
-                        sink_minus=sm,
-                    )
-                )
+                elements.append(AtomInteraction(stmt.path, frozenset(stmt.transparent)))
             elif isinstance(stmt, RelabelStmt):
                 elements.append(Relabel(stmt.src, stmt.dst))
             elif isinstance(stmt, RepeatStmt):
@@ -745,22 +739,25 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
                         stmt.line, f"repeat count must be a positive integer, got {count!r}"
                     )
                 count = int(round(count))
-                start = len(elements)
-                emit(stmt.body)
-                body_size = len(elements) - start
-                if start + count * body_size > _MAX_ELEMENTS:
+                body = emit(stmt.body, before + len(elements))
+                if count * len(body) > _MAX_ELEMENTS - before - len(elements):
                     raise CompileError(
                         stmt.line, f"repeat unrolls to more than {_MAX_ELEMENTS} elements"
                     )
-                for _ in range(count - 1 if body_size else 0):
-                    emit(stmt.body)
+                if body:  # an empty list cannot be tiled past the index range
+                    elements.extend(body * count)
             else:
                 raise CompileError(getattr(stmt, "line", 0), f"unknown statement: {stmt!r}")
+        return elements
 
-    emit(ast.statements)
-
-    if not sinks:
-        sinks = [base_plus, base_minus]
+    elements = emit(ast.statements, 0)
+    # The k-th interaction in program order scatters into the k-th sink pair.
+    pairs: list[tuple[str, str]] = []
+    for i, el in enumerate(elements):
+        if isinstance(el, AtomInteraction):
+            pairs.append(sink_pair_labels(len(pairs), *ast.sinks))
+            elements[i] = AtomInteraction(el.path, el.transparency_mask, *pairs[-1])
+    sinks = [label for pair in pairs for label in pair] or ast.sinks
     layout = make_layout(ast.paths, sinks, ast.atom_levels)
     # A port's label takes the port's path block; ``sinks`` takes every row
     # after the path blocks.  Ports are visited in row order.

@@ -65,7 +65,10 @@ class PolRotator:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
+        # A read-only copy: compiled circuits share one rotator across the
+        # copies of a repeat body, and the caller's matrix stays its own.
+        u = np.array(self.u, dtype=complex)
+        u.flags.writeable = False
         if u.shape != (2, 2):
             raise ValueError("polarization rotator must be a 2x2 matrix")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))

@@ -1,5 +1,6 @@
 """Circuit language: parser, canonical printer, compiler, golden circuits."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -198,6 +199,33 @@ class TestParser:
         assert exc.value.token == "a=win"
         assert exc.value.column == len("classify ") + 1
 
+    @pytest.mark.parametrize(
+        "statement,line,column,message",
+        [
+            # The second ``a``, not the one inside ``classify``.
+            ("classify a=failure a=success b=failure p=failure sinks=absorbed", 6, 20,
+             "duplicate classify port: a"),
+            # The path, not the ``r`` inside ``mirror``.
+            ("mirror r", 5, 8, "undeclared path: r"),
+            # The third ``p``: expression offsets count from the raw line.
+            ("phase p p p", 5, 11, "trailing tokens in expression"),
+            # Indentation counts: bodies of bundled repeats are indented.
+            ("repeat 2 {\n    bs a b t=0.6 r=0.8$\n}", 6, 23,
+             "unexpected character in expression: '$'"),
+        ],
+    )
+    def test_errors_are_located_at_the_token(self, statement, line, column, message):
+        src = MINIMAL.replace("paths a", "paths a b p").replace(
+            "classify a=failure", "classify a=failure b=failure p=failure"
+        )
+        if statement.startswith("classify"):
+            src = "\n".join(src.splitlines()[:-1] + [statement]) + "\n"
+        else:
+            src = src.replace("atom a", statement)
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
     def test_atom_levels_must_name_the_atom_roles(self):
         # The atom interaction and AtomSpec act on m+, m- and g by name.
         src = MINIMAL.replace("atom-levels m+ m- g", "atom-levels up down g")
@@ -309,6 +337,84 @@ class TestCompiler:
             assert exc.value.line == line
         empty = parse(MINIMAL.replace("atom a", "repeat pi/sin(pi) {\n}\natom a"))
         assert len(compile_circuit(empty).elements) == 1
+        # An empty body compiles to nothing even past the index range.
+        beyond = parse(MINIMAL.replace("atom a", "repeat 100000000000000000000 {\n}\nmirror a"))
+        assert compile_circuit(beyond).elements == (Mirror("a"),)
+        # The bound holds for the whole program: siblings that fit alone
+        # fail together, on the repeat that crosses it.
+        siblings = "repeat 500001 {\nmirror a\n}\nrepeat 500000 {\nmirror a\n}"
+        with pytest.raises(CompileError, match="more than 1000000 elements") as exc:
+            compile_circuit(parse(MINIMAL.replace("atom a", siblings)))
+        assert exc.value.line == 8
+
+    def test_repeat_body_compiles_once(self, monkeypatch):
+        # A body has no loop index: its expressions are evaluated once
+        # whatever the count, and the copies share their elements.
+        ast = parse(load_golden("mz"))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_expr(*args)
+
+        eval_expr = dsl.eval_expr
+        monkeypatch.setattr(dsl, "eval_expr", counted)
+        counts = []
+        for n in (2, 64):
+            calls.clear()
+            circuit = compile_circuit(ast, {"N": n})
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        stage = len(circuit.elements) // 64
+        assert isinstance(circuit.elements[0], BeamSplitter)
+        assert circuit.elements[stage] is circuit.elements[0]
+
+    def test_repeats_compile_as_written_out(self):
+        # Tiling a compiled body must equal compiling every iteration: the
+        # same elements, layout, exit rows and sink pairs in program order.
+        def written_out(ast, bindings):
+            env = dict(bindings)
+            for let in ast.lets:
+                env[let.name] = dsl.eval_expr(let.expr, env, let.line)
+
+            def expand(stmts):
+                out = []
+                for stmt in stmts:
+                    if isinstance(stmt, dsl.RepeatStmt):
+                        count = round(dsl.eval_expr(stmt.count_expr, env, stmt.line))
+                        out.extend(expand(stmt.body) * count)
+                    else:
+                        out.append(stmt)
+                return out
+
+            return dataclasses.replace(ast, statements=tuple(expand(ast.statements)))
+
+        bindings = {"N": 3, "K": 2, "T": 0.6, "R": 0.8, "TP": 0.6, "RP": 0.8}
+        sources = [load_golden(name) for name in dsl.golden_names()]
+        nested = [
+            "repeat 2 {\n  atom a\n  repeat 3 {\n    mirror b\n    atom b transparent: m+\n"
+            "  }\n  bs a b t=0.6 r=0.8\n}\natom a",
+            "repeat 3 {\n  repeat 2 {\n    repeat 2 {\n      atom a\n"
+            "      rot b matrix(0, 1, 1, 0)\n    }\n    phase a pi/3\n  }\n}",
+            "repeat 2 {\n}\nrepeat 2 {\n  repeat 2 {\n  }\n  atom b\n}",
+            "atom a\nrepeat N {\n  relabel a -> b\n  atom b transparent: m- g\n"
+            "  relabel b -> a\n}\natom a",
+        ]
+        two_paths = MINIMAL.replace("paths a", "paths a b").replace(
+            "classify a=failure", "classify a=failure b=success"
+        )
+        sources += [two_paths.replace("atom a", body) for body in nested]
+        for src in sources:
+            ast = parse(src)
+            tiled = compile_circuit(ast, bindings)
+            unrolled = compile_circuit(written_out(ast, bindings), bindings)
+            assert tiled.elements == unrolled.elements, src
+            assert tiled.layout == unrolled.layout, src
+            assert {k: v.tolist() for k, v in tiled.branches.items()} == {
+                k: v.tolist() for k, v in unrolled.branches.items()
+            }, src
+            atoms = [el.sink_plus for el in tiled.elements if isinstance(el, AtomInteraction)]
+            assert atoms == list(tiled.layout.sinks[::2][: len(atoms)]), src
 
     def test_non_unitary_rot_cites_line(self):
         # The second matrix is off by 8e-6 in u^dag u: well inside numpy's

@@ -129,6 +129,16 @@ class TestPolRotator:
         with pytest.raises(ValueError, match="2x2"):
             PolRotator("a", np.eye(3))
 
+    def test_matrix_is_a_read_only_copy(self):
+        # Compiled circuits share a rotator across repeat copies, and every
+        # ``rot flip`` starts from the module constant.
+        flip = PolRotator("a", POL_FLIP)
+        assert flip.u is not POL_FLIP
+        with pytest.raises(ValueError, match="read-only"):
+            flip.u[0, 0] = 5.0
+        assert np.array_equal(POL_FLIP, [[0, 1], [1, 0]])
+        assert flip == PolRotator("a", POL_FLIP)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-np.pi, max_value=np.pi), st.integers(0, 2**32 - 1))
     def test_norm_preserved(self, angle, seed):
