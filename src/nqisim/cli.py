@@ -258,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--r-prime", type=float, default=None)
     p.add_argument("--t-prime", type=float, default=None)
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument(
+        "--eps", type=float, default=1e-12,
+        help="report as round_trips the first trip count that leaves less than this "
+        "probability inside; the result itself is exact at any eps",
+    )
     _add_atom_args(p)
     _add_output_args(p)
     p.set_defaults(func=cmd_fp)

@@ -151,7 +151,8 @@ class _ExprParser:
         if self.i < len(self.tokens):
             _, tok, start = self.tokens[self.i]
             return ParseError(self.line, self.col_offset + start + 1, message, tok)
-        return ParseError(self.line, self.col_offset + len(self.text), message)
+        # At the end of the expression: one past its last non-blank character.
+        return ParseError(self.line, self.col_offset + len(self.text.rstrip()) + 1, message)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -661,7 +662,7 @@ class CompiledCircuit:
     )
 
     @cached_property
-    def _plus_cells(self) -> np.ndarray:
+    def plus_cells(self) -> np.ndarray:
         """Cells of the (photon mode, level) matrix that carry m+ amplitude:
         the m+ column and, in the g column, each interaction's S+ row: every
         other sink row, as the compiler lists the sinks in (S+, S-) pairs."""
@@ -794,7 +795,7 @@ def run_compiled(
     """
     layout = circuit.layout
     response = circuit._level_response(atom.present, atom.transparency_mask)
-    amps = response * np.where(circuit._plus_cells, atom.alpha, atom.beta)
+    amps = response * np.where(circuit.plus_cells, atom.alpha, atom.beta)
     return assemble_outcome(
         JointState(layout, amps.reshape(-1)),
         circuit.branches,

@@ -21,8 +21,9 @@ mask and builds each atom's final state from that level response: the
 m+ and m- columns evolve apart, and each interaction's S+ sink row holds
 only m+ amplitude and its S- row only m- amplitude, so alpha and beta
 scale disjoint cells.  A sweep over atoms therefore costs one
-propagation per chain length; the cavity iterates ``run_sequence``
-itself.
+propagation per chain length.  The cavity propagates one round trip
+from each of the four rows it carries between trips and sums every trip
+in closed form.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -35,9 +36,10 @@ success probability [cos^2(pi/2N)]^N.
 Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip starting
 at the entry mirror, which reflects the incoming photon out (i r) and the
 intracavity beam back in.  The cavity runner compiles the circuit at
-K = 1 and applies that round trip until the intracavity amplitude is
-spent, so ``details["round_trips"]`` is the K at which the compiled
-``fp.nqi`` reproduces the run.
+K = 1 and solves for the sum of all round trips, B (I - T)^-1 x0 per atom
+level, the geometric series behind the paper's i r and t t' beta; its
+``details["round_trips"]`` is the K at which the compiled ``fp.nqi``
+leaves less than ``eps`` inside and so reproduces the run.
 """
 
 from __future__ import annotations
@@ -60,10 +62,7 @@ from .state import (
     assemble_outcome,
     initial_state,
 )
-from .tolerances import NORM_TOL, PROB_TOL
-
-# Round trips after which a cavity run is taken not to converge.
-_FP_MAX_TRIPS = 1_000_000
+from .tolerances import NORM_TOL
 
 
 def haar_random_atoms(n: int, seed: int) -> list[AtomSpec]:
@@ -179,7 +178,44 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 # ---------------------------------------------------------------------------
 # Fabry-Perot cavity
 
-_FP_EXITS = ("refl", "trans")
+# The paths populated at a round-trip boundary: a trip empties ``tport``
+# into ``trans`` and ends with ``bwd`` swapped back into ``fwd``.
+_FP_CARRIED = ("in", "fwd")
+
+# Powers T^(2^j) tried before a cavity is taken never to empty.  A
+# spectral radius that floating point tells apart from 1 has decayed
+# below every positive eps long before T^(2^64).
+_FP_MAX_DOUBLINGS = 64
+
+
+def _fp_round_trips(maps: np.ndarray, starts: np.ndarray, eps: float) -> int:
+    """The first K at which sum_l |T_l^K x0_l|^2 falls below ``eps``, for
+    the trip maps T_l stacked in ``maps`` and the columns x0_l in
+    ``starts``.
+
+    Each T_l is a contraction, so that carried probability never rises
+    from one trip to the next: K is bracketed by the powers T^(2^j), found
+    by repeated squaring, and then bisected.  A probability that is NaN
+    has not fallen below ``eps``.
+    """
+
+    def emptied(vectors: np.ndarray) -> bool:
+        return float(np.vdot(vectors, vectors).real) < eps
+
+    if emptied(starts):
+        return 0
+    powers = [maps]
+    while not emptied(powers[-1] @ starts):
+        if len(powers) > _FP_MAX_DOUBLINGS:
+            raise ConservationError(f"the cavity does not empty below eps = {eps!r}")
+        powers.append(powers[-1] @ powers[-1])
+    # At step j, ``trips`` leave eps or more inside and trips + 2^(j+1) less.
+    trips, vectors = 0, starts
+    for j in reversed(range(len(powers) - 1)):
+        trial = powers[j] @ vectors
+        if not emptied(trial):
+            trips, vectors = trips + 2**j, trial
+    return trips + 1
 
 
 def run_fabry_perot(
@@ -190,11 +226,25 @@ def run_fabry_perot(
     atom: AtomSpec,
     eps: float = 1e-12,
 ) -> ProtocolOutcome:
-    """Iterate cavity round trips until the intracavity amplitude is spent.
+    """Sum every cavity round trip at once.
 
     The photon enters linearly (x) polarized; its polarization is rotated
     x -> + -> y -> - -> x around each round trip, with the atom sitting
     mid-cavity between the two rotations of each half.
+
+    One round trip of ``fp.nqi`` (compiled at K = 1) is linear, only adds
+    to the exit rows (``refl``, ``trans`` and the sinks), and leaves
+    amplitude only on the four rows of ``in`` and ``fwd``.  Each of those
+    rows is pushed through the trip once, at m+ and m- together, since the
+    levels never mix.  Per level l that response holds the 4x4 carried
+    map T_l and the out-coupling B_l, which covers ``refl``, ``trans`` and
+    the level's sink rows at g (``CompiledCircuit.plus_cells``).  Every
+    trip together sends B_l (I - T_l)^-1 x0_l out of the cavity: the exact
+    final state, with nothing left inside.
+
+    ``eps`` only sets ``details["round_trips"]``: the first K at which the
+    carried probability sum_l |T_l^K x0_l|^2 falls below ``eps``, so the
+    compiled ``fp.nqi`` at that K reproduces the run to within it.
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if not abs(tt**2 + rr**2 - 1.0) <= NORM_TOL:
@@ -205,32 +255,41 @@ def run_fabry_perot(
         _golden("fp"), {"T": t, "R": r, "TP": t_prime, "RP": r_prime, "K": 1}
     )
     layout = circuit.layout
-    state = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
-
     blocks = layout.path_block
-    intracavity = np.r_[tuple(blocks[p] for p in layout.paths if p not in _FP_EXITS)]
-    trips = 0
-    while _probability(state, intracavity) >= eps:
-        if trips >= _FP_MAX_TRIPS:
-            raise RuntimeError("Fabry-Perot iteration failed to converge")
-        state = run_sequence(
+    carried = np.r_[tuple(blocks[p] for p in _FP_CARRIED)]
+    levels = [layout.level_index(level) for level in ("m+", "m-")]
+
+    def trip(row: int) -> np.ndarray:
+        probe = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=complex)
+        probe[row, levels] = 1.0
+        out = run_sequence(
             layout,
             circuit.elements,
-            state,
+            JointState(layout, probe.reshape(-1)),
             atom_present=atom.present,
             mask_override=atom.transparency_mask,
         )
-        trips += 1
+        return out.matrix()
 
+    # response[..., j] is one trip's output for carried row j; maps[l] is
+    # T_l and starts[l] is x0_l as a column.
+    response = np.stack([trip(row) for row in carried], axis=-1)
+    maps = response[carried][:, levels].transpose(1, 0, 2)
+    initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom).matrix()
+    starts = initial[carried][:, levels].T[..., None]
+    totals = np.linalg.solve(np.eye(len(carried)) - maps, starts)
+    # Each level's cells take B_l times its total; the carried rows,
+    # which would hold T_l times it, are empty once every trip is done.
+    summed = response @ totals[..., 0].T
+    final = np.where(circuit.plus_cells, summed[..., 0], summed[..., 1])
+    final[carried] = 0.0
+
+    state = JointState(layout, final.reshape(-1))
     details = {
-        "round_trips": trips,
         "reflected": _probability(state, blocks["refl"]),
         "transmitted": _probability(state, blocks["trans"]),
-        "residual": _probability(state, intracavity),
     }
-    # Truncation stops the coherent accumulation of out-coupled beams one
-    # amplitude tail short, so the norm deficit scales like sqrt(eps).
-    slack = max(PROB_TOL, 8.0 * math.sqrt(eps) / max(1e-6, 1.0 - r * r_prime))
-    return assemble_outcome(
-        state, circuit.branches, atom.level_vector(layout), details=details, prob_tol=slack
-    )
+    # Conservation first: a cavity whose trips never empty it fails there.
+    out = assemble_outcome(state, circuit.branches, atom.level_vector(layout), details=details)
+    out.details["round_trips"] = _fp_round_trips(maps, starts, eps)
+    return out

@@ -99,6 +99,16 @@ class TestFp:
         assert float(row["transmitted"]) == pytest.approx(1.0, abs=1e-9)
         assert row["alpha"] == ""
 
+    def test_default_eps_leaves_nothing_inside(self, capsys):
+        # eps sets only the round-trip count: at the default 1e-12 the
+        # cavity still empties completely into the transmitted port.
+        code, out, _ = run_cli(capsys, "fp", "--r", "0.9", "--no-atom")
+        assert code == 0
+        row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
+        assert row["transmitted"] == "1"
+        assert row["exit_polarization"] == "y"
+        assert row["round_trips"] == "63"
+
     @pytest.mark.parametrize(
         "argv,message",
         [

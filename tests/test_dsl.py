@@ -209,6 +209,10 @@ class TestParser:
             ("mirror r", 5, 8, "undeclared path: r"),
             # The third ``p``: expression offsets count from the raw line.
             ("phase p p p", 5, 11, "trailing tokens in expression"),
+            # At the end of an expression: one past its last character.
+            ("phase a (1", 5, 11, "unbalanced parentheses"),
+            ("phase a 1 +", 5, 12, "expected a number, name, or parenthesized expression"),
+            ("phase a sin", 5, 12, "sin needs an argument in parentheses"),
             # Indentation counts: bodies of bundled repeats are indented.
             ("repeat 2 {\n    bs a b t=0.6 r=0.8$\n}", 6, 23,
              "unexpected character in expression: '$'"),

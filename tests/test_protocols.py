@@ -1,10 +1,12 @@
 """Protocol runners against closed forms and independent oracles."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nqisim import dsl, protocols
@@ -23,6 +25,7 @@ from nqisim.protocols import (
 )
 from nqisim.elements import run_sequence
 from nqisim.state import JointState
+from nqisim.tolerances import PROB_TOL
 
 
 def atoms_strategy():
@@ -252,11 +255,122 @@ class TestFabryPerot:
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_eps_must_be_positive_and_finite(self, eps):
-        # eps = 0 would run a million round trips before giving up;
-        # eps = nan would stop after none.
+        # No carried probability ever falls below eps = 0; every one
+        # fails to fall below eps = nan.
         t = math.sqrt(1 - 0.9 * 0.9)
         with pytest.raises(ValueError, match="eps must be positive"):
             run_fabry_perot(0.9, t, 0.9, t, AtomSpec(), eps=eps)
+
+    @pytest.mark.parametrize(
+        "r,trips", [(0.3, 11), (0.7, 36), (0.9, 117), (0.95, 237), (0.99, 1164), (0.999, 11106)]
+    )
+    def test_empty_cavity_round_trips(self, r, trips):
+        # [PINNED] the trip-by-trip runner's counts at eps = 1e-22.
+        t = math.sqrt(1 - r * r)
+        out = run_fabry_perot(r, t, r, t, AtomSpec(present=False), eps=1e-22)
+        assert out.details["round_trips"] == trips
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(min_value=0.2, max_value=0.99),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["absent", "unmasked", "m+", "m-"]),
+    )
+    @example(0.99, 1, "absent")
+    @example(0.99, 2, "unmasked")
+    @example(0.99, 3, "m+")
+    @example(0.99, 4, "m-")
+    def test_solve_matches_unrolled_circuit(self, r, seed, kind):
+        # [DERIVED] oracle: fp.nqi unrolled at K = round_trips, one fresh
+        # sink pair per atom pass, propagated element by element.  It
+        # stops with less than eps inside, so its exits miss an amplitude
+        # tail of order sqrt(eps) / (1 - r r').  At eps = 1e-22 that tail
+        # moves its transmission by 1.4e-10 at r = 0.99; 1e-24 keeps it
+        # within the 1e-10 probability check.
+        eps = 1e-24
+        truncation = 8.0 * math.sqrt(eps) / (1.0 - r * r)
+        atom = haar_random_atoms(1, seed=seed)[0]
+        if kind == "absent":
+            atom = dataclasses.replace(atom, present=False)
+        elif kind != "unmasked":
+            atom = dataclasses.replace(atom, transparency_mask=frozenset({kind}))
+        t = math.sqrt(1 - r * r)
+        out = run_fabry_perot(r, t, r, t, atom, eps=eps)
+        circuit = dsl.compile_circuit(
+            dsl.parse(dsl.load_golden("fp")),
+            {"T": t, "R": r, "TP": t, "RP": r, "K": out.details["round_trips"]},
+        )
+        ref = dsl.run_compiled(circuit, atom, prob_tol=truncation)
+
+        layout, ref_layout = out.final_state.layout, ref.final_state.layout
+        exits = [(p, pol) for p in ("refl", "trans") for pol in layout.polarizations]
+        # The solve's sinks are the first trip's pairs of the unrolled circuit.
+        for mode in exits + list(layout.sinks):
+            got = out.final_state.matrix()[layout.photon_index(mode)]
+            want = ref.final_state.matrix()[ref_layout.photon_index(mode)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=truncation)
+        # Every later trip scatters nothing, so summing the trips into one
+        # sink pair per interaction merges nothing that fresh pairs keep apart.
+        later = [ref_layout.photon_index(s) for s in ref_layout.sinks[len(layout.sinks) :]]
+        assert np.max(np.abs(ref.final_state.matrix()[later]), initial=0.0) <= 1e-12
+        for name in ("success_prob", "failure_prob", "absorbed_prob"):
+            assert getattr(out, name) == pytest.approx(getattr(ref, name), abs=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.05, max_value=0.99),
+        st.floats(min_value=1e-30, max_value=1e-2),
+    )
+    def test_round_trips_match_a_trip_loop(self, seed, radius, eps):
+        # [DERIVED] reference: apply the trip maps one trip at a time.
+        rng = np.random.default_rng(seed)
+        maps = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        maps *= radius / np.linalg.norm(maps, ord=2, axis=(1, 2))[:, None, None]
+        starts = rng.standard_normal((2, 4, 1)) + 1j * rng.standard_normal((2, 4, 1))
+        starts /= np.linalg.norm(starts)
+        trips, vectors = 0, starts
+        while np.vdot(vectors, vectors).real >= eps:
+            trips, vectors = trips + 1, maps @ vectors
+        assert protocols._fp_round_trips(maps, starts, eps) == trips
+
+    @pytest.mark.parametrize("fill", [1.0, math.nan])
+    def test_a_cavity_that_never_empties_is_refused(self, fill):
+        # T = I keeps the photon inside for ever, and NaN never falls
+        # below eps: the search stops at T^(2^64) instead of squaring on.
+        maps = np.where(np.eye(4), fill, 0.0)[None].astype(complex)
+        starts = np.full((1, 4, 1), 0.5, dtype=complex)
+        with pytest.raises(ConservationError, match="does not empty"):
+            protocols._fp_round_trips(maps, starts, 1e-22)
+
+    @pytest.mark.parametrize(
+        "atom", [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
+    )
+    def test_high_finesse_conserves_without_iterating(self, atom):
+        # Trip by trip, r = 0.99999 takes 995,923 round trips.
+        r = 0.99999
+        t = math.sqrt(1 - r * r)
+        start = time.perf_counter()
+        out = run_fabry_perot(r, t, r, t, atom, eps=1e-22)
+        assert time.perf_counter() - start < 1.0
+        total = out.success_prob + out.failure_prob + out.absorbed_prob
+        assert total == pytest.approx(1.0, abs=PROB_TOL)
+        if not atom.present:
+            assert out.details["round_trips"] == 995_923
+
+    @pytest.mark.parametrize(
+        "atom", [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
+    )
+    def test_float_mirrors_beyond_the_tolerance_are_refused(self, atom):
+        # t = sqrt(1 - r^2) leaves t^2 + r^2 off 1 by roundoff, which the
+        # cavity amplifies by 1 / (1 - r r'): at r = 0.999999 the branch
+        # sum is 4e-10 short of 1.
+        r = 0.999999
+        t = math.sqrt(1 - r * r)
+        start = time.perf_counter()
+        with pytest.raises(ConservationError):
+            run_fabry_perot(r, t, r, t, atom, eps=1e-22)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOutcomeAssembly:
