@@ -30,9 +30,9 @@ from .protocols import (
     AtomSpec,
     ConservationError,
     ProtocolOutcome,
-    build_mz,
     haar_random_atoms,
     initial_state,
+    mz_circuit,
     mz_closed_form,
     run_direct,
     run_fabry_perot,
@@ -182,10 +182,9 @@ def cmd_nogo_check(args) -> None:
                 raise SystemExit2(f"unknown atom levels in mask: {sorted(unknown)}")
             masks.append(levels)
     samples = haar_random_atoms(args.atoms, seed=args.seed)
-    layout, elements, _ = build_mz(args.stages)
-    # The chain's input: a |+> photon on the lower port, as in mz.nqi.
-    factory = functools.partial(initial_state, layout, "l", "+")
-    results = transparency_nogo_scan(layout, elements, factory, masks, samples)
+    circuit = mz_circuit(args.stages)
+    factory = functools.partial(initial_state, circuit.layout, circuit.input_path, circuit.input_pol)
+    results = transparency_nogo_scan(circuit.layout, circuit.elements, factory, masks, samples)
     rows = []
     for row in results:
         rows.append(

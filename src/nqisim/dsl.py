@@ -656,8 +656,8 @@ class CompiledCircuit:
     branches: dict[str, np.ndarray] = field(compare=False)
     input_path: str
     input_pol: str
-    # Level responses by (atom present, transparency mask); see run_compiled.
-    _responses: dict[tuple[bool, frozenset[str]], np.ndarray] = field(
+    # Level responses by transparency mask; see run_compiled.
+    _responses: dict[frozenset[str], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -672,19 +672,23 @@ class CompiledCircuit:
         cells[2 * len(layout.paths) :: 2, layout.level_index("g")] = True
         return cells
 
-    def _level_response(self, present: bool, mask: frozenset[str]) -> np.ndarray:
-        """Final (photon mode, level) matrix for the atom (1, 1), propagated
-        once per key and kept, read-only."""
-        key = (present, mask) if present else (False, frozenset())
-        response = self._responses.get(key)
+    def level_response(self, mask: frozenset[str]) -> np.ndarray:
+        """Final (photon mode, level) matrix for the input photon times the
+        atom m+ = m- = 1, propagated once per transparency mask and kept,
+        read-only.  An absent atom has the mask ``state.ABSENT_MASK``."""
+        response = self._responses.get(mask)
         if response is None:
-            initial = initial_state(self.layout, self.input_path, self.input_pol, AtomSpec())
+            layout = self.layout
+            # The atom (1, 0) with its m+ column copied into m-: exact.
+            initial = initial_state(layout, self.input_path, self.input_pol, AtomSpec(1, 0))
+            amps = initial.matrix().copy()
+            amps[:, layout.level_index("m-")] = amps[:, layout.level_index("m+")]
             final = run_sequence(
-                self.layout, self.elements, initial, atom_present=present, mask_override=mask
+                layout, self.elements, JointState(layout, amps.reshape(-1)), mask_override=mask
             )
-            response = final.matrix() * math.sqrt(2.0)
+            response = final.matrix()
             response.flags.writeable = False
-            self._responses[key] = response
+            self._responses[mask] = response
         return response
 
 
@@ -787,14 +791,15 @@ def run_compiled(
     elements never mix levels, and an interaction moves the ``(+, m+)``
     amplitude only into its S+ row at g and ``(-, m-)`` only into its S-
     row.  So the final state is the circuit's level response -- one
-    propagation of the atom (1, 1) per circuit, presence and mask -- with
-    every m+ cell scaled by alpha and every m- cell by beta.  The sink
-    rows of the g column split by level the same way, which is why one
-    response and one cell mask serve every atom.  Conservation, fidelity
-    and the exit label are then checked on each atom's own final state.
+    propagation of the atom (1, 1) per circuit and transparency mask, an
+    absent atom being masked at m+ and m- -- with every m+ cell scaled by
+    alpha and every m- cell by beta.  The sink rows of the g column split
+    by level the same way, which is why one response and one cell mask
+    serve every atom.  Conservation, fidelity and the exit label are then
+    checked on each atom's own final state.
     """
     layout = circuit.layout
-    response = circuit._level_response(atom.present, atom.transparency_mask)
+    response = circuit.level_response(atom.transparency_mask)
     amps = response * np.where(circuit.plus_cells, atom.alpha, atom.beta)
     return assemble_outcome(
         JointState(layout, amps.reshape(-1)),

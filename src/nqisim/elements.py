@@ -18,10 +18,10 @@ mixes two blocks, a relabel adds one block into another.  The atom
 interaction reads the block's first row (``+``) at m+ and its second
 row (``-``) at m-.
 
-``run_sequence`` is the one propagation loop: every runner, the circuit
-executor and the witness scan apply their element lists through it.  It
-is pure (it returns a new state); the underscore in-place kernels work on
-the loop's own buffer.
+``run_sequence`` is the one propagation loop, behind every runner's
+``CompiledCircuit.level_response`` and the witness scan.  It is pure (it
+returns a new state); the underscore in-place kernels work on the loop's
+own buffer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import ATOM_LEVELS, BasisLayout, JointState
+from .state import ABSENT_MASK, ATOM_LEVELS, BasisLayout, JointState
 from .tolerances import NORM_TOL
 
 
@@ -205,20 +205,20 @@ def run_sequence(
     elements: Iterable[Element],
     initial: JointState,
     *,
-    atom_present: bool = True,
     mask_override: frozenset[str] = frozenset(),
 ) -> JointState:
     """Apply an element sequence to a copy of ``initial``.
 
-    With ``atom_present`` false every atom interaction is skipped.  Levels
-    in ``mask_override`` are transparent in every atom interaction, in
-    addition to the interaction's own mask.
+    Levels in ``mask_override`` are transparent in every atom interaction,
+    in addition to the interaction's own mask; with ``ABSENT_MASK`` among
+    them the atom is absent and every interaction is skipped.
     """
     amps = initial.amplitudes.copy()
     mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
+    interacts = not ABSENT_MASK <= mask_override
     for el in elements:
         if isinstance(el, AtomInteraction):
-            if atom_present:
+            if interacts:
                 _atom_inplace(mat, layout, el, mask_override)
         else:
             _KERNELS[type(el)](mat, layout, el)

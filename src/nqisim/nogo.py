@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elements import Element, run_sequence
-from .state import AtomSpec, BasisLayout, JointState, condition_on_probe, product_factors
+from .state import ABSENT_MASK, AtomSpec, BasisLayout, JointState
+from .state import condition_on_probe, product_factors
 from .tolerances import RANK_TOL
 
 
@@ -68,17 +69,16 @@ def build_final_states(
     initial: JointState,
     transparency_mask: frozenset[str] = frozenset(),
 ) -> FinalStatePair:
-    """Run the element sequence with and without the atom.
+    """Run the element sequence with the atom transparent at
+    ``ABSENT_MASK`` (absent) and at ``transparency_mask``.
 
     The initial state carries the atom superposition; interacted and
     absorbed components stay inside the atom-present final state.
     """
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
-    absent = run_sequence(layout, elements, initial, atom_present=False)
-    present = run_sequence(
-        layout, elements, initial, atom_present=True, mask_override=transparency_mask
-    )
+    absent = run_sequence(layout, elements, initial, mask_override=ABSENT_MASK)
+    present = run_sequence(layout, elements, initial, mask_override=transparency_mask)
     return FinalStatePair(absent=absent, present=present)
 
 
@@ -223,7 +223,7 @@ def transparency_nogo_scan(
 
     ``initial_factory(atom)`` must build the initial joint state for one
     sample on the given layout.  A sample's own transparency mask adds to
-    the scan mask.
+    the scan mask, so an absent sample gets ``Absence``.
     """
     masks = list(masks)
     if not masks:

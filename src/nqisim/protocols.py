@@ -8,21 +8,19 @@ between passes.
 
 Every network is described only by a bundled circuit -- ``direct.nqi``,
 ``twopass.nqi``, ``mz.nqi`` and ``fp.nqi`` -- which the runners compile
-(``dsl``) and propagate through ``elements.run_sequence``, the one
-propagation loop; no element is built here.  Every run starts from
-``state.initial_state`` and ends in ``state.assemble_outcome``, which
+(``dsl``) once per binding and run through its level response
+(``CompiledCircuit.level_response``); no element is built and nothing is
+propagated here.  Every run ends in ``state.assemble_outcome``, which
 scores the final state by the exit rows the circuit's ``classify`` line
 compiles to (``CompiledCircuit.branches``); those names, the atom and
 outcome types, ``POL_STATES`` and ``ATOM_LEVELS`` are re-exported here.
 
-The chain and the two-pass runner go through ``dsl.run_compiled``, which
-propagates a compiled circuit once per atom presence and transparency
-mask and builds each atom's final state from that level response: the
-m+ and m- columns evolve apart, and each interaction's S+ sink row holds
-only m+ amplitude and its S- row only m- amplitude, so alpha and beta
-scale disjoint cells.  A sweep over atoms therefore costs one
-propagation per chain length.  The cavity propagates one round trip
-from each of the four rows it carries between trips and sums every trip
+The level response propagates the input photon times the atom m+ = m-
+= 1 once per transparency mask, an absent atom being masked at both.
+``dsl.run_compiled`` scales its m+ cells by alpha and its m- cells by
+beta (the levels never mix), so a sweep over atoms costs one propagation
+per chain length.  The cavity takes the level responses of one round
+trip re-aimed at each row it carries between trips and sums every trip
 in closed form.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
@@ -44,12 +42,15 @@ leaves less than ``eps`` inside and so reproduces the run.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 
 from .dsl import CircuitAst, CompiledCircuit, compile_circuit, load_golden, parse, run_compiled
+# ``run_sequence`` is not called here; perfbench/tracing.py binds it as
+# ``protocols.run_sequence``.
 from .elements import Element, run_sequence, sink_pair_labels
 from .state import (
     ATOM_LEVELS,
@@ -85,10 +86,14 @@ def _golden(name: str) -> CircuitAst:
     return parse(load_golden(name))
 
 
-@functools.cache
-def _fixed_circuit(name: str) -> CompiledCircuit:
-    """A bundled circuit without parameters, compiled on first use."""
-    return compile_circuit(_golden(name))
+@functools.lru_cache(maxsize=4)
+def _circuit(name: str, **bindings: float) -> CompiledCircuit:
+    """The bundled circuit ``name`` compiled at ``bindings``, kept with its
+    level responses.  Long chains reuse three ``mz`` circuits, a cavity
+    sweep four ``fp`` circuits; a sweep over N misses at any bound, and a
+    larger one multiplies the worst case (``mz`` at N = 10^5 holds 58 MB).
+    """
+    return compile_circuit(_golden(name), bindings)
 
 
 def _probability(state: JointState, rows) -> float:
@@ -104,15 +109,8 @@ def run_direct(polarization: str, atom: AtomSpec) -> JointState:
     """One pass of a photon with the ``POL_STATES`` polarization
     ``polarization`` through the atom of ``direct.nqi``; returns the full
     joint state (no post-selection)."""
-    circuit = _fixed_circuit("direct")
-    layout = circuit.layout
-    return run_sequence(
-        layout,
-        circuit.elements,
-        initial_state(layout, circuit.input_path, polarization, atom),
-        atom_present=atom.present,
-        mask_override=atom.transparency_mask,
-    )
+    circuit = dataclasses.replace(_circuit("direct"), input_pol=polarization)
+    return run_compiled(circuit, atom).final_state
 
 
 def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
@@ -125,7 +123,7 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     S-#2``), from which ``details`` reads the absorption of that pass.  The
     circuit is propagated once per transparency mask and serves every atom.
     """
-    out = run_compiled(_fixed_circuit("twopass"), atom)
+    out = run_compiled(_circuit("twopass"), atom)
     layout = out.final_state.layout
     for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
         rows = [layout.photon_index(sink) for sink in sink_pair_labels(event)]
@@ -138,25 +136,21 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
 
 
 def mz_closed_form(n_stages: int) -> float:
-    """[cos^2(pi/2N)]^N, the success probability of the N-stage chain."""
+    """[cos^2(pi/2N)]^N, the success probability of the N-stage chain, as
+    exp(2N log1p(-2 sin^2(pi/4N))), which keeps full precision at large N."""
     if n_stages < 1:
         raise ValueError("the chain needs at least one stage")
-    return math.cos(math.pi / (2 * n_stages)) ** (2 * n_stages)
+    return math.exp(2 * n_stages * math.log1p(-2 * math.sin(math.pi / (4 * n_stages)) ** 2))
 
 
-@functools.lru_cache(maxsize=4)
-def _mz_circuit(n_stages: int) -> CompiledCircuit:
-    """``mz.nqi`` compiled at N = n_stages.
-
-    Sweeps loop over atoms inside a loop over N, so the last few chains,
-    each with its level responses, are enough to keep.  Every atom
-    interaction gets a fresh sink pair: scattered photons from different
-    stages are distinguishable, and merging them coherently would break
-    probability conservation from N=3 on.
+def mz_circuit(n_stages: int) -> CompiledCircuit:
+    """``mz.nqi`` compiled at N = n_stages.  Every atom interaction gets a
+    fresh sink pair: scattered photons from different stages are
+    distinguishable, and merging them would break conservation from N=3 on.
     """
     if n_stages < 1:
         raise ValueError("the chain needs at least one stage")
-    return compile_circuit(_golden("mz"), {"N": n_stages})
+    return _circuit("mz", N=n_stages)
 
 
 def build_mz(
@@ -164,13 +158,13 @@ def build_mz(
 ) -> tuple[BasisLayout, tuple[Element, ...], dict[str, np.ndarray]]:
     """Layout, element sequence and exit rows (``CompiledCircuit.branches``)
     of the N-stage chain."""
-    circuit = _mz_circuit(n_stages)
+    circuit = mz_circuit(n_stages)
     return circuit.layout, circuit.elements, circuit.branches
 
 
 def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
     """Simulate the N-stage chain for a |+> photon entering the lower port."""
-    out = run_compiled(_mz_circuit(n_stages), atom)
+    out = run_compiled(mz_circuit(n_stages), atom)
     out.details["n_stages"] = n_stages
     return out
 
@@ -234,13 +228,14 @@ def run_fabry_perot(
 
     One round trip of ``fp.nqi`` (compiled at K = 1) is linear, only adds
     to the exit rows (``refl``, ``trans`` and the sinks), and leaves
-    amplitude only on the four rows of ``in`` and ``fwd``.  Each of those
-    rows is pushed through the trip once, at m+ and m- together, since the
-    levels never mix.  Per level l that response holds the 4x4 carried
+    amplitude only on the four rows of ``in`` and ``fwd``.  Its level
+    responses re-aimed at those rows hold, per level l, the 4x4 carried
     map T_l and the out-coupling B_l, which covers ``refl``, ``trans`` and
     the level's sink rows at g (``CompiledCircuit.plus_cells``).  Every
     trip together sends B_l (I - T_l)^-1 x0_l out of the cavity: the exact
-    final state, with nothing left inside.
+    final state, with nothing left inside.  The sum amplifies float
+    rounding of the trip's elements by 1/(1 - r r'), which fails
+    conservation at high finesse.
 
     ``eps`` only sets ``details["round_trips"]``: the first K at which the
     carried probability sum_l |T_l^K x0_l|^2 falls below ``eps``, so the
@@ -251,29 +246,16 @@ def run_fabry_perot(
             raise ValueError(f"{name} mirror is not unitary: t^2+r^2 = {tt**2 + rr**2}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    circuit = compile_circuit(
-        _golden("fp"), {"T": t, "R": r, "TP": t_prime, "RP": r_prime, "K": 1}
-    )
+    circuit = _circuit("fp", T=t, R=r, TP=t_prime, RP=r_prime, K=1)
     layout = circuit.layout
     blocks = layout.path_block
     carried = np.r_[tuple(blocks[p] for p in _FP_CARRIED)]
     levels = [layout.level_index(level) for level in ("m+", "m-")]
-
-    def trip(row: int) -> np.ndarray:
-        probe = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=complex)
-        probe[row, levels] = 1.0
-        out = run_sequence(
-            layout,
-            circuit.elements,
-            JointState(layout, probe.reshape(-1)),
-            atom_present=atom.present,
-            mask_override=atom.transparency_mask,
-        )
-        return out.matrix()
-
     # response[..., j] is one trip's output for carried row j; maps[l] is
     # T_l and starts[l] is x0_l as a column.
-    response = np.stack([trip(row) for row in carried], axis=-1)
+    aims = [(path, pol) for path in _FP_CARRIED for pol in layout.polarizations]
+    trips = [dataclasses.replace(circuit, input_path=p, input_pol=pol) for p, pol in aims]
+    response = np.stack([trip.level_response(atom.transparency_mask) for trip in trips], axis=-1)
     maps = response[carried][:, levels].transpose(1, 0, 2)
     initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom).matrix()
     starts = initial[carried][:, levels].T[..., None]
@@ -290,6 +272,11 @@ def run_fabry_perot(
         "transmitted": _probability(state, blocks["trans"]),
     }
     # Conservation first: a cavity whose trips never empty it fails there.
-    out = assemble_outcome(state, circuit.branches, atom.level_vector(layout), details=details)
+    try:
+        out = assemble_outcome(state, circuit.branches, atom.level_vector(layout), details=details)
+    except ConservationError as exc:
+        gain = f"1/(1 - r r') = {1 / (1 - r * r_prime):.1e}"
+        note = f"float rounding of the round trip's elements is amplified by {gain}"
+        raise ConservationError(f"{exc}; {note}") from None
     out.details["round_trips"] = _fp_round_trips(maps, starts, eps)
     return out

@@ -42,6 +42,10 @@ POL_STATES: dict[str, np.ndarray] = {
 
 ATOM_LEVELS = ("m+", "m-", "g")
 
+# An absent atom is transparent at both interacting levels: no probe
+# tells the two apart.
+ABSENT_MASK = frozenset(ATOM_LEVELS[:2])
+
 # The exits that score a run, in the order a ``ProtocolOutcome`` lists them.
 BRANCH_LABELS = ("success", "failure", "absorbed")
 
@@ -250,7 +254,8 @@ class ConservationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AtomSpec:
-    """Atom prepared in alpha|m+> + beta|m->, or absent."""
+    """Atom prepared in alpha|m+> + beta|m->, or absent (transparent at
+    ``ABSENT_MASK``); levels in ``transparency_mask`` never interact."""
 
     alpha: complex = _INV_SQRT2
     beta: complex = _INV_SQRT2
@@ -260,9 +265,11 @@ class AtomSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(
-            self, "transparency_mask", frozenset(self.transparency_mask)
-        )
+        mask = frozenset(self.transparency_mask)
+        unknown = mask.difference(ATOM_LEVELS)
+        if unknown:
+            raise ValueError(f"unknown atom levels in transparency mask: {sorted(unknown)}")
+        object.__setattr__(self, "transparency_mask", mask if self.present else mask | ABSENT_MASK)
         if self.present:
             n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
             if not abs(n - 1.0) <= NORM_TOL:

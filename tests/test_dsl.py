@@ -28,7 +28,15 @@ from nqisim.elements import (
     Relabel,
     run_sequence,
 )
-from nqisim.state import ConservationError, assemble_outcome, initial_state, make_layout
+from nqisim.state import (
+    ABSENT_MASK,
+    POL_STATES,
+    ConservationError,
+    JointState,
+    assemble_outcome,
+    initial_state,
+    make_layout,
+)
 from nqisim.protocols import (
     AtomSpec,
     build_mz,
@@ -615,7 +623,8 @@ def _outcome_or_error(run):
 class TestLevelResponse:
     def test_atoms_are_linear_combinations_of_one_propagation(self):
         # run_compiled serves every atom from one propagation per circuit
-        # and (presence, mask); the oracle propagates each atom itself.
+        # and mask (an absent atom is masked at m+ and m-); the oracle
+        # propagates each atom itself.
         rng = random.Random(20261018)
         bindings = {"N": 3, "K": 3, "T": 0.6, "R": 0.8, "TP": 0.6, "RP": 0.8}
         circuits = [
@@ -640,8 +649,7 @@ class TestLevelResponse:
                             layout,
                             circuit.elements,
                             initial,
-                            atom_present=present,
-                            mask_override=mask,
+                            mask_override=spec.transparency_mask,
                         )
                         return assemble_outcome(
                             final, circuit.branches, spec.level_vector(layout)
@@ -672,11 +680,39 @@ class TestLevelResponse:
 
         monkeypatch.setattr(dsl, "run_sequence", counted)
         for atom in haar_random_atoms(5, seed=1):
-            for mask in (frozenset(), frozenset({"m+"})):
+            for mask in (frozenset(), frozenset({"m+"}), ABSENT_MASK):
                 run_compiled(circuit, AtomSpec(atom.alpha, atom.beta, transparency_mask=mask))
+            # Absent is transparent at m+ and m-: the same propagation.
             absent = AtomSpec(atom.alpha, atom.beta, present=False, transparency_mask={"m-"})
             run_compiled(circuit, absent)
         assert len(calls) == 3
+
+    def test_level_response_is_one_exact_propagation(self):
+        # The response is run_sequence on the input photon times the atom
+        # (1, 1, 0), bitwise: no rescaling of any amplitude.
+        bindings = {"N": 3, "K": 2, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
+        circuits = [
+            compile_circuit(parse(load_golden(name)), bindings) for name in dsl.golden_names()
+        ]
+        fp = circuits[dsl.golden_names().index("fp")]
+        circuits += [
+            dataclasses.replace(fp, input_path=path, input_pol=pol)
+            for path in ("in", "fwd")
+            for pol in ("+", "-")
+        ]
+        for circuit, mask in itertools.product(
+            circuits, (frozenset(), frozenset({"m-"}), ABSENT_MASK)
+        ):
+            layout = circuit.layout
+            amps = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=complex)
+            amps[layout.path_block[circuit.input_path]] = np.outer(
+                POL_STATES[circuit.input_pol], [1, 1, 0]
+            )
+            want = run_sequence(
+                layout, circuit.elements, JointState(layout, amps.reshape(-1)), mask_override=mask
+            )
+            got = circuit.level_response(mask)
+            assert np.array_equal(got, want.matrix()), (circuit.input_path, mask)
 
     def test_returned_state_does_not_reach_the_cache(self):
         circuit = compile_circuit(parse(load_golden("mz")), {"N": 3})

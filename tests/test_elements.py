@@ -16,7 +16,7 @@ from nqisim.elements import (
     run_sequence,
     sink_pair_labels,
 )
-from nqisim.state import AtomSpec, JointState, initial_state, make_layout
+from nqisim.state import ABSENT_MASK, AtomSpec, JointState, initial_state, make_layout
 
 LEVELS = ["m+", "m-", "g"]
 
@@ -197,6 +197,16 @@ class TestAtomInteraction:
         state = state_of(layout, (1.0, ("a", "+"), "m+"))
         with pytest.raises(ValueError, match="sink"):
             run_sequence(layout, [AtomInteraction("a")], state)
+
+    def test_both_levels_masked_is_the_optical_evolution(self):
+        # An absent atom is the atom masked at m+ and m-: its interactions
+        # are skipped, so they need no sinks in the layout.
+        layout = make_layout(["a", "b"], [], LEVELS)
+        state = random_state(layout, 8)
+        optics = [BeamSplitter(0.6, 0.8, "a", "b"), Mirror("b"), PolRotator("a", POL_FLIP)]
+        with_atom = optics[:1] + [AtomInteraction("a")] + optics[1:] + [AtomInteraction("b")]
+        out = run_sequence(layout, with_atom, state, mask_override=ABSENT_MASK)
+        assert np.array_equal(out.amplitudes, run_sequence(layout, optics, state).amplitudes)
 
 
 class TestUnknownPath:

@@ -399,6 +399,18 @@ class TestScan:
         assert not row.witness_found
         assert row.residual >= 0.6 - 1e-9
 
+    def test_absent_sample_gets_absence(self):
+        # An absent atom is transparent at m+ and m-, and a probe cannot
+        # tell that from no atom: nothing of the atom is reachable.
+        layout, elements, _ = build_mz(4)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        absent = AtomSpec(0.6, 0.8, present=False)
+        (row,) = transparency_nogo_scan(layout, elements, factory, [frozenset()], [absent])
+        assert not row.witness_found and row.delta_sq is None
+        assert row.residual == pytest.approx(1.0, abs=1e-12)
+        pair = build_final_states(layout, elements, factory(absent), absent.transparency_mask)
+        assert isinstance(find_witness(pair, absent.level_vector(layout)), Absence)
+
     def test_empty_mask_list_rejected(self):
         layout, elements, _ = build_mz(2)
         factory = functools.partial(initial_state, layout, "l", "+")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -24,7 +25,7 @@ from nqisim.protocols import (
     run_two_pass,
 )
 from nqisim.elements import run_sequence
-from nqisim.state import JointState
+from nqisim.state import ABSENT_MASK, ATOM_LEVELS, JointState
 from nqisim.tolerances import PROB_TOL
 
 
@@ -45,6 +46,20 @@ class TestAtomSpec:
 
     def test_absent_atom_skips_check(self):
         AtomSpec(0.0, 0.0, present=False)
+
+    def test_absent_atom_is_transparent_at_both_levels(self):
+        assert AtomSpec(present=False).transparency_mask == ABSENT_MASK == {"m+", "m-"}
+        assert AtomSpec(present=False, transparency_mask={"g"}).transparency_mask == set(
+            ATOM_LEVELS
+        )
+
+    @pytest.mark.parametrize("mask, names", [("m+", "['+', 'm']"), ({"m_plus"}, "['m_plus']")])
+    def test_unknown_transparency_levels_rejected(self, mask, names):
+        # A bare string is read as its characters, and a misspelt level
+        # would leave the atom unmasked.
+        message = f"unknown atom levels in transparency mask: {names}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AtomSpec(0.6, 0.8, transparency_mask=mask)
 
     def test_haar_samples_are_normalized_and_reproducible(self):
         a = haar_random_atoms(10, seed=4)
@@ -148,6 +163,21 @@ class TestMzChain:
         assert mz_closed_form(2) == pytest.approx(0.25)
         assert mz_closed_form(3) == pytest.approx(0.421875)
         assert mz_closed_form(1000) > 0.9975
+
+    @pytest.mark.parametrize(
+        "n, reference",
+        [
+            (64, 0.96217684610333328054),
+            (1000, 0.99753563941957021122),
+            (10**5, 0.99997532629339716783),
+            (10**7, 0.99999975325992041310),
+            (10**9, 0.99999999753259890277),
+        ],
+    )
+    def test_closed_form_against_40_digit_references(self, n, reference):
+        # [PINNED] [cos^2(pi/2N)]^N at 40 digits (mpmath), rounded to 20.
+        # Powering the rounded cos(pi/2N) is off by 2.5e-9 at N = 10^9.
+        assert mz_closed_form(n) == pytest.approx(reference, rel=0, abs=1e-15)
 
     def test_closed_form_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -362,15 +392,32 @@ class TestFabryPerot:
         "atom", [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
     )
     def test_float_mirrors_beyond_the_tolerance_are_refused(self, atom):
-        # t = sqrt(1 - r^2) leaves t^2 + r^2 off 1 by roundoff, which the
-        # cavity amplifies by 1 / (1 - r r'): at r = 0.999999 the branch
-        # sum is 4e-10 short of 1.
+        # The trip's 45-degree rotators, h = sin(pi/4), are unitary only to
+        # rounding, which the cavity amplifies by 1 / (1 - r r') = 5.0e5:
+        # at r = 0.999999 the branch sum is 4e-10 short of 1.
         r = 0.999999
         t = math.sqrt(1 - r * r)
         start = time.perf_counter()
-        with pytest.raises(ConservationError):
+        amplified = r"sum to 0\.99999999\d*, expected 1; .* amplified by 1/\(1 - r r'\) = 5\.0e\+05"
+        with pytest.raises(ConservationError, match=amplified):
             run_fabry_perot(r, t, r, t, atom, eps=1e-22)
         assert time.perf_counter() - start < 1.0
+
+
+    def test_compiled_once_per_mirror_binding(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dsl.compile_circuit(*args)
+
+        protocols._circuit.cache_clear()
+        monkeypatch.setattr(protocols, "compile_circuit", counted)
+        r = 0.3
+        t = math.sqrt(1 - r * r)
+        for atom in (AtomSpec(present=False), AtomSpec(0.6, 0.8), AtomSpec(0.8, 0.6j)):
+            run_fabry_perot(r, t, r, t, atom)
+        assert len(calls) == 1
 
 
 class TestOutcomeAssembly:
