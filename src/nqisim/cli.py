@@ -116,6 +116,8 @@ def _outcome_row(out: ProtocolOutcome, atom: AtomSpec) -> dict:
 
 def _sample_atoms(args) -> tuple[list[AtomSpec], str | None]:
     if args.atoms is not None:
+        if args.no_atom:
+            raise SystemExit2("--atoms samples present atoms and cannot be combined with --no-atom")
         return haar_random_atoms(args.atoms, seed=args.seed), f"seed={args.seed}"
     return [_atom_from_args(args)], None
 

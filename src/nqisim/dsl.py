@@ -229,7 +229,11 @@ def eval_expr(expr: Expr, env: dict[str, float], line: int) -> float:
             raise CompileError(line, f"unbound parameter: {expr.ident}")
         return float(env[expr.ident])
     if isinstance(expr, Call):
-        return _FUNCTIONS[expr.fn](eval_expr(expr.arg, env, line))
+        arg = eval_expr(expr.arg, env, line)
+        try:
+            return _FUNCTIONS[expr.fn](arg)
+        except ValueError:  # sin or cos of an infinity
+            raise CompileError(line, f"{expr.fn}({arg!r}) is undefined") from None
     if isinstance(expr, Neg):
         return -eval_expr(expr.operand, env, line)
     if isinstance(expr, BinOp):
@@ -705,14 +709,21 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     for let in ast.lets:
         env[let.name] = eval_expr(let.expr, env, let.line)
 
+    def param(expr: Expr, line: int) -> float:
+        """An element parameter, which must be finite."""
+        value = eval_expr(expr, env, line)
+        if not math.isfinite(value):
+            raise CompileError(line, f"element parameter is not finite: {value!r}")
+        return value
+
     def emit(stmts: Iterable[Stmt], before: int) -> list[Element]:
         """Elements of ``stmts``, which follow ``before`` emitted elements;
         interactions get their sink pairs once the program is unrolled."""
         elements: list[Element] = []
         for stmt in stmts:
             if isinstance(stmt, BsStmt):
-                t = eval_expr(stmt.t_expr, env, stmt.line)
-                r = eval_expr(stmt.r_expr, env, stmt.line)
+                t = param(stmt.t_expr, stmt.line)
+                r = param(stmt.r_expr, stmt.line)
                 try:
                     elements.append(BeamSplitter(t, r, stmt.path_a, stmt.path_b))
                 except ValueError as exc:
@@ -723,14 +734,14 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
                 if stmt.entries is None:
                     u = POL_FLIP
                 else:
-                    vals = [eval_expr(e, env, stmt.line) for e in stmt.entries]
+                    vals = [param(e, stmt.line) for e in stmt.entries]
                     u = np.array(vals, dtype=complex).reshape(2, 2)
                 try:
                     elements.append(PolRotator(stmt.path, u))
                 except ValueError as exc:
                     raise CompileError(stmt.line, str(exc)) from None
             elif isinstance(stmt, PhaseStmt):
-                elements.append(PhaseShift(stmt.path, eval_expr(stmt.phi_expr, env, stmt.line)))
+                elements.append(PhaseShift(stmt.path, param(stmt.phi_expr, stmt.line)))
             elif isinstance(stmt, AtomStmt):
                 elements.append(AtomInteraction(stmt.path, frozenset(stmt.transparent)))
             elif isinstance(stmt, RelabelStmt):

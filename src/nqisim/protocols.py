@@ -19,9 +19,9 @@ The level response propagates the input photon times the atom m+ = m-
 = 1 once per transparency mask, an absent atom being masked at both.
 ``dsl.run_compiled`` scales its m+ cells by alpha and its m- cells by
 beta (the levels never mix), so a sweep over atoms costs one propagation
-per chain length.  The cavity takes the level responses of one round
-trip re-aimed at each row it carries between trips and sums every trip
-in closed form.
+per chain length.  The cavity's level response sums every round trip in
+closed form from those of one trip aimed at each row it carries between
+trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -33,11 +33,11 @@ success probability [cos^2(pi/2N)]^N.
 
 Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip starting
 at the entry mirror, which reflects the incoming photon out (i r) and the
-intracavity beam back in.  The cavity runner compiles the circuit at
-K = 1 and solves for the sum of all round trips, B (I - T)^-1 x0 per atom
-level, the geometric series behind the paper's i r and t t' beta; its
-``details["round_trips"]`` is the K at which the compiled ``fp.nqi``
-leaves less than ``eps`` inside and so reproduces the run.
+intracavity beam back in.  The cavity runner compiles it at K = 1 and
+runs it with a level response that sums all round trips, B (I - T)^-1 x0
+per atom level: the geometric series behind the paper's i r and
+t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
+``fp.nqi`` leaves less than ``eps`` inside and so reproduces the run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .dsl import CircuitAst, CompiledCircuit, compile_circuit, load_golden, parse, run_compiled
 # ``run_sequence`` is not called here; perfbench/tracing.py binds it as
 # ``protocols.run_sequence``.
-from .elements import Element, run_sequence, sink_pair_labels
+from .elements import Element, Relabel, run_sequence, sink_pair_labels
 from .state import (
     ATOM_LEVELS,
     AtomSpec,
@@ -88,12 +88,15 @@ def _golden(name: str) -> CircuitAst:
 
 @functools.lru_cache(maxsize=4)
 def _circuit(name: str, **bindings: float) -> CompiledCircuit:
-    """The bundled circuit ``name`` compiled at ``bindings``, kept with its
-    level responses.  Long chains reuse three ``mz`` circuits, a cavity
-    sweep four ``fp`` circuits; a sweep over N misses at any bound, and a
-    larger one multiplies the worst case (``mz`` at N = 10^5 holds 58 MB).
+    """The bundled circuit ``name`` compiled at ``bindings`` (``fp`` as a
+    ``_Cavity``), kept with its level responses.  Long chains reuse three
+    ``mz`` circuits, a cavity sweep four ``fp``; a sweep over N misses at any
+    bound, and a larger one multiplies the worst case (``mz`` at 10^5: 58 MB).
     """
-    return compile_circuit(_golden(name), bindings)
+    circuit = compile_circuit(_golden(name), bindings)
+    if name == "fp":
+        circuit = _Cavity(*(getattr(circuit, f.name) for f in dataclasses.fields(circuit) if f.init))
+    return circuit
 
 
 def _probability(state: JointState, rows) -> float:
@@ -172,9 +175,51 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 # ---------------------------------------------------------------------------
 # Fabry-Perot cavity
 
-# The paths populated at a round-trip boundary: a trip empties ``tport``
-# into ``trans`` and ends with ``bwd`` swapped back into ``fwd``.
-_FP_CARRIED = ("in", "fwd")
+
+@dataclasses.dataclass(frozen=True)
+class _Cavity(CompiledCircuit):
+    """``fp.nqi`` at K = 1 (one round trip) whose level response is the sum
+    of every trip, B_l (I - T_l)^-1 x0 per level l: the exact final state,
+    with nothing left inside.  A trip only adds to the sinks and its exits,
+    paths that no element reads and only a ``relabel`` writes; it carries
+    the input path and, closed over, each path that a trip from a carried
+    row populates.  Its level responses aimed at the carried rows hold the
+    carried map T_l and the out-coupling B_l (exits and sink rows at g).
+    """
+
+    # Per mask: the maps T_l, stacked, and the carried input column x0.
+    _trips: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def level_response(self, mask: frozenset[str]) -> np.ndarray:
+        if mask not in self._responses:
+            layout, ports = self.layout, ("path", "path_a", "path_b", "src")
+            read = {getattr(el, a) for el in self.elements for a in ports if hasattr(el, a)}
+            exits = {el.dst for el in self.elements if isinstance(el, Relabel)} - read
+            carried, columns = [self.input_path], []
+            for path in carried:  # grows as the trips populate new paths
+                for pol in layout.polarizations:
+                    trip = CompiledCircuit(layout, self.elements, self.branches, path, pol)
+                    columns.append(trip.level_response(mask))
+                carried += [
+                    p for p in layout.paths if p not in carried and p not in exits
+                    and any(np.any(c[layout.path_block[p]]) for c in columns[-2:])
+                ]
+            rows = np.r_[tuple(layout.path_block[p] for p in carried)]
+            # response[..., j] is one trip's output for carried row j.
+            response = np.stack(columns, axis=-1)
+            levels = [layout.level_index(level) for level in ("m+", "m-")]
+            maps = response[rows][:, levels].transpose(1, 0, 2)
+            start = np.r_[POL_STATES[self.input_pol], np.zeros(len(rows) - 2)][:, None]
+            totals = np.linalg.solve(np.eye(len(rows)) - maps, start)
+            # Each level's cells take B_l times its total; the carried rows,
+            # which would hold T_l times it, are empty once every trip is done.
+            summed = response @ totals[..., 0].T
+            final = np.where(self.plus_cells, summed[..., 0], summed[..., 1])
+            final[rows] = 0.0
+            final.flags.writeable = False
+            self._trips[mask], self._responses[mask] = (maps, start), final
+        return self._responses[mask]
+
 
 # Powers T^(2^j) tried before a cavity is taken never to empty.  A
 # spectral radius that floating point tells apart from 1 has decayed
@@ -220,22 +265,11 @@ def run_fabry_perot(
     atom: AtomSpec,
     eps: float = 1e-12,
 ) -> ProtocolOutcome:
-    """Sum every cavity round trip at once.
+    """Every cavity round trip at once: ``run_compiled`` on a ``_Cavity``.
 
-    The photon enters linearly (x) polarized; its polarization is rotated
-    x -> + -> y -> - -> x around each round trip, with the atom sitting
-    mid-cavity between the two rotations of each half.
-
-    One round trip of ``fp.nqi`` (compiled at K = 1) is linear, only adds
-    to the exit rows (``refl``, ``trans`` and the sinks), and leaves
-    amplitude only on the four rows of ``in`` and ``fwd``.  Its level
-    responses re-aimed at those rows hold, per level l, the 4x4 carried
-    map T_l and the out-coupling B_l, which covers ``refl``, ``trans`` and
-    the level's sink rows at g (``CompiledCircuit.plus_cells``).  Every
-    trip together sends B_l (I - T_l)^-1 x0_l out of the cavity: the exact
-    final state, with nothing left inside.  The sum amplifies float
-    rounding of the trip's elements by 1/(1 - r r'), which fails
-    conservation at high finesse.
+    The photon enters x polarized, and the atom sits mid-cavity (``fp.nqi``).
+    The sum amplifies float rounding of the trip's elements by 1/(1 - r r'),
+    which fails conservation at high finesse.
 
     ``eps`` only sets ``details["round_trips"]``: the first K at which the
     carried probability sum_l |T_l^K x0_l|^2 falls below ``eps``, so the
@@ -246,37 +280,18 @@ def run_fabry_perot(
             raise ValueError(f"{name} mirror is not unitary: t^2+r^2 = {tt**2 + rr**2}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    circuit = _circuit("fp", T=t, R=r, TP=t_prime, RP=r_prime, K=1)
-    layout = circuit.layout
-    blocks = layout.path_block
-    carried = np.r_[tuple(blocks[p] for p in _FP_CARRIED)]
-    levels = [layout.level_index(level) for level in ("m+", "m-")]
-    # response[..., j] is one trip's output for carried row j; maps[l] is
-    # T_l and starts[l] is x0_l as a column.
-    aims = [(path, pol) for path in _FP_CARRIED for pol in layout.polarizations]
-    trips = [dataclasses.replace(circuit, input_path=p, input_pol=pol) for p, pol in aims]
-    response = np.stack([trip.level_response(atom.transparency_mask) for trip in trips], axis=-1)
-    maps = response[carried][:, levels].transpose(1, 0, 2)
-    initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom).matrix()
-    starts = initial[carried][:, levels].T[..., None]
-    totals = np.linalg.solve(np.eye(len(carried)) - maps, starts)
-    # Each level's cells take B_l times its total; the carried rows,
-    # which would hold T_l times it, are empty once every trip is done.
-    summed = response @ totals[..., 0].T
-    final = np.where(circuit.plus_cells, summed[..., 0], summed[..., 1])
-    final[carried] = 0.0
-
-    state = JointState(layout, final.reshape(-1))
-    details = {
-        "reflected": _probability(state, blocks["refl"]),
-        "transmitted": _probability(state, blocks["trans"]),
-    }
+    cavity = _circuit("fp", T=t, R=r, TP=t_prime, RP=r_prime, K=1)
     # Conservation first: a cavity whose trips never empty it fails there.
     try:
-        out = assemble_outcome(state, circuit.branches, atom.level_vector(layout), details=details)
+        out = run_compiled(cavity, atom)
     except ConservationError as exc:
         gain = f"1/(1 - r r') = {1 / (1 - r * r_prime):.1e}"
         note = f"float rounding of the round trip's elements is amplified by {gain}"
         raise ConservationError(f"{exc}; {note}") from None
+    blocks = cavity.layout.path_block
+    out.details["reflected"] = _probability(out.final_state, blocks["refl"])
+    out.details["transmitted"] = _probability(out.final_state, blocks["trans"])
+    maps, start = cavity._trips[atom.transparency_mask]
+    starts = np.array([atom.alpha, atom.beta])[:, None, None] * start
     out.details["round_trips"] = _fp_round_trips(maps, starts, eps)
     return out

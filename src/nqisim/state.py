@@ -254,8 +254,10 @@ class ConservationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AtomSpec:
-    """Atom prepared in alpha|m+> + beta|m->, or absent (transparent at
-    ``ABSENT_MASK``); levels in ``transparency_mask`` never interact."""
+    """Atom prepared in alpha|m+> + beta|m->; levels in
+    ``transparency_mask`` never interact.  An absent atom is one masked at
+    ``ABSENT_MASK``: either mask implies the other, and its amplitudes,
+    which still scale the final state, are normalized all the same."""
 
     alpha: complex = _INV_SQRT2
     beta: complex = _INV_SQRT2
@@ -269,11 +271,12 @@ class AtomSpec:
         unknown = mask.difference(ATOM_LEVELS)
         if unknown:
             raise ValueError(f"unknown atom levels in transparency mask: {sorted(unknown)}")
-        object.__setattr__(self, "transparency_mask", mask if self.present else mask | ABSENT_MASK)
-        if self.present:
-            n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-            if not abs(n - 1.0) <= NORM_TOL:
-                raise ValueError(f"atom amplitudes are not normalized: |a|^2+|b|^2={n}")
+        present = bool(self.present) and not ABSENT_MASK <= mask
+        object.__setattr__(self, "present", present)
+        object.__setattr__(self, "transparency_mask", mask if present else mask | ABSENT_MASK)
+        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        if not abs(n - 1.0) <= NORM_TOL:
+            raise ValueError(f"atom amplitudes are not normalized: |a|^2+|b|^2={n}")
 
     def level_vector(self, layout: BasisLayout) -> np.ndarray:
         vec = np.zeros(layout.n_levels, dtype=complex)

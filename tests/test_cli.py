@@ -72,6 +72,13 @@ class TestMzSweep:
         assert out == ""
         assert "not normalized" in err
 
+    def test_samples_and_no_atom_rejected(self, capsys):
+        # --atoms draws present atoms; it used to override --no-atom silently.
+        code, out, err = run_cli(capsys, "mz-sweep", "--max", "2", "--atoms", "2", "--no-atom")
+        assert code == 2
+        assert out == ""
+        assert "cannot be combined with --no-atom" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "mz-sweep", "--min", "2", "--max", "2", "-o", str(target))
@@ -260,6 +267,17 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "mz", "--bind", f"N={value}")
         assert code == 2
         assert "positive integer" in err
+
+    def test_non_finite_element_parameter_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.nqi"
+        bad.write_text(
+            "paths a\nsinks S+ S-\natom-levels m+ m- g\ninput a x\n"
+            "phase a sin(1e400)\nclassify a=failure sinks=absorbed\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "line 5: sin(inf) is undefined" in err
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.nqi"

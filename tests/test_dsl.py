@@ -448,6 +448,33 @@ class TestCompiler:
         with pytest.raises(CompileError, match="division by zero"):
             compile_circuit(parse(src), {"K": 0.0})
 
+    @pytest.mark.parametrize(
+        "param, message",
+        [
+            ("1e400", "element parameter is not finite: inf"),
+            ("1e300*1e300-1e300*1e300", "element parameter is not finite: nan"),
+            ("sin(1e400)", r"sin\(inf\) is undefined"),
+        ],
+    )
+    def test_non_finite_parameters_cite_line(self, param, message):
+        # A literal that overflows is inf, and sin of it raises, rather
+        # than compiling into a run whose branches sum to nan.
+        src = MINIMAL.replace("atom a", f"phase a {param}")
+        with pytest.raises(CompileError, match=message) as exc:
+            compile_circuit(parse(src))
+        assert exc.value.line == 5
+
+    def test_non_finite_binding_in_an_element_cites_line(self):
+        src = (
+            MINIMAL.replace("paths a", "paths a a2")
+            .replace("atom a", "bs a a2 t=T r=0.8")
+            .replace("classify a=failure", "classify a=failure a2=failure")
+        )
+        for value in (math.inf, math.nan):
+            with pytest.raises(CompileError, match="not finite") as exc:
+                compile_circuit(parse(src), {"T": value})
+            assert exc.value.line == 5
+
     def test_circuit_mask_survives_an_unmasked_atom(self):
         # An atom without a mask of its own keeps the circuit's
         # transparency: a |+> photon passes an m+ atom untouched.

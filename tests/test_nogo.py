@@ -26,6 +26,7 @@ from nqisim.protocols import (
     build_mz,
     haar_random_atoms,
     mz_closed_form,
+    run_fabry_perot,
 )
 from nqisim.state import JointState, initial_state, make_layout
 from nqisim.tolerances import RANK_TOL
@@ -159,6 +160,32 @@ class TestFindWitness:
         assert isinstance(result, Witness)
         # The witness detection probability is the protocol success rate.
         assert abs(result.delta) ** 2 == pytest.approx(mz_closed_form(n), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_chain_witness_detects_at_the_success_rate(self, n):
+        # [DERIVED] |delta|^2 is the post-selected success probability,
+        # [cos^2(pi/2N)]^N, to roundoff.
+        layout, elements, _ = build_mz(n)
+        for atom in haar_random_atoms(3, seed=n):
+            pair = build_final_states(layout, elements, initial_state(layout, "l", "+", atom))
+            result = find_witness(pair, atom.level_vector(layout))
+            assert isinstance(result, Witness)
+            assert abs(result.delta) ** 2 == pytest.approx(mz_closed_form(n), abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 0.999])
+    def test_cavity_witness_detects_at_r_squared(self, r):
+        # [DERIVED] the cavity reflects i r x (x) atom with the atom present
+        # and transmits everything without it, so |delta|^2 = r^2.  The
+        # final states are the runner's summed round trips.
+        t = math.sqrt(1 - r * r)
+        for atom in haar_random_atoms(3, seed=int(r * 1000)):
+            absent = run_fabry_perot(r, t, r, t, AtomSpec(atom.alpha, atom.beta, present=False))
+            present = run_fabry_perot(r, t, r, t, atom)
+            pair = FinalStatePair(absent.final_state, present.final_state)
+            result = find_witness(pair, atom.level_vector(pair.present.layout))
+            assert isinstance(result, Witness)
+            assert abs(result.delta) ** 2 == pytest.approx(r * r, abs=1e-14)
+            assert abs(result.delta) ** 2 == pytest.approx(present.success_prob, abs=1e-14)
 
     def test_witness_properties(self):
         layout, elements, _ = build_mz(4)

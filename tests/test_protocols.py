@@ -44,8 +44,17 @@ class TestAtomSpec:
             with pytest.raises(ValueError, match="not normalized"):
                 AtomSpec(alpha, beta)
 
-    def test_absent_atom_skips_check(self):
-        AtomSpec(0.0, 0.0, present=False)
+    def test_absent_atom_is_normalized_too(self):
+        # An absent atom's amplitudes still scale the final state, so they
+        # are normalized like any other.
+        with pytest.raises(ValueError, match="not normalized"):
+            AtomSpec(0.0, 0.0, present=False)
+        AtomSpec(0.6, 0.8, present=False)
+
+    @pytest.mark.parametrize("mask", [ABSENT_MASK, set(ATOM_LEVELS)])
+    def test_masked_at_both_levels_is_absent(self, mask):
+        assert not AtomSpec(transparency_mask=mask).present
+        assert AtomSpec(transparency_mask={"m+"}).present
 
     def test_absent_atom_is_transparent_at_both_levels(self):
         assert AtomSpec(present=False).transparency_mask == ABSENT_MASK == {"m+", "m-"}
@@ -418,6 +427,26 @@ class TestFabryPerot:
         for atom in (AtomSpec(present=False), AtomSpec(0.6, 0.8), AtomSpec(0.8, 0.6j)):
             run_fabry_perot(r, t, r, t, atom)
         assert len(calls) == 1
+
+    def test_propagations_do_not_grow_with_the_atoms(self, monkeypatch):
+        # One mirror binding and one mask: the summed response serves every
+        # atom, so the trip is propagated once per carried row (in and fwd,
+        # two polarizations each) and never again.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return run_sequence(*args, **kwargs)
+
+        protocols._circuit.cache_clear()
+        monkeypatch.setattr(dsl, "run_sequence", counted)
+        r = 0.9
+        t = math.sqrt(1 - r * r)
+        counts = []
+        for atom in haar_random_atoms(6, seed=12):
+            run_fabry_perot(r, t, r, t, atom)
+            counts.append(len(calls))
+        assert counts == [4] * 6
 
 
 class TestOutcomeAssembly:
