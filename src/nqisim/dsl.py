@@ -709,21 +709,14 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     for let in ast.lets:
         env[let.name] = eval_expr(let.expr, env, let.line)
 
-    def param(expr: Expr, line: int) -> float:
-        """An element parameter, which must be finite."""
-        value = eval_expr(expr, env, line)
-        if not math.isfinite(value):
-            raise CompileError(line, f"element parameter is not finite: {value!r}")
-        return value
-
     def emit(stmts: Iterable[Stmt], before: int) -> list[Element]:
         """Elements of ``stmts``, which follow ``before`` emitted elements;
         interactions get their sink pairs once the program is unrolled."""
         elements: list[Element] = []
         for stmt in stmts:
             if isinstance(stmt, BsStmt):
-                t = param(stmt.t_expr, stmt.line)
-                r = param(stmt.r_expr, stmt.line)
+                t = eval_expr(stmt.t_expr, env, stmt.line)
+                r = eval_expr(stmt.r_expr, env, stmt.line)
                 try:
                     elements.append(BeamSplitter(t, r, stmt.path_a, stmt.path_b))
                 except ValueError as exc:
@@ -734,14 +727,18 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
                 if stmt.entries is None:
                     u = POL_FLIP
                 else:
-                    vals = [param(e, stmt.line) for e in stmt.entries]
+                    vals = [eval_expr(e, env, stmt.line) for e in stmt.entries]
                     u = np.array(vals, dtype=complex).reshape(2, 2)
                 try:
                     elements.append(PolRotator(stmt.path, u))
                 except ValueError as exc:
                     raise CompileError(stmt.line, str(exc)) from None
             elif isinstance(stmt, PhaseStmt):
-                elements.append(PhaseShift(stmt.path, param(stmt.phi_expr, stmt.line)))
+                phi = eval_expr(stmt.phi_expr, env, stmt.line)
+                try:
+                    elements.append(PhaseShift(stmt.path, phi))
+                except ValueError as exc:
+                    raise CompileError(stmt.line, str(exc)) from None
             elif isinstance(stmt, AtomStmt):
                 elements.append(AtomInteraction(stmt.path, frozenset(stmt.transparent)))
             elif isinstance(stmt, RelabelStmt):

@@ -27,6 +27,7 @@ own buffer.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -90,6 +91,10 @@ POL_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 class PhaseShift:
     path: str
     phi: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase is not finite: {self.phi!r}")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,7 @@ The level response propagates the input photon times the atom m+ = m-
 ``dsl.run_compiled`` scales its m+ cells by alpha and its m- cells by
 beta (the levels never mix), so a sweep over atoms costs one propagation
 per chain length.  The cavity's level response sums every round trip in
-closed form from those of one trip aimed at each row it carries between
-trips.
+closed form from one trip's, aimed at each row it carries between trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -88,15 +87,12 @@ def _golden(name: str) -> CircuitAst:
 
 @functools.lru_cache(maxsize=4)
 def _circuit(name: str, **bindings: float) -> CompiledCircuit:
-    """The bundled circuit ``name`` compiled at ``bindings`` (``fp`` as a
-    ``_Cavity``), kept with its level responses.  Long chains reuse three
-    ``mz`` circuits, a cavity sweep four ``fp``; a sweep over N misses at any
-    bound, and a larger one multiplies the worst case (``mz`` at 10^5: 58 MB).
+    """The bundled circuit ``name`` compiled at ``bindings``, kept with its
+    level responses.  Long chains reuse three ``mz`` circuits; a sweep over
+    N misses at any bound, and a larger one multiplies the worst case
+    (``mz`` at N = 10^5 holds 58 MB).
     """
-    circuit = compile_circuit(_golden(name), bindings)
-    if name == "fp":
-        circuit = _Cavity(*(getattr(circuit, f.name) for f in dataclasses.fields(circuit) if f.init))
-    return circuit
+    return compile_circuit(_golden(name), bindings)
 
 
 def _probability(state: JointState, rows) -> float:
@@ -178,16 +174,12 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class _Cavity(CompiledCircuit):
-    """``fp.nqi`` at K = 1 (one round trip) whose level response is the sum
-    of every trip, B_l (I - T_l)^-1 x0 per level l: the exact final state,
-    with nothing left inside.  A trip only adds to the sinks and its exits,
-    paths that no element reads and only a ``relabel`` writes; it carries
-    the input path and, closed over, each path that a trip from a carried
-    row populates.  Its level responses aimed at the carried rows hold the
-    carried map T_l and the out-coupling B_l (exits and sink rows at g).
-    """
+    """``fp.nqi`` at K = 1, whose level response sums every round trip:
+    B_l (I - T_l)^-1 x0 per level l, from one trip aimed at each carried row.
+    The input path is carried, and so is each path a carried trip populates,
+    save exits: paths that only a ``relabel`` writes and no element reads."""
 
-    # Per mask: the maps T_l, stacked, and the carried input column x0.
+    # Per mask: the maps T_l and the input column x0 that ``trips`` scales.
     _trips: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
@@ -198,19 +190,17 @@ class _Cavity(CompiledCircuit):
             carried, columns = [self.input_path], []
             for path in carried:  # grows as the trips populate new paths
                 for pol in layout.polarizations:
-                    trip = CompiledCircuit(layout, self.elements, self.branches, path, pol)
-                    columns.append(trip.level_response(mask))
-                carried += [
-                    p for p in layout.paths if p not in carried and p not in exits
-                    and any(np.any(c[layout.path_block[p]]) for c in columns[-2:])
-                ]
+                    trip = dataclasses.replace(self, input_path=path, input_pol=pol)
+                    columns.append(CompiledCircuit.level_response(trip, mask))
+                hit = {p for c in columns[-2:] for p in layout.paths if c[layout.path_block[p]].any()}
+                carried += [p for p in layout.paths if p in hit - exits - {*carried}]
             rows = np.r_[tuple(layout.path_block[p] for p in carried)]
             # response[..., j] is one trip's output for carried row j.
             response = np.stack(columns, axis=-1)
             levels = [layout.level_index(level) for level in ("m+", "m-")]
             maps = response[rows][:, levels].transpose(1, 0, 2)
             start = np.r_[POL_STATES[self.input_pol], np.zeros(len(rows) - 2)][:, None]
-            totals = np.linalg.solve(np.eye(len(rows)) - maps, start)
+            totals = np.linalg.solve(np.eye(len(rows)) - maps, start[None])
             # Each level's cells take B_l times its total; the carried rows,
             # which would hold T_l times it, are empty once every trip is done.
             summed = response @ totals[..., 0].T
@@ -219,6 +209,19 @@ class _Cavity(CompiledCircuit):
             final.flags.writeable = False
             self._trips[mask], self._responses[mask] = (maps, start), final
         return self._responses[mask]
+
+    def trips(self, atom: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The maps T_l, stacked, and the columns x0_l that ``atom`` starts."""
+        self.level_response(atom.transparency_mask)
+        maps, start = self._trips[atom.transparency_mask]
+        return maps, np.array([atom.alpha, atom.beta])[:, None, None] * start
+
+
+@functools.lru_cache(maxsize=4)
+def _cavity(**mirrors: float) -> _Cavity:
+    """``fp.nqi`` at K = 1 as a ``_Cavity``, kept with its responses."""
+    circuit = compile_circuit(_golden("fp"), {**mirrors, "K": 1})
+    return _Cavity(**{f.name: getattr(circuit, f.name) for f in dataclasses.fields(circuit) if f.init})
 
 
 # Powers T^(2^j) tried before a cavity is taken never to empty.  A
@@ -265,11 +268,10 @@ def run_fabry_perot(
     atom: AtomSpec,
     eps: float = 1e-12,
 ) -> ProtocolOutcome:
-    """Every cavity round trip at once: ``run_compiled`` on a ``_Cavity``.
-
-    The photon enters x polarized, and the atom sits mid-cavity (``fp.nqi``).
-    The sum amplifies float rounding of the trip's elements by 1/(1 - r r'),
-    which fails conservation at high finesse.
+    """Every round trip of the cavity ``fp.nqi`` at once (``run_compiled`` on
+    a ``_Cavity``), with the photon entering x polarized.  The sum amplifies
+    float rounding of the trip's elements by 1/(1 - r r'), which fails
+    conservation at high finesse.
 
     ``eps`` only sets ``details["round_trips"]``: the first K at which the
     carried probability sum_l |T_l^K x0_l|^2 falls below ``eps``, so the
@@ -280,7 +282,7 @@ def run_fabry_perot(
             raise ValueError(f"{name} mirror is not unitary: t^2+r^2 = {tt**2 + rr**2}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    cavity = _circuit("fp", T=t, R=r, TP=t_prime, RP=r_prime, K=1)
+    cavity = _cavity(T=t, R=r, TP=t_prime, RP=r_prime)
     # Conservation first: a cavity whose trips never empty it fails there.
     try:
         out = run_compiled(cavity, atom)
@@ -291,7 +293,5 @@ def run_fabry_perot(
     blocks = cavity.layout.path_block
     out.details["reflected"] = _probability(out.final_state, blocks["refl"])
     out.details["transmitted"] = _probability(out.final_state, blocks["trans"])
-    maps, start = cavity._trips[atom.transparency_mask]
-    starts = np.array([atom.alpha, atom.beta])[:, None, None] * start
-    out.details["round_trips"] = _fp_round_trips(maps, starts, eps)
+    out.details["round_trips"] = _fp_round_trips(*cavity.trips(atom), eps)
     return out

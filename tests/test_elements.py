@@ -107,6 +107,11 @@ class TestMirrorAndPhase:
         out = run_sequence(layout, [PhaseShift("b", np.pi)], state)
         assert out.amplitude(("b", "-"), "g") == pytest.approx(-1.0)
 
+    def test_non_finite_phase_rejected(self):
+        for phi in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="phase is not finite"):
+                PhaseShift("a", phi)
+
     def test_sinks_untouched(self):
         layout = layout2()
         state = state_of(layout, (1.0, "S+", "g"))

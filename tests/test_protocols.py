@@ -420,7 +420,7 @@ class TestFabryPerot:
             calls.append(args)
             return dsl.compile_circuit(*args)
 
-        protocols._circuit.cache_clear()
+        protocols._cavity.cache_clear()
         monkeypatch.setattr(protocols, "compile_circuit", counted)
         r = 0.3
         t = math.sqrt(1 - r * r)
@@ -438,7 +438,7 @@ class TestFabryPerot:
             calls.append(kwargs)
             return run_sequence(*args, **kwargs)
 
-        protocols._circuit.cache_clear()
+        protocols._cavity.cache_clear()
         monkeypatch.setattr(dsl, "run_sequence", counted)
         r = 0.9
         t = math.sqrt(1 - r * r)
