@@ -30,12 +30,14 @@ after the last stage the arm ends are the exit ports.  This reproduces
 the stage-by-stage amplitude trace exactly and gives the closed-form
 success probability [cos^2(pi/2N)]^N.
 
-Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip starting
-at the entry mirror, which reflects the incoming photon out (i r) and the
-intracavity beam back in.  The cavity runner compiles it at K = 1 and
-runs it with a level response that sums all round trips, B (I - T)^-1 x0
-per atom level: the geometric series behind the paper's i r and
-t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
+Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip of the
+intracavity beam ``fwd``, which meets the atom on its way to the far
+mirror and back.  The trip starts at the entry mirror, which reflects
+the incoming photon out (i r) and couples part of ``fwd`` out.  The
+cavity runner compiles it at K = 1 and runs it with a level response
+that sums all round trips, B (I - T)^-1 x0 per atom level, T acting on
+the rows of ``in`` and ``fwd``: the geometric series behind the paper's
+i r and t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
 ``fp.nqi`` leaves less than ``eps`` inside and so reproduces the run.
 """
 
@@ -176,24 +178,22 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 class _Cavity(CompiledCircuit):
     """``fp.nqi`` at K = 1, whose level response sums every round trip:
     B_l (I - T_l)^-1 x0 per level l, from one trip aimed at each carried row.
-    The input path is carried, and so is each path a carried trip populates,
-    save exits: paths that only a ``relabel`` writes and no element reads."""
+    The input path is carried, and so is every path no ``relabel`` touches:
+    a relabel takes the beam from a mirror port it leaves by to an exit."""
 
     # Per mask: the maps T_l and the input column x0 that ``trips`` scales.
     _trips: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
         if mask not in self._responses:
-            layout, ports = self.layout, ("path", "path_a", "path_b", "src")
-            read = {getattr(el, a) for el in self.elements for a in ports if hasattr(el, a)}
-            exits = {el.dst for el in self.elements if isinstance(el, Relabel)} - read
-            carried, columns = [self.input_path], []
-            for path in carried:  # grows as the trips populate new paths
-                for pol in layout.polarizations:
-                    trip = dataclasses.replace(self, input_path=path, input_pol=pol)
-                    columns.append(CompiledCircuit.level_response(trip, mask))
-                hit = {p for c in columns[-2:] for p in layout.paths if c[layout.path_block[p]].any()}
-                carried += [p for p in layout.paths if p in hit - exits - {*carried}]
+            layout, carried = self.layout, [self.input_path]
+            touched = {p for el in self.elements if isinstance(el, Relabel) for p in (el.src, el.dst)}
+            carried += [p for p in layout.paths if p not in touched | {self.input_path}]
+            columns = [
+                CompiledCircuit.level_response(dataclasses.replace(self, input_path=path, input_pol=pol), mask)
+                for path in carried
+                for pol in layout.polarizations
+            ]
             rows = np.r_[tuple(layout.path_block[p] for p in carried)]
             # response[..., j] is one trip's output for carried row j.
             response = np.stack(columns, axis=-1)

@@ -291,9 +291,9 @@ class TestCompiler:
             "twopass": {"failure": [0, 1], "absorbed": [2, 3, 4, 5]},
             "mz": {"success": [0, 1], "failure": [2, 3], "absorbed": list(range(4, 16))},
             "fp": {
-                "success": [8, 9],
-                "failure": [0, 1, 2, 3, 4, 5, 6, 7, 10, 11],
-                "absorbed": list(range(12, 20)),
+                "success": [6, 7],
+                "failure": [0, 1, 2, 3, 4, 5, 8, 9],
+                "absorbed": list(range(10, 18)),
             },
         }
         assert sorted(expected) == dsl.golden_names()
