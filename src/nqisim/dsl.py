@@ -254,7 +254,9 @@ def eval_expr(expr: Expr, env: dict[str, float], line: int) -> float:
 
 def print_expr(expr: Expr) -> str:
     if isinstance(expr, Num):
-        return f"{expr.value:g}" if expr.value == int(expr.value) else repr(expr.value)
+        # The shortest literal that parses back to the value; a literal that
+        # overflowed prints as one that overflows again.
+        return "1e400" if expr.value == math.inf else repr(expr.value).removesuffix(".0")
     if isinstance(expr, Name):
         return expr.ident
     if isinstance(expr, Call):
@@ -742,7 +744,10 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
             elif isinstance(stmt, AtomStmt):
                 elements.append(AtomInteraction(stmt.path, frozenset(stmt.transparent)))
             elif isinstance(stmt, RelabelStmt):
-                elements.append(Relabel(stmt.src, stmt.dst))
+                try:
+                    elements.append(Relabel(stmt.src, stmt.dst))
+                except ValueError as exc:
+                    raise CompileError(stmt.line, str(exc)) from None
             elif isinstance(stmt, RepeatStmt):
                 count = eval_expr(stmt.count_expr, env, stmt.line)
                 if not (

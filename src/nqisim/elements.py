@@ -126,6 +126,10 @@ class Relabel:
     src: str
     dst: str
 
+    def __post_init__(self):
+        if self.src == self.dst:
+            raise ValueError("relabel needs two distinct paths")
+
 
 Element = BeamSplitter | Mirror | PolRotator | PhaseShift | AtomInteraction | Relabel
 

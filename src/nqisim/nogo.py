@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elements import Element, run_sequence
-from .state import ABSENT_MASK, AtomSpec, BasisLayout, JointState
+from .state import ABSENT_MASK, ATOM_LEVELS, AtomSpec, BasisLayout, JointState
 from .state import condition_on_probe, product_factors
 from .tolerances import RANK_TOL
 
@@ -70,13 +70,17 @@ def build_final_states(
     transparency_mask: frozenset[str] = frozenset(),
 ) -> FinalStatePair:
     """Run the element sequence with the atom transparent at
-    ``ABSENT_MASK`` (absent) and at ``transparency_mask``.
+    ``ABSENT_MASK`` (absent) and at ``transparency_mask``, whose levels
+    must be ``ATOM_LEVELS``.
 
     The initial state carries the atom superposition; interacted and
     absorbed components stay inside the atom-present final state.
     """
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
+    unknown = frozenset(transparency_mask).difference(ATOM_LEVELS)
+    if unknown:
+        raise ValueError(f"unknown atom levels in mask: {sorted(unknown)}")
     absent = run_sequence(layout, elements, initial, mask_override=ABSENT_MASK)
     present = run_sequence(layout, elements, initial, mask_override=transparency_mask)
     return FinalStatePair(absent=absent, present=present)

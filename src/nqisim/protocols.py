@@ -31,14 +31,14 @@ the stage-by-stage amplitude trace exactly and gives the closed-form
 success probability [cos^2(pi/2N)]^N.
 
 Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip of the
-intracavity beam ``fwd``, which meets the atom on its way to the far
-mirror and back.  The trip starts at the entry mirror, which reflects
-the incoming photon out (i r) and couples part of ``fwd`` out.  The
-cavity runner compiles it at K = 1 and runs it with a level response
-that sums all round trips, B (I - T)^-1 x0 per atom level, T acting on
-the rows of ``in`` and ``fwd``: the geometric series behind the paper's
-i r and t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
-``fp.nqi`` leaves less than ``eps`` inside and so reproduces the run.
+intracavity beam ``fwd``, past the atom to the far mirror and back.  It
+starts at the entry mirror, which reflects the incoming photon out (i r)
+and couples part of ``fwd`` out.  The cavity runner compiles it at K = 1
+and runs it with a level response that sums all round trips,
+B (I - T)^-1 x0 per atom level: the geometric series behind the paper's
+i r and t t' beta.  Its ``details["round_trips"]`` is the K at which the
+compiled ``fp.nqi`` leaves less than ``eps`` inside and so reproduces the
+run.
 """
 
 from __future__ import annotations

@@ -335,7 +335,6 @@ def assemble_outcome(
     final: JointState,
     branches: dict[str, np.ndarray],
     atom_init: np.ndarray,
-    details: dict | None = None,
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
     """Branch probabilities of a final state, and the post-selected atom
@@ -381,5 +380,4 @@ def assemble_outcome(
         success_fidelity=success_fid,
         final_state=final,
         exit_polarization=exit_pol,
-        details=details or {},
     )

@@ -279,6 +279,33 @@ class TestRun:
         assert out == ""
         assert "line 5: sin(inf) is undefined" in err
 
+    def test_print_overflowing_literal(self, capsys, tmp_path):
+        # The canonical form keeps the overflow, so compiling it still fails
+        # at the line.
+        bad = tmp_path / "bad.nqi"
+        bad.write_text(
+            "paths a\nsinks S+ S-\natom-levels m+ m- g\ninput a x\n"
+            "phase a 1e400\nclassify a=failure sinks=absorbed\n"
+        )
+        code, out, _ = run_cli(capsys, "run", str(bad), "--print")
+        assert code == 0
+        assert "phase a 1e400\n" in out
+        bad.write_text(out)
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert "line 5: phase is not finite: inf" in err
+
+    def test_relabel_onto_itself_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.nqi"
+        bad.write_text(
+            "paths a\nsinks S+ S-\natom-levels m+ m- g\ninput a x\n"
+            "relabel a -> a\nclassify a=failure sinks=absorbed\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "line 5: relabel needs two distinct paths" in err
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.nqi"
         bad.write_text("paths a\nwhat now\n")

@@ -550,8 +550,12 @@ def _random_expr(rng: random.Random, names: list[str], depth: int = 0) -> str:
         choice = rng.random()
         if choice < 0.4:
             return str(rng.randint(0, 9))
+        if choice < 0.45:  # integral, beyond six significant digits
+            return str(rng.randint(10**6, 10**20))
         if choice < 0.6:
             return f"{rng.uniform(0, 2):.3f}"
+        if choice < 0.62:  # overflows to inf
+            return "9e999"
         if choice < 0.7 or not names:
             return "pi"
         return rng.choice(names)

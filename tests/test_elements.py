@@ -241,6 +241,11 @@ class TestRelabel:
         assert out.amplitude(("b", "+"), "g") == pytest.approx(1.4)
         assert out.amplitude(("a", "+"), "g") == 0.0
 
+    def test_onto_itself_rejected(self):
+        # Adding a block into itself and clearing the source would delete it.
+        with pytest.raises(ValueError, match="distinct"):
+            Relabel("a", "a")
+
 
 class TestSinkPairLabels:
     def test_sequence(self):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -437,6 +438,14 @@ class TestScan:
         assert row.residual == pytest.approx(1.0, abs=1e-12)
         pair = build_final_states(layout, elements, factory(absent), absent.transparency_mask)
         assert isinstance(find_witness(pair, absent.level_vector(layout)), Absence)
+
+    def test_unknown_mask_levels_rejected(self):
+        # A misspelt level would leave the atom unmasked and report a witness.
+        layout, elements, _ = build_mz(4)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        masks, samples = [frozenset({"M+"})], haar_random_atoms(1, 1)
+        with pytest.raises(ValueError, match=re.escape("unknown atom levels in mask: ['M+']")):
+            transparency_nogo_scan(layout, elements, factory, masks, samples)
 
     def test_empty_mask_list_rejected(self):
         layout, elements, _ = build_mz(2)
