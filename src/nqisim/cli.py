@@ -63,12 +63,10 @@ def parse_complex(text: str) -> complex:
 def _atom_from_args(args) -> AtomSpec:
     if getattr(args, "no_atom", False):
         return AtomSpec(present=False)
-    alpha = args.alpha
-    beta = args.beta
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    norm = math.hypot(abs(args.alpha), abs(args.beta))
     if norm == 0:
         raise SystemExit2("atom amplitudes cannot both be zero")
-    return AtomSpec(alpha / norm, beta / norm)
+    return AtomSpec(args.alpha / norm, args.beta / norm)
 
 
 class SystemExit2(Exception):
@@ -114,11 +112,13 @@ def _outcome_row(out: ProtocolOutcome, atom: AtomSpec) -> dict:
 
 
 def _sample_atoms(args) -> tuple[list[AtomSpec], str | None]:
-    if args.atoms is not None:
-        if args.no_atom:
-            raise SystemExit2("--atoms samples present atoms and cannot be combined with --no-atom")
-        return haar_random_atoms(args.atoms, seed=args.seed), f"seed={args.seed}"
-    return [_atom_from_args(args)], None
+    if args.atoms is None:
+        return [_atom_from_args(args)], None
+    if getattr(args, "no_atom", False):
+        raise SystemExit2("--atoms samples present atoms and cannot be combined with --no-atom")
+    if args.atoms < 1:
+        raise SystemExit2("--atoms must be at least 1")
+    return haar_random_atoms(args.atoms, seed=args.seed), f"seed={args.seed}"
 
 
 def cmd_mz_sweep(args) -> None:
@@ -173,7 +173,7 @@ def cmd_direct(args) -> None:
 
 def cmd_nogo_check(args) -> None:
     masks = [frozenset() if m == "none" else frozenset(m.split(",")) for m in args.mask or ["none"]]
-    samples = haar_random_atoms(args.atoms, seed=args.seed)
+    samples, header = _sample_atoms(args)
     circuit = mz_circuit(args.stages)
     factory = functools.partial(initial_state, circuit.layout, circuit.input_path, circuit.input_pol)
     results = transparency_nogo_scan(circuit.layout, circuit.elements, factory, masks, samples)
@@ -189,7 +189,7 @@ def cmd_nogo_check(args) -> None:
                 "delta_sq": _fmt(row.delta_sq) if row.delta_sq is not None else "",
             }
         )
-    _emit(rows, args, f"seed={args.seed}")
+    _emit(rows, args, header)
 
 
 def cmd_run(args) -> None:

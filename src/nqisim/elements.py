@@ -14,19 +14,22 @@ Phase conventions:
 A path's ``+`` and ``-`` rows are adjacent (``BasisLayout.path_block``),
 so each kernel is one operation on that (2, n_levels) block: a mirror or
 phase shift scales it, a rotator multiplies it by ``u``, a beam splitter
-mixes two blocks, a relabel adds one block into another.  The atom
-interaction reads the block's first row (``+``) at m+ and its second
-row (``-``) at m-.
+mixes two blocks, a relabel adds one block into another.
 
-``run_sequence`` is the one propagation loop, behind every runner's
+``run_sequence`` is the one propagation, behind every runner's
 ``CompiledCircuit.level_response`` and the witness scan.  It is pure (it
-returns a new state); the underscore in-place kernels work on the loop's
-own buffer.
+returns a new state).  It splits the sequence at every atom interaction;
+each run of optical elements between two interactions is one 2P x 2P map
+on the propagating rows (P paths), built once per call by the kernels on
+the identity, so the copies of a repeat body share their maps.  An
+interaction moves its path's ``+`` row at m+ and ``-`` row at m- onto its
+sink rows at g.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -170,30 +173,6 @@ def _phase_inplace(mat: np.ndarray, layout: BasisLayout, ps: PhaseShift) -> None
     mat[_block(layout, ps.path)] *= cmath.exp(1j * ps.phi)
 
 
-def _scatter(mat: np.ndarray, row: int, level: int, sink_row: int, ground: int) -> None:
-    """Move the amplitude at (row, level) onto (sink_row, ground)."""
-    amp = mat[row, level]
-    if amp != 0.0:
-        mat[sink_row, ground] += amp
-        mat[row, level] = 0.0
-
-
-def _atom_inplace(
-    mat: np.ndarray, layout: BasisLayout, atom: AtomInteraction, extra_mask: frozenset[str]
-) -> None:
-    """Row ``start`` of the path's block (+) meets m+, row ``start + 1``
-    (-) meets m-."""
-    start = _block(layout, atom.path).start
-    sink_plus = _sink_row(layout, atom.sink_plus)
-    sink_minus = _sink_row(layout, atom.sink_minus)
-    plus, minus, ground = ATOM_LEVELS
-    g = layout.level_index(ground)
-    if plus not in atom.transparency_mask and plus not in extra_mask:
-        _scatter(mat, start, layout.level_index(plus), sink_plus, g)
-    if minus not in atom.transparency_mask and minus not in extra_mask:
-        _scatter(mat, start + 1, layout.level_index(minus), sink_minus, g)
-
-
 def _relabel_inplace(mat: np.ndarray, layout: BasisLayout, rl: Relabel) -> None:
     src = _block(layout, rl.src)
     mat[_block(layout, rl.dst)] += mat[src]
@@ -222,16 +201,40 @@ def run_sequence(
     in addition to the interaction's own mask; with ``ABSENT_MASK`` among
     them the atom is absent and every interaction is skipped.
     """
-    amps = initial.amplitudes.copy()
-    mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
+    mat = initial.matrix().copy()
+    prop = mat[: 2 * len(layout.paths)].copy()
     interacts = not ABSENT_MASK <= mask_override
-    for el in elements:
-        if isinstance(el, AtomInteraction):
-            if interacts:
-                _atom_inplace(mat, layout, el, mask_override)
-        else:
-            _KERNELS[type(el)](mat, layout, el)
-    return JointState(layout, amps)
+    # One map per distinct optical run, keyed by its element ids; each entry
+    # keeps its run alive, so no id is reused while the call lasts.
+    maps: dict[tuple[int, ...], tuple[np.ndarray, list[Element]]] = {}
+    run: list[Element] = []
+    levels = None
+    for el in itertools.chain(elements, [None]):
+        if el is not None and not isinstance(el, AtomInteraction):
+            run.append(el)
+            continue
+        if run:
+            key = tuple(map(id, run))
+            if key not in maps:
+                m = np.eye(len(prop), dtype=complex)
+                for optic in run:
+                    _KERNELS[type(optic)](m, layout, optic)
+                maps[key] = m, run
+            prop = maps[key][0].dot(prop)
+            run = []
+        if el is None or not interacts:
+            continue
+        if levels is None:
+            g = layout.level_index(ATOM_LEVELS[2])
+            levels = [(i, lev, layout.level_index(lev)) for i, lev in enumerate(ATOM_LEVELS[:2])]
+        start = _block(layout, el.path).start
+        sinks = _sink_row(layout, el.sink_plus), _sink_row(layout, el.sink_minus)
+        for offset, level, col in levels:
+            if level not in el.transparency_mask and level not in mask_override:
+                mat[sinks[offset], g] += prop[start + offset, col]
+                prop[start + offset, col] = 0.0
+    mat[: len(prop)] = prop
+    return JointState(layout, mat.reshape(-1))
 
 
 def sink_pair_labels(event: int, base_plus: str = "S+", base_minus: str = "S-") -> tuple[str, str]:

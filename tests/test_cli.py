@@ -152,6 +152,20 @@ class TestDirect:
         assert code == 2
         assert "unknown polarization" in err
 
+    @pytest.mark.parametrize(
+        "argv,same_as",
+        [
+            # Squaring 1e200 overflows and squaring 3e-170 underflows; the
+            # norm must do neither.
+            (("--alpha", "1e200", "--beta", "1e200"), ()),
+            (("--alpha", "3e-170", "--beta", "4e-170"), ("--alpha", "0.6", "--beta", "0.8")),
+        ],
+    )
+    def test_extreme_amplitudes_normalize(self, capsys, argv, same_as):
+        code, out, err = run_cli(capsys, "direct", *argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "direct", *same_as)[1]
+
 
 class TestNogoCheck:
     def test_masks_and_seed_header(self, capsys):
@@ -213,6 +227,23 @@ class TestNogoCheck:
         code, _, err = run_cli(capsys, "nogo-check", "--mask", "bogus")
         assert code == 2
         assert "unknown atom levels" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nogo-check", "--atoms", "0"),
+        ("nogo-check", "--atoms", "-3"),
+        ("nogo-check", "--mask", "m*", "--atoms", "0"),
+        ("mz-sweep", "--max", "2", "--atoms", "0"),
+        ("mz-sweep", "--max", "2", "--atoms", "-1"),
+    ],
+)
+def test_fewer_than_one_atom_sample_rejected(capsys, argv):
+    # An empty sample prints an empty table and checks nothing.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--atoms must be at least 1" in err
 
 
 class TestRun:

@@ -1,10 +1,14 @@
 """Element conventions and norm preservation."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nqisim import dsl, elements
 from nqisim.elements import (
     AtomInteraction,
     BeamSplitter,
@@ -17,6 +21,7 @@ from nqisim.elements import (
     sink_pair_labels,
 )
 from nqisim.state import ABSENT_MASK, AtomSpec, JointState, initial_state, make_layout
+from test_dsl import _random_source
 
 LEVELS = ["m+", "m-", "g"]
 
@@ -197,6 +202,15 @@ class TestAtomInteraction:
         out = run_sequence(layout, [AtomInteraction("a")], state)
         assert out.amplitude(("b", "+"), "m+") == 1.0
 
+    def test_shared_sink_pair_adds(self):
+        # Hand-built sequences may reuse one sink pair: the second
+        # absorption adds to the first instead of replacing it.
+        layout = layout2()
+        state = state_of(layout, (0.6, ("a", "+"), "m+"), (0.8, ("a", "-"), "m+"))
+        hit = AtomInteraction("a")
+        out = run_sequence(layout, [hit, PolRotator("a", POL_FLIP), hit], state)
+        assert out.amplitude("S+", "g") == pytest.approx(1.4)
+
     def test_missing_sink_raises(self):
         layout = make_layout(["a"], [], LEVELS)
         state = state_of(layout, (1.0, ("a", "+"), "m+"))
@@ -254,3 +268,78 @@ class TestSinkPairLabels:
         assert sink_pair_labels(2) == ("S+#3", "S-#3")
         assert sink_pair_labels(0, "P", "M") == ("P", "M")
         assert sink_pair_labels(3, "P", "M") == ("P#4", "M#4")
+
+
+MASKS = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+
+
+def one_at_a_time(layout, sequence, state, mask):
+    """The element-by-element reference: one ``run_sequence`` per element."""
+    for el in sequence:
+        state = run_sequence(layout, [el], state, mask_override=mask)
+    return state
+
+
+class TestRunMaps:
+    """``run_sequence`` applies each optical run between two interactions as
+    one map; folding single elements must give the same state."""
+
+    def test_agrees_with_one_element_at_a_time(self):
+        bindings = {"N": 7, "K": 30, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
+        circuits = [
+            dsl.compile_circuit(dsl.parse(dsl.load_golden(name)), bindings)
+            for name in dsl.golden_names()
+        ]
+        rng = random.Random(20260823)  # criterion 9's fuzzed sources
+        for _ in range(100):
+            try:
+                circuits.append(dsl.compile_circuit(dsl.parse(_random_source(rng))))
+            except dsl.CompileError:
+                continue
+        assert len(circuits) > 50
+        for index, circuit in enumerate(circuits):
+            # Every row populated, sinks included, so the sink adds show too.
+            state = random_state(circuit.layout, index)
+            for mask in MASKS:
+                got = run_sequence(circuit.layout, circuit.elements, state, mask_override=mask)
+                want = one_at_a_time(circuit.layout, circuit.elements, state, mask)
+                dev = np.max(np.abs(got.amplitudes - want.amplitudes))
+                assert dev <= 1e-14, (index, mask, dev)
+
+    def test_fresh_elements_from_a_generator(self):
+        # Each splitter is built, used and dropped by the generator, so a
+        # map kept by the id of a freed element would be applied to the next
+        # splitter allocated at the same address.
+        layout = make_layout(["a", "b"], ["S+", "S-"], LEVELS)
+
+        def fresh(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(40):
+                theta = rng.uniform(0.0, math.pi / 2)
+                yield BeamSplitter(math.sin(theta), math.cos(theta), "a", "b")
+                yield PhaseShift("b", rng.uniform(-math.pi, math.pi))
+                yield AtomInteraction("a")
+
+        state = random_state(layout, 11)
+        for mask in MASKS:
+            got = run_sequence(layout, fresh(3), state, mask_override=mask)
+            want = one_at_a_time(layout, list(fresh(3)), state, mask)
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-14, mask
+
+    def test_repeat_copies_share_their_maps(self, monkeypatch):
+        # mz.nqi splits into two distinct runs, [bs] and the six optics
+        # between a stage's interactions: 7 kernel calls at any N.
+        calls = []
+        for kind, kernel in list(elements._KERNELS.items()):
+
+            def counted(*args, kernel=kernel):
+                calls.append(args[2])
+                kernel(*args)
+
+            monkeypatch.setitem(elements._KERNELS, kind, counted)
+        circuit = dsl.compile_circuit(dsl.parse(dsl.load_golden("mz")), {"N": 64})
+        state = initial_state(circuit.layout, circuit.input_path, circuit.input_pol, AtomSpec())
+        for mask in MASKS:
+            calls.clear()
+            run_sequence(circuit.layout, circuit.elements, state, mask_override=mask)
+            assert len(calls) <= 7, mask
