@@ -9,8 +9,9 @@ Subcommands:
 * ``run``        compile and execute a circuit file
 
 Output is CSV (default) or JSON, numbers rendered with 12 significant
-digits so repeated runs are byte identical.  Exit codes: 0 success, 1
-probability conservation failure, 2 usage or circuit errors.
+digits so repeated runs are byte identical; probabilities and residuals
+are first rounded to 1e-15, so rounding residue prints as 0.  Exit codes:
+0 success, 1 probability conservation failure, 2 usage or circuit errors.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ from .protocols import (
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _prob(x: float) -> str:
+    """A probability, or a residual of unit vectors, at absolute resolution
+    1e-15: each is known only to about 1e-16, so rounding residue prints 0."""
+    return _fmt(round(x, 15))
 
 
 def format_complex(z: complex) -> str:
@@ -102,10 +109,10 @@ def _outcome_row(out: ProtocolOutcome, atom: AtomSpec) -> dict:
     row = {
         "alpha": format_complex(atom.alpha) if atom.present else "",
         "beta": format_complex(atom.beta) if atom.present else "",
-        "success_prob": _fmt(out.success_prob),
-        "failure_prob": _fmt(out.failure_prob),
-        "absorbed_prob": _fmt(out.absorbed_prob),
-        "fidelity": _fmt(out.success_fidelity) if out.success_fidelity is not None else "",
+        "success_prob": _prob(out.success_prob),
+        "failure_prob": _prob(out.failure_prob),
+        "absorbed_prob": _prob(out.absorbed_prob),
+        "fidelity": _prob(out.success_fidelity) if out.success_fidelity is not None else "",
         "exit_polarization": out.exit_polarization,
     }
     return row
@@ -129,7 +136,7 @@ def cmd_mz_sweep(args) -> None:
     for n in range(args.min, args.max + 1):
         for atom in samples:
             out = run_mz_chain(n, atom)
-            row = {"n_stages": str(n), "closed_form": _fmt(mz_closed_form(n))}
+            row = {"n_stages": str(n), "closed_form": _prob(mz_closed_form(n))}
             row.update(_outcome_row(out, atom))
             rows.append(row)
     _emit(rows, args, header)
@@ -147,8 +154,8 @@ def cmd_fp(args) -> None:
         "r_prime": _fmt(rp),
         "t_prime": _fmt(tp),
         "round_trips": str(out.details["round_trips"]),
-        "reflected": _fmt(out.details["reflected"]),
-        "transmitted": _fmt(out.details["transmitted"]),
+        "reflected": _prob(out.details["reflected"]),
+        "transmitted": _prob(out.details["transmitted"]),
     }
     row.update(_outcome_row(out, atom))
     _emit([row], args)
@@ -185,8 +192,8 @@ def cmd_nogo_check(args) -> None:
                 "alpha": format_complex(row.alpha),
                 "beta": format_complex(row.beta),
                 "witness": "yes" if row.witness_found else "no",
-                "residual": _fmt(row.residual),
-                "delta_sq": _fmt(row.delta_sq) if row.delta_sq is not None else "",
+                "residual": _prob(row.residual),
+                "delta_sq": _prob(row.delta_sq) if row.delta_sq is not None else "",
             }
         )
     _emit(rows, args, header)

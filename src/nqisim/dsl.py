@@ -18,6 +18,10 @@ and named parameters.  Example::
     }
     classify l=success u=failure sinks=absorbed
 
+Every element statement parses to one ``ElementStmt``, and each element
+keyword is one entry in each of ``_SYNTAX`` (its arguments and usage),
+``_BUILD`` (its element) and ``_FORM`` (its canonical form).
+
 The compiler substitutes parameter bindings and checks beam-splitter and
 rotator unitarity after substitution.  A repeat body has no loop index,
 so it is compiled once and tiled, its copies sharing the same immutable
@@ -33,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -273,46 +277,15 @@ def print_expr(expr: Expr) -> str:
 
 
 @dataclass(frozen=True)
-class BsStmt:
+class ElementStmt:
+    """One element statement: its paths, expressions (none for ``rot ...
+    flip``) and transparent levels, in source order."""
+
     line: int = field(compare=False)
-    path_a: str
-    path_b: str
-    t_expr: Expr
-    r_expr: Expr
-
-
-@dataclass(frozen=True)
-class MirrorStmt:
-    line: int = field(compare=False)
-    path: str
-
-
-@dataclass(frozen=True)
-class RotStmt:
-    line: int = field(compare=False)
-    path: str
-    entries: tuple[Expr, Expr, Expr, Expr] | None  # None means flip
-
-
-@dataclass(frozen=True)
-class PhaseStmt:
-    line: int = field(compare=False)
-    path: str
-    phi_expr: Expr
-
-
-@dataclass(frozen=True)
-class AtomStmt:
-    line: int = field(compare=False)
-    path: str
-    transparent: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RelabelStmt:
-    line: int = field(compare=False)
-    src: str
-    dst: str
+    keyword: str
+    paths: tuple[str, ...]
+    exprs: tuple[Expr, ...] = ()
+    levels: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -322,7 +295,7 @@ class RepeatStmt:
     body: tuple["Stmt", ...]
 
 
-Stmt = Union[BsStmt, MirrorStmt, RotStmt, PhaseStmt, AtomStmt, RelabelStmt, RepeatStmt]
+Stmt = Union[ElementStmt, RepeatStmt]
 
 
 @dataclass(frozen=True)
@@ -350,6 +323,43 @@ _WORD = re.compile(r"\S+")
 _ARG = re.compile(r"\S(?:.*\S)?")  # a span stripped of surrounding blanks
 
 _POLS = ("+", "-", "x", "y")
+
+# Each element keyword once.  _SYNTAX: the arguments after the keyword,
+# whose groups take the roles spelled out in order (p a path, e an
+# expression, m a ``matrix(...)`` of four, l transparent levels), and the
+# usage message.  _BUILD: the element from the paths, the expression values
+# and the levels.  _FORM: the canonical arguments from the paths, the
+# printed expressions and the levels.
+_SYNTAX = {
+    kw: (re.compile(rf"^\s*{kw}\s+{args}$"), roles, usage)
+    for kw, args, roles, usage in [
+        ("bs", rf"({_LABEL})\s+({_LABEL})\s+t=(\S+)\s+r=(\S+)", "ppee",
+         "malformed bs statement (bs A B t=... r=...)"),
+        ("mirror", r"(\S+)", "p", "mirror needs one path"),
+        ("rot", rf"({_LABEL})\s+(?:flip|(matrix\(.*\)))", "pm",
+         "malformed rot statement (rot PATH flip|matrix(...))"),
+        ("phase", r"(\S+)\s+(\S.*)", "pe", "phase needs a path and an expression"),
+        ("atom", rf"({_LABEL})(?:\s+transparent:\s*(.+))?", "pl", "malformed atom statement"),
+        ("relabel", rf"({_LABEL})\s*->\s*({_LABEL})", "pp",
+         "malformed relabel statement (relabel A -> B)"),
+    ]
+}
+_BUILD: dict[str, Callable[..., Element]] = {
+    "bs": lambda p, v, l: BeamSplitter(*v, *p),
+    "mirror": lambda p, v, l: Mirror(*p),
+    "rot": lambda p, v, l: PolRotator(*p, np.reshape(v, (2, 2)) if v else POL_FLIP),
+    "phase": lambda p, v, l: PhaseShift(*p, *v),
+    "atom": lambda p, v, l: AtomInteraction(*p, frozenset(l)),
+    "relabel": lambda p, v, l: Relabel(*p),
+}
+_FORM: dict[str, Callable[..., str]] = {
+    "bs": lambda p, e, l: f"{p[0]} {p[1]} t={e[0]} r={e[1]}",
+    "mirror": lambda p, e, l: p[0],
+    "rot": lambda p, e, l: f"{p[0]} matrix({', '.join(e)})" if e else f"{p[0]} flip",
+    "phase": lambda p, e, l: f"{p[0]} {e[0]}",
+    "atom": lambda p, e, l: f"{p[0]} transparent: {' '.join(l)}" if l else p[0],
+    "relabel": lambda p, e, l: f"{p[0]} -> {p[1]}",
+}
 
 
 def _words(line: str, pos: int = 0) -> list[tuple[str, int]]:
@@ -474,55 +484,27 @@ class _Parser:
             expr = parse_expr(m.group(2), lineno, m.start(2))
             self.lets.append(LetBinding(lineno, name, expr))
             return None
-        if keyword == "bs":
-            m = re.match(
-                rf"^\s*bs\s+({_LABEL})\s+({_LABEL})\s+t=(\S+)\s+r=(\S+)$", line
-            )
+        if keyword in _SYNTAX:
+            pattern, roles, usage = _SYNTAX[keyword]
+            m = pattern.match(line)
             if m is None:
-                raise self.error(lineno, "malformed bs statement (bs A B t=... r=...)", keyword)
-            a = self._check_path(lineno, m.group(1), m.start(1))
-            b = self._check_path(lineno, m.group(2), m.start(2))
-            t_expr = parse_expr(m.group(3), lineno, m.start(3))
-            r_expr = parse_expr(m.group(4), lineno, m.start(4))
-            return BsStmt(lineno, a, b, t_expr, r_expr)
-        if keyword == "mirror":
-            if len(words) != 2:
-                raise self.error(lineno, "mirror needs one path", keyword)
-            return MirrorStmt(lineno, self._check_path(lineno, *words[1]))
-        if keyword == "rot":
-            m = re.match(rf"^\s*rot\s+({_LABEL})\s+(flip|matrix\((.*)\))$", line)
-            if m is None:
-                raise self.error(lineno, "malformed rot statement (rot PATH flip|matrix(...))", keyword)
-            path = self._check_path(lineno, m.group(1), m.start(1))
-            if m.group(2) == "flip":
-                return RotStmt(lineno, path, None)
-            parts = self._split_args(lineno, line, m.start(3), m.end(3))
-            if len(parts) != 4:
-                raise self.error(lineno, "matrix(...) needs four entries", "matrix", m.start(2))
-            entries = tuple(parse_expr(p, lineno, at) for p, at in parts)
-            return RotStmt(lineno, path, entries)
-        if keyword == "phase":
-            if len(words) < 3:
-                raise self.error(lineno, "phase needs a path and an expression", keyword)
-            path = self._check_path(lineno, *words[1])
-            at = words[2][1]
-            return PhaseStmt(lineno, path, parse_expr(line[at:], lineno, at))
-        if keyword == "atom":
-            m = re.match(rf"^\s*atom\s+({_LABEL})(?:\s+transparent:\s*(.+))?$", line)
-            if m is None:
-                raise self.error(lineno, "malformed atom statement", keyword)
-            path = self._check_path(lineno, m.group(1), m.start(1))
-            levels = _words(line, m.start(2)) if m.group(2) else []
+                raise self.error(lineno, usage, keyword)
+            spans: dict[str, list[tuple[str, int]]] = {role: [] for role in "peml"}
+            for i, role in enumerate(roles, 1):
+                if m.group(i) is not None:
+                    spans[role].append((m.group(i), m.start(i)))
+            paths = tuple(self._check_path(lineno, *span) for span in spans["p"])
+            exprs = [parse_expr(text, lineno, at) for text, at in spans["e"]]
+            for text, at in spans["m"]:
+                parts = self._split_args(lineno, line, at + len("matrix("), at + len(text) - 1)
+                if len(parts) != 4:
+                    raise self.error(lineno, "matrix(...) needs four entries", "matrix", at)
+                exprs += [parse_expr(part, lineno, part_at) for part, part_at in parts]
+            levels = [word for _, at in spans["l"] for word in _words(line, at)]
             for lev, at in levels:
                 if lev not in self.levels:
                     raise self.error(lineno, f"undeclared atom level: {lev}", lev, at)
-            return AtomStmt(lineno, path, tuple(lev for lev, _ in levels))
-        if keyword == "relabel":
-            m = re.match(rf"^\s*relabel\s+({_LABEL})\s*->\s*({_LABEL})$", line)
-            if m is None:
-                raise self.error(lineno, "malformed relabel statement (relabel A -> B)", keyword)
-            src = self._check_path(lineno, m.group(1), m.start(1))
-            return RelabelStmt(lineno, src, self._check_path(lineno, m.group(2), m.start(2)))
+            return ElementStmt(lineno, keyword, paths, tuple(exprs), tuple(lev for lev, _ in levels))
         if keyword == "repeat":
             m = re.match(r"^\s*repeat\s+(.+?)\s*\{$", line)
             if m is None:
@@ -601,28 +583,9 @@ def parse(source: str) -> CircuitAst:
 
 
 def _print_stmt(stmt: Stmt, indent: str, out: list[str]) -> None:
-    if isinstance(stmt, BsStmt):
-        out.append(
-            f"{indent}bs {stmt.path_a} {stmt.path_b} "
-            f"t={print_expr(stmt.t_expr)} r={print_expr(stmt.r_expr)}"
-        )
-    elif isinstance(stmt, MirrorStmt):
-        out.append(f"{indent}mirror {stmt.path}")
-    elif isinstance(stmt, RotStmt):
-        if stmt.entries is None:
-            out.append(f"{indent}rot {stmt.path} flip")
-        else:
-            entries = ", ".join(print_expr(e) for e in stmt.entries)
-            out.append(f"{indent}rot {stmt.path} matrix({entries})")
-    elif isinstance(stmt, PhaseStmt):
-        out.append(f"{indent}phase {stmt.path} {print_expr(stmt.phi_expr)}")
-    elif isinstance(stmt, AtomStmt):
-        if stmt.transparent:
-            out.append(f"{indent}atom {stmt.path} transparent: {' '.join(stmt.transparent)}")
-        else:
-            out.append(f"{indent}atom {stmt.path}")
-    elif isinstance(stmt, RelabelStmt):
-        out.append(f"{indent}relabel {stmt.src} -> {stmt.dst}")
+    if isinstance(stmt, ElementStmt):
+        exprs = [print_expr(e) for e in stmt.exprs]
+        out.append(f"{indent}{stmt.keyword} {_FORM[stmt.keyword](stmt.paths, exprs, stmt.levels)}")
     elif isinstance(stmt, RepeatStmt):
         out.append(f"{indent}repeat {print_expr(stmt.count_expr)} {{")
         for inner in stmt.body:
@@ -716,36 +679,10 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
         interactions get their sink pairs once the program is unrolled."""
         elements: list[Element] = []
         for stmt in stmts:
-            if isinstance(stmt, BsStmt):
-                t = eval_expr(stmt.t_expr, env, stmt.line)
-                r = eval_expr(stmt.r_expr, env, stmt.line)
+            if isinstance(stmt, ElementStmt):
+                values = [eval_expr(e, env, stmt.line) for e in stmt.exprs]
                 try:
-                    elements.append(BeamSplitter(t, r, stmt.path_a, stmt.path_b))
-                except ValueError as exc:
-                    raise CompileError(stmt.line, str(exc)) from None
-            elif isinstance(stmt, MirrorStmt):
-                elements.append(Mirror(stmt.path))
-            elif isinstance(stmt, RotStmt):
-                if stmt.entries is None:
-                    u = POL_FLIP
-                else:
-                    vals = [eval_expr(e, env, stmt.line) for e in stmt.entries]
-                    u = np.array(vals, dtype=complex).reshape(2, 2)
-                try:
-                    elements.append(PolRotator(stmt.path, u))
-                except ValueError as exc:
-                    raise CompileError(stmt.line, str(exc)) from None
-            elif isinstance(stmt, PhaseStmt):
-                phi = eval_expr(stmt.phi_expr, env, stmt.line)
-                try:
-                    elements.append(PhaseShift(stmt.path, phi))
-                except ValueError as exc:
-                    raise CompileError(stmt.line, str(exc)) from None
-            elif isinstance(stmt, AtomStmt):
-                elements.append(AtomInteraction(stmt.path, frozenset(stmt.transparent)))
-            elif isinstance(stmt, RelabelStmt):
-                try:
-                    elements.append(Relabel(stmt.src, stmt.dst))
+                    elements.append(_BUILD[stmt.keyword](stmt.paths, values, stmt.levels))
                 except ValueError as exc:
                     raise CompileError(stmt.line, str(exc)) from None
             elif isinstance(stmt, RepeatStmt):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .elements import Element, run_sequence
 from .state import ABSENT_MASK, ATOM_LEVELS, AtomSpec, BasisLayout, JointState
-from .state import condition_on_probe, product_factors
+from .state import product_factors
 from .tolerances import RANK_TOL
 
 
@@ -136,12 +136,10 @@ def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absen
     residual = float(np.linalg.norm(defect))
     coeff_norm = float(np.linalg.norm(sol))
     if residual < RANK_TOL and RANK_TOL < coeff_norm < 1.0 / RANK_TOL:
+        # As conj(c) is orthogonal to psi_f, the witness contracts present to
+        # restricted^T c / |c| = (atom_init + defect) / |c|: delta is 1/|c|.
         phi_p = sol.conj() / coeff_norm
-        delta = complex(1.0 / coeff_norm)
-        # Fix the witness phase so the contraction is exactly delta * atom_init.
-        contraction, _ = condition_on_probe(pair.present, phi_p)
-        phase = np.vdot(atom_init, contraction / np.linalg.norm(contraction))
-        return Witness(phi_p=phi_p, delta=delta * phase, residual=residual)
+        return Witness(phi_p=phi_p, delta=complex(1.0 / coeff_norm), residual=residual)
     return Absence(residual=residual)
 
 
@@ -241,21 +239,15 @@ def transparency_nogo_scan(
             )
             atom_init = atom.level_vector(layout)
             result = find_witness(pair, atom_init)
-            if isinstance(result, Witness):
-                rows.append(
-                    NogoRow(
-                        frozenset(mask),
-                        atom.alpha,
-                        atom.beta,
-                        True,
-                        result.residual,
-                        abs(result.delta) ** 2,
-                    )
+            found = isinstance(result, Witness)
+            rows.append(
+                NogoRow(
+                    frozenset(mask),
+                    atom.alpha,
+                    atom.beta,
+                    found,
+                    result.residual,
+                    abs(result.delta) ** 2 if found else None,
                 )
-            else:
-                rows.append(
-                    NogoRow(
-                        frozenset(mask), atom.alpha, atom.beta, False, result.residual, None
-                    )
-                )
+            )
     return rows

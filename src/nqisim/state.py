@@ -187,26 +187,6 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(f, 1.0))
 
 
-def condition_on_probe(
-    state: JointState, probe: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Contract the photon index against a normalized probe vector.
-
-    Returns the unnormalized atom-sector vector <probe|state> and its
-    squared norm (the probability of finding the probe).
-    """
-    probe = np.asarray(probe, dtype=complex)
-    if probe.shape != (state.layout.n_photon_modes,):
-        raise ValueError(
-            f"probe has shape {probe.shape}, expected ({state.layout.n_photon_modes},)"
-        )
-    if not abs(np.vdot(probe, probe).real - 1.0) <= 1e-9:
-        raise ValueError("probe vector is not normalized")
-    atom_vec = probe.conj() @ state.matrix()
-    prob = float(np.vdot(atom_vec, atom_vec).real)
-    return atom_vec, prob
-
-
 def partition_branches(
     state: JointState, branches: dict[str, np.ndarray]
 ) -> list[Branch]:

@@ -79,6 +79,18 @@ class TestMzSweep:
         assert out == ""
         assert "cannot be combined with --no-atom" in err
 
+    def test_empty_chain_prints_exact_zeros(self, capsys):
+        # Exact zeros print as 0 whatever residue the summation order leaves.
+        code, out, _ = run_cli(capsys, "mz-sweep", "--min", "1", "--max", "3", "--no-atom")
+        assert code == 0
+        assert out.splitlines() == [
+            "n_stages,closed_form,alpha,beta,success_prob,failure_prob,absorbed_prob,"
+            "fidelity,exit_polarization",
+            "1,0,,,0,1,0,,-",
+            "2,0.25,,,0,1,0,,+",
+            "3,0.421875,,,0,1,0,,-",
+        ]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "mz-sweep", "--min", "2", "--max", "2", "-o", str(target))
@@ -105,6 +117,16 @@ class TestFp:
         row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
         assert float(row["transmitted"]) == pytest.approx(1.0, abs=1e-9)
         assert row["alpha"] == ""
+
+    def test_empty_high_finesse_cavity_pinned(self, capsys):
+        # An empty cavity reflects nothing: reflected and success print 0.
+        code, out, _ = run_cli(capsys, "fp", "--r", "0.99", "--no-atom")
+        assert code == 0
+        assert out.splitlines() == [
+            "r,t,r_prime,t_prime,round_trips,reflected,transmitted,alpha,beta,"
+            "success_prob,failure_prob,absorbed_prob,fidelity,exit_polarization",
+            "0.99,0.141067359797,0.99,0.141067359797,591,0,1,,,0,1,0,,y",
+        ]
 
     def test_default_eps_leaves_nothing_inside(self, capsys):
         # eps sets only the round-trip count: at the default 1e-12 the
@@ -186,16 +208,16 @@ class TestNogoCheck:
     EIGHT_STAGES = [
         "# seed=0",
         "mask,alpha,beta,witness,residual,delta_sq",
-        "none,0.186516876395+0.95004710319i,-0.195973460027+0.155616064417i,yes,2.35513868803e-16,0.733133440547",
-        "none,-0.308494933051+0.750980785493i,0.20824457743+0.545429126535i,yes,3.04047097224e-16,0.733133440547",
-        "none,-0.446268676989-0.395245051896i,-0.802457994119+0.0262065748454i,yes,2.55729072798e-16,0.733133440547",
-        "none,-0.846605715283-0.453669405233i,-0.0796678801683-0.266638073943i,yes,2.91433543964e-16,0.733133440547",
-        "none,-0.423379621294+0.320207816669i,-0.246050216233+0.810972219937i,yes,2.98936698014e-16,0.733133440547",
-        "none,-0.082121356152-0.424995774997i,0.873039464713+0.224581315234i,yes,2.43554187579e-16,0.733133440547",
-        "none,0.605352488414-0.498167100443i,0.0629910975999-0.617584023782i,yes,2.22477863103e-16,0.733133440547",
-        "none,-0.398235992702-0.878399856475i,0.191576744562-0.181989387613i,yes,2.25487362244e-16,0.733133440547",
-        "none,-0.227409808931+0.30658242735i,0.7724514581+0.507553680828i,yes,1.68830575362e-16,0.733133440547",
-        "none,-0.36050871202+0.432269226057i,-0.0714665027956+0.823449648576i,yes,2.88444402958e-16,0.733133440547",
+        "none,0.186516876395+0.95004710319i,-0.195973460027+0.155616064417i,yes,0,0.733133440547",
+        "none,-0.308494933051+0.750980785493i,0.20824457743+0.545429126535i,yes,0,0.733133440547",
+        "none,-0.446268676989-0.395245051896i,-0.802457994119+0.0262065748454i,yes,0,0.733133440547",
+        "none,-0.846605715283-0.453669405233i,-0.0796678801683-0.266638073943i,yes,0,0.733133440547",
+        "none,-0.423379621294+0.320207816669i,-0.246050216233+0.810972219937i,yes,0,0.733133440547",
+        "none,-0.082121356152-0.424995774997i,0.873039464713+0.224581315234i,yes,0,0.733133440547",
+        "none,0.605352488414-0.498167100443i,0.0629910975999-0.617584023782i,yes,0,0.733133440547",
+        "none,-0.398235992702-0.878399856475i,0.191576744562-0.181989387613i,yes,0,0.733133440547",
+        "none,-0.227409808931+0.30658242735i,0.7724514581+0.507553680828i,yes,0,0.733133440547",
+        "none,-0.36050871202+0.432269226057i,-0.0714665027956+0.823449648576i,yes,0,0.733133440547",
         "m+,0.186516876395+0.95004710319i,-0.195973460027+0.155616064417i,no,0.968182856417,",
         "m+,-0.308494933051+0.750980785493i,0.20824457743+0.545429126535i,no,0.811875152901,",
         "m+,-0.446268676989-0.395245051896i,-0.802457994119+0.0262065748454i,no,0.596132856928,",
@@ -213,15 +235,8 @@ class TestNogoCheck:
             capsys, "nogo-check", "--stages", "8", "--mask", "none", "--mask", "m+"
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == len(self.EIGHT_STAGES)
-        for line, expected in zip(lines, self.EIGHT_STAGES):
-            row, want = line.split(","), expected.split(",")
-            if len(want) == 6 and want[3] == "yes":
-                # A witness row's residual is roundoff: only its size is fixed.
-                assert float(row[4]) < 1e-14
-                row[4] = want[4]
-            assert row == want
+        # A witness row's residual is roundoff, below the printed resolution.
+        assert out.strip().splitlines() == self.EIGHT_STAGES
 
     def test_unknown_level_rejected(self, capsys):
         code, _, err = run_cli(capsys, "nogo-check", "--mask", "bogus")

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import string
 
 import numpy as np
 import pytest
@@ -641,6 +642,27 @@ class TestFuzzedRoundTrip:
             again = parse(printed)
             assert again == ast, src
             assert print_circuit(again) == printed, src
+
+    def test_corrupted_sources_fail_at_a_located_token(self):
+        # One character of each draw replaced: a parse error's token stands
+        # at its column, and a compile error names a statement's line.
+        rng, chars = random.Random(20261018), string.ascii_letters + string.punctuation + " \t"
+        located = compile_errors = 0
+        for _ in range(1000):
+            src = _random_source(rng)
+            at = rng.randrange(len(src))
+            src = src[:at] + rng.choice(chars) + src[at + 1 :]
+            lines = src.splitlines()
+            try:
+                compile_circuit(parse(src))
+            except ParseError as exc:
+                if exc.token:
+                    assert lines[exc.line - 1][exc.column - 1 :].startswith(exc.token), (src, exc)
+                    located += 1
+            except CompileError as exc:
+                assert 1 <= exc.line <= len(lines) and lines[exc.line - 1].strip(), (src, exc)
+                compile_errors += 1
+        assert located > 800 and compile_errors > 10, (located, compile_errors)
 
 
 def _outcome_or_error(run):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nqisim.state import (
     AtomSpec,
-    condition_on_probe,
     fidelity,
     initial_state,
     make_layout,
@@ -111,31 +110,6 @@ class TestInitialState:
     def test_unknown_polarization_rejected(self):
         with pytest.raises(ValueError, match="unknown polarization: 'z'"):
             initial_state(small_layout(), "l", "z", AtomSpec())
-
-
-class TestConditioning:
-    def test_probe_contraction(self):
-        layout = small_layout()
-        state = state_of(layout, (0.6, ("l", "+"), "m+"), (0.8, ("u", "+"), "m-"))
-        probe = np.zeros(layout.n_photon_modes)
-        probe[layout.photon_index(("l", "+"))] = 1.0
-        atom_vec, prob = condition_on_probe(state, probe)
-        assert prob == pytest.approx(0.36)
-        assert atom_vec[layout.level_index("m+")] == pytest.approx(0.6)
-
-    def test_probe_shape_checked(self):
-        layout = small_layout()
-        state = state_of(layout, (1.0, ("l", "+"), "m+"))
-        with pytest.raises(ValueError, match="shape"):
-            condition_on_probe(state, np.ones(3))
-
-    def test_nan_probe_rejected(self):
-        layout = small_layout()
-        state = state_of(layout, (1.0, ("l", "+"), "m+"))
-        probe = np.zeros(layout.n_photon_modes)
-        probe[layout.photon_index(("l", "+"))] = np.nan
-        with pytest.raises(ValueError, match="probe vector is not normalized"):
-            condition_on_probe(state, probe)
 
 
 class TestPartition:
