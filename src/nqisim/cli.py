@@ -70,10 +70,12 @@ def parse_complex(text: str) -> complex:
 def _atom_from_args(args) -> AtomSpec:
     if getattr(args, "no_atom", False):
         return AtomSpec(present=False)
-    norm = math.hypot(abs(args.alpha), abs(args.beta))
+    # An amplitude not given is 1/sqrt(2).
+    alpha, beta = (complex(1 / math.sqrt(2)) if a is None else a for a in (args.alpha, args.beta))
+    norm = math.hypot(abs(alpha), abs(beta))
     if norm == 0:
         raise SystemExit2("atom amplitudes cannot both be zero")
-    return AtomSpec(args.alpha / norm, args.beta / norm)
+    return AtomSpec(alpha / norm, beta / norm)
 
 
 class SystemExit2(Exception):
@@ -123,6 +125,8 @@ def _sample_atoms(args) -> tuple[list[AtomSpec], str | None]:
         return [_atom_from_args(args)], None
     if getattr(args, "no_atom", False):
         raise SystemExit2("--atoms samples present atoms and cannot be combined with --no-atom")
+    if getattr(args, "alpha", None) is not None or getattr(args, "beta", None) is not None:
+        raise SystemExit2("--atoms samples random atoms and cannot be combined with --alpha or --beta")
     if args.atoms < 1:
         raise SystemExit2("--atoms must be at least 1")
     return haar_random_atoms(args.atoms, seed=args.seed), f"seed={args.seed}"
@@ -188,7 +192,8 @@ def cmd_nogo_check(args) -> None:
     for row in results:
         rows.append(
             {
-                "mask": "+".join(sorted(row.mask)) or "none",
+                # Level names hold '+' and '-', so a space joins them.
+                "mask": " ".join(sorted(row.mask)) or "none",
                 "alpha": format_complex(row.alpha),
                 "beta": format_complex(row.beta),
                 "witness": "yes" if row.witness_found else "no",
@@ -227,8 +232,8 @@ def cmd_run(args) -> None:
 
 
 def _add_atom_args(p: argparse.ArgumentParser, allow_samples: bool = False) -> None:
-    p.add_argument("--alpha", type=parse_complex, default=complex(1 / math.sqrt(2)))
-    p.add_argument("--beta", type=parse_complex, default=complex(1 / math.sqrt(2)))
+    p.add_argument("--alpha", type=parse_complex, default=None, help="default 1/sqrt(2)")
+    p.add_argument("--beta", type=parse_complex, default=None, help="default 1/sqrt(2)")
     p.add_argument("--no-atom", action="store_true", help="run with the atom removed")
     if allow_samples:
         p.add_argument("--atoms", type=int, default=None, help="number of random atom samples")

@@ -126,11 +126,14 @@ def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absen
     # restricted = u s vh: c = conj(u) s^-1 conj(vh) atom_init.  conj(c)
     # lies in the range of restricted, so it is orthogonal to psi_f: it is
     # the witness itself, with the residual and norm a complement basis
-    # would give.  Singular values at the roundoff level of present count
-    # as zero; a cutoff relative to the largest one alone would fit
-    # roundoff when every populated level is transparent.
+    # would give.  Singular values up to RANK_TOL times the norm of present
+    # count as zero: a cutoff relative to the largest one alone would fit
+    # roundoff when every populated level is transparent, and one at the
+    # roundoff level would spend a coefficient of order 1 on a leftover that
+    # a truncated run leaves (fp.nqi at K = 117 leaves 1e-11 inside).
     u, s, vh = np.linalg.svd(restricted, full_matrices=False)
-    kept = s > np.finfo(float).eps * max(present.shape) * np.linalg.norm(present)
+    floor = max(np.finfo(float).eps * max(present.shape), RANK_TOL)
+    kept = s > floor * np.linalg.norm(present)
     sol = u[:, kept].conj() @ ((vh[kept].conj() @ atom_init) / s[kept])
     defect = restricted.T @ sol - atom_init
     residual = float(np.linalg.norm(defect))

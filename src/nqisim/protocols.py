@@ -19,8 +19,9 @@ The level response propagates the input photon times the atom m+ = m-
 = 1 once per transparency mask, an absent atom being masked at both.
 ``dsl.run_compiled`` scales its m+ cells by alpha and its m- cells by
 beta (the levels never mix), so a sweep over atoms costs one propagation
-per chain length.  The cavity's level response sums every round trip in
-closed form from one trip's, aimed at each row it carries between trips.
+per chain length.  The cavity's level response sums every later round
+trip in closed form onto the first trip's, from one trip aimed at each row
+it carries between trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -33,12 +34,16 @@ success probability [cos^2(pi/2N)]^N.
 Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip of the
 intracavity beam ``fwd``, past the atom to the far mirror and back.  It
 starts at the entry mirror, which reflects the incoming photon out (i r)
-and couples part of ``fwd`` out.  The cavity runner compiles it at K = 1
-and runs it with a level response that sums all round trips,
-B (I - T)^-1 x0 per atom level: the geometric series behind the paper's
-i r and t t' beta.  Its ``details["round_trips"]`` is the K at which the
-compiled ``fp.nqi`` leaves less than ``eps`` inside and so reproduces the
-run.
+and couples part of ``fwd`` out.  The trip runs in the + frame, with the
+polarization flipped between the two atom passes, so its only inexact
+elements are the two mirrors; the photon is turned x -> + once before the
+first trip and the exits are turned back once after the last.  The cavity
+runner compiles it at K = 1 and runs it with a level response that adds
+every later round trip to the first, B (I - T)^-1 v per atom level for the
+beam v that the first trip leaves inside: the geometric series behind the
+paper's i r and t t' beta.  Its ``details["round_trips"]`` is the K at
+which the compiled ``fp.nqi`` leaves less than ``eps`` inside and so
+reproduces the run.
 """
 
 from __future__ import annotations
@@ -176,45 +181,53 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class _Cavity(CompiledCircuit):
-    """``fp.nqi`` at K = 1, whose level response sums every round trip:
-    B_l (I - T_l)^-1 x0 per level l, from one trip aimed at each carried row.
-    The input path is carried, and so is every path no ``relabel`` touches:
-    a relabel takes the beam from a mirror port it leaves by to an exit."""
+    """``fp.nqi`` at K = 1, whose level response sums every round trip.
 
-    # Per mask: the maps T_l and the input column x0 that ``trips`` scales.
+    The photon leaves the first trip on the carried paths, those no
+    ``relabel`` touches (a relabel takes the beam from a mirror port it
+    leaves by to an exit), as the columns v_l per level l.  Each later trip
+    starts there, and the program's statements outside the trip act only on
+    the emptied input path or on the exits, so the response is the one-trip
+    response plus B_l (I - T_l)^-1 v_l, with the carried rows emptied: T_l
+    and B_l are one trip aimed at each carried row.
+    """
+
+    # Per mask: the maps T_l and the columns v_l that ``trips`` scales.
     _trips: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
         if mask not in self._responses:
-            layout, carried = self.layout, [self.input_path]
+            layout = self.layout
             touched = {p for el in self.elements if isinstance(el, Relabel) for p in (el.src, el.dst)}
-            carried += [p for p in layout.paths if p not in touched | {self.input_path}]
-            columns = [
+            carried = [p for p in layout.paths if p not in touched]
+            aims = [(self.input_path, self.input_pol)]
+            aims += [(path, pol) for path in carried for pol in layout.polarizations]
+            first, *columns = [
                 CompiledCircuit.level_response(dataclasses.replace(self, input_path=path, input_pol=pol), mask)
-                for path in carried
-                for pol in layout.polarizations
+                for path, pol in aims
             ]
             rows = np.r_[tuple(layout.path_block[p] for p in carried)]
             # response[..., j] is one trip's output for carried row j.
             response = np.stack(columns, axis=-1)
             levels = [layout.level_index(level) for level in ("m+", "m-")]
             maps = response[rows][:, levels].transpose(1, 0, 2)
-            start = np.r_[POL_STATES[self.input_pol], np.zeros(len(rows) - 2)][:, None]
-            totals = np.linalg.solve(np.eye(len(rows)) - maps, start[None])
+            inside = first[rows][:, levels].T[..., None]
+            totals = np.linalg.solve(np.eye(len(rows)) - maps, inside)
             # Each level's cells take B_l times its total; the carried rows,
             # which would hold T_l times it, are empty once every trip is done.
             summed = response @ totals[..., 0].T
-            final = np.where(self.plus_cells, summed[..., 0], summed[..., 1])
+            final = first + np.where(self.plus_cells, summed[..., 0], summed[..., 1])
             final[rows] = 0.0
             final.flags.writeable = False
-            self._trips[mask], self._responses[mask] = (maps, start), final
+            self._trips[mask], self._responses[mask] = (maps, inside), final
         return self._responses[mask]
 
     def trips(self, atom: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
-        """The maps T_l, stacked, and the columns x0_l that ``atom`` starts."""
+        """The maps T_l, stacked, and the columns v_l that ``atom`` leaves
+        on the carried rows after the first trip."""
         self.level_response(atom.transparency_mask)
-        maps, start = self._trips[atom.transparency_mask]
-        return maps, np.array([atom.alpha, atom.beta])[:, None, None] * start
+        maps, inside = self._trips[atom.transparency_mask]
+        return maps, np.array([atom.alpha, atom.beta])[:, None, None] * inside
 
 
 @functools.lru_cache(maxsize=4)
@@ -231,8 +244,8 @@ _FP_MAX_DOUBLINGS = 64
 
 
 def _fp_round_trips(maps: np.ndarray, starts: np.ndarray, eps: float) -> int:
-    """The first K at which sum_l |T_l^K x0_l|^2 falls below ``eps``, for
-    the trip maps T_l stacked in ``maps`` and the columns x0_l in
+    """The first K at which sum_l |T_l^K v_l|^2 falls below ``eps``, for
+    the trip maps T_l stacked in ``maps`` and the columns v_l in
     ``starts``.
 
     Each T_l is a contraction, so that carried probability never rises
@@ -270,14 +283,19 @@ def run_fabry_perot(
 ) -> ProtocolOutcome:
     """Every round trip of the cavity ``fp.nqi`` at once (``run_compiled`` on
     a ``_Cavity``), with the photon entering x polarized.  The sum amplifies
-    float rounding of the trip's elements by 1/(1 - r r'), which fails
-    conservation at high finesse.
+    float rounding of the trip's elements, its two mirrors, by
+    1/(1 - r r').  Equal mirrors conserve to about 1e-15 up to r = 1 -
+    10^-15; unequal ones near 1 can fail conservation (r = 1 - 10^-8 with
+    r' = 1 - 10^-10 sums 3e-9 short).
 
-    ``eps`` only sets ``details["round_trips"]``: the first K at which the
-    carried probability sum_l |T_l^K x0_l|^2 falls below ``eps``, so the
-    compiled ``fp.nqi`` at that K reproduces the run to within it.
+    ``eps`` only sets ``details["round_trips"]``: one plus the first K at
+    which the carried probability sum_l |T_l^K v_l|^2 falls below ``eps``,
+    v_l being the beam the first trip leaves inside, so the compiled
+    ``fp.nqi`` at that many trips reproduces the run to within it.
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
+        if tt < 0 or rr < 0:
+            raise ValueError(f"{name} mirror amplitudes must be non-negative")
         if not abs(tt**2 + rr**2 - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} mirror is not unitary: t^2+r^2 = {tt**2 + rr**2}")
     if not 0 < eps < math.inf:
@@ -293,5 +311,5 @@ def run_fabry_perot(
     blocks = cavity.layout.path_block
     out.details["reflected"] = _probability(out.final_state, blocks["refl"])
     out.details["transmitted"] = _probability(out.final_state, blocks["trans"])
-    out.details["round_trips"] = _fp_round_trips(*cavity.trips(atom), eps)
+    out.details["round_trips"] = 1 + _fp_round_trips(*cavity.trips(atom), eps)
     return out

@@ -79,6 +79,14 @@ class TestMzSweep:
         assert out == ""
         assert "cannot be combined with --no-atom" in err
 
+    @pytest.mark.parametrize("amplitudes", [("--alpha", "1", "--beta", "0"), ("--beta", "0.6")])
+    def test_samples_and_amplitudes_rejected(self, capsys, amplitudes):
+        # --atoms draws random atoms; it used to drop the amplitudes silently.
+        code, out, err = run_cli(capsys, "mz-sweep", "--max", "2", "--atoms", "1", *amplitudes)
+        assert code == 2
+        assert out == ""
+        assert "cannot be combined with --alpha or --beta" in err
+
     def test_empty_chain_prints_exact_zeros(self, capsys):
         # Exact zeros print as 0 whatever residue the summation order leaves.
         code, out, _ = run_cli(capsys, "mz-sweep", "--min", "1", "--max", "3", "--no-atom")
@@ -144,6 +152,8 @@ class TestFp:
             (("--r", "nan"), "mirror is not unitary"),
             (("--r", "0.9", "--eps", "0"), "eps must be positive"),
             (("--r", "0.9", "--eps", "nan"), "eps must be positive"),
+            (("--r", "-0.5"), "entry mirror amplitudes must be non-negative"),
+            (("--r", "0.9", "--r-prime", "-0.9"), "far mirror amplitudes must be non-negative"),
         ],
     )
     def test_bad_numbers_rejected(self, capsys, argv, message):
@@ -237,6 +247,15 @@ class TestNogoCheck:
         assert code == 0
         # A witness row's residual is roundoff, below the printed resolution.
         assert out.strip().splitlines() == self.EIGHT_STAGES
+
+    def test_mask_levels_joined_by_a_space(self, capsys):
+        # Level names hold '+' and '-', so '+' would make m+,m- read "m++m-".
+        code, out, _ = run_cli(
+            capsys, "nogo-check", "--stages", "2", "--mask", "m+,m-", "--mask", "m-,g",
+            "--atoms", "1",
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[2:]] == ["m+ m-", "g m-"]
 
     def test_unknown_level_rejected(self, capsys):
         code, _, err = run_cli(capsys, "nogo-check", "--mask", "bogus")

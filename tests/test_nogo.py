@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nqisim import dsl
 from nqisim.elements import AtomInteraction, PolRotator, POL_FLIP
 from nqisim.nogo import (
     Absence,
@@ -187,6 +188,26 @@ class TestFindWitness:
             assert isinstance(result, Witness)
             assert abs(result.delta) ** 2 == pytest.approx(r * r, abs=1e-14)
             assert abs(result.delta) ** 2 == pytest.approx(present.success_prob, abs=1e-14)
+
+    @pytest.mark.parametrize("k", [100, 117, 118])
+    def test_truncated_cavity_leftover_is_not_fitted(self, k):
+        # [DERIVED] fp.nqi unrolled at K trips leaves r^(2K) of amplitude
+        # inside with the atom absent (7e-10 to 2e-11 here) and none with
+        # it present.  A singular-value cutoff at roundoff kept that
+        # leftover and spent a coefficient of order 1 on it: |delta|^2
+        # read 0.1293 instead of r^2.
+        r = 0.9
+        t = math.sqrt(1 - r * r)
+        circuit = dsl.compile_circuit(
+            dsl.parse(dsl.load_golden("fp")), {"T": t, "R": r, "TP": t, "RP": r, "K": k}
+        )
+        atom = AtomSpec(0.6, 0.8j)
+        layout = circuit.layout
+        initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
+        pair = build_final_states(layout, circuit.elements, initial)
+        result = find_witness(pair, atom.level_vector(layout))
+        assert isinstance(result, Witness)
+        assert abs(result.delta) ** 2 == pytest.approx(r * r, abs=2e-10)
 
     def test_witness_properties(self):
         layout, elements, _ = build_mz(4)

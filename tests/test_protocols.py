@@ -291,6 +291,15 @@ class TestFabryPerot:
             run_fabry_perot(math.nan, 0.0, 0.9, 0.435889894354, AtomSpec())
         with pytest.raises(ValueError, match="far mirror is not unitary"):
             run_fabry_perot(0.9, 0.435889894354, 0.9, math.nan, AtomSpec())
+        r, t = 0.9, 0.435889894354
+        for mirrors, name in (
+            ((-r, t, r, t), "entry"),
+            ((r, -t, r, t), "entry"),
+            ((r, t, -r, t), "far"),
+            ((r, t, r, -t), "far"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} mirror amplitudes must be non-negative$"):
+                run_fabry_perot(*mirrors, AtomSpec())
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_eps_must_be_positive_and_finite(self, eps):
@@ -401,16 +410,36 @@ class TestFabryPerot:
         "atom", [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
     )
     def test_float_mirrors_beyond_the_tolerance_are_refused(self, atom):
-        # The trip's 45-degree rotators, h = sin(pi/4), are unitary only to
-        # rounding, which the cavity amplifies by 1 / (1 - r r') = 5.0e5:
-        # at r = 0.999999 the branch sum is 4e-10 short of 1.
-        r = 0.999999
-        t = math.sqrt(1 - r * r)
+        # Two unequal mirrors, r = 1 - 1e-8 and r' = 1 - 1e-10, are each
+        # unitary only to rounding, which the cavity amplifies by
+        # 1 / (1 - r r') = 9.9e7: the branch sum is about 1e-9 short of 1.
+        r, r_prime = 1 - 1e-8, 1 - 1e-10
+        t, t_prime = math.sqrt(1 - r * r), math.sqrt(1 - r_prime * r_prime)
         start = time.perf_counter()
-        amplified = r"sum to 0\.99999999\d*, expected 1; .* amplified by 1/\(1 - r r'\) = 5\.0e\+05"
+        amplified = r"sum to 0\.99999999\d*, expected 1; .* amplified by 1/\(1 - r r'\) = 9\.9e\+07"
         with pytest.raises(ConservationError, match=amplified):
-            run_fabry_perot(r, t, r, t, atom, eps=1e-22)
+            run_fabry_perot(r, t, r_prime, t_prime, atom, eps=1e-22)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("x", [4, 5, 6, 7, 8])
+    def test_symmetric_high_finesse_conserves(self, x):
+        # The trip's only inexact elements are its two equal mirrors, whose
+        # rounding the series leaves near eps; the 45-degree turns of the
+        # polarization sit outside the trips, where nothing amplifies them.
+        r = 1 - 10.0**-x
+        t = math.sqrt(1 - r * r)
+        atoms = [
+            AtomSpec(present=False),
+            AtomSpec(0.6, 0.8j, transparency_mask={"m+"}),
+            AtomSpec(0.6, 0.8j, transparency_mask={"m-"}),
+            AtomSpec(0.6, 0.8j),
+        ]
+        for atom in atoms:
+            out = run_fabry_perot(r, t, r, t, atom, eps=1e-22)
+            total = out.success_prob + out.failure_prob + out.absorbed_prob
+            assert abs(total - 1.0) <= 1e-14
+            if not atom.present:
+                assert abs(out.details["transmitted"] - 1.0) <= 1e-12
 
 
     def test_compiled_once_per_mirror_binding(self, monkeypatch):
@@ -430,8 +459,8 @@ class TestFabryPerot:
 
     def test_propagations_do_not_grow_with_the_atoms(self, monkeypatch):
         # One mirror binding and one mask: the summed response serves every
-        # atom, so the trip is propagated once per carried row (in and fwd,
-        # two polarizations each) and never again.
+        # atom, so the trip is propagated once from the input and once per
+        # carried row (fwd, two polarizations) and never again.
         calls = []
 
         def counted(*args, **kwargs):
@@ -446,7 +475,7 @@ class TestFabryPerot:
         for atom in haar_random_atoms(6, seed=12):
             run_fabry_perot(r, t, r, t, atom)
             counts.append(len(calls))
-        assert counts == [4] * 6
+        assert counts == [3] * 6
 
 
 class TestOutcomeAssembly:
