@@ -85,7 +85,10 @@ class SystemExit2(Exception):
 def _emit(rows: list[dict], args, header_comment: str | None = None) -> None:
     out = sys.stdout
     if args.output:
-        out = open(args.output, "w")
+        try:
+            out = open(args.output, "w")
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {args.output}: {exc.strerror}") from None
     try:
         if args.format == "json":
             doc: dict = {"rows": rows}

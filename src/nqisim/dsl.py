@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from typing import Callable, Iterable, Sequence, Union
 
@@ -60,9 +60,9 @@ from .state import (
     BasisLayout,
     JointState,
     ProtocolOutcome,
-    assemble_outcome,
     initial_state,
     make_layout,
+    score_outcome,
 )
 from .tolerances import PROB_TOL
 
@@ -625,8 +625,12 @@ class CompiledCircuit:
     branches: dict[str, np.ndarray] = field(compare=False)
     input_path: str
     input_pol: str
-    # Level responses by transparency mask; see run_compiled.
+    # Level responses by transparency mask, and the branch weights read
+    # from each; see run_compiled.
     _responses: dict[frozenset[str], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _weights: dict[frozenset[str], dict[str, tuple[float, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -659,6 +663,31 @@ class CompiledCircuit:
             response.flags.writeable = False
             self._responses[mask] = response
         return response
+
+    def branch_weights(self, mask: frozenset[str]) -> dict[str, tuple[float, float]]:
+        """Per branch label, the squared norms of its plus cells and of its
+        other cells in ``level_response(mask)``, computed once per mask."""
+        weights = self._weights.get(mask)
+        if weights is None:
+            response = self.level_response(mask)
+            squares = response.real**2 + response.imag**2
+            # Each photon row's squared norm on its plus cells and on the others.
+            plus, other = (
+                np.einsum("ij,ij->i", squares, cells) for cells in (self.plus_cells, ~self.plus_cells)
+            )
+            weights = {
+                label: (float(plus[rows].sum()), float(other[rows].sum()))
+                for label, rows in self.branches.items()
+            }
+            self._weights[mask] = weights
+        return weights
+
+    def amplitudes(self, atom: AtomSpec, rows=slice(None)) -> np.ndarray:
+        """The final (photon mode, level) amplitudes of ``atom``'s run on the
+        photon rows ``rows``, as a new array: the level response there with
+        its plus cells scaled by alpha and the others by beta."""
+        response = self.level_response(atom.transparency_mask)[rows]
+        return response * np.where(self.plus_cells[rows], atom.alpha, atom.beta)
 
 
 # Unrolled program size beyond which a circuit is rejected, not built.  The
@@ -742,18 +771,26 @@ def run_compiled(
     amplitude only into its S+ row at g and ``(-, m-)`` only into its S-
     row.  So the final state is the circuit's level response -- one
     propagation of the atom (1, 1) per circuit and transparency mask, an
-    absent atom being masked at m+ and m- -- with every m+ cell scaled by
-    alpha and every m- cell by beta.  The sink rows of the g column split
-    by level the same way, which is why one response and one cell mask
-    serve every atom.  Conservation, fidelity and the exit label are then
-    checked on each atom's own final state.
+    absent atom being masked at m+ and m- -- with every plus cell (m+, and
+    the S+ rows at g) scaled by alpha and every other cell by beta.  No cell
+    is both, so a branch's probability is |alpha|^2 P + |beta|^2 M, from
+    the squared norms P and M of its plus and other cells
+    (``CompiledCircuit.branch_weights``, once per mask).  ``score_outcome``
+    checks conservation on those and builds only the rows of the branch it
+    factors, so a run costs the same at every chain length; the dense
+    ``final_state`` is built on first access.
     """
     layout = circuit.layout
-    response = circuit.level_response(atom.transparency_mask)
-    amps = response * np.where(circuit.plus_cells, atom.alpha, atom.beta)
-    return assemble_outcome(
-        JointState(layout, amps.reshape(-1)),
+    a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
+    probs = {
+        label: a2 * plus + b2 * minus
+        for label, (plus, minus) in circuit.branch_weights(atom.transparency_mask).items()
+    }
+    return score_outcome(
+        layout,
         circuit.branches,
+        probs,
+        partial(circuit.amplitudes, atom),
         atom.level_vector(layout),
         prob_tol=prob_tol,
     )

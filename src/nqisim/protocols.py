@@ -10,18 +10,23 @@ Every network is described only by a bundled circuit -- ``direct.nqi``,
 ``twopass.nqi``, ``mz.nqi`` and ``fp.nqi`` -- which the runners compile
 (``dsl``) once per binding and run through its level response
 (``CompiledCircuit.level_response``); no element is built and nothing is
-propagated here.  Every run ends in ``state.assemble_outcome``, which
-scores the final state by the exit rows the circuit's ``classify`` line
-compiles to (``CompiledCircuit.branches``); those names, the atom and
-outcome types, ``POL_STATES`` and ``ATOM_LEVELS`` are re-exported here.
+propagated here.  Every run ends in ``state.score_outcome``, which scores
+it by the exit rows the circuit's ``classify`` line compiles to
+(``CompiledCircuit.branches``); ``state.assemble_outcome``, its front end
+for a dense final state, the atom and outcome types, ``POL_STATES`` and
+``ATOM_LEVELS`` are re-exported here.
 
 The level response propagates the input photon times the atom m+ = m-
 = 1 once per transparency mask, an absent atom being masked at both.
 ``dsl.run_compiled`` scales its m+ cells by alpha and its m- cells by
 beta (the levels never mix), so a sweep over atoms costs one propagation
-per chain length.  The cavity's level response sums every later round
-trip in closed form onto the first trip's, from one trip aimed at each row
-it carries between trips.
+per chain length.  Each branch's probability comes from two squared norms
+per mask (``CompiledCircuit.branch_weights``), and a run builds only the
+rows of the branch it factors: the runners read the rows they report
+(``CompiledCircuit.amplitudes``), and an outcome's dense ``final_state``
+is built only when it is read.  The cavity's level response sums every
+later round trip in closed form onto the first trip's, from one trip aimed
+at each row it carries between trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -102,11 +107,6 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
     return compile_circuit(_golden(name), bindings)
 
 
-def _probability(state: JointState, rows) -> float:
-    """Total probability on the given photon rows (indices or a block)."""
-    return float(np.sum(np.abs(state.matrix()[rows]) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Direct interaction and the two-pass opacity demonstration
 
@@ -129,11 +129,11 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     S-#2``), from which ``details`` reads the absorption of that pass.  The
     circuit is propagated once per transparency mask and serves every atom.
     """
-    out = run_compiled(_circuit("twopass"), atom)
-    layout = out.final_state.layout
+    circuit = _circuit("twopass")
+    out = run_compiled(circuit, atom)
     for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
-        rows = [layout.photon_index(sink) for sink in sink_pair_labels(event)]
-        out.details[key] = _probability(out.final_state, rows)
+        rows = [circuit.layout.photon_index(sink) for sink in sink_pair_labels(event)]
+        out.details[key] = float(np.sum(np.abs(circuit.amplitudes(atom, rows)) ** 2))
     return out
 
 
@@ -308,8 +308,8 @@ def run_fabry_perot(
         gain = f"1/(1 - r r') = {1 / (1 - r * r_prime):.1e}"
         note = f"float rounding of the round trip's elements is amplified by {gain}"
         raise ConservationError(f"{exc}; {note}") from None
-    blocks = cavity.layout.path_block
-    out.details["reflected"] = _probability(out.final_state, blocks["refl"])
-    out.details["transmitted"] = _probability(out.final_state, blocks["trans"])
+    for key, path in (("reflected", "refl"), ("transmitted", "trans")):
+        amps = cavity.amplitudes(atom, cavity.layout.path_block[path])
+        out.details[key] = float(np.sum(np.abs(amps) ** 2))
     out.details["round_trips"] = 1 + _fp_round_trips(*cavity.trips(atom), eps)
     return out

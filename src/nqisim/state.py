@@ -8,9 +8,11 @@ values; states are never mutated in place.
 
 The two ends of every run live here as well: ``initial_state`` puts a
 photon of one ``POL_STATES`` polarization on an input path, times the
-atom superposition, and ``assemble_outcome`` scores a final state by the
-photon rows of its three exits (``BRANCH_LABELS``: success, failure,
-absorbed), grouped once per circuit as ``CompiledCircuit.branches``.
+atom superposition, and ``score_outcome`` scores a run by its three exits
+(``BRANCH_LABELS``: success, failure, absorbed), whose photon rows each
+circuit groups once as ``CompiledCircuit.branches``.  It takes the branch
+probabilities and reads the amplitudes of one exit; ``assemble_outcome``
+is its front end for a dense final state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -203,6 +205,20 @@ def partition_branches(
     return parts
 
 
+def _rank_one(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit photon and atom factors of a (photon rows, levels) matrix
+    of rank one, from its leading singular vectors; raises ``ValueError``
+    at a second singular value above ``RANK_TOL`` or on the zero matrix."""
+    u, s, vh = np.linalg.svd(amps, full_matrices=False)
+    if s.size > 1 and s[1] > RANK_TOL:
+        raise ValueError(
+            f"state is not a photon-atom product (second singular value {s[1]:.3e})"
+        )
+    if s[0] == 0.0:
+        raise ValueError("cannot factor the zero state")
+    return u[:, 0], vh[0].copy()
+
+
 def product_factors(state: JointState, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Factor a (sub-normalized) state into photon (x) atom unit vectors.
 
@@ -212,16 +228,10 @@ def product_factors(state: JointState, rows=slice(None)) -> tuple[np.ndarray, np
     factor.  With ``rows`` (photon row indices or a slice) only those rows
     are factored, and the photon factor is zero on every other row.
     """
-    u, s, vh = np.linalg.svd(state.matrix()[rows], full_matrices=False)
-    if s.size > 1 and s[1] > RANK_TOL:
-        raise ValueError(
-            f"state is not a photon-atom product (second singular value {s[1]:.3e})"
-        )
-    if s[0] == 0.0:
-        raise ValueError("cannot factor the zero state")
+    photon_rows, atom = _rank_one(state.matrix()[rows])
     photon = np.zeros(state.layout.n_photon_modes, dtype=complex)
-    photon[rows] = u[:, 0]
-    return photon, vh[0].copy()
+    photon[rows] = photon_rows
+    return photon, atom
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +296,32 @@ def initial_state(
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
+    """Branch probabilities of a run, and its post-selected atom state with
+    that state's fidelity.  ``final_state``, the dense joint state, is
+    built by ``build_final_state`` on first access and then kept."""
+
     success_prob: float
     failure_prob: float
     absorbed_prob: float
     success_atom_state: np.ndarray | None
     success_fidelity: float | None
-    final_state: JointState
     exit_polarization: str
+    build_final_state: Callable[[], JointState] = field(repr=False, compare=False)
     details: dict = field(default_factory=dict)
 
+    @cached_property
+    def final_state(self) -> JointState:
+        return self.build_final_state()
 
-def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
-    """Name the polarization of a photon-sector vector confined to one path."""
-    blocks = [photon_vec[block] for block in layout.path_block.values()]
-    populated = [vec for vec in blocks if np.max(np.abs(vec)) > 1e-9]
-    if not populated:
+
+def _polarization_label(layout: BasisLayout, rows: np.ndarray, photon: np.ndarray) -> str:
+    """Name the polarization of a photon factor on the photon rows
+    ``rows`` that is confined to one path; sink rows are not a path."""
+    blocks = np.zeros((len(layout.paths), len(POLARIZATIONS)), dtype=complex)
+    on_path = rows < blocks.size
+    blocks.reshape(-1)[rows[on_path]] = photon[on_path]
+    populated = blocks[np.max(np.abs(blocks), axis=1) > 1e-9]
+    if not len(populated):
         return "none"
     if len(populated) > 1:
         return "mixed"
@@ -311,26 +332,29 @@ def _polarization_label(layout: BasisLayout, photon_vec: np.ndarray) -> str:
     return "mixed"
 
 
-def assemble_outcome(
-    final: JointState,
+def score_outcome(
+    layout: BasisLayout,
     branches: dict[str, np.ndarray],
+    probs: dict[str, float],
+    amplitudes: Callable[..., np.ndarray],
     atom_init: np.ndarray,
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
-    """Branch probabilities of a final state, and the post-selected atom
-    state with its fidelity to ``atom_init`` (normalized here).
+    """Score a run from its branch probabilities ``probs`` and its final
+    amplitudes on request: ``amplitudes(rows)`` is the (photon rows,
+    levels) matrix on the photon rows ``rows`` (an index array, or
+    ``slice(None)`` for the dense state).
 
-    ``branches`` maps branch labels to photon rows; a label it lacks has
-    probability zero, and the probabilities must sum to one within
-    ``prob_tol``.
+    ``branches`` maps branch labels to photon rows; a label ``probs``
+    lacks has probability zero, and the probabilities must sum to one
+    within ``prob_tol``.  Only one branch's rows are read: the success
+    rows, factored into the post-selected atom state, its fidelity to
+    ``atom_init`` (normalized here) and the exit polarization, or failing
+    that the failure rows, which name the exit polarization alone.
     """
     if not 0.0 <= prob_tol < math.inf:
         raise ValueError(f"prob_tol must be finite and non-negative, got {prob_tol!r}")
-    mat = final.matrix()
-    probs = dict.fromkeys(BRANCH_LABELS, 0.0)
-    for label in probs.keys() & branches.keys():
-        part = mat[branches[label]]
-        probs[label] = float(np.vdot(part, part).real)
+    probs = {label: probs.get(label, 0.0) for label in BRANCH_LABELS}
     total = sum(probs.values())
     if not abs(total - 1.0) <= prob_tol:
         raise ConservationError(
@@ -341,14 +365,15 @@ def assemble_outcome(
     success_fid = None
     exit_pol = "none"
     if probs["success"] > PROB_TOL:
-        photon_vec, atom_vec = product_factors(final, rows=branches["success"])
-        success_atom = atom_vec
-        success_fid = fidelity(atom_vec, atom_init / np.linalg.norm(atom_init))
-        exit_pol = _polarization_label(final.layout, photon_vec)
+        rows = branches["success"]
+        photon, success_atom = _rank_one(amplitudes(rows))
+        success_fid = fidelity(success_atom, atom_init / np.linalg.norm(atom_init))
+        exit_pol = _polarization_label(layout, rows, photon)
     elif probs["failure"] > PROB_TOL:
+        rows = branches["failure"]
         try:
-            photon_vec, _ = product_factors(final, rows=branches["failure"])
-            exit_pol = _polarization_label(final.layout, photon_vec)
+            photon, _ = _rank_one(amplitudes(rows))
+            exit_pol = _polarization_label(layout, rows, photon)
         except ValueError:
             exit_pol = "mixed"
 
@@ -358,6 +383,23 @@ def assemble_outcome(
         absorbed_prob=probs["absorbed"],
         success_atom_state=success_atom,
         success_fidelity=success_fid,
-        final_state=final,
         exit_polarization=exit_pol,
+        build_final_state=lambda: JointState(layout, amplitudes(slice(None)).reshape(-1)),
     )
+
+
+def assemble_outcome(
+    final: JointState,
+    branches: dict[str, np.ndarray],
+    atom_init: np.ndarray,
+    prob_tol: float = PROB_TOL,
+) -> ProtocolOutcome:
+    """Branch probabilities of a dense final state, each the squared norm
+    of its branch's photon rows, scored by ``score_outcome``; the
+    outcome's ``final_state`` is ``final``'s amplitudes."""
+    mat = final.matrix()
+    all_rows = np.arange(final.layout.n_photon_modes)
+    rows = {label: all_rows[branch] for label, branch in branches.items()}
+    parts = {label: mat[rows[label]] for label in BRANCH_LABELS if label in rows}
+    probs = {label: float(np.vdot(part, part).real) for label, part in parts.items()}
+    return score_outcome(final.layout, rows, probs, mat.__getitem__, atom_init, prob_tol)

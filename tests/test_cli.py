@@ -2,10 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from nqisim.cli import format_complex, main, parse_complex
+
+PINNED = Path(__file__).parent / "pinned"
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +108,39 @@ class TestMzSweep:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n_stages,")
+
+    def test_unwritable_output_file(self, capsys, tmp_path):
+        # Exit 1 is kept for conservation failures: a bad path is a usage error.
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(capsys, "mz-sweep", "--min", "2", "--max", "2", "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
+    # Seeded sweeps print the same bytes whatever order the library sums
+    # the branch probabilities in.
+    def test_pinned_criterion_one_grid(self, capsys):
+        argv = ("mz-sweep", "--min", "1", "--max", "64", "--atoms", "3", "--seed", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (PINNED / "mz-sweep-min1-max64-atoms3-seed3.csv").read_text()
+
+    def test_pinned_long_chain(self, capsys):
+        argv = ("mz-sweep", "--min", "2000", "--max", "2000", "--atoms", "3", "--seed", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "# seed=3",
+            "n_stages,closed_form,alpha,beta,success_prob,failure_prob,absorbed_prob,"
+            "fidelity,exit_polarization",
+            "2000,0.998767060019,0.610006183976+0.12496471778i,-0.763857546797-0.169699508022i,"
+            "0.998767060019,0,0.00123293998115,1,+",
+            "2000,0.998767060019,-0.216148281674-0.964580169307i,-0.102951572327-0.110751934812i,"
+            "0.998767060019,0,0.00123293998115,1,+",
+            "2000,0.998767060019,-0.250117502452+0.0652708394456i,0.960619253852-0.101939205483i,"
+            "0.998767060019,0,0.00123293998115,1,+",
+        ]
 
 
 class TestFp:

@@ -9,7 +9,7 @@ import string
 import numpy as np
 import pytest
 
-from nqisim import dsl
+from nqisim import dsl, protocols
 from nqisim.dsl import (
     CompileError,
     ParseError,
@@ -776,3 +776,59 @@ class TestLevelResponse:
         again = run_compiled(circuit, atom)
         assert np.array_equal(again.final_state.amplitudes, kept)
         assert again.success_prob == pytest.approx(mz_closed_form(3), abs=1e-12)
+
+
+def _golden_circuits():
+    """Every golden as the library runs it: ``mz`` at a spread of N, and
+    the cavity's one-trip circuit, which sums every round trip, at equal
+    mirrors and at unequal mirrors so near 1 that it fails conservation."""
+    circuits = {name: compile_circuit(parse(load_golden(name))) for name in ("direct", "twopass")}
+    for n in (1, 2, 7, 64, 2000):
+        circuits[f"mz N={n}"] = compile_circuit(parse(load_golden("mz")), {"N": n})
+    for r, r_prime in ((0.5, 0.5), (0.9, 0.9), (0.999, 0.999), (1 - 1e-8, 1 - 1e-10)):
+        circuits[f"fp r={r} r'={r_prime}"] = protocols._cavity(
+            T=math.sqrt(1 - r * r), R=r, TP=math.sqrt(1 - r_prime * r_prime), RP=r_prime
+        )
+    return circuits
+
+
+class TestBranchWeights:
+    def test_run_agrees_with_the_dense_state(self):
+        # run_compiled scores from per-mask branch weights and one branch's
+        # rows; assemble_outcome sums every row of the dense state.
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        raised = 0
+        for name, circuit in _golden_circuits().items():
+            layout = circuit.layout
+            for mask, atom in itertools.product(masks, haar_random_atoms(3, seed=17)):
+                spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+                response = circuit.level_response(spec.transparency_mask)
+                amps = response * np.where(circuit.plus_cells, spec.alpha, spec.beta)
+                dense = JointState(layout, amps.reshape(-1))
+                want = _outcome_or_error(
+                    lambda: assemble_outcome(dense, circuit.branches, spec.level_vector(layout))
+                )
+                got = _outcome_or_error(lambda: run_compiled(circuit, spec))
+                if isinstance(want, type):
+                    assert got is want is ConservationError, (name, spec)
+                    raised += 1
+                    continue
+                assert np.array_equal(got.final_state.amplitudes, dense.amplitudes), (name, spec)
+                for field_name in ("success_prob", "failure_prob", "absorbed_prob"):
+                    assert abs(getattr(got, field_name) - getattr(want, field_name)) <= 1e-15, (
+                        name, spec, field_name,
+                    )
+                assert got.success_fidelity == want.success_fidelity, (name, spec)
+                assert got.exit_polarization == want.exit_polarization, (name, spec)
+                if want.success_atom_state is None:
+                    assert got.success_atom_state is None, (name, spec)
+                else:
+                    assert np.array_equal(got.success_atom_state, want.success_atom_state)
+        # The unequal mirrors fail at every mask but the empty one.
+        assert raised == 3 * 3
+
+    def test_run_does_not_build_the_dense_state(self):
+        out = run_mz_chain(2000, AtomSpec(0.6, 0.8j))
+        assert "final_state" not in vars(out)
+        assert out.final_state.layout.n_photon_modes == 2 * 2 + 2 * 2 * 2000
+        assert "final_state" in vars(out)
