@@ -10,13 +10,16 @@ Subcommands:
 
 Output is CSV (default) or JSON, numbers rendered with 12 significant
 digits so repeated runs are byte identical; probabilities and residuals
-are first rounded to 1e-15, so rounding residue prints as 0.  Exit codes:
+are first rounded to 1e-15, so rounding residue prints as 0.  Each
+subcommand returns its rows, and ``main`` writes them to stdout or to the
+``-o`` file, which it opens before the subcommand runs.  Exit codes:
 0 success, 1 probability conservation failure, 2 usage or circuit errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -82,32 +85,38 @@ class SystemExit2(Exception):
     """Usage or input error; maps to exit code 2."""
 
 
-def _emit(rows: list[dict], args, header_comment: str | None = None) -> None:
-    out = sys.stdout
-    if args.output:
-        try:
-            out = open(args.output, "w")
-        except OSError as exc:
-            raise SystemExit2(f"cannot write {args.output}: {exc.strerror}") from None
+# What a subcommand returns: its output rows and an optional header comment.
+Rows = tuple[list[dict], str | None]
+
+
+def _open_output(path: str | None):
+    """stdout, or the file ``path`` opened for writing, as a shell
+    redirection would be, before the command runs: an unwritable path is
+    a usage error before any work."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        if args.format == "json":
-            doc: dict = {"rows": rows}
-            if header_comment:
-                key, _, value = header_comment.partition("=")
-                doc[key] = value
-            json.dump(doc, out, indent=2)
-            out.write("\n")
-        else:
-            if header_comment:
-                out.write(f"# {header_comment}\n")
-            if rows:
-                cols = list(rows[0])
-                out.write(",".join(cols) + "\n")
-                for row in rows:
-                    out.write(",".join(str(row[c]) for c in cols) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        return open(path, "w")
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(out, fmt: str, rows: list[dict], header_comment: str | None = None) -> None:
+    if fmt == "json":
+        doc: dict = {"rows": rows}
+        if header_comment:
+            key, _, value = header_comment.partition("=")
+            doc[key] = value
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+    else:
+        if header_comment:
+            out.write(f"# {header_comment}\n")
+        if rows:
+            cols = list(rows[0])
+            out.write(",".join(cols) + "\n")
+            for row in rows:
+                out.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
 def _outcome_row(out: ProtocolOutcome, atom: AtomSpec) -> dict:
@@ -135,7 +144,7 @@ def _sample_atoms(args) -> tuple[list[AtomSpec], str | None]:
     return haar_random_atoms(args.atoms, seed=args.seed), f"seed={args.seed}"
 
 
-def cmd_mz_sweep(args) -> None:
+def cmd_mz_sweep(args) -> Rows:
     if args.min < 1 or args.max < args.min:
         raise SystemExit2("need 1 <= min <= max")
     samples, header = _sample_atoms(args)
@@ -146,10 +155,10 @@ def cmd_mz_sweep(args) -> None:
             row = {"n_stages": str(n), "closed_form": _prob(mz_closed_form(n))}
             row.update(_outcome_row(out, atom))
             rows.append(row)
-    _emit(rows, args, header)
+    return rows, header
 
 
-def cmd_fp(args) -> None:
+def cmd_fp(args) -> Rows:
     r, rp = args.r, args.r_prime if args.r_prime is not None else args.r
     t = args.t if args.t is not None else math.sqrt(max(0.0, 1 - r * r))
     tp = args.t_prime if args.t_prime is not None else math.sqrt(max(0.0, 1 - rp * rp))
@@ -165,10 +174,10 @@ def cmd_fp(args) -> None:
         "transmitted": _prob(out.details["transmitted"]),
     }
     row.update(_outcome_row(out, atom))
-    _emit([row], args)
+    return [row], None
 
 
-def cmd_direct(args) -> None:
+def cmd_direct(args) -> Rows:
     atom = _atom_from_args(args)
     final = run_direct(args.pol, atom)
     rows = []
@@ -182,10 +191,10 @@ def cmd_direct(args) -> None:
             rows.append(
                 {"mode": mode_str, "level": level, "amplitude": format_complex(amp)}
             )
-    _emit(rows, args)
+    return rows, None
 
 
-def cmd_nogo_check(args) -> None:
+def cmd_nogo_check(args) -> Rows:
     masks = [frozenset() if m == "none" else frozenset(m.split(",")) for m in args.mask or ["none"]]
     samples, header = _sample_atoms(args)
     circuit = mz_circuit(args.stages)
@@ -204,10 +213,10 @@ def cmd_nogo_check(args) -> None:
                 "delta_sq": _prob(row.delta_sq) if row.delta_sq is not None else "",
             }
         )
-    _emit(rows, args, header)
+    return rows, header
 
 
-def cmd_run(args) -> None:
+def cmd_run(args) -> Rows | None:
     path = Path(args.circuit)
     if path.exists():
         source = path.read_text()
@@ -218,7 +227,7 @@ def cmd_run(args) -> None:
     ast = dsl.parse(source)
     if args.print_canonical:
         sys.stdout.write(dsl.print_circuit(ast))
-        return
+        return None
     bindings = {}
     for item in args.bind or []:
         name, sep, value = item.partition("=")
@@ -231,7 +240,7 @@ def cmd_run(args) -> None:
     circuit = dsl.compile_circuit(ast, bindings)
     atom = _atom_from_args(args)
     out = dsl.run_compiled(circuit, atom, prob_tol=args.prob_tol)
-    _emit([_outcome_row(out, atom)], args)
+    return [_outcome_row(out, atom)], None
 
 
 def _add_atom_args(p: argparse.ArgumentParser, allow_samples: bool = False) -> None:
@@ -310,7 +319,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with _open_output(args.output) as out:
+            result = args.func(args)
+            if result is not None:
+                _emit(out, args.format, *result)
     except ConservationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,17 +11,28 @@ complement is built, so the cost is linear in the number of photon
 modes); if any populated component of the superposition is transparent
 to the probe, the projected row space cannot contain it and no witness
 exists.
+
+Both final states come from the network's transfer under a mask: a run is
+linear in its initial state and never mixes atom levels, so one
+``run_sequence`` of a unit amplitude on each of the 2P propagating rows,
+at every level at once, gives each level's 2P x 2P map of the
+propagating rows and the g amplitude each sink row takes from the m+ or
+the m- inputs.  Every atom of a scan is then a contraction of that
+transfer with its initial state.  Transfers of element tuples are kept in
+a small LRU, so a scan over many atoms, or many scans of one network,
+propagate once per (network, mask).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .elements import Element, run_sequence
+from .elements import AtomInteraction, Element, _sink_row, run_sequence
 from .state import ABSENT_MASK, ATOM_LEVELS, AtomSpec, BasisLayout, JointState
 from .state import product_factors
 from .tolerances import RANK_TOL
@@ -63,6 +74,101 @@ class Absence:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Transfer:
+    """The response of ``elements`` under one mask, linear in the initial
+    state: the propagating rows (the first 2P photon rows) leave as
+    ``prop[c]`` times their level column c, and the sink rows keep their
+    amplitudes, the g column of the rows ``plus_rows`` (``minus_rows``)
+    adding ``plus`` (``minus``) times the m+ (m-) column of the
+    propagating rows."""
+
+    elements: tuple[Element, ...]
+    prop: np.ndarray
+    plus_rows: np.ndarray
+    plus: np.ndarray
+    minus_rows: np.ndarray
+    minus: np.ndarray
+
+    def apply(self, initial: JointState) -> JointState:
+        layout = initial.layout
+        n = self.prop.shape[-1]
+        mat = initial.matrix()
+        final = mat.copy()
+        final[:n] = (self.prop @ mat[:n].T[:, :, None])[:, :, 0].T
+        g, plus_col, minus_col = (layout.level_index(level) for level in ("g", "m+", "m-"))
+        final[self.plus_rows, g] += self.plus @ mat[:n, plus_col]
+        final[self.minus_rows, g] += self.minus @ mat[:n, minus_col]
+        return JointState(layout, final.reshape(-1))
+
+
+def _build_transfer(
+    layout: BasisLayout, elements: tuple[Element, ...], mask: frozenset[str]
+) -> _Transfer:
+    """One ``run_sequence`` per propagating row, with that row set to one
+    at every level: each level column is propagated on its own, and an
+    interaction moves the m+ column only onto its ``sink_plus`` row and the
+    m- column only onto its ``sink_minus`` row.  When a row is the
+    ``sink_plus`` of one interaction and the ``sink_minus`` of another, the
+    m- column runs apart, so neither sum mixes into the other."""
+    n = 2 * len(layout.paths)
+    g, plus_col, minus_col = (layout.level_index(level) for level in ("g", "m+", "m-"))
+    sinks: dict[str, set[str]] = {"m+": set(), "m-": set()}
+    if not ABSENT_MASK <= mask:
+        for el in elements:
+            if isinstance(el, AtomInteraction):
+                for level, sink in (("m+", el.sink_plus), ("m-", el.sink_minus)):
+                    if level not in mask and level not in el.transparency_mask:
+                        sinks[level].add(sink)
+    plus_rows, minus_rows = (
+        np.array(sorted(_sink_row(layout, sink) for sink in sinks[level]), dtype=int)
+        for level in ("m+", "m-")
+    )
+    groups = [list(range(layout.n_levels))]
+    if sinks["m+"] & sinks["m-"]:
+        groups = [[c for c in groups[0] if c != minus_col], [minus_col]]
+    prop = np.empty((layout.n_levels, n, n), dtype=complex)
+    plus = np.empty((len(plus_rows), n), dtype=complex)
+    minus = np.empty((len(minus_rows), n), dtype=complex)
+    for group in groups:
+        for j in range(n):
+            amps = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=complex)
+            amps[j, group] = 1.0
+            initial = JointState(layout, amps.reshape(-1))
+            out = run_sequence(layout, elements, initial, mask_override=mask).matrix()
+            prop[group, :, j] = out[:n, group].T
+            if plus_col in group:
+                plus[:, j] = out[plus_rows, g]
+            if minus_col in group:
+                minus[:, j] = out[minus_rows, g]
+    return _Transfer(elements, prop, plus_rows, plus, minus_rows, minus)
+
+
+# Transfers of element tuples, by (id(elements), layout, mask), oldest
+# first.  An entry holds its tuple, so that id is not reused while the
+# entry lives, and answers only to that tuple.  Eight is every mask of one
+# network (the subsets of m+, m- and g), so no scan evicts its own.
+_TRANSFER_CACHE_SIZE = 8
+_transfers: OrderedDict[tuple, _Transfer] = OrderedDict()
+
+
+def _transfer(layout: BasisLayout, elements: Sequence[Element], mask: frozenset[str]) -> _Transfer:
+    """The transfer of ``elements`` under ``mask``, kept when ``elements``
+    is a tuple: its elements are frozen and a rotator's matrix is read-only,
+    so the tuple cannot change under the transfer.  Any other sequence may,
+    so its transfer is built for this call alone."""
+    if not isinstance(elements, tuple):
+        return _build_transfer(layout, tuple(elements), mask)
+    key = (id(elements), layout, mask)
+    entry = _transfers.get(key)
+    if entry is None or entry.elements is not elements:
+        entry = _transfers[key] = _build_transfer(layout, elements, mask)
+        while len(_transfers) > _TRANSFER_CACHE_SIZE:
+            _transfers.popitem(last=False)
+    _transfers.move_to_end(key)
+    return entry
+
+
 def build_final_states(
     layout: BasisLayout,
     elements: Sequence[Element],
@@ -74,16 +180,20 @@ def build_final_states(
     must be ``ATOM_LEVELS``.
 
     The initial state carries the atom superposition; interacted and
-    absorbed components stay inside the atom-present final state.
+    absorbed components stay inside the atom-present final state.  Each
+    final state is the network's transfer under its mask applied to
+    ``initial``; the transfers of an element tuple are kept.
     """
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
-    unknown = frozenset(transparency_mask).difference(ATOM_LEVELS)
+    mask = frozenset(transparency_mask)
+    unknown = mask.difference(ATOM_LEVELS)
     if unknown:
         raise ValueError(f"unknown atom levels in mask: {sorted(unknown)}")
-    absent = run_sequence(layout, elements, initial, mask_override=ABSENT_MASK)
-    present = run_sequence(layout, elements, initial, mask_override=transparency_mask)
-    return FinalStatePair(absent=absent, present=present)
+    return FinalStatePair(
+        absent=_transfer(layout, elements, ABSENT_MASK).apply(initial),
+        present=_transfer(layout, elements, mask).apply(initial),
+    )
 
 
 def _complement_basis(psi_f: np.ndarray) -> np.ndarray:
@@ -228,11 +338,14 @@ def transparency_nogo_scan(
 
     ``initial_factory(atom)`` must build the initial joint state for one
     sample on the given layout.  A sample's own transparency mask adds to
-    the scan mask, so an absent sample gets ``Absence``.
+    the scan mask, so an absent sample gets ``Absence``.  The network is
+    propagated once per mask (``build_final_states`` keeps its transfers);
+    a sequence other than a tuple is copied into one for the scan.
     """
     masks = list(masks)
     if not masks:
         raise ValueError("at least one mask is required")
+    elements = tuple(elements)
     rows = []
     for mask in masks:
         for atom in samples:

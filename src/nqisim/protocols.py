@@ -47,8 +47,9 @@ runner compiles it at K = 1 and runs it with a level response that adds
 every later round trip to the first, B (I - T)^-1 v per atom level for the
 beam v that the first trip leaves inside: the geometric series behind the
 paper's i r and t t' beta.  Its ``details["round_trips"]`` is the K at
-which the compiled ``fp.nqi`` leaves less than ``eps`` inside and so
-reproduces the run.
+which the compiled ``fp.nqi`` leaves less than ``eps`` inside; its exits
+add coherently, so they miss an amplitude tail of order
+sqrt(eps)/(1 - r r'), not eps.
 """
 
 from __future__ import annotations
@@ -290,8 +291,10 @@ def run_fabry_perot(
 
     ``eps`` only sets ``details["round_trips"]``: one plus the first K at
     which the carried probability sum_l |T_l^K v_l|^2 falls below ``eps``,
-    v_l being the beam the first trip leaves inside, so the compiled
-    ``fp.nqi`` at that many trips reproduces the run to within it.
+    v_l being the beam the first trip leaves inside.  The compiled
+    ``fp.nqi`` at that many trips leaves less than ``eps`` inside, but its
+    exits miss an amplitude tail of order sqrt(eps)/(1 - r r'), which
+    moves each of its probabilities by up to that much.
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if tt < 0 or rr < 0:

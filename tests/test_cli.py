@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nqisim import cli
 from nqisim.cli import format_complex, main, parse_complex
 
 PINNED = Path(__file__).parent / "pinned"
@@ -109,12 +110,16 @@ class TestMzSweep:
         assert out == ""
         assert target.read_text().startswith("n_stages,")
 
-    def test_unwritable_output_file(self, capsys, tmp_path):
-        # Exit 1 is kept for conservation failures: a bad path is a usage error.
+    def test_unwritable_output_file(self, capsys, tmp_path, monkeypatch):
+        # Exit 1 is kept for conservation failures: a bad path is a usage
+        # error, reported before any chain is run.
+        calls = []
+        monkeypatch.setattr(cli, "run_mz_chain", lambda *args: calls.append(args))
         target = tmp_path / "missing" / "sweep.csv"
         code, out, err = run_cli(capsys, "mz-sweep", "--min", "2", "--max", "2", "-o", str(target))
         assert code == 2
         assert out == ""
+        assert calls == []
         assert err.startswith(f"error: cannot write {target}: ")
         assert not target.parent.exists()
 

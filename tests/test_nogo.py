@@ -3,16 +3,25 @@
 import functools
 import itertools
 import math
+import random
 import re
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nqisim import dsl
-from nqisim.elements import AtomInteraction, PolRotator, POL_FLIP
+from nqisim import dsl, nogo
+from nqisim.elements import (
+    AtomInteraction,
+    BeamSplitter,
+    PhaseShift,
+    PolRotator,
+    POL_FLIP,
+    run_sequence,
+)
 from nqisim.nogo import (
     Absence,
     FinalStatePair,
@@ -30,8 +39,10 @@ from nqisim.protocols import (
     mz_closed_form,
     run_fabry_perot,
 )
-from nqisim.state import JointState, initial_state, make_layout
+from nqisim.state import ABSENT_MASK, JointState, initial_state, make_layout
 from nqisim.tolerances import RANK_TOL
+from test_dsl import _random_source
+from test_elements import random_state
 
 
 def reference_complement_basis(psi):
@@ -473,3 +484,119 @@ class TestScan:
         factory = functools.partial(initial_state, layout, "l", "+")
         with pytest.raises(ValueError, match="at least one mask"):
             transparency_nogo_scan(layout, elements, factory, [], haar_random_atoms(1, 1))
+
+
+TRANSFER_MASKS = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), frozenset({"g"}), ABSENT_MASK)
+
+
+def assert_direct_runs(layout, elements, state, mask):
+    """``build_final_states`` agrees with two direct ``run_sequence`` calls
+    to within 1e-15 times the norm of ``state``."""
+    pair = build_final_states(layout, elements, state, mask)
+    tol = 1e-15 * np.linalg.norm(state.amplitudes)
+    for got, run_mask in ((pair.absent, ABSENT_MASK), (pair.present, mask)):
+        want = run_sequence(layout, elements, state, mask_override=run_mask)
+        assert np.linalg.norm(got.amplitudes - want.amplitudes) <= tol, run_mask
+
+
+def counting_runs(monkeypatch) -> list:
+    """Count ``nogo``'s propagations, starting from an empty transfer cache."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("mask_override"))
+        return run_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(nogo, "run_sequence", counted)
+    monkeypatch.setattr(nogo, "_transfers", OrderedDict())
+    return calls
+
+
+class TestTransfer:
+    """Final states are contractions of one transfer per network and mask."""
+
+    def test_matches_direct_runs_on_fuzzed_circuits(self):
+        bindings = {"N": 7, "K": 30, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
+        circuits = [
+            dsl.compile_circuit(dsl.parse(dsl.load_golden(name)), bindings)
+            for name in dsl.golden_names()
+        ]
+        rng = random.Random(20260823)  # criterion 9's fuzzed sources
+        for _ in range(100):
+            try:
+                circuits.append(dsl.compile_circuit(dsl.parse(_random_source(rng))))
+            except dsl.CompileError:
+                continue
+        assert len(circuits) > 50
+        for index, circuit in enumerate(circuits):
+            # Every row and level populated, g and the sinks included.
+            state = random_state(circuit.layout, index)
+            for mask in TRANSFER_MASKS:
+                assert_direct_runs(circuit.layout, circuit.elements, state, mask)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("S+", "S-"), ("S+", "S-"), ("S+", "S-")],
+            [("S+", "S-"), ("S-", "S+"), ("T+", "S-")],
+            [("S+", "T-"), ("T-", "S+"), ("S+", "S+")],
+        ],
+        ids=["one-pair", "plus-is-minus", "crossed"],
+    )
+    @pytest.mark.parametrize("as_tuple", [False, True], ids=["list", "tuple"])
+    def test_shared_sinks_stay_apart(self, pairs, as_tuple):
+        # An S+ row that is also an S- row takes the m+ and the m- inputs;
+        # each must reach it once.
+        layout = make_layout(["a", "b"], ["S+", "S-", "T+", "T-"], list(ATOM_LEVELS))
+        (p1, m1), (p2, m2), (p3, m3) = pairs
+        elements = [
+            BeamSplitter(0.6, 0.8, "a", "b"),
+            AtomInteraction("a", sink_plus=p1, sink_minus=m1),
+            PolRotator("a", POL_FLIP),
+            PhaseShift("b", 0.7),
+            AtomInteraction("b", sink_plus=p2, sink_minus=m2),
+            BeamSplitter(0.8, 0.6, "a", "b"),
+            AtomInteraction("a", frozenset({"m-"}), sink_plus=p3, sink_minus=m3),
+        ]
+        if as_tuple:
+            elements = tuple(elements)
+        for seed, mask in enumerate(TRANSFER_MASKS):
+            assert_direct_runs(layout, elements, random_state(layout, seed), mask)
+
+    def test_scan_propagates_once_per_network_and_mask(self, monkeypatch):
+        calls = counting_runs(monkeypatch)
+        layout, elements, _ = build_mz(8)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        masks, atoms = [frozenset(), frozenset({"m+"})], haar_random_atoms(10, seed=5)
+        rows = 2 * len(layout.paths)
+        first = transparency_nogo_scan(layout, elements, factory, masks, atoms)
+        # One propagation per propagating row for none, {m+} and the absent run.
+        assert len(calls) <= rows * 3
+        calls.clear()
+        assert transparency_nogo_scan(layout, elements, factory, masks, atoms) == first
+        assert calls == []
+        # A list can change between calls: each call builds its own transfers.
+        for _ in range(2):
+            assert transparency_nogo_scan(layout, list(elements), factory, masks, atoms) == first
+            assert len(calls) == rows * 3
+            calls.clear()
+
+    def test_cache_is_bounded_and_never_stale(self, monkeypatch):
+        # Each tuple is dropped by the loop, so a freed id is soon reused;
+        # an entry holds its tuple and answers to it alone, so no phase is
+        # served for another.
+        calls = counting_runs(monkeypatch)
+        layout = make_layout(["a"], ["S+", "S-"], list(ATOM_LEVELS))
+        state = random_state(layout, 7)
+        for k in range(3 * nogo._TRANSFER_CACHE_SIZE):
+            elements = (PhaseShift("a", 0.1 * k), AtomInteraction("a"))
+            assert_direct_runs(layout, elements, state, frozenset())
+            assert len(nogo._transfers) <= nogo._TRANSFER_CACHE_SIZE
+        assert all(key[0] == id(entry.elements) for key, entry in nogo._transfers.items())
+        # An entry planted under the id of another tuple is not served.
+        elements = (PhaseShift("a", 2.0), AtomInteraction("a"))
+        other = nogo._build_transfer(layout, (AtomInteraction("a"),), frozenset())
+        nogo._transfers[id(elements), layout, frozenset()] = other
+        calls.clear()
+        assert_direct_runs(layout, elements, state, frozenset())
+        assert nogo._transfers[id(elements), layout, frozenset()].elements is elements

@@ -364,6 +364,29 @@ class TestFabryPerot:
         for name in ("success_prob", "failure_prob", "absorbed_prob"):
             assert getattr(out, name) == pytest.approx(getattr(ref, name), abs=1e-10)
 
+    @pytest.mark.parametrize("r", [0.9, 0.95])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-22])
+    @pytest.mark.parametrize(
+        "atom",
+        [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})],
+        ids=["absent", "m+"],
+    )
+    def test_compiled_at_round_trips_misses_a_sqrt_eps_tail(self, r, eps, atom):
+        # [DERIVED] fp.nqi at K = round_trips leaves less than eps inside,
+        # but the exits add coherently: the amplitude tail they miss moves
+        # each probability by more than eps, and by at most
+        # sqrt(eps) / (1 - r r') (3.4e-6 of 5.3e-6 at r = 0.9, eps = 1e-12).
+        t = math.sqrt(1 - r * r)
+        bound = math.sqrt(eps) / (1 - r * r)
+        ref = run_fabry_perot(r, t, r, t, atom, eps=eps)
+        circuit = dsl.compile_circuit(
+            dsl.parse(dsl.load_golden("fp")),
+            {"T": t, "R": r, "TP": t, "RP": r, "K": ref.details["round_trips"]},
+        )
+        out = dsl.run_compiled(circuit, atom, prob_tol=bound)
+        miss = max(abs(out.success_prob - ref.success_prob), abs(out.failure_prob - ref.failure_prob))
+        assert eps < miss <= bound
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
