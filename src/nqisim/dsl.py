@@ -50,7 +50,7 @@ from .elements import (
     PolRotator,
     Relabel,
     POL_FLIP,
-    run_sequence,
+    propagate,
     sink_pair_labels,
 )
 from .state import (
@@ -58,7 +58,6 @@ from .state import (
     BRANCH_LABELS,
     AtomSpec,
     BasisLayout,
-    JointState,
     ProtocolOutcome,
     initial_state,
     make_layout,
@@ -618,6 +617,9 @@ def print_circuit(ast: CircuitAst) -> str:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
+    """A compiled circuit with, per transparency mask, its level response:
+    one propagation, each absorbed amplitude under the level it came from."""
+
     layout: BasisLayout
     elements: tuple[Element, ...]
     # Photon rows of each branch label, in increasing order: the classify
@@ -635,48 +637,49 @@ class CompiledCircuit:
     )
 
     @cached_property
-    def plus_cells(self) -> np.ndarray:
-        """Cells of the (photon mode, level) matrix that carry m+ amplitude:
-        the m+ column and, in the g column, each interaction's S+ row: every
-        other sink row, as the compiler lists the sinks in (S+, S-) pairs."""
+    def _sink_rows(self) -> np.ndarray:
+        """Whether each photon row is a sink row: every row after the path blocks."""
+        return np.arange(self.layout.n_photon_modes) >= 2 * len(self.layout.paths)
+
+    def _aimed_response(self, aims: Sequence[tuple[str, str]], mask: frozenset[str]) -> np.ndarray:
+        """Final (photon mode, level, k) block of one ``propagate`` under
+        ``mask`` of the photon aimed at each (path, polarization) of
+        ``aims`` times the atom m+ = m- = 1; g is empty."""
         layout = self.layout
-        cells = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=bool)
-        cells[:, layout.level_index("m+")] = True
-        cells[2 * len(layout.paths) :: 2, layout.level_index("g")] = True
-        return cells
+        n = 2 * len(layout.paths)
+        levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
+        photons = np.zeros((n, layout.n_levels, len(aims)), dtype=complex)
+        for j, (path, pol) in enumerate(aims):
+            # The atom (1, 0)'s m+ column, copied into m-: exact.
+            initial = initial_state(layout, path, pol, AtomSpec(1, 0)).matrix()
+            photons[:, levels, j] = initial[:n, levels[:1]]
+        response = np.zeros((layout.n_photon_modes, layout.n_levels, len(aims)), dtype=complex)
+        response[:n], response[n:, levels] = propagate(layout, self.elements, photons, mask=mask)
+        return response
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
         """Final (photon mode, level) matrix for the input photon times the
         atom m+ = m- = 1, propagated once per transparency mask and kept,
-        read-only.  An absent atom has the mask ``state.ABSENT_MASK``."""
+        read-only; a sink row keeps what it absorbed under the level it
+        came from.  An absent atom has the mask ``state.ABSENT_MASK``."""
         response = self._responses.get(mask)
         if response is None:
-            layout = self.layout
-            # The atom (1, 0) with its m+ column copied into m-: exact.
-            initial = initial_state(layout, self.input_path, self.input_pol, AtomSpec(1, 0))
-            amps = initial.matrix().copy()
-            amps[:, layout.level_index("m-")] = amps[:, layout.level_index("m+")]
-            final = run_sequence(
-                layout, self.elements, JointState(layout, amps.reshape(-1)), mask_override=mask
-            )
-            response = final.matrix()
+            response = self._aimed_response([(self.input_path, self.input_pol)], mask)[..., 0]
             response.flags.writeable = False
             self._responses[mask] = response
         return response
 
     def branch_weights(self, mask: frozenset[str]) -> dict[str, tuple[float, float]]:
-        """Per branch label, the squared norms of its plus cells and of its
-        other cells in ``level_response(mask)``, computed once per mask."""
+        """Per branch label, the squared norms of the m+ and of the m-
+        column of ``level_response(mask)`` over its rows, computed once per
+        mask."""
         weights = self._weights.get(mask)
         if weights is None:
             response = self.level_response(mask)
             squares = response.real**2 + response.imag**2
-            # Each photon row's squared norm on its plus cells and on the others.
-            plus, other = (
-                np.einsum("ij,ij->i", squares, cells) for cells in (self.plus_cells, ~self.plus_cells)
-            )
+            plus, minus = (squares[:, self.layout.level_index(level)] for level in ATOM_LEVELS[:2])
             weights = {
-                label: (float(plus[rows].sum()), float(other[rows].sum()))
+                label: (float(plus[rows].sum()), float(minus[rows].sum()))
                 for label, rows in self.branches.items()
             }
             self._weights[mask] = weights
@@ -685,9 +688,15 @@ class CompiledCircuit:
     def amplitudes(self, atom: AtomSpec, rows=slice(None)) -> np.ndarray:
         """The final (photon mode, level) amplitudes of ``atom``'s run on the
         photon rows ``rows``, as a new array: the level response there with
-        its plus cells scaled by alpha and the others by beta."""
-        response = self.level_response(atom.transparency_mask)[rows]
-        return response * np.where(self.plus_cells[rows], atom.alpha, atom.beta)
+        its m+ column scaled by alpha and its m- column by beta, and each
+        sink row's amplitude moved to its g cell."""
+        amps = self.level_response(atom.transparency_mask)[rows] * atom.level_vector(self.layout)
+        sinks = self._sink_rows[rows]
+        if np.count_nonzero(sinks):
+            absorbed = amps[sinks]
+            amps[sinks] = 0.0
+            amps[sinks, self.layout.level_index(ATOM_LEVELS[2])] = absorbed.sum(axis=1)
+        return amps
 
 
 # Unrolled program size beyond which a circuit is rejected, not built.  The
@@ -768,17 +777,18 @@ def run_compiled(
 
     Every element is linear and acts on one atom level at a time: optical
     elements never mix levels, and an interaction moves the ``(+, m+)``
-    amplitude only into its S+ row at g and ``(-, m-)`` only into its S-
-    row.  So the final state is the circuit's level response -- one
-    propagation of the atom (1, 1) per circuit and transparency mask, an
-    absent atom being masked at m+ and m- -- with every plus cell (m+, and
-    the S+ rows at g) scaled by alpha and every other cell by beta.  No cell
-    is both, so a branch's probability is |alpha|^2 P + |beta|^2 M, from
-    the squared norms P and M of its plus and other cells
+    amplitude only into its S+ row and ``(-, m-)`` only into its S- row.
+    So the final state is the circuit's level response -- one propagation
+    of the atom (1, 1) per circuit and transparency mask, an absent atom
+    being masked at m+ and m- -- with its m+ column, where each sink row
+    keeps what it absorbed from m+, scaled by alpha and its m- column by
+    beta.  A branch's probability is |alpha|^2 P + |beta|^2 M, from the
+    squared norms P and M of the two columns over its rows
     (``CompiledCircuit.branch_weights``, once per mask).  ``score_outcome``
     checks conservation on those and builds only the rows of the branch it
     factors, so a run costs the same at every chain length; the dense
-    ``final_state`` is built on first access.
+    ``final_state``, each sink row's amplitude at g, is built on first
+    access.
     """
     layout = circuit.layout
     a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2

@@ -16,14 +16,14 @@ so each kernel is one operation on that (2, n_levels) block: a mirror or
 phase shift scales it, a rotator multiplies it by ``u``, a beam splitter
 mixes two blocks, a relabel adds one block into another.
 
-``run_sequence`` is the one propagation, behind every runner's
-``CompiledCircuit.level_response`` and the witness scan.  It is pure (it
-returns a new state).  It splits the sequence at every atom interaction;
-each run of optical elements between two interactions is one 2P x 2P map
-on the propagating rows (P paths), built once per call by the kernels on
-the identity, so the copies of a repeat body share their maps.  An
-interaction moves its path's ``+`` row at m+ and ``-`` row at m- onto its
-sink rows at g.
+``propagate`` is the one propagation, behind every runner's
+``CompiledCircuit.level_response`` and the witness scan: it carries a
+block of inputs on the propagating rows (P paths) and is pure.  It splits
+the sequence at every atom interaction; each run of optical elements
+between two interactions is one 2P x 2P map on those rows, built once per
+call by the kernels on the identity, so the copies of a repeat body share
+their maps.  An interaction moves its path's ``+`` row at m+ and ``-``
+row at m- onto its sink rows, kept under the level they came from.
 """
 
 from __future__ import annotations
@@ -188,22 +188,28 @@ _KERNELS = {
 }
 
 
-def run_sequence(
+def propagate(
     layout: BasisLayout,
     elements: Iterable[Element],
-    initial: JointState,
+    photons: np.ndarray,
     *,
-    mask_override: frozenset[str] = frozenset(),
-) -> JointState:
-    """Apply an element sequence to a copy of ``initial``.
-
-    Levels in ``mask_override`` are transparent in every atom interaction,
-    in addition to the interaction's own mask; with ``ABSENT_MASK`` among
-    them the atom is absent and every interaction is skipped.
-    """
-    mat = initial.matrix().copy()
-    prop = mat[: 2 * len(layout.paths)].copy()
-    interacts = not ABSENT_MASK <= mask_override
+    mask: frozenset[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Carry the block ``photons``, k inputs on the 2P propagating rows at
+    each of the L atom levels, (2P, L, k), through an element sequence.
+    Returns the propagating rows after it, (2P, L, k), and what each sink
+    row absorbed from m+ and from m-, (S, 2, k).  Levels in ``mask`` never
+    interact, in addition to each interaction's own mask; with
+    ``ABSENT_MASK`` among them every interaction is skipped."""
+    n, n_levels, k = 2 * len(layout.paths), layout.n_levels, photons.shape[-1]
+    if photons.shape != (n, n_levels, k):
+        raise ValueError(f"photon block has shape {photons.shape}, not ({n}, {n_levels}, k)")
+    # Each column's k cells in a row of the flat blocks: a scalar index at
+    # k = 1, so that every move stays a scalar.
+    cells = [c if k == 1 else slice(c * k, (c + 1) * k) for c in range(n_levels)]
+    prop = np.array(photons, dtype=complex).reshape(n, n_levels * k)
+    absorbed = np.zeros((len(layout.sinks), 2 * k), dtype=complex)
+    interacts = not ABSENT_MASK <= mask
     # One map per distinct optical run, keyed by its element ids; each entry
     # keeps its run alive, so no id is reused while the call lasts.
     maps: dict[tuple[int, ...], tuple[np.ndarray, list[Element]]] = {}
@@ -216,7 +222,7 @@ def run_sequence(
         if run:
             key = tuple(map(id, run))
             if key not in maps:
-                m = np.eye(len(prop), dtype=complex)
+                m = np.eye(n, dtype=complex)
                 for optic in run:
                     _KERNELS[type(optic)](m, layout, optic)
                 maps[key] = m, run
@@ -225,15 +231,34 @@ def run_sequence(
         if el is None or not interacts:
             continue
         if levels is None:
-            g = layout.level_index(ATOM_LEVELS[2])
-            levels = [(i, lev, layout.level_index(lev)) for i, lev in enumerate(ATOM_LEVELS[:2])]
+            levels = [(i, lev, cells[layout.level_index(lev)]) for i, lev in enumerate(ATOM_LEVELS[:2])]
         start = _block(layout, el.path).start
-        sinks = _sink_row(layout, el.sink_plus), _sink_row(layout, el.sink_minus)
+        sinks = _sink_row(layout, el.sink_plus) - n, _sink_row(layout, el.sink_minus) - n
         for offset, level, col in levels:
-            if level not in el.transparency_mask and level not in mask_override:
-                mat[sinks[offset], g] += prop[start + offset, col]
+            if level not in el.transparency_mask and level not in mask:
+                absorbed[sinks[offset], cells[offset]] += prop[start + offset, col]
                 prop[start + offset, col] = 0.0
-    mat[: len(prop)] = prop
+    return prop.reshape(photons.shape), absorbed.reshape(len(layout.sinks), 2, k)
+
+
+def run_sequence(
+    layout: BasisLayout,
+    elements: Iterable[Element],
+    initial: JointState,
+    *,
+    mask_override: frozenset[str] = frozenset(),
+) -> JointState:
+    """``propagate`` of the one state ``initial`` under ``mask_override``,
+    with what each sink row absorbed from either level added into its g
+    cell, as a new state."""
+    if initial.layout != layout:
+        raise ValueError("initial state does not match the layout")
+    mat = initial.matrix().copy()
+    n = 2 * len(layout.paths)
+    prop, absorbed = propagate(layout, elements, mat[:n, :, None], mask=mask_override)
+    mat[:n] = prop[..., 0]
+    if absorbed.any():
+        mat[n:, layout.level_index(ATOM_LEVELS[2])] += absorbed[:, 0, 0] + absorbed[:, 1, 0]
     return JointState(layout, mat.reshape(-1))
 
 

@@ -14,13 +14,13 @@ exists.
 
 Both final states come from the network's transfer under a mask: a run is
 linear in its initial state and never mixes atom levels, so one
-``run_sequence`` of a unit amplitude on each of the 2P propagating rows,
-at every level at once, gives each level's 2P x 2P map of the
-propagating rows and the g amplitude each sink row takes from the m+ or
-the m- inputs.  Every atom of a scan is then a contraction of that
-transfer with its initial state.  Transfers of element tuples are kept in
-a small LRU, so a scan over many atoms, or many scans of one network,
-propagate once per (network, mask).
+``propagate`` of the 2P x 2P identity on the propagating rows, at every
+level at once, gives each level's map of those rows and what each sink
+row absorbs from their m+ and m- inputs; g never interacts, so its map
+is the network with the atom absent.  Every atom of a scan is then a
+contraction of that transfer with its initial state.  Transfers of
+element tuples are kept in a small LRU, so a scan over many atoms, or
+many scans of one network, propagate once per (network, mask).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .elements import AtomInteraction, Element, _sink_row, run_sequence
-from .state import ABSENT_MASK, ATOM_LEVELS, AtomSpec, BasisLayout, JointState
+from .elements import Element, propagate
+from .state import ATOM_LEVELS, AtomSpec, BasisLayout, JointState
 from .state import product_factors
 from .tolerances import RANK_TOL
 
@@ -76,72 +76,32 @@ class Absence:
 
 @dataclass(frozen=True, eq=False)
 class _Transfer:
-    """The response of ``elements`` under one mask, linear in the initial
-    state: the propagating rows (the first 2P photon rows) leave as
-    ``prop[c]`` times their level column c, and the sink rows keep their
-    amplitudes, the g column of the rows ``plus_rows`` (``minus_rows``)
-    adding ``plus`` (``minus``) times the m+ (m-) column of the
-    propagating rows."""
+    """``propagate`` of the 2P x 2P identity under one mask, at every level:
+    level c of the 2P propagating rows leaves as ``prop[:, c]`` times its
+    column, and each sink row adds at g ``absorbed[:, 0]`` times their m+
+    column and ``absorbed[:, 1]`` times their m- column.  g never
+    interacts, so ``prop[:, g]`` maps every level with the atom absent."""
 
     elements: tuple[Element, ...]
     prop: np.ndarray
-    plus_rows: np.ndarray
-    plus: np.ndarray
-    minus_rows: np.ndarray
-    minus: np.ndarray
+    absorbed: np.ndarray
 
-    def apply(self, initial: JointState) -> JointState:
-        layout = initial.layout
-        n = self.prop.shape[-1]
-        mat = initial.matrix()
-        final = mat.copy()
-        final[:n] = (self.prop @ mat[:n].T[:, :, None])[:, :, 0].T
-        g, plus_col, minus_col = (layout.level_index(level) for level in ("g", "m+", "m-"))
-        final[self.plus_rows, g] += self.plus @ mat[:n, plus_col]
-        final[self.minus_rows, g] += self.minus @ mat[:n, minus_col]
-        return JointState(layout, final.reshape(-1))
+    def final_states(self, initial: JointState) -> FinalStatePair:
+        layout, mat, n = initial.layout, initial.matrix(), len(self.prop)
+        g, plus, minus = (layout.level_index(level) for level in ("g", "m+", "m-"))
+        absent, present = mat.copy(), mat.copy()
+        absent[:n] = self.prop[:, g] @ mat[:n]
+        present[:n] = np.einsum("icj,jc->ic", self.prop, mat[:n])
+        inputs = mat[:n, [plus, minus]].T.reshape(-1)  # the m+ column, then the m- column
+        present[n:, g] += self.absorbed.reshape(-1, inputs.size) @ inputs
+        return FinalStatePair(*(JointState(layout, amps.reshape(-1)) for amps in (absent, present)))
 
 
 def _build_transfer(
     layout: BasisLayout, elements: tuple[Element, ...], mask: frozenset[str]
 ) -> _Transfer:
-    """One ``run_sequence`` per propagating row, with that row set to one
-    at every level: each level column is propagated on its own, and an
-    interaction moves the m+ column only onto its ``sink_plus`` row and the
-    m- column only onto its ``sink_minus`` row.  When a row is the
-    ``sink_plus`` of one interaction and the ``sink_minus`` of another, the
-    m- column runs apart, so neither sum mixes into the other."""
-    n = 2 * len(layout.paths)
-    g, plus_col, minus_col = (layout.level_index(level) for level in ("g", "m+", "m-"))
-    sinks: dict[str, set[str]] = {"m+": set(), "m-": set()}
-    if not ABSENT_MASK <= mask:
-        for el in elements:
-            if isinstance(el, AtomInteraction):
-                for level, sink in (("m+", el.sink_plus), ("m-", el.sink_minus)):
-                    if level not in mask and level not in el.transparency_mask:
-                        sinks[level].add(sink)
-    plus_rows, minus_rows = (
-        np.array(sorted(_sink_row(layout, sink) for sink in sinks[level]), dtype=int)
-        for level in ("m+", "m-")
-    )
-    groups = [list(range(layout.n_levels))]
-    if sinks["m+"] & sinks["m-"]:
-        groups = [[c for c in groups[0] if c != minus_col], [minus_col]]
-    prop = np.empty((layout.n_levels, n, n), dtype=complex)
-    plus = np.empty((len(plus_rows), n), dtype=complex)
-    minus = np.empty((len(minus_rows), n), dtype=complex)
-    for group in groups:
-        for j in range(n):
-            amps = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=complex)
-            amps[j, group] = 1.0
-            initial = JointState(layout, amps.reshape(-1))
-            out = run_sequence(layout, elements, initial, mask_override=mask).matrix()
-            prop[group, :, j] = out[:n, group].T
-            if plus_col in group:
-                plus[:, j] = out[plus_rows, g]
-            if minus_col in group:
-                minus[:, j] = out[minus_rows, g]
-    return _Transfer(elements, prop, plus_rows, plus, minus_rows, minus)
+    identity = np.eye(2 * len(layout.paths), dtype=complex)[:, None].repeat(layout.n_levels, axis=1)
+    return _Transfer(elements, *propagate(layout, elements, identity, mask=mask))
 
 
 # Transfers of element tuples, by (id(elements), layout, mask), oldest
@@ -169,31 +129,33 @@ def _transfer(layout: BasisLayout, elements: Sequence[Element], mask: frozenset[
     return entry
 
 
+def _checked_mask(mask: Iterable[str]) -> frozenset[str]:
+    """``mask`` as a frozenset, or a ValueError naming its unknown levels."""
+    mask = frozenset(mask)
+    unknown = mask.difference(ATOM_LEVELS)
+    if unknown:
+        raise ValueError(f"unknown atom levels in mask: {sorted(unknown)}")
+    return mask
+
+
 def build_final_states(
     layout: BasisLayout,
     elements: Sequence[Element],
     initial: JointState,
     transparency_mask: frozenset[str] = frozenset(),
 ) -> FinalStatePair:
-    """Run the element sequence with the atom transparent at
-    ``ABSENT_MASK`` (absent) and at ``transparency_mask``, whose levels
-    must be ``ATOM_LEVELS``.
+    """Run the element sequence with the atom absent and with it
+    transparent at ``transparency_mask``, whose levels must be
+    ``ATOM_LEVELS``.
 
     The initial state carries the atom superposition; interacted and
-    absorbed components stay inside the atom-present final state.  Each
-    final state is the network's transfer under its mask applied to
+    absorbed components stay inside the atom-present final state.  Both
+    are the network's transfer under ``transparency_mask`` applied to
     ``initial``; the transfers of an element tuple are kept.
     """
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
-    mask = frozenset(transparency_mask)
-    unknown = mask.difference(ATOM_LEVELS)
-    if unknown:
-        raise ValueError(f"unknown atom levels in mask: {sorted(unknown)}")
-    return FinalStatePair(
-        absent=_transfer(layout, elements, ABSENT_MASK).apply(initial),
-        present=_transfer(layout, elements, mask).apply(initial),
-    )
+    return _transfer(layout, elements, _checked_mask(transparency_mask)).final_states(initial)
 
 
 def _complement_basis(psi_f: np.ndarray) -> np.ndarray:
@@ -338,27 +300,29 @@ def transparency_nogo_scan(
 
     ``initial_factory(atom)`` must build the initial joint state for one
     sample on the given layout.  A sample's own transparency mask adds to
-    the scan mask, so an absent sample gets ``Absence``.  The network is
-    propagated once per mask (``build_final_states`` keeps its transfers);
-    a sequence other than a tuple is copied into one for the scan.
+    the scan mask, so an absent sample gets ``Absence``.  Every mask is
+    checked before the first sample runs.  The network is propagated once
+    per mask (``build_final_states`` keeps its transfers); a sequence other
+    than a tuple is copied into one for the scan.
     """
-    masks = list(masks)
+    masks = [_checked_mask(mask) for mask in masks]
     if not masks:
         raise ValueError("at least one mask is required")
+    samples = list(samples)
+    if not samples:
+        raise ValueError("at least one sample is required")
     elements = tuple(elements)
     rows = []
     for mask in masks:
         for atom in samples:
             initial = initial_factory(atom)
-            pair = build_final_states(
-                layout, elements, initial, frozenset(mask) | atom.transparency_mask
-            )
+            pair = build_final_states(layout, elements, initial, mask | atom.transparency_mask)
             atom_init = atom.level_vector(layout)
             result = find_witness(pair, atom_init)
             found = isinstance(result, Witness)
             rows.append(
                 NogoRow(
-                    frozenset(mask),
+                    mask,
                     atom.alpha,
                     atom.beta,
                     found,

@@ -17,16 +17,17 @@ for a dense final state, the atom and outcome types, ``POL_STATES`` and
 ``ATOM_LEVELS`` are re-exported here.
 
 The level response propagates the input photon times the atom m+ = m-
-= 1 once per transparency mask, an absent atom being masked at both.
-``dsl.run_compiled`` scales its m+ cells by alpha and its m- cells by
+= 1 once per transparency mask, an absent atom being masked at both, and
+keeps each absorbed amplitude under the level it came from.
+``dsl.run_compiled`` scales its m+ column by alpha and its m- column by
 beta (the levels never mix), so a sweep over atoms costs one propagation
 per chain length.  Each branch's probability comes from two squared norms
 per mask (``CompiledCircuit.branch_weights``), and a run builds only the
 rows of the branch it factors: the runners read the rows they report
 (``CompiledCircuit.amplitudes``), and an outcome's dense ``final_state``
 is built only when it is read.  The cavity's level response sums every
-later round trip in closed form onto the first trip's, from one trip aimed
-at each row it carries between trips.
+later round trip in closed form onto the first trip's, from one
+propagation of the input and each row it carries between trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -190,7 +191,8 @@ class _Cavity(CompiledCircuit):
     starts there, and the program's statements outside the trip act only on
     the emptied input path or on the exits, so the response is the one-trip
     response plus B_l (I - T_l)^-1 v_l, with the carried rows emptied: T_l
-    and B_l are one trip aimed at each carried row.
+    and B_l are one trip aimed at each carried row, propagated in one block
+    with the input.
     """
 
     # Per mask: the maps T_l and the columns v_l that ``trips`` scales.
@@ -203,21 +205,19 @@ class _Cavity(CompiledCircuit):
             carried = [p for p in layout.paths if p not in touched]
             aims = [(self.input_path, self.input_pol)]
             aims += [(path, pol) for path in carried for pol in layout.polarizations]
-            first, *columns = [
-                CompiledCircuit.level_response(dataclasses.replace(self, input_path=path, input_pol=pol), mask)
-                for path, pol in aims
-            ]
+            block = self._aimed_response(aims, mask)
             rows = np.r_[tuple(layout.path_block[p] for p in carried)]
             # response[..., j] is one trip's output for carried row j.
-            response = np.stack(columns, axis=-1)
-            levels = [layout.level_index(level) for level in ("m+", "m-")]
+            first, response = block[..., 0], np.ascontiguousarray(block[..., 1:])
+            levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
             maps = response[rows][:, levels].transpose(1, 0, 2)
             inside = first[rows][:, levels].T[..., None]
             totals = np.linalg.solve(np.eye(len(rows)) - maps, inside)
-            # Each level's cells take B_l times its total; the carried rows,
+            # Each level's column takes B_l times its total; the carried rows,
             # which would hold T_l times it, are empty once every trip is done.
             summed = response @ totals[..., 0].T
-            final = first + np.where(self.plus_cells, summed[..., 0], summed[..., 1])
+            final = first.copy()
+            final[:, levels] += summed[:, levels, [0, 1]]
             final[rows] = 0.0
             final.flags.writeable = False
             self._trips[mask], self._responses[mask] = (maps, inside), final

@@ -27,6 +27,7 @@ from nqisim.elements import (
     Mirror,
     PolRotator,
     Relabel,
+    propagate,
     run_sequence,
 )
 from nqisim.state import (
@@ -729,9 +730,9 @@ class TestLevelResponse:
 
         def counted(*args, **kwargs):
             calls.append(kwargs)
-            return run_sequence(*args, **kwargs)
+            return propagate(*args, **kwargs)
 
-        monkeypatch.setattr(dsl, "run_sequence", counted)
+        monkeypatch.setattr(dsl, "propagate", counted)
         for atom in haar_random_atoms(5, seed=1):
             for mask in (frozenset(), frozenset({"m+"}), ABSENT_MASK):
                 run_compiled(circuit, AtomSpec(atom.alpha, atom.beta, transparency_mask=mask))
@@ -741,7 +742,8 @@ class TestLevelResponse:
         assert len(calls) == 3
 
     def test_level_response_is_one_exact_propagation(self):
-        # The response is run_sequence on the input photon times the atom
+        # The response, with each sink row's m+ and m- cells added into its
+        # g cell, is run_sequence on the input photon times the atom
         # (1, 1, 0), bitwise: no rescaling of any amplitude.
         bindings = {"N": 3, "K": 2, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
         circuits = [
@@ -757,6 +759,7 @@ class TestLevelResponse:
             circuits, (frozenset(), frozenset({"m-"}), ABSENT_MASK)
         ):
             layout = circuit.layout
+            n = 2 * len(layout.paths)
             amps = np.zeros((layout.n_photon_modes, layout.n_levels), dtype=complex)
             amps[layout.path_block[circuit.input_path]] = np.outer(
                 POL_STATES[circuit.input_pol], [1, 1, 0]
@@ -764,7 +767,13 @@ class TestLevelResponse:
             want = run_sequence(
                 layout, circuit.elements, JointState(layout, amps.reshape(-1)), mask_override=mask
             )
-            got = circuit.level_response(mask)
+            response = circuit.level_response(mask)
+            # Nothing reaches g, and a sink row absorbs from one level only.
+            assert not response[:, 2].any()
+            assert not (response[n:, 0] * response[n:, 1]).any()
+            got = response.copy()
+            got[n:, 2] = got[n:, 0] + got[n:, 1]
+            got[n:, :2] = 0.0
             assert np.array_equal(got, want.matrix()), (circuit.input_path, mask)
 
     def test_returned_state_does_not_reach_the_cache(self):
@@ -802,8 +811,12 @@ class TestBranchWeights:
             layout = circuit.layout
             for mask, atom in itertools.product(masks, haar_random_atoms(3, seed=17)):
                 spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
-                response = circuit.level_response(spec.transparency_mask)
-                amps = response * np.where(circuit.plus_cells, spec.alpha, spec.beta)
+                # The response's m+ column times alpha and its m- column
+                # times beta; a sink row's amplitude lies at g.
+                n = 2 * len(layout.paths)
+                amps = circuit.level_response(spec.transparency_mask) * [spec.alpha, spec.beta, 0]
+                amps[n:, 2] = amps[n:].sum(axis=1)
+                amps[n:, :2] = 0.0
                 dense = JointState(layout, amps.reshape(-1))
                 want = _outcome_or_error(
                     lambda: assemble_outcome(dense, circuit.branches, spec.level_vector(layout))

@@ -17,6 +17,7 @@ from nqisim.elements import (
     PolRotator,
     POL_FLIP,
     Relabel,
+    propagate,
     run_sequence,
     sink_pair_labels,
 )
@@ -217,6 +218,13 @@ class TestAtomInteraction:
         with pytest.raises(ValueError, match="sink"):
             run_sequence(layout, [AtomInteraction("a")], state)
 
+    def test_state_of_another_layout_rejected(self):
+        # Read against layout b, the amplitudes of path a would be
+        # relabelled as path b.
+        state = state_of(make_layout(["a"], [], LEVELS), (1.0, ("a", "+"), "m+"))
+        with pytest.raises(ValueError, match="initial state does not match the layout"):
+            run_sequence(make_layout(["b"], [], LEVELS), [Mirror("b")], state)
+
     def test_both_levels_masked_is_the_optical_evolution(self):
         # An absent atom is the atom masked at m+ and m-: its interactions
         # are skipped, so they need no sinks in the layout.
@@ -343,3 +351,72 @@ class TestRunMaps:
             calls.clear()
             run_sequence(circuit.layout, circuit.elements, state, mask_override=mask)
             assert len(calls) <= 7, mask
+
+
+def shared_sink_sequences():
+    """Hand-built sequences whose interactions share sink rows: one pair
+    for all, an S+ row that is another's S-, and crossed pairs."""
+    layout = make_layout(["a", "b"], ["S+", "S-", "T+", "T-"], LEVELS)
+    for (p1, m1), (p2, m2), (p3, m3) in (
+        [("S+", "S-"), ("S+", "S-"), ("S+", "S-")],
+        [("S+", "S-"), ("S-", "S+"), ("T+", "S-")],
+        [("S+", "T-"), ("T-", "S+"), ("S+", "S+")],
+    ):
+        yield layout, (
+            BeamSplitter(0.6, 0.8, "a", "b"),
+            AtomInteraction("a", sink_plus=p1, sink_minus=m1),
+            PolRotator("a", POL_FLIP),
+            PhaseShift("b", 0.7),
+            AtomInteraction("b", sink_plus=p2, sink_minus=m2),
+            BeamSplitter(0.8, 0.6, "a", "b"),
+            AtomInteraction("a", frozenset({"m-"}), sink_plus=p3, sink_minus=m3),
+        )
+
+
+class TestPropagate:
+    """``propagate`` of a block carries each input column on its own."""
+
+    def test_block_is_its_columns(self):
+        bindings = {"N": 7, "K": 30, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
+        networks = [
+            (circuit.layout, circuit.elements)
+            for circuit in (
+                dsl.compile_circuit(dsl.parse(dsl.load_golden(name)), bindings)
+                for name in dsl.golden_names()
+            )
+        ]
+        rng = random.Random(20260823)  # criterion 9's fuzzed sources
+        for _ in range(100):
+            try:
+                circuit = dsl.compile_circuit(dsl.parse(_random_source(rng)))
+            except dsl.CompileError:
+                continue
+            networks.append((circuit.layout, circuit.elements))
+        networks += list(shared_sink_sequences())
+        assert len(networks) > 50
+        for index, (layout, sequence) in enumerate(networks):
+            shape = (2 * len(layout.paths), layout.n_levels, 3)
+            draw = np.random.default_rng(index).standard_normal((2,) + shape)
+            block = draw[0] + 1j * draw[1]
+            for mask in MASKS:
+                prop, absorbed = propagate(layout, sequence, block, mask=mask)
+                assert prop.shape == shape
+                assert absorbed.shape == (len(layout.sinks), 2, 3)
+                for j in range(3):
+                    one_prop, one_absorbed = propagate(layout, sequence, block[..., j:j + 1], mask=mask)
+                    tol = 1e-15 * np.linalg.norm(block[..., j])
+                    assert np.linalg.norm(prop[..., j] - one_prop[..., 0]) <= tol, (index, mask, j)
+                    assert np.linalg.norm(absorbed[..., j] - one_absorbed[..., 0]) <= tol, (index, mask, j)
+
+    def test_input_block_is_not_changed(self):
+        layout = layout2()
+        block = np.ones((4, 3, 2), dtype=complex)
+        prop, absorbed = propagate(layout, [AtomInteraction("a"), Mirror("b")], block, mask=frozenset())
+        assert np.array_equal(block, np.ones((4, 3, 2)))
+        assert np.array_equal(absorbed[0, 0], [1, 1]) and np.array_equal(absorbed[1, 1], [1, 1])
+        assert not prop[0, 0].any() and not prop[1, 1].any()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 3, 1), (4, 2, 1)])
+    def test_block_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="photon block has shape"):
+            propagate(layout2(), [Mirror("a")], np.zeros(shape, dtype=complex), mask=frozenset())

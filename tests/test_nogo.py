@@ -20,6 +20,7 @@ from nqisim.elements import (
     PhaseShift,
     PolRotator,
     POL_FLIP,
+    propagate,
     run_sequence,
 )
 from nqisim.nogo import (
@@ -479,11 +480,25 @@ class TestScan:
         with pytest.raises(ValueError, match=re.escape("unknown atom levels in mask: ['M+']")):
             transparency_nogo_scan(layout, elements, factory, masks, samples)
 
+    def test_unknown_mask_levels_rejected_without_samples(self):
+        # Every mask is checked before the atom loop, so an unknown level is
+        # reported even when no sample would reach it.
+        layout, elements, _ = build_mz(2)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        with pytest.raises(ValueError, match=re.escape("unknown atom levels in mask: ['bogus']")):
+            transparency_nogo_scan(layout, elements, factory, [frozenset({"bogus"})], [])
+
     def test_empty_mask_list_rejected(self):
         layout, elements, _ = build_mz(2)
         factory = functools.partial(initial_state, layout, "l", "+")
         with pytest.raises(ValueError, match="at least one mask"):
             transparency_nogo_scan(layout, elements, factory, [], haar_random_atoms(1, 1))
+
+    def test_empty_sample_list_rejected(self):
+        layout, elements, _ = build_mz(2)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        with pytest.raises(ValueError, match="at least one sample is required"):
+            transparency_nogo_scan(layout, elements, factory, [frozenset()], [])
 
 
 TRANSFER_MASKS = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), frozenset({"g"}), ABSENT_MASK)
@@ -500,14 +515,15 @@ def assert_direct_runs(layout, elements, state, mask):
 
 
 def counting_runs(monkeypatch) -> list:
-    """Count ``nogo``'s propagations, starting from an empty transfer cache."""
+    """The mask of each of ``nogo``'s propagations, starting from an empty
+    transfer cache."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("mask_override"))
-        return run_sequence(*args, **kwargs)
+        calls.append(kwargs["mask"])
+        return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(nogo, "run_sequence", counted)
+    monkeypatch.setattr(nogo, "propagate", counted)
     monkeypatch.setattr(nogo, "_transfers", OrderedDict())
     return calls
 
@@ -568,17 +584,18 @@ class TestTransfer:
         layout, elements, _ = build_mz(8)
         factory = functools.partial(initial_state, layout, "l", "+")
         masks, atoms = [frozenset(), frozenset({"m+"})], haar_random_atoms(10, seed=5)
-        rows = 2 * len(layout.paths)
         first = transparency_nogo_scan(layout, elements, factory, masks, atoms)
-        # One propagation per propagating row for none, {m+} and the absent run.
-        assert len(calls) <= rows * 3
+        # One propagation per scan mask: the absent state is read from the
+        # g map of each, so no absent transfer is built or kept.
+        assert calls == masks
+        assert [key[2] for key in nogo._transfers] == masks
         calls.clear()
         assert transparency_nogo_scan(layout, elements, factory, masks, atoms) == first
         assert calls == []
         # A list can change between calls: each call builds its own transfers.
         for _ in range(2):
             assert transparency_nogo_scan(layout, list(elements), factory, masks, atoms) == first
-            assert len(calls) == rows * 3
+            assert calls == masks
             calls.clear()
 
     def test_cache_is_bounded_and_never_stale(self, monkeypatch):
@@ -590,7 +607,9 @@ class TestTransfer:
         state = random_state(layout, 7)
         for k in range(3 * nogo._TRANSFER_CACHE_SIZE):
             elements = (PhaseShift("a", 0.1 * k), AtomInteraction("a"))
+            calls.clear()
             assert_direct_runs(layout, elements, state, frozenset())
+            assert calls == [frozenset()]
             assert len(nogo._transfers) <= nogo._TRANSFER_CACHE_SIZE
         assert all(key[0] == id(entry.elements) for key, entry in nogo._transfers.items())
         # An entry planted under the id of another tuple is not served.
@@ -599,4 +618,5 @@ class TestTransfer:
         nogo._transfers[id(elements), layout, frozenset()] = other
         calls.clear()
         assert_direct_runs(layout, elements, state, frozenset())
+        assert calls == [frozenset()]
         assert nogo._transfers[id(elements), layout, frozenset()].elements is elements

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nqisim import dsl, protocols
+from nqisim import dsl, elements, protocols
 from nqisim.protocols import (
     AtomSpec,
     ConservationError,
@@ -24,7 +24,7 @@ from nqisim.protocols import (
     run_mz_chain,
     run_two_pass,
 )
-from nqisim.elements import run_sequence
+from nqisim.elements import propagate
 from nqisim.state import ABSENT_MASK, ATOM_LEVELS, JointState
 from nqisim.tolerances import PROB_TOL
 
@@ -139,9 +139,9 @@ class TestTwoPass:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return run_sequence(*args, **kwargs)
+            return propagate(*args, **kwargs)
 
-        monkeypatch.setattr(dsl, "run_sequence", counted)
+        monkeypatch.setattr(dsl, "propagate", counted)
         out = dsl.run_compiled(circuit, AtomSpec(0.6, 0.8))
         assert len(calls) == 1
         final = out.final_state
@@ -482,23 +482,33 @@ class TestFabryPerot:
 
     def test_propagations_do_not_grow_with_the_atoms(self, monkeypatch):
         # One mirror binding and one mask: the summed response serves every
-        # atom, so the trip is propagated once from the input and once per
-        # carried row (fwd, two polarizations) and never again.
-        calls = []
+        # atom, so the trip is propagated once, as one block of the input
+        # and the carried rows (fwd, two polarizations), and never again.
+        # That one propagation builds the trip's 3 maps from 10 elements.
+        calls, kernels = [], []
 
         def counted(*args, **kwargs):
             calls.append(kwargs)
-            return run_sequence(*args, **kwargs)
+            return propagate(*args, **kwargs)
 
+        for kind, kernel in list(elements._KERNELS.items()):
+
+            def counted_kernel(*args, kernel=kernel):
+                kernels.append(args[2])
+                kernel(*args)
+
+            monkeypatch.setitem(elements._KERNELS, kind, counted_kernel)
         protocols._cavity.cache_clear()
-        monkeypatch.setattr(dsl, "run_sequence", counted)
+        monkeypatch.setattr(dsl, "propagate", counted)
         r = 0.9
         t = math.sqrt(1 - r * r)
         counts = []
         for atom in haar_random_atoms(6, seed=12):
             run_fabry_perot(r, t, r, t, atom)
-            counts.append(len(calls))
-        assert counts == [3] * 6
+            counts.append((len(calls), len(kernels)))
+        assert counts == [(1, 10)] * 6
+        run_fabry_perot(r, t, r, t, AtomSpec(0.6, 0.8, transparency_mask={"m+"}))
+        assert (len(calls), len(kernels)) == (2, 20)
 
 
 class TestOutcomeAssembly:
