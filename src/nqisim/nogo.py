@@ -7,20 +7,29 @@ contraction against the atom-present state is proportional to the initial
 atom superposition.  Existence is decided by least squares on the
 atom-present amplitude matrix projected onto that orthogonal complement
 with ``I - psi psi^dagger``, applied as a rank-one update (no basis of the
-complement is built, so the cost is linear in the number of photon
-modes); if any populated component of the superposition is transparent
-to the probe, the projected row space cannot contain it and no witness
-exists.
+complement is built); if any populated component of the superposition is
+transparent to the probe, the projected row space cannot contain it and no
+witness exists.
 
 Both final states come from the network's transfer under a mask: a run is
 linear in its initial state and never mixes atom levels, so one
 ``propagate`` of the 2P x 2P identity on the propagating rows, at every
 level at once, gives each level's map of those rows and what each sink
-row absorbs from their m+ and m- inputs; g never interacts, so its map
-is the network with the atom absent.  Every atom of a scan is then a
-contraction of that transfer with its initial state.  Transfers of
+row absorbs from the inputs of each interacting level; g never interacts,
+so its map is the network with the atom absent.  Every atom of a scan is
+then a contraction of that transfer with its initial state.  Transfers of
 element tuples are kept in a small LRU, so a scan over many atoms, or
 many scans of one network, propagate once per (network, mask).
+
+The scan never builds the dense states.  Its photon enters on a path, so
+the absent state lives on the 2P propagating rows, and the present state's
+sink rows are ``absorbed @ inputs``: with the thin QR ``absorbed = Q R``,
+taken once per transfer, they are ``Q`` times ``R @ inputs``.  The witness
+is decided on the 2P rows and the rows of ``R @ inputs`` (at most 2P per
+interacting level: 8 for the chain), an isometric image of the dense
+problem with the same singular values, residual and coefficient norm, so
+the decision costs the same at any number of sink rows; only the check
+that the initial state has no sink amplitude reads them.
 """
 
 from __future__ import annotations
@@ -28,13 +37,14 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .elements import Element, propagate
 from .state import ATOM_LEVELS, AtomSpec, BasisLayout, JointState
-from .state import product_factors
+from .state import _rank_one, product_factors
 from .tolerances import RANK_TOL
 
 
@@ -78,30 +88,58 @@ class Absence:
 class _Transfer:
     """``propagate`` of the 2P x 2P identity under one mask, at every level:
     level c of the 2P propagating rows leaves as ``prop[:, c]`` times its
-    column, and each sink row adds at g ``absorbed[:, 0]`` times their m+
-    column and ``absorbed[:, 1]`` times their m- column.  g never
-    interacts, so ``prop[:, g]`` maps every level with the atom absent."""
+    column, and the sink rows add at g ``absorbed`` times the columns of
+    the interacting levels ``columns`` (m+ and m- less the masked ones),
+    stacked.  g never interacts, so ``prop[:, g]`` maps every level with
+    the atom absent."""
 
     elements: tuple[Element, ...]
     prop: np.ndarray
     absorbed: np.ndarray
+    columns: list[int]
+
+    def _inputs(self, mat: np.ndarray) -> np.ndarray:
+        return mat[: len(self.prop), self.columns].T.reshape(-1)
+
+    @cached_property
+    def _sink_r(self) -> np.ndarray:
+        """``R`` of the thin QR ``absorbed = Q R``: min(S, 2P len(columns)) rows."""
+        return np.linalg.qr(self.absorbed, mode="r")
 
     def final_states(self, initial: JointState) -> FinalStatePair:
         layout, mat, n = initial.layout, initial.matrix(), len(self.prop)
-        g, plus, minus = (layout.level_index(level) for level in ("g", "m+", "m-"))
+        g = layout.level_index("g")
         absent, present = mat.copy(), mat.copy()
         absent[:n] = self.prop[:, g] @ mat[:n]
         present[:n] = np.einsum("icj,jc->ic", self.prop, mat[:n])
-        inputs = mat[:n, [plus, minus]].T.reshape(-1)  # the m+ column, then the m- column
-        present[n:, g] += self.absorbed.reshape(-1, inputs.size) @ inputs
+        present[n:, g] += self.absorbed @ self._inputs(mat)
         return FinalStatePair(*(JointState(layout, amps.reshape(-1)) for amps in (absent, present)))
+
+    def witness(self, initial: JointState, atom_init: np.ndarray) -> Witness | Absence:
+        """``find_witness`` of ``final_states(initial)``, decided on the 2P
+        propagating rows and the rows of ``R @ inputs``; ``initial`` must
+        hold no sink amplitude, and the witness's ``phi_p`` is over those
+        rows."""
+        layout, mat, n = initial.layout, initial.matrix(), len(self.prop)
+        if mat[n:].any():
+            raise ValueError("initial state has sink amplitude: the photon must enter on a path")
+        g, sink_r = layout.level_index("g"), self._sink_r
+        present = np.zeros((n + len(sink_r), layout.n_levels), dtype=complex)
+        present[:n] = np.einsum("icj,jc->ic", self.prop, mat[:n])
+        present[n:, g] = sink_r @ self._inputs(mat)
+        return _witness(present, self.prop[:, g] @ mat[:n], atom_init, layout.n_photon_modes)
 
 
 def _build_transfer(
     layout: BasisLayout, elements: tuple[Element, ...], mask: frozenset[str]
 ) -> _Transfer:
-    identity = np.eye(2 * len(layout.paths), dtype=complex)[:, None].repeat(layout.n_levels, axis=1)
-    return _Transfer(elements, *propagate(layout, elements, identity, mask=mask))
+    n = 2 * len(layout.paths)
+    identity = np.eye(n, dtype=complex)[:, None].repeat(layout.n_levels, axis=1)
+    prop, absorbed = propagate(layout, elements, identity, mask=mask)
+    # A masked level absorbs nothing: keep the other levels' inputs alone.
+    kept = [i for i, level in enumerate(ATOM_LEVELS[:2]) if level not in mask]
+    absorbed = absorbed[:, kept].reshape(len(layout.sinks), len(kept) * n)
+    return _Transfer(elements, prop, absorbed, [layout.level_index(ATOM_LEVELS[i]) for i in kept])
 
 
 # Transfers of element tuples, by (id(elements), layout, mask), oldest
@@ -177,22 +215,19 @@ def _unit_atom_vector(atom_init: np.ndarray, atom_dim: int) -> np.ndarray:
     return atom_init / norm
 
 
-def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absence:
-    """Decide whether a witness probe vector exists.
-
-    Reshapes the atom-present state into a probe x atom matrix, projects
-    its probe index onto the complement of the atom-absent probe state
-    psi_f with ``I - psi_f psi_f^dagger`` (never forming the projector or
-    a basis of the complement), and asks by least squares whether the
-    initial atom vector lies in the projected row space.
-    """
-    atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
-    present = pair.present.matrix()
+def _witness(
+    present: np.ndarray, absent: np.ndarray, atom_init: np.ndarray, n_modes: int
+) -> Witness | Absence:
+    """The witness decision on the (rows, levels) matrix ``present``.
+    ``absent`` is the atom-absent matrix on the leading rows of ``present``
+    and zero on the others, ``atom_init`` a unit vector, and ``n_modes``
+    the photon mode count of the dense state, which sets the roundoff
+    floor.  The witness's ``phi_p`` is over the rows of ``present``."""
     if not np.linalg.norm(present) >= RANK_TOL:
         raise ValueError("atom-present final state is zero or not finite")
-
-    psi_f = pair.absent_probe_vector()
-    restricted = present - np.outer(psi_f, psi_f.conj() @ present)  # (probe_dim, atom_dim)
+    psi_f = np.zeros(len(present), dtype=complex)
+    psi_f[: len(absent)] = _rank_one(absent)[0]
+    restricted = present - np.outer(psi_f, psi_f.conj() @ present)
 
     # Minimum-norm solution of restricted^T c = atom_init from the thin SVD
     # restricted = u s vh: c = conj(u) s^-1 conj(vh) atom_init.  conj(c)
@@ -204,7 +239,7 @@ def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absen
     # roundoff level would spend a coefficient of order 1 on a leftover that
     # a truncated run leaves (fp.nqi at K = 117 leaves 1e-11 inside).
     u, s, vh = np.linalg.svd(restricted, full_matrices=False)
-    floor = max(np.finfo(float).eps * max(present.shape), RANK_TOL)
+    floor = max(np.finfo(float).eps * max(n_modes, present.shape[1]), RANK_TOL)
     kept = s > floor * np.linalg.norm(present)
     sol = u[:, kept].conj() @ ((vh[kept].conj() @ atom_init) / s[kept])
     defect = restricted.T @ sol - atom_init
@@ -216,6 +251,20 @@ def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absen
         phi_p = sol.conj() / coeff_norm
         return Witness(phi_p=phi_p, delta=complex(1.0 / coeff_norm), residual=residual)
     return Absence(residual=residual)
+
+
+def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absence:
+    """Decide whether a witness probe vector exists.
+
+    Reshapes the atom-present state into a probe x atom matrix, projects
+    its probe index onto the complement of the atom-absent probe state
+    psi_f with ``I - psi_f psi_f^dagger`` (never forming the projector or
+    a basis of the complement), and asks by least squares whether the
+    initial atom vector lies in the projected row space.  The scan decides
+    the same problem on the transfer's compressed rows by the same core.
+    """
+    atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
+    return _witness(pair.present.matrix(), pair.absent.matrix(), atom_init, pair.probe_dim)
 
 
 _GRID_DIM_MAX = 3
@@ -299,11 +348,15 @@ def transparency_nogo_scan(
     """Tabulate witness existence over (transparency mask, atom sample) pairs.
 
     ``initial_factory(atom)`` must build the initial joint state for one
-    sample on the given layout.  A sample's own transparency mask adds to
-    the scan mask, so an absent sample gets ``Absence``.  Every mask is
-    checked before the first sample runs.  The network is propagated once
-    per mask (``build_final_states`` keeps its transfers); a sequence other
-    than a tuple is copied into one for the scan.
+    sample on the given layout, with the photon on the propagating rows: a
+    state of another layout, or with sink amplitude, is a ValueError.  A
+    sample's own transparency mask adds to the scan mask, so an absent
+    sample gets ``Absence``.  Every mask is checked before the first sample
+    runs.  The network is propagated once per mask (the transfers of a
+    tuple are kept; a sequence other than a tuple is copied into one for
+    the scan), each mask's transfer is looked up once per call, and each
+    sample is decided as ``find_witness`` of ``build_final_states`` would,
+    on the transfer's compressed rows, without the dense states.
     """
     masks = [_checked_mask(mask) for mask in masks]
     if not masks:
@@ -312,13 +365,18 @@ def transparency_nogo_scan(
     if not samples:
         raise ValueError("at least one sample is required")
     elements = tuple(elements)
+    transfers: dict[frozenset[str], _Transfer] = {}
     rows = []
     for mask in masks:
         for atom in samples:
             initial = initial_factory(atom)
-            pair = build_final_states(layout, elements, initial, mask | atom.transparency_mask)
-            atom_init = atom.level_vector(layout)
-            result = find_witness(pair, atom_init)
+            if initial.layout != layout:
+                raise ValueError("initial state does not match the layout")
+            scan_mask = mask | atom.transparency_mask
+            if scan_mask not in transfers:
+                transfers[scan_mask] = _transfer(layout, elements, scan_mask)
+            atom_init = _unit_atom_vector(atom.level_vector(layout), layout.n_levels)
+            result = transfers[scan_mask].witness(initial, atom_init)
             found = isinstance(result, Witness)
             rows.append(
                 NogoRow(

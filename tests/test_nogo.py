@@ -17,6 +17,7 @@ from nqisim import dsl, nogo
 from nqisim.elements import (
     AtomInteraction,
     BeamSplitter,
+    Mirror,
     PhaseShift,
     PolRotator,
     POL_FLIP,
@@ -37,6 +38,7 @@ from nqisim.protocols import (
     AtomSpec,
     build_mz,
     haar_random_atoms,
+    mz_circuit,
     mz_closed_form,
     run_fabry_perot,
 )
@@ -500,6 +502,40 @@ class TestScan:
         with pytest.raises(ValueError, match="at least one sample is required"):
             transparency_nogo_scan(layout, elements, factory, [frozenset()], [])
 
+    def test_initial_state_of_another_layout_rejected(self):
+        layout, elements, _ = build_mz(2)
+        other = make_layout(["l", "u"], ["S+", "S-"], list(ATOM_LEVELS))
+        factory = functools.partial(initial_state, other, "l", "+")
+        with pytest.raises(ValueError, match="initial state does not match the layout"):
+            transparency_nogo_scan(layout, elements, factory, [frozenset()], haar_random_atoms(1, 1))
+
+    @pytest.mark.parametrize("level", ATOM_LEVELS)
+    def test_sink_amplitude_rejected(self, level):
+        # The scan decides on the transfer's compressed sink rows, which
+        # hold only what the paths' inputs absorb: a photon that starts in
+        # a sink is outside its contract, though build_final_states takes it.
+        layout, elements, _ = build_mz(2)
+
+        def factory(atom):
+            state = initial_state(layout, "l", "+", atom)
+            mat = state.matrix().copy()
+            mat[layout.photon_index("S+"), layout.level_index(level)] = 1e-3
+            return JointState(layout, mat.reshape(-1))
+
+        with pytest.raises(ValueError, match="the photon must enter on a path"):
+            transparency_nogo_scan(layout, elements, factory, [frozenset()], haar_random_atoms(1, 1))
+
+    @pytest.mark.parametrize("mask", [frozenset(), frozenset({"m+"}), ABSENT_MASK])
+    def test_layout_without_sinks(self, mask):
+        # No sink rows: the transfer absorbs into an empty block, and a
+        # mirror leaves the photon on the atom-absent trajectory.
+        layout = make_layout(["a"], [], ATOM_LEVELS)
+        factory = functools.partial(initial_state, layout, "a", "+")
+        rows = transparency_nogo_scan(layout, (Mirror("a"),), factory, [mask], haar_random_atoms(2, 1))
+        for row in rows:
+            assert not row.witness_found and row.delta_sq is None
+            assert row.residual == pytest.approx(1.0, abs=1e-12)
+
 
 TRANSFER_MASKS = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), frozenset({"g"}), ABSENT_MASK)
 
@@ -620,3 +656,123 @@ class TestTransfer:
         assert_direct_runs(layout, elements, state, frozenset())
         assert calls == [frozenset()]
         assert nogo._transfers[id(elements), layout, frozenset()].elements is elements
+
+
+def golden_mz_and_fuzzed_circuits(stages, draws):
+    """Every golden, ``mz`` at each of ``stages`` and the circuits that
+    compile among criterion 9's first ``draws`` fuzzed sources."""
+    bindings = {"N": 7, "K": 30, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
+    circuits = [
+        dsl.compile_circuit(dsl.parse(dsl.load_golden(name)), bindings)
+        for name in dsl.golden_names()
+    ]
+    circuits += [mz_circuit(n) for n in stages]
+    rng = random.Random(20260823)
+    for _ in range(draws):
+        try:
+            circuits.append(dsl.compile_circuit(dsl.parse(_random_source(rng))))
+        except dsl.CompileError:
+            continue
+    return circuits
+
+
+def scan_and_dense_rows(circuit, masks, atoms):
+    """The scan's rows and, per row, ``find_witness`` of the dense pair."""
+    layout, elements = circuit.layout, circuit.elements
+    factory = functools.partial(initial_state, layout, circuit.input_path, circuit.input_pol)
+    rows = transparency_nogo_scan(layout, elements, factory, masks, atoms)
+    dense = [
+        find_witness(build_final_states(layout, elements, factory(atom), mask), atom.level_vector(layout))
+        for mask in masks
+        for atom in atoms
+    ]
+    return rows, dense
+
+
+class TestCompactScan:
+    """The scan decides each atom on the transfer's 2P propagating rows and
+    its compressed sink rows, as ``find_witness`` does on the dense pair."""
+
+    MASKS = [frozenset(), frozenset({"m+"}), frozenset({"m-"}), frozenset({"g"}), ABSENT_MASK]
+
+    def test_rows_equal_the_dense_decision(self):
+        atoms = haar_random_atoms(4, seed=11)
+        cases = witnesses = 0
+        for circuit in golden_mz_and_fuzzed_circuits((1, 2, 64, 150, 2000), 300):
+            rows, dense = scan_and_dense_rows(circuit, self.MASKS, atoms)
+            for row, want in zip(rows, dense, strict=True):
+                found = isinstance(want, Witness)
+                assert row.witness_found == found
+                assert abs(row.residual - want.residual) <= 1e-15
+                if found:
+                    assert abs(row.delta_sq - abs(want.delta) ** 2) <= 1e-14
+                cases += 1
+                witnesses += found
+        assert cases > 2500 and 0 < witnesses < cases
+
+    def test_compressed_sink_rows_fit_a_g_component(self):
+        # The sink rows hold amplitude at g alone, and the scan's atom
+        # vectors have none there, so only their norm reaches its rows.  An
+        # atom vector with a g component is fitted by the sink rows
+        # themselves: the compressed rows must match the dense ones.
+        deltas = []
+        for circuit in golden_mz_and_fuzzed_circuits((1, 2, 3, 8, 64, 150), 100):
+            layout, elements = circuit.layout, circuit.elements
+            g = layout.level_index("g")
+            for atom in haar_random_atoms(3, seed=12):
+                initial = initial_state(layout, circuit.input_path, circuit.input_pol, atom)
+                atom_init = atom.level_vector(layout)
+                atom_init[g] = 0.5j
+                atom_init /= np.linalg.norm(atom_init)
+                for mask in self.MASKS:
+                    got = nogo._transfer(layout, elements, mask).witness(initial, atom_init)
+                    want = find_witness(build_final_states(layout, elements, initial, mask), atom_init)
+                    assert type(got) is type(want)
+                    # A witness's residual is roundoff times its
+                    # coefficient norm 1/|delta|.
+                    scale = 1.0 / abs(want.delta) if isinstance(want, Witness) else 1.0
+                    assert abs(got.residual - want.residual) <= 1e-15 * scale
+                    if isinstance(want, Witness):
+                        assert abs(abs(got.delta) ** 2 - abs(want.delta) ** 2) <= 1e-14
+                        deltas.append(abs(want.delta))
+        assert len(deltas) > 30 and min(deltas) < 0.5
+
+    def test_scan_builds_no_dense_state(self, monkeypatch):
+        layout, elements, _ = build_mz(64)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        masks, atoms = [frozenset(), frozenset({"m+"})], haar_random_atoms(3, seed=4)
+        want = transparency_nogo_scan(layout, elements, factory, masks, atoms)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("the scan built a dense final state")
+
+        monkeypatch.setattr(nogo, "JointState", dense)
+        monkeypatch.setattr(nogo, "FinalStatePair", dense)
+        assert transparency_nogo_scan(layout, elements, factory, masks, atoms) == want
+
+    def test_transfer_is_looked_up_once_per_mask(self, monkeypatch):
+        lookups = []
+        transfer = nogo._transfer
+
+        def counted(layout, elements, mask):
+            lookups.append(mask)
+            return transfer(layout, elements, mask)
+
+        monkeypatch.setattr(nogo, "_transfer", counted)
+        layout, elements, _ = build_mz(8)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        atoms = haar_random_atoms(5, seed=6) + [AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
+        transparency_nogo_scan(layout, elements, factory, [frozenset(), frozenset({"m-"})], atoms)
+        # The last sample's own mask, {m+}, adds to each scan mask.
+        assert lookups == [frozenset(), frozenset({"m+"}), frozenset({"m-"}), frozenset({"m+", "m-"})]
+
+    @pytest.mark.parametrize(
+        "mask,width", [(frozenset(), 2), (frozenset({"m+"}), 1), (frozenset({"m-", "g"}), 1), (ABSENT_MASK, 0)]
+    )
+    def test_transfer_absorbs_from_interacting_levels_only(self, mask, width):
+        layout, elements, _ = build_mz(8)
+        n = 2 * len(layout.paths)
+        transfer = nogo._build_transfer(layout, elements, mask)
+        assert transfer.absorbed.shape == (len(layout.sinks), width * n)
+        # The compressed sink rows: at most 2P per interacting level.
+        assert transfer._sink_r.shape == (min(len(layout.sinks), width * n), width * n)
