@@ -786,9 +786,11 @@ def run_compiled(
     squared norms P and M of the two columns over its rows
     (``CompiledCircuit.branch_weights``, once per mask).  ``score_outcome``
     checks conservation on those and builds only the rows of the branch it
-    factors, so a run costs the same at every chain length; the dense
-    ``final_state``, each sink row's amplitude at g, is built on first
-    access.
+    factors (``CompiledCircuit.amplitudes``): R diag(alpha, beta) on its
+    path rows and a g column on its sink rows, whose photon and atom
+    factors it takes in closed form, with no SVD.  So a run costs the same
+    at every chain length; the dense ``final_state``, each sink row's
+    amplitude at g, is built on first access.
     """
     layout = circuit.layout
     a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2

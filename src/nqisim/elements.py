@@ -169,8 +169,16 @@ def _pol_rotator_inplace(mat: np.ndarray, layout: BasisLayout, rot: PolRotator) 
     mat[block] = rot.u @ mat[block]
 
 
+# exp(i k pi/2) for k mod 4: a phase at a multiple of the float pi/2 is
+# meant as that many quarter turns, which cmath.exp misses by up to an ulp
+# (exp(i pi) is -1 + 1.22e-16i, which detunes a high-finesse cavity).
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
 def _phase_inplace(mat: np.ndarray, layout: BasisLayout, ps: PhaseShift) -> None:
-    mat[_block(layout, ps.path)] *= cmath.exp(1j * ps.phi)
+    turns = round(ps.phi / (math.pi / 2))
+    exact = turns * (math.pi / 2) == ps.phi
+    mat[_block(layout, ps.path)] *= _QUARTER_TURNS[turns % 4] if exact else cmath.exp(1j * ps.phi)
 
 
 def _relabel_inplace(mat: np.ndarray, layout: BasisLayout, rl: Relabel) -> None:

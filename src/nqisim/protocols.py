@@ -23,11 +23,13 @@ keeps each absorbed amplitude under the level it came from.
 beta (the levels never mix), so a sweep over atoms costs one propagation
 per chain length.  Each branch's probability comes from two squared norms
 per mask (``CompiledCircuit.branch_weights``), and a run builds only the
-rows of the branch it factors: the runners read the rows they report
-(``CompiledCircuit.amplitudes``), and an outcome's dense ``final_state``
-is built only when it is read.  The cavity's level response sums every
-later round trip in closed form onto the first trip's, from one
-propagation of the input and each row it carries between trips.
+rows of the branch it factors, which ``score_outcome`` factors in closed
+form from their two level columns, with no SVD: the runners read the rows
+they report (``CompiledCircuit.amplitudes``), and an outcome's dense
+``final_state`` is built only when it is read.  The cavity's level
+response sums every later round trip in closed form onto the first
+trip's, from one propagation of the input and each row it carries between
+trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -41,16 +43,18 @@ Fabry-Perot geometry: one repeat of ``fp.nqi`` is one round trip of the
 intracavity beam ``fwd``, past the atom to the far mirror and back.  It
 starts at the entry mirror, which reflects the incoming photon out (i r)
 and couples part of ``fwd`` out.  The trip runs in the + frame, with the
-polarization flipped between the two atom passes, so its only inexact
-elements are the two mirrors; the photon is turned x -> + once before the
-first trip and the exits are turned back once after the last.  The cavity
-runner compiles it at K = 1 and runs it with a level response that adds
-every later round trip to the first, B (I - T)^-1 v per atom level for the
-beam v that the first trip leaves inside: the geometric series behind the
-paper's i r and t t' beta.  Its ``details["round_trips"]`` is the K at
-which the compiled ``fp.nqi`` leaves less than ``eps`` inside; its exits
-add coherently, so they miss an amplitude tail of order
-sqrt(eps)/(1 - r r'), not eps.
+polarization flipped between the two atom passes, and its half turn
+``phase fwd pi`` is an exact -1 (``elements`` applies a multiple of the
+float pi/2 as exact quarter turns), so its only inexact elements are the
+two mirrors; the photon is turned x -> + once before the first trip and
+the exits are turned back once after the last.  The cavity runner compiles
+it at K = 1 and runs it with a level response that adds every later round
+trip to the first, B (I - T)^-1 v per atom level for the beam v that the
+first trip leaves inside: the geometric series behind the paper's i r and
+t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
+``fp.nqi`` leaves less than ``eps`` inside, found from powers of the trip
+maps that are kept per mask; its exits add coherently, so they miss an
+amplitude tail of order sqrt(eps)/(1 - r r'), not eps.
 """
 
 from __future__ import annotations
@@ -184,6 +188,8 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 @dataclasses.dataclass(frozen=True)
 class _Cavity(CompiledCircuit):
     """``fp.nqi`` at K = 1, whose level response sums every round trip.
+    The trip's only inexact elements are its two mirrors: its half turn,
+    ``phase fwd pi``, is an exact -1.
 
     The photon leaves the first trip on the carried paths, those no
     ``relabel`` touches (a relabel takes the beam from a mirror port it
@@ -195,7 +201,9 @@ class _Cavity(CompiledCircuit):
     with the input.
     """
 
-    # Per mask: the maps T_l and the columns v_l that ``trips`` scales.
+    # Per mask: the powers T_l^(2^j), from T_l itself, that
+    # ``_fp_round_trips`` squares on as far as an atom needs, and the
+    # columns v_l that ``trips`` scales.
     _trips: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
@@ -220,15 +228,16 @@ class _Cavity(CompiledCircuit):
             final[:, levels] += summed[:, levels, [0, 1]]
             final[rows] = 0.0
             final.flags.writeable = False
-            self._trips[mask], self._responses[mask] = (maps, inside), final
+            self._trips[mask], self._responses[mask] = ([maps], inside), final
         return self._responses[mask]
 
-    def trips(self, atom: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
-        """The maps T_l, stacked, and the columns v_l that ``atom`` leaves
-        on the carried rows after the first trip."""
+    def trips(self, atom: AtomSpec) -> tuple[list[np.ndarray], np.ndarray]:
+        """The kept powers T_l^(2^j) of the maps T_l, stacked, and the
+        columns v_l that ``atom`` leaves on the carried rows after the
+        first trip."""
         self.level_response(atom.transparency_mask)
-        maps, inside = self._trips[atom.transparency_mask]
-        return maps, np.array([atom.alpha, atom.beta])[:, None, None] * inside
+        powers, inside = self._trips[atom.transparency_mask]
+        return powers, np.array([atom.alpha, atom.beta])[:, None, None] * inside
 
 
 @functools.lru_cache(maxsize=4)
@@ -244,10 +253,11 @@ def _cavity(**mirrors: float) -> _Cavity:
 _FP_MAX_DOUBLINGS = 64
 
 
-def _fp_round_trips(maps: np.ndarray, starts: np.ndarray, eps: float) -> int:
+def _fp_round_trips(powers: list[np.ndarray], starts: np.ndarray, eps: float) -> int:
     """The first K at which sum_l |T_l^K v_l|^2 falls below ``eps``, for
-    the trip maps T_l stacked in ``maps`` and the columns v_l in
-    ``starts``.
+    the columns v_l in ``starts`` and the powers T^(2^j) of the trip maps
+    T_l, stacked, in ``powers``: T itself first, then each square this
+    search has needed so far, which it appends for the next search.
 
     Each T_l is a contraction, so that carried probability never rises
     from one trip to the next: K is bracketed by the powers T^(2^j), found
@@ -260,14 +270,16 @@ def _fp_round_trips(maps: np.ndarray, starts: np.ndarray, eps: float) -> int:
 
     if emptied(starts):
         return 0
-    powers = [maps]
-    while not emptied(powers[-1] @ starts):
-        if len(powers) > _FP_MAX_DOUBLINGS:
+    top = 0
+    while not emptied(powers[top] @ starts):
+        if top == _FP_MAX_DOUBLINGS:
             raise ConservationError(f"the cavity does not empty below eps = {eps!r}")
-        powers.append(powers[-1] @ powers[-1])
+        top += 1
+        if top == len(powers):
+            powers.append(powers[top - 1] @ powers[top - 1])
     # At step j, ``trips`` leave eps or more inside and trips + 2^(j+1) less.
     trips, vectors = 0, starts
-    for j in reversed(range(len(powers) - 1)):
+    for j in reversed(range(top)):
         trial = powers[j] @ vectors
         if not emptied(trial):
             trips, vectors = trips + 2**j, trial
@@ -284,10 +296,11 @@ def run_fabry_perot(
 ) -> ProtocolOutcome:
     """Every round trip of the cavity ``fp.nqi`` at once (``run_compiled`` on
     a ``_Cavity``), with the photon entering x polarized.  The sum amplifies
-    float rounding of the trip's elements, its two mirrors, by
-    1/(1 - r r').  Equal mirrors conserve to about 1e-15 up to r = 1 -
-    10^-15; unequal ones near 1 can fail conservation (r = 1 - 10^-8 with
-    r' = 1 - 10^-10 sums 3e-9 short).
+    float rounding of the trip's only inexact elements, its two mirrors
+    (its ``phase fwd pi`` is an exact -1), by 1/(1 - r r').  Equal mirrors
+    conserve to about 1e-15 up to r = 1 - 10^-15, and an empty cavity
+    transmits all but about 1e-15 there; unequal ones near 1 can fail
+    conservation (r = 1 - 10^-8 with r' = 1 - 10^-10 sums 3e-9 short).
 
     ``eps`` only sets ``details["round_trips"]``: one plus the first K at
     which the carried probability sum_l |T_l^K v_l|^2 falls below ``eps``,

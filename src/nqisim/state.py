@@ -11,8 +11,11 @@ photon of one ``POL_STATES`` polarization on an input path, times the
 atom superposition, and ``score_outcome`` scores a run by its three exits
 (``BRANCH_LABELS``: success, failure, absorbed), whose photon rows each
 circuit groups once as ``CompiledCircuit.branches``.  It takes the branch
-probabilities and reads the amplitudes of one exit; ``assemble_outcome``
-is its front end for a dense final state.
+probabilities and reads the amplitudes of one exit, which it factors into
+photon (x) atom in closed form: the levels never mix, so the exit's path
+rows hold m+ and m- and its sink rows g, and the factors follow from 2 x 2
+data with no SVD.  ``assemble_outcome`` is its front end for a dense final
+state.  ``product_factors`` keeps the SVD for a general dense state.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ POL_STATES: dict[str, np.ndarray] = {
     "x": np.array([-_INV_SQRT2, _INV_SQRT2], dtype=complex),
     "y": np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
 }
+
+# The conjugated POL_STATES, in plain complex numbers, that name an exit.
+_POL_BRAS = tuple(
+    (label, tuple(z.conjugate() for z in ref.tolist())) for label, ref in POL_STATES.items()
+)
 
 ATOM_LEVELS = ("m+", "m-", "g")
 
@@ -75,6 +83,19 @@ class BasisLayout:
     atom_levels: tuple[str, ...]
     polarizations: ClassVar[tuple[str, str]] = POLARIZATIONS
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Taken once: a compiled chain has 4N sink labels, and the field
+        # hash would walk them all on every lookup keyed by the layout.
+        return hash((self.paths, self.sinks, self.atom_levels))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes; a copy takes its own.
+        return {key: value for key, value in vars(self).items() if key != "_hash"}
+
     @cached_property
     def photon_modes(self) -> tuple[PhotonMode, ...]:
         propagating: list[PhotonMode] = [
@@ -94,6 +115,15 @@ class BasisLayout:
     @cached_property
     def _level_index(self) -> dict[str, int]:
         return {lev: i for i, lev in enumerate(self.atom_levels)}
+
+    @cached_property
+    def _level_roles(self) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+        """The indices of m+, m- and g, then those of the levels that a
+        path row and that a sink row never hold (``_branch_factors``)."""
+        plus, minus, g = map(self.level_index, ATOM_LEVELS)
+        levels = range(self.n_levels)
+        path_strays = tuple(k for k in levels if k not in (plus, minus))
+        return plus, minus, g, path_strays, tuple(k for k in levels if k != g)
 
     @property
     def n_photon_modes(self) -> int:
@@ -314,20 +344,107 @@ class ProtocolOutcome:
         return self.build_final_state()
 
 
-def _polarization_label(layout: BasisLayout, rows: np.ndarray, photon: np.ndarray) -> str:
+def _branch_factors(
+    layout: BasisLayout, rows: np.ndarray, amps: np.ndarray
+) -> tuple[list[complex], np.ndarray]:
+    """The unit photon and atom factors of a branch's (photon rows, levels)
+    block ``amps`` on the photon rows ``rows``, as ``_rank_one`` takes them
+    but in closed form: the levels never mix, so the path rows hold
+    amplitude only at m+ and m- (the rows x 2 block P) and the sink rows
+    only at g (the column s), and the block's singular values are P's s1 and
+    s2 and ||s||.
+
+    s1 s2 is the root of the sum of P's squared 2 x 2 minors (Cauchy-Binet),
+    which keeps s2 to an absolute 1e-16 where the Gram determinant would
+    leave 1e-8, and s1^2 + s2^2 is P's squared norm.  P's leading right
+    vector v comes from the better-conditioned row of the 2 x 2 Gram, and
+    the photon factor on the path rows is P v / s1.  Raises ``ValueError``
+    on amplitude outside that structure, at a second singular value above
+    ``RANK_TOL`` or on the zero block.  The photon factor is a list over
+    ``rows``; the atom factor, on every level, is the only array built.
+    """
+    plus, minus, g, path_strays, sink_strays = layout._level_roles
+    n = 2 * len(layout.paths)
+    # (position in rows, m+ and m- amplitudes) of each non-zero path row,
+    # (position, g amplitude) of each non-zero sink row.
+    path: list[tuple[int, complex, complex]] = []
+    sink: list[tuple[int, complex]] = []
+    for i, (row, cells) in enumerate(zip(rows.tolist(), amps.tolist())):
+        if row < n:
+            strays = path_strays
+            if cells[plus] or cells[minus]:
+                path.append((i, cells[plus], cells[minus]))
+        else:
+            strays = sink_strays
+            if cells[g]:
+                sink.append((i, cells[g]))
+        for k in strays:
+            if cells[k]:
+                level = layout.atom_levels[k]
+                raise ValueError(f"photon row {row} has amplitude at level {level!r}")
+
+    aa = bb = det2 = sink2 = 0.0
+    c = 0j
+    for j, (_, a, b) in enumerate(path):
+        aa += a.real * a.real + a.imag * a.imag
+        bb += b.real * b.real + b.imag * b.imag
+        c += a.conjugate() * b
+        for _, a2, b2 in path[j + 1 :]:
+            minor = a * b2 - a2 * b
+            det2 += minor.real * minor.real + minor.imag * minor.imag
+    for _, z in sink:
+        sink2 += z.real * z.real + z.imag * z.imag
+    frob, det, s_sink = aa + bb, math.sqrt(det2), math.sqrt(sink2)
+    # s1^2 - s2^2, then s1 and s2 = s1 s2 / s1 without cancellation.
+    gap = math.sqrt(max((frob - 2.0 * det) * (frob + 2.0 * det), 0.0))
+    s1 = math.sqrt((frob + gap) / 2.0)
+    s2 = det / s1 if s1 else 0.0
+    lead, second = (s_sink, s1) if s_sink > s1 else (s1, max(s2, s_sink))
+    if second > RANK_TOL:
+        raise ValueError(
+            f"state is not a photon-atom product (second singular value {second:.3e})"
+        )
+    if lead == 0.0:
+        raise ValueError("cannot factor the zero state")
+
+    photon = [0j] * len(amps)
+    atom = np.zeros(layout.n_levels, dtype=complex)
+    if s_sink > s1:
+        for i, z in sink:
+            photon[i] = z / s_sink
+        atom[g] = 1.0
+        return photon, atom
+    # The Gram [[aa, c], [c*, bb]] minus s1^2 annuls v; its row with the
+    # smaller diagonal entry gives v without cancellation.
+    if aa <= bb:
+        v_plus, v_minus = c, complex((bb - aa + gap) / 2.0)
+    else:
+        v_plus, v_minus = complex((aa - bb + gap) / 2.0), c.conjugate()
+    norm = math.hypot(abs(v_plus), abs(v_minus))
+    v_plus, v_minus = v_plus / norm, v_minus / norm
+    for i, a, b in path:
+        photon[i] = (a * v_plus + b * v_minus) / s1
+    atom[plus], atom[minus] = v_plus.conjugate(), v_minus.conjugate()
+    return photon, atom
+
+
+def _exit_label(layout: BasisLayout, rows: np.ndarray, photon: list[complex]) -> str:
     """Name the polarization of a photon factor on the photon rows
     ``rows`` that is confined to one path; sink rows are not a path."""
-    blocks = np.zeros((len(layout.paths), len(POLARIZATIONS)), dtype=complex)
-    on_path = rows < blocks.size
-    blocks.reshape(-1)[rows[on_path]] = photon[on_path]
-    populated = blocks[np.max(np.abs(blocks), axis=1) > 1e-9]
-    if not len(populated):
+    n = 2 * len(layout.paths)
+    blocks: dict[int, list[complex]] = {}
+    for row, z in zip(rows.tolist(), photon):
+        if row < n:
+            blocks.setdefault(row // 2, [0j, 0j])[row % 2] = z
+    populated = [blk for blk in blocks.values() if max(abs(blk[0]), abs(blk[1])) > 1e-9]
+    if not populated:
         return "none"
     if len(populated) > 1:
         return "mixed"
-    vec = populated[0] / np.linalg.norm(populated[0])
-    for label, ref in POL_STATES.items():
-        if abs(np.vdot(ref, vec)) ** 2 > 1.0 - 1e-9:
+    scale = math.hypot(*map(abs, populated[0]))
+    plus, minus = (z / scale for z in populated[0])
+    for label, (ref_plus, ref_minus) in _POL_BRAS:
+        if abs(ref_plus * plus + ref_minus * minus) ** 2 > 1.0 - 1e-9:
             return label
     return "mixed"
 
@@ -345,12 +462,17 @@ def score_outcome(
     levels) matrix on the photon rows ``rows`` (an index array, or
     ``slice(None)`` for the dense state).
 
-    ``branches`` maps branch labels to photon rows; a label ``probs``
-    lacks has probability zero, and the probabilities must sum to one
-    within ``prob_tol``.  Only one branch's rows are read: the success
-    rows, factored into the post-selected atom state, its fidelity to
-    ``atom_init`` (normalized here) and the exit polarization, or failing
-    that the failure rows, which name the exit polarization alone.
+    ``branches`` maps branch labels to photon row index arrays; a label
+    ``probs`` lacks has probability zero, and the probabilities must sum
+    to one within ``prob_tol``.  Only one branch's rows are read: the
+    success rows, factored into the post-selected atom state, its fidelity
+    to ``atom_init`` (normalized here) and the exit polarization, or
+    failing that the failure rows, which name the exit polarization alone
+    ("mixed" if they are not a product).  A branch is factored in closed
+    form from its path rows' m+ and m- columns and its sink rows' g column
+    (``_branch_factors``), in plain Python arithmetic with no SVD; a
+    success branch that is not a product, or holds amplitude outside that
+    structure, raises ``ValueError``.
     """
     if not 0.0 <= prob_tol < math.inf:
         raise ValueError(f"prob_tol must be finite and non-negative, got {prob_tol!r}")
@@ -366,16 +488,22 @@ def score_outcome(
     exit_pol = "none"
     if probs["success"] > PROB_TOL:
         rows = branches["success"]
-        photon, success_atom = _rank_one(amplitudes(rows))
-        success_fid = fidelity(success_atom, atom_init / np.linalg.norm(atom_init))
-        exit_pol = _polarization_label(layout, rows, photon)
+        photon, success_atom = _branch_factors(layout, rows, amplitudes(rows))
+        init = atom_init.tolist()
+        init2 = sum(z.real * z.real + z.imag * z.imag for z in init)
+        if not 0.0 < init2 < math.inf:
+            raise ValueError("atom_init must be a finite non-zero vector")
+        overlap = sum(a.conjugate() * z for a, z in zip(success_atom.tolist(), init))
+        success_fid = min(abs(overlap) ** 2 / init2, 1.0)
+        exit_pol = _exit_label(layout, rows, photon)
     elif probs["failure"] > PROB_TOL:
         rows = branches["failure"]
         try:
-            photon, _ = _rank_one(amplitudes(rows))
-            exit_pol = _polarization_label(layout, rows, photon)
+            photon, _ = _branch_factors(layout, rows, amplitudes(rows))
         except ValueError:
             exit_pol = "mixed"
+        else:
+            exit_pol = _exit_label(layout, rows, photon)
 
     return ProtocolOutcome(
         success_prob=probs["success"],

@@ -35,10 +35,13 @@ from nqisim.state import (
     POL_STATES,
     ConservationError,
     JointState,
+    _exit_label,
+    _rank_one,
     assemble_outcome,
     initial_state,
     make_layout,
 )
+from nqisim.tolerances import PROB_TOL
 from nqisim.protocols import (
     AtomSpec,
     build_mz,
@@ -839,6 +842,40 @@ class TestBranchWeights:
                     assert np.array_equal(got.success_atom_state, want.success_atom_state)
         # The unequal mirrors fail at every mask but the empty one.
         assert raised == 3 * 3
+
+    def test_sinks_classified_as_success(self):
+        # No golden or fuzzed circuit scores its sink rows as a success, so
+        # no other test factors a block with g amplitude: alone (the atom
+        # factor is g), or beside a populated path (not a product).
+        bindings = {"direct": {}, "twopass": {}, "mz": {"N": 3}}
+        masks = (frozenset(), frozenset({"m+"}), ABSENT_MASK)
+        seen = set()
+        for name, binding in bindings.items():
+            src = load_golden(name).replace("sinks=absorbed", "sinks=success")
+            circuit = compile_circuit(parse(src), binding)
+            layout, rows = circuit.layout, circuit.branches["success"]
+            for mask, atom in itertools.product(masks, haar_random_atoms(3, seed=5)):
+                spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+                got = _outcome_or_error(lambda: run_compiled(circuit, spec))
+                if not isinstance(got, type) and got.success_prob <= PROB_TOL:
+                    assert got.success_atom_state is None, (name, spec)
+                    seen.add("no success")
+                    continue
+                # [DERIVED] oracle: the leading singular vectors of the rows.
+                try:
+                    photon, atom_factor = _rank_one(circuit.amplitudes(spec, rows))
+                except ValueError:
+                    assert got is ValueError, (name, spec)
+                    seen.add("not a product")
+                    continue
+                phase = np.vdot(atom_factor, got.success_atom_state)
+                phase /= abs(phase)
+                assert np.max(np.abs(got.success_atom_state - phase * atom_factor)) <= 1e-15
+                fid = abs(np.vdot(atom_factor, spec.level_vector(layout))) ** 2
+                assert got.success_fidelity == pytest.approx(fid, abs=1e-15), (name, spec)
+                assert got.exit_polarization == _exit_label(layout, rows, list(photon))
+                seen.add((got.success_fidelity, got.exit_polarization))
+        assert seen == {"no success", "not a product", (0.0, "none")}
 
     def test_run_does_not_build_the_dense_state(self):
         out = run_mz_chain(2000, AtomSpec(0.6, 0.8j))

@@ -1,5 +1,6 @@
 """Element conventions and norm preservation."""
 
+import cmath
 import math
 import random
 
@@ -112,6 +113,22 @@ class TestMirrorAndPhase:
         state = state_of(layout, (1.0, ("b", "-"), "g"))
         out = run_sequence(layout, [PhaseShift("b", np.pi)], state)
         assert out.amplitude(("b", "-"), "g") == pytest.approx(-1.0)
+
+    def test_quarter_turns_are_exact(self):
+        # A multiple of the float pi/2 is that many exact quarter turns;
+        # cmath.exp(1j * math.pi) is -1 + 1.22e-16i.
+        layout = layout2()
+        state = state_of(layout, (1.0, ("b", "-"), "g"))
+        turns = [
+            (0.0, 1), (math.pi / 2, 1j), (math.pi, -1), (3 * math.pi / 2, -1j),
+            (-math.pi / 2, -1j), (-math.pi, -1), (10 * math.pi, 1), (-7 * math.pi / 2, 1j),
+        ]
+        for phi, factor in turns:
+            out = run_sequence(layout, [PhaseShift("b", phi)], state)
+            assert out.amplitude(("b", "-"), "g") == factor, phi
+        for phi in (math.pi / 3, math.nextafter(math.pi, 4.0), 2.5):
+            out = run_sequence(layout, [PhaseShift("b", phi)], state)
+            assert out.amplitude(("b", "-"), "g") == cmath.exp(1j * phi), phi
 
     def test_non_finite_phase_rejected(self):
         for phi in (np.inf, -np.inf, np.nan):

@@ -1,6 +1,7 @@
 """Protocol runners against closed forms and independent oracles."""
 
 import dataclasses
+import itertools
 import math
 import re
 import time
@@ -226,6 +227,24 @@ class TestMzChain:
         # Fully transparent atom behaves like no atom at all.
         assert out.failure_prob == pytest.approx(1.0, abs=1e-12)
 
+    def test_warm_run_takes_no_svd(self, monkeypatch):
+        # The scored branch factors in closed form from its two level
+        # columns; once the responses are kept, nothing takes an SVD.
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        atoms = haar_random_atoms(4, seed=21)
+        for n, mask in itertools.product((1, 8, 64), masks):
+            run_mz_chain(n, AtomSpec(transparency_mask=mask))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        labels = set()
+        for n, mask, atom in itertools.product((1, 8, 64), masks, atoms):
+            out = run_mz_chain(n, AtomSpec(atom.alpha, atom.beta, transparency_mask=mask))
+            labels.add(out.exit_polarization)
+        assert labels == {"+", "-", "none"}
+
 
 class TestFabryPerot:
     def test_atom_present_coefficients(self):
@@ -403,7 +422,41 @@ class TestFabryPerot:
         trips, vectors = 0, starts
         while np.vdot(vectors, vectors).real >= eps:
             trips, vectors = trips + 1, maps @ vectors
-        assert protocols._fp_round_trips(maps, starts, eps) == trips
+        assert protocols._fp_round_trips([maps], starts, eps) == trips
+
+    def test_kept_powers_give_the_round_trips_of_fresh_ones(self):
+        # [DERIVED] reference: the bracket and bisection on powers T^(2^j)
+        # squared afresh for each atom.  Each mask keeps its powers across
+        # atoms and eps values, and the products are the same ones.
+        def fresh(maps, starts, eps):
+            def emptied(vectors):
+                return float(np.vdot(vectors, vectors).real) < eps
+
+            if emptied(starts):
+                return 0
+            powers = [maps]
+            while not emptied(powers[-1] @ starts):
+                powers.append(powers[-1] @ powers[-1])
+            trips, vectors = 0, starts
+            for j in reversed(range(len(powers) - 1)):
+                trial = powers[j] @ vectors
+                if not emptied(trial):
+                    trips, vectors = trips + 2**j, trial
+            return trips + 1
+
+        protocols._cavity.cache_clear()
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        atoms = haar_random_atoms(3, seed=23)
+        kept = set()
+        grid = itertools.product((1e-12, 1e-22, 1e-16), (0.3, 0.9, 0.99, 0.999), masks, atoms)
+        for eps, r, mask, atom in grid:
+            t = math.sqrt(1 - r * r)
+            spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+            out = run_fabry_perot(r, t, r, t, spec, eps=eps)
+            powers, starts = protocols._cavity(T=t, R=r, TP=t, RP=r).trips(spec)
+            assert out.details["round_trips"] == 1 + fresh(powers[0], starts, eps), (eps, r, spec)
+            kept.add(len(powers))
+        assert max(kept) > 10
 
     @pytest.mark.parametrize("fill", [1.0, math.nan])
     def test_a_cavity_that_never_empties_is_refused(self, fill):
@@ -412,7 +465,7 @@ class TestFabryPerot:
         maps = np.where(np.eye(4), fill, 0.0)[None].astype(complex)
         starts = np.full((1, 4, 1), 0.5, dtype=complex)
         with pytest.raises(ConservationError, match="does not empty"):
-            protocols._fp_round_trips(maps, starts, 1e-22)
+            protocols._fp_round_trips([maps], starts, 1e-22)
 
     @pytest.mark.parametrize(
         "atom", [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
@@ -447,8 +500,9 @@ class TestFabryPerot:
     @pytest.mark.parametrize("x", [4, 5, 6, 7, 8])
     def test_symmetric_high_finesse_conserves(self, x):
         # The trip's only inexact elements are its two equal mirrors, whose
-        # rounding the series leaves near eps; the 45-degree turns of the
-        # polarization sit outside the trips, where nothing amplifies them.
+        # rounding the series leaves near eps: its half turn, phase fwd pi,
+        # is an exact -1, and the 45-degree turns of the polarization sit
+        # outside the trips, where nothing amplifies them.
         r = 1 - 10.0**-x
         t = math.sqrt(1 - r * r)
         atoms = [
@@ -464,6 +518,16 @@ class TestFabryPerot:
             if not atom.present:
                 assert abs(out.details["transmitted"] - 1.0) <= 1e-12
 
+
+    @pytest.mark.parametrize("x", [9, 12, 14, 15])
+    def test_empty_symmetric_cavity_transmits_everything(self, x):
+        # With phase fwd pi at exp(i math.pi) = -1 + 1.22e-16i every trip
+        # would be detuned, and (1.22e-16 / (1 - r^2))^2 of the photon
+        # reflected: 3.7e-3 at x = 15.  The exact half turn leaves rounding.
+        r = 1 - 10.0**-x
+        t = math.sqrt(1 - r * r)
+        out = run_fabry_perot(r, t, r, t, AtomSpec(present=False), eps=1e-22)
+        assert abs(out.details["transmitted"] - 1.0) <= 1e-15
 
     def test_compiled_once_per_mirror_binding(self, monkeypatch):
         calls = []

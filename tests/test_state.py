@@ -1,5 +1,8 @@
 """Basis layout, joint states, branching, and product factoring."""
 
+import math
+import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nqisim.state import (
+    POL_STATES,
     AtomSpec,
+    _branch_factors,
+    _exit_label,
+    _rank_one,
     fidelity,
     initial_state,
     make_layout,
@@ -16,6 +23,7 @@ from nqisim.state import (
     product_factors,
     JointState,
 )
+from nqisim.tolerances import RANK_TOL
 
 LEVELS = ["m+", "m-", "g"]
 
@@ -76,6 +84,19 @@ class TestLayout:
             make_layout([], ["S"], LEVELS)
         with pytest.raises(ValueError):
             make_layout(["l"], [], [])
+
+    def test_equal_layouts_hash_equal(self):
+        # The hash is taken once per layout; equality still compares labels.
+        sinks = [f"S{i}" for i in range(8000)]
+        layout = make_layout(["l", "u"], sinks, LEVELS)
+        again = make_layout(["l", "u"], list(sinks), LEVELS)
+        assert layout == again and layout is not again
+        assert hash(layout) == hash(again) == hash(layout)
+        assert {layout: "found"}[again] == "found"
+        assert layout != make_layout(["l", "u"], sinks[:-1] + ["T"], LEVELS)
+        copy = pickle.loads(pickle.dumps(layout))
+        assert copy == layout and {copy: "found"}[layout] == "found"
+        assert "_hash" not in layout.__getstate__()
 
 
 class TestStates:
@@ -182,3 +203,97 @@ class TestProductFactors:
         assert peak < 16 * 2**20
         assert abs(np.vdot(p, photon)) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(a, atom)) == pytest.approx(1.0, abs=1e-12)
+
+
+def structured_block(rng):
+    """A random branch block as a compiled run scores it: a layout, the
+    branch's photon rows (some whole paths, then maybe every sink row) and
+    the block, m+ and m- on the path rows and g on the sink rows.
+
+    The path part has singular values ``scale`` times 1 and ``second``: a
+    photon times an atom that may be one level or nearly so, plus an
+    orthogonal product at 0.5 or 2 times RANK_TOL or far above it.  The
+    sink column is empty, below or above RANK_TOL, or leading; no two
+    singular values tie.
+    """
+    n_paths, n_sinks = int(rng.integers(1, 5)), int(rng.choice([0, 2, 6]))
+    layout = make_layout([f"p{i}" for i in range(n_paths)], [f"S{i}" for i in range(n_sinks)], LEVELS)
+    chosen = sorted(rng.choice(n_paths, size=int(rng.integers(1, n_paths + 1)), replace=False))
+    rows = [r for i in chosen for r in (2 * i, 2 * i + 1)]
+    n = len(rows)
+    if n_sinks and rng.random() < 0.5:
+        rows += list(range(2 * n_paths, 2 * n_paths + n_sinks))
+
+    def unit(size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z / np.linalg.norm(z)
+
+    photon = unit(n)
+    if rng.random() < 0.6:  # confined to one path, often in a named polarization
+        k = int(rng.integers(len(chosen)))
+        labels = list(POL_STATES) + ["random"]
+        pol = labels[int(rng.integers(len(labels)))]
+        photon = np.zeros(n, dtype=complex)
+        photon[2 * k : 2 * k + 2] = unit(2) if pol == "random" else POL_STATES[pol] * unit(1)
+    small = float(rng.choice([rng.uniform(0.1, 1.0), 1e-6, 1e-12, 0.0]))
+    phases = unit(2)
+    phases /= np.abs(phases)
+    atom = np.array([small, math.sqrt(1 - small * small)])[:: int(rng.choice([1, -1]))] * phases
+    other_atom = np.array([-atom[1].conjugate(), atom[0].conjugate()])
+    other = unit(n)
+    other -= np.vdot(photon, other) * photon
+    other /= np.linalg.norm(other)
+    second = float(rng.choice([0.0, 0.5 * RANK_TOL, 2 * RANK_TOL, 0.3]))
+    scale = float(rng.choice([1.0, 1.0, 0.5 * RANK_TOL, 0.0]))
+    amps = np.zeros((len(rows), 3), dtype=complex)
+    amps[:n, :2] = scale * (np.outer(photon, atom) + second * np.outer(other, other_atom))
+    if len(rows) > n:
+        amps[n:, 2] = float(rng.choice([0.0, 0.3 * RANK_TOL, 2 * RANK_TOL, 1.0])) * unit(len(rows) - n)
+    return layout, np.array(rows), amps
+
+
+def _error_kind(run):
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc).split(" (")[0]
+    return None
+
+
+class TestBranchFactors:
+    def test_agrees_with_the_svd(self):
+        # [DERIVED] oracle: the leading singular vectors of the whole block.
+        rng = np.random.default_rng(2027)
+        outcomes, labels = {}, set()
+        for _ in range(2000):
+            layout, rows, amps = structured_block(rng)
+            kind = _error_kind(lambda: _rank_one(amps))
+            assert _error_kind(lambda: _branch_factors(layout, rows, amps)) == kind, amps
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            if kind is not None:
+                continue
+            photon, atom = _branch_factors(layout, rows, amps)
+            want_photon, want_atom = _rank_one(amps)
+            phase = np.vdot(want_atom, atom)
+            phase /= abs(phase)
+            assert np.max(np.abs(atom - phase * want_atom)) <= 1e-15, amps
+            assert np.max(np.abs(np.array(photon) - want_photon / phase)) <= 1e-15, amps
+            label = _exit_label(layout, rows, photon)
+            assert label == _exit_label(layout, rows, list(want_photon)), amps
+            labels.add(label)
+        assert set(outcomes) == {None, "state is not a photon-atom product", "cannot factor the zero state"}
+        assert labels == {"+", "-", "x", "y", "mixed", "none"}
+
+    @pytest.mark.parametrize(
+        "row, level, where",
+        [(0, 2, "photon row 0 has amplitude at level 'g'"), (4, 0, "photon row 4 has amplitude at level 'm+'"),
+         (1, 3, "photon row 1 has amplitude at level 'e'")],
+    )
+    def test_amplitude_off_its_levels_is_rejected(self, row, level, where):
+        # Path rows hold m+ and m-, sink rows g; no row holds any other level.
+        layout = make_layout(["l", "u"], ["S+", "S-"], LEVELS + ["e"])
+        amps = np.zeros((6, 4), dtype=complex)
+        amps[0, :2] = 0.6, 0.8
+        amps[row, level] += 1e-300
+        with pytest.raises(ValueError, match=re.escape(where)):
+            _branch_factors(layout, np.arange(6), amps)
