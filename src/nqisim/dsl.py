@@ -1,11 +1,11 @@
 """Line-oriented circuit description language.
 
 A ``.nqi`` file declares paths, sinks and atom levels, names the input
-mode, and lists element statements; ``repeat`` blocks unroll into stage
-chains and a single ``classify`` statement maps every path, and the
-sinks together, to one of the branch labels ``success``, ``failure``
-and ``absorbed``.  Expressions are limited to +, -, *, /, sin, cos, pi
-and named parameters.  Example::
+mode, and lists element statements; a ``repeat`` block runs its body a
+given number of times, and a single ``classify`` statement maps every
+path, and the sinks together, to one of the branch labels ``success``,
+``failure`` and ``absorbed``.  Expressions are limited to +, -, *, /,
+sin, cos, pi and named parameters.  Example::
 
     paths l u
     sinks S+ S-
@@ -24,10 +24,11 @@ keyword is one entry in each of ``_SYNTAX`` (its arguments and usage),
 
 The compiler substitutes parameter bindings and checks beam-splitter and
 rotator unitarity after substitution.  A repeat body has no loop index,
-so it is compiled once and tiled, its copies sharing the same immutable
-elements; the k-th atom interaction in program order then scatters into
-the k-th sink pair, and ``classify`` compiles into the photon rows of
-each branch label (``CompiledCircuit.branches``).
+so it is compiled once and kept with its count as one ``Repeat`` node of
+the program, which ``propagate`` runs by doubling the body's map; the
+k-th atom interaction of the unrolled program scatters into the k-th sink
+pair, and ``classify`` compiles into the photon rows of each branch label
+(``CompiledCircuit.branches``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .elements import (
     PhaseShift,
     PolRotator,
     Relabel,
+    Repeat,
     POL_FLIP,
     propagate,
     sink_pair_labels,
@@ -621,7 +623,9 @@ class CompiledCircuit:
     one propagation, each absorbed amplitude under the level it came from."""
 
     layout: BasisLayout
-    elements: tuple[Element, ...]
+    # Elements and ``Repeat`` nodes, each interaction named with its sink
+    # pair (a repeat body's with its first copy's); ``elements`` unrolls it.
+    program: tuple[Element | Repeat, ...]
     # Photon rows of each branch label, in increasing order: the classify
     # statement compiled against the layout.
     branches: dict[str, np.ndarray] = field(compare=False)
@@ -635,6 +639,19 @@ class CompiledCircuit:
     _weights: dict[frozenset[str], dict[str, tuple[float, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The program unrolled, built on first access: each repeat body
+        written out ``count`` times, the copies sharing its optics, and the
+        k-th interaction given the k-th sink pair of the layout."""
+        labels = iter(self.layout.sinks)
+        return tuple(
+            AtomInteraction(el.path, el.transparency_mask, next(labels), next(labels))
+            if isinstance(el, AtomInteraction)
+            else el
+            for el in _unrolled(self.program)
+        )
 
     @cached_property
     def _sink_rows(self) -> np.ndarray:
@@ -654,7 +671,7 @@ class CompiledCircuit:
             initial = initial_state(layout, path, pol, AtomSpec(1, 0)).matrix()
             photons[:, levels, j] = initial[:n, levels[:1]]
         response = np.zeros((layout.n_photon_modes, layout.n_levels, len(aims)), dtype=complex)
-        response[:n], response[n:, levels] = propagate(layout, self.elements, photons, mask=mask)
+        response[:n], response[n:, levels] = propagate(layout, self.program, photons, mask=mask)
         return response
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
@@ -699,30 +716,53 @@ class CompiledCircuit:
         return amps
 
 
-# Unrolled program size beyond which a circuit is rejected, not built.  The
-# copies of a repeat body share its elements, so the cost is mostly a list
-# slot per element and each interaction's own sink pair: mz.nqi at N = 10^5
-# (900,000 elements, 200,000 interactions) holds 58 MB once compiled.
+def _unrolled(program: Iterable[Element | Repeat]) -> Iterable[Element]:
+    """The elements of ``program`` with every repeat written out."""
+    for item in program:
+        if isinstance(item, Repeat):
+            body = tuple(_unrolled(item.body))
+            for _ in range(item.count):
+                yield from body
+        else:
+            yield item
+
+
+# Unrolled program size beyond which a circuit is rejected, not built.  A
+# repeat stays one node, so the cost is each interaction's own sink pair:
+# mz.nqi at N = 10^5 (900,000 elements, 200,000 interactions) holds 29 MB
+# once compiled, nearly all of it its 400,000 sink labels, and 49 MB with
+# the level response of one mask (tracemalloc).
 _MAX_ELEMENTS = 1_000_000
 
 
 def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -> CompiledCircuit:
-    """Substitute bindings, unroll repeats, and validate the element sequence."""
+    """Substitute bindings, evaluate and validate each repeat body once, and
+    keep it with its count as one ``Repeat`` node; a repeat of one is its
+    body, and an empty body is dropped."""
     env: dict[str, float] = dict(bindings or {})
     for let in ast.lets:
         env[let.name] = eval_expr(let.expr, env, let.line)
+    # Elements and interactions of the unrolled program emitted so far.
+    size = events = 0
 
-    def emit(stmts: Iterable[Stmt], before: int) -> list[Element]:
-        """Elements of ``stmts``, which follow ``before`` emitted elements;
-        interactions get their sink pairs once the program is unrolled."""
-        elements: list[Element] = []
+    def emit(stmts: Iterable[Stmt]) -> list[Element | Repeat]:
+        """The program of ``stmts``; the k-th interaction of the unrolled
+        program scatters into the k-th sink pair."""
+        nonlocal size, events
+        program: list[Element | Repeat] = []
         for stmt in stmts:
             if isinstance(stmt, ElementStmt):
                 values = [eval_expr(e, env, stmt.line) for e in stmt.exprs]
                 try:
-                    elements.append(_BUILD[stmt.keyword](stmt.paths, values, stmt.levels))
+                    el = _BUILD[stmt.keyword](stmt.paths, values, stmt.levels)
                 except ValueError as exc:
                     raise CompileError(stmt.line, str(exc)) from None
+                if isinstance(el, AtomInteraction):
+                    pair = sink_pair_labels(events, *ast.sinks)
+                    el = AtomInteraction(el.path, el.transparency_mask, *pair)
+                    events += 1
+                program.append(el)
+                size += 1
             elif isinstance(stmt, RepeatStmt):
                 count = eval_expr(stmt.count_expr, env, stmt.line)
                 if not (
@@ -732,25 +772,24 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
                         stmt.line, f"repeat count must be a positive integer, got {count!r}"
                     )
                 count = int(round(count))
-                body = emit(stmt.body, before + len(elements))
-                if count * len(body) > _MAX_ELEMENTS - before - len(elements):
+                before, before_events = size, events
+                body = emit(stmt.body)
+                if count * (size - before) > _MAX_ELEMENTS - before:
                     raise CompileError(
                         stmt.line, f"repeat unrolls to more than {_MAX_ELEMENTS} elements"
                     )
-                if body:  # an empty list cannot be tiled past the index range
-                    elements.extend(body * count)
+                if size > before:  # an empty body leaves nothing to repeat
+                    program += body if count == 1 else [Repeat(tuple(body), count)]
+                    size = before + count * (size - before)
+                    events = before_events + count * (events - before_events)
             else:
                 raise CompileError(getattr(stmt, "line", 0), f"unknown statement: {stmt!r}")
-        return elements
+        return program
 
-    elements = emit(ast.statements, 0)
-    # The k-th interaction in program order scatters into the k-th sink pair.
-    pairs: list[tuple[str, str]] = []
-    for i, el in enumerate(elements):
-        if isinstance(el, AtomInteraction):
-            pairs.append(sink_pair_labels(len(pairs), *ast.sinks))
-            elements[i] = AtomInteraction(el.path, el.transparency_mask, *pairs[-1])
-    sinks = [label for pair in pairs for label in pair] or ast.sinks
+    program = emit(ast.statements)
+    # The labels of ``sink_pair_labels`` for every interaction, written out.
+    tags = [f"{base}#" for base in ast.sinks]
+    sinks = [*ast.sinks] + [tag + k for k in map(str, range(2, events + 1)) for tag in tags]
     layout = make_layout(ast.paths, sinks, ast.atom_levels)
     # A port's label takes the port's path block; ``sinks`` takes every row
     # after the path blocks.  Ports are visited in row order.
@@ -763,7 +802,7 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
         groups.setdefault(labels[port], []).append(port_block)
     return CompiledCircuit(
         layout=layout,
-        elements=tuple(elements),
+        program=tuple(program),
         branches={label: np.concatenate(parts) for label, parts in groups.items()},
         input_path=ast.input_path,
         input_pol=ast.input_pol,

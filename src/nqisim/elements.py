@@ -21,9 +21,14 @@ mixes two blocks, a relabel adds one block into another.
 block of inputs on the propagating rows (P paths) and is pure.  It splits
 the sequence at every atom interaction; each run of optical elements
 between two interactions is one 2P x 2P map on those rows, built once per
-call by the kernels on the identity, so the copies of a repeat body share
-their maps.  An interaction moves its path's ``+`` row at m+ and ``-``
-row at m- onto its sink rows, kept under the level they came from.
+call by the kernels on the identity.  An interaction moves its path's
+``+`` row at m+ and ``-`` row at m- onto its sink rows, kept under the
+level they came from.  A ``Repeat`` node of a compiled program is not
+unrolled: its body, propagated once on the identity, is one 2P x 2P map
+per level and the rows its interactions read, and binary powers of that
+map give every copy's input in O(log count) products, from which one more
+product reads what every copy absorbed (a body that absorbs nothing needs
+only the map's count-th power).
 """
 
 from __future__ import annotations
@@ -137,6 +142,22 @@ class Relabel:
 Element = BeamSplitter | Mirror | PolRotator | PhaseShift | AtomInteraction | Relabel
 
 
+@dataclass(frozen=True)
+class Repeat:
+    """``count`` copies of ``body`` in a row, kept as one node of a compiled
+    program.  The body's interactions name the sink pairs of its first
+    copy; copy c scatters into those rows moved on by c times two rows per
+    interaction of a copy, as in the unrolled program, whose k-th
+    interaction owns the k-th sink pair."""
+
+    body: tuple[Element | "Repeat", ...]
+    count: int
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"a repeat needs a positive count, got {self.count!r}")
+
+
 def _block(layout: BasisLayout, path: str) -> slice:
     try:
         return layout.path_block[path]
@@ -198,60 +219,139 @@ _KERNELS = {
 
 def propagate(
     layout: BasisLayout,
-    elements: Iterable[Element],
+    elements: Iterable[Element | Repeat],
     photons: np.ndarray,
     *,
     mask: frozenset[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Carry the block ``photons``, k inputs on the 2P propagating rows at
-    each of the L atom levels, (2P, L, k), through an element sequence.
-    Returns the propagating rows after it, (2P, L, k), and what each sink
-    row absorbed from m+ and from m-, (S, 2, k).  Levels in ``mask`` never
-    interact, in addition to each interaction's own mask; with
-    ``ABSENT_MASK`` among them every interaction is skipped."""
+    each of the L atom levels, (2P, L, k), through an element sequence or
+    a compiled program.  Returns the propagating rows after it, (2P, L, k),
+    and what each sink row absorbed from m+ and from m-, (S, 2, k).  Levels
+    in ``mask`` never interact, in addition to each interaction's own mask;
+    with ``ABSENT_MASK`` among them every interaction is skipped."""
     n, n_levels, k = 2 * len(layout.paths), layout.n_levels, photons.shape[-1]
     if photons.shape != (n, n_levels, k):
         raise ValueError(f"photon block has shape {photons.shape}, not ({n}, {n_levels}, k)")
-    # Each column's k cells in a row of the flat blocks: a scalar index at
-    # k = 1, so that every move stays a scalar.
-    cells = [c if k == 1 else slice(c * k, (c + 1) * k) for c in range(n_levels)]
-    prop = np.array(photons, dtype=complex).reshape(n, n_levels * k)
-    absorbed = np.zeros((len(layout.sinks), 2 * k), dtype=complex)
     interacts = not ABSENT_MASK <= mask
     # One map per distinct optical run, keyed by its element ids; each entry
     # keeps its run alive, so no id is reused while the call lasts.
     maps: dict[tuple[int, ...], tuple[np.ndarray, list[Element]]] = {}
-    run: list[Element] = []
-    levels = None
-    for el in itertools.chain(elements, [None]):
-        if el is not None and not isinstance(el, AtomInteraction):
-            run.append(el)
-            continue
-        if run:
-            key = tuple(map(id, run))
-            if key not in maps:
-                m = np.eye(n, dtype=complex)
-                for optic in run:
-                    _KERNELS[type(optic)](m, layout, optic)
-                maps[key] = m, run
-            prop = maps[key][0].dot(prop)
-            run = []
-        if el is None or not interacts:
-            continue
-        if levels is None:
-            levels = [(i, lev, cells[layout.level_index(lev)]) for i, lev in enumerate(ATOM_LEVELS[:2])]
-        start = _block(layout, el.path).start
-        sinks = _sink_row(layout, el.sink_plus) - n, _sink_row(layout, el.sink_minus) - n
-        for offset, level, col in levels:
-            if level not in el.transparency_mask and level not in mask:
-                absorbed[sinks[offset], cells[offset]] += prop[start + offset, col]
-                prop[start + offset, col] = 0.0
-    return prop.reshape(photons.shape), absorbed.reshape(len(layout.sinks), 2, k)
+    # The interacting levels, (m+, m-), that ``mask`` leaves: (offset of the
+    # row each reads in a path block, level, level index), found at the
+    # first interaction.
+    levels: list[tuple[int, str, int]] = []
+
+    def advance(items: Iterable[Element | Repeat], block: np.ndarray):
+        """``block``, (2P, L, c), after ``items``; what each interaction
+        absorbed from m+ and from m-, (E, 2, c); and the two sink rows it
+        absorbed into, (E, 2)."""
+        c = block.shape[-1]
+        # Each level's c cells in a row of the flat block: a scalar index at
+        # c = 1, so that every move stays a scalar.
+        cells = [j if c == 1 else slice(j * c, (j + 1) * c) for j in range(block.shape[1])]
+        flat = block.reshape(n, -1)
+        # The interactions met here one by one, then each repeat's copies.
+        amps: list[np.ndarray] = []
+        rows: list[tuple[int, int]] = []
+        repeated: list[tuple[np.ndarray, np.ndarray]] = []
+        run: list[Element] = []
+        for el in itertools.chain(items, [None]):
+            if el is not None and not isinstance(el, (AtomInteraction, Repeat)):
+                run.append(el)
+                continue
+            if run:
+                key = tuple(map(id, run))
+                if key not in maps:
+                    m = np.eye(n, dtype=complex)
+                    for optic in run:
+                        _KERNELS[type(optic)](m, layout, optic)
+                    maps[key] = m, run
+                flat = maps[key][0].dot(flat)
+                run = []
+            if isinstance(el, Repeat):
+                out, copies, sink_rows = repeat(el, flat.reshape(block.shape))
+                flat = out.reshape(n, -1)
+                repeated.append((copies, sink_rows))
+            elif el is not None and interacts:
+                if not levels:
+                    levels.extend(
+                        (i, lev, layout.level_index(lev)) for i, lev in enumerate(ATOM_LEVELS[:2])
+                    )
+                start = _block(layout, el.path).start
+                event = np.zeros((2, c), dtype=complex)
+                for offset, level, index in levels:
+                    if level not in el.transparency_mask and level not in mask:
+                        event[offset] = flat[start + offset, cells[index]]
+                        flat[start + offset, cells[index]] = 0.0
+                amps.append(event)
+                rows.append((_sink_row(layout, el.sink_plus), _sink_row(layout, el.sink_minus)))
+        singles = np.array(amps, dtype=complex).reshape(-1, 2, c), np.array(rows, dtype=int).reshape(-1, 2)
+        parts = [singles, *repeated]
+        return (
+            flat.reshape(block.shape),
+            np.concatenate([part for part, _ in parts]),
+            np.concatenate([part for _, part in parts]),
+        )
+
+    def repeat(node: Repeat, block: np.ndarray):
+        """``advance`` through ``node.count`` copies of ``node.body``."""
+        apart, c = block.shape[1:]
+        count = node.count
+        # The body on the identity: its map per level, (L, 2P, 2P), and the
+        # row of the input that each of its interactions reads at m+ and m-.
+        identity = np.repeat(np.eye(n, dtype=complex)[:, None, :], apart, axis=1)
+        body, reads, sink_rows = advance(node.body, identity)
+        body, block = body.transpose(1, 0, 2), block.transpose(1, 0, 2)
+        if not len(reads):
+            # No copy absorbs: body^count block, by repeated squaring.
+            power = body
+            while count:
+                if count & 1:
+                    block = power @ block
+                count >>= 1
+                if count:
+                    power = power @ power
+            return block.transpose(1, 0, 2), np.zeros((0, 2, c), dtype=complex), sink_rows
+        # inputs[:, :, j] is copy j's input, body^j block, found by doubling:
+        # body^(2^i) carries the first 2^i inputs on to the next 2^i.
+        inputs = np.empty((apart, n, count, c), dtype=complex)
+        inputs[:, :, 0] = block
+        power, done = body, 1
+        while done < count:
+            step = min(done, count - done)
+            moved = inputs[:, :, done : done + step].reshape(apart, n, step * c)
+            np.matmul(power, inputs[:, :, :step].reshape(apart, n, step * c), out=moved)
+            done += step
+            if done < count:
+                power = power @ power
+        out = (body @ inputs[:, :, -1]).transpose(1, 0, 2)
+        per_copy = len(reads)
+        copies = np.stack(
+            [reads[:, offset] @ inputs[index].reshape(n, count * c) for offset, _, index in levels],
+            axis=1,
+        )
+        copies = copies.reshape(per_copy, 2, count, c).transpose(2, 0, 1, 3).reshape(-1, 2, c)
+        shifts = 2 * per_copy * np.arange(count)[:, None, None]
+        return out, copies, (sink_rows + shifts).reshape(-1, 2)
+
+    prop = np.array(photons, dtype=complex)
+    if not interacts:
+        # Every level takes the same maps: the levels ride side by side.
+        prop = prop.reshape(n, 1, n_levels * k)
+    prop, amps, rows = advance(elements, prop)
+    absorbed = np.zeros((len(layout.sinks), 2, k), dtype=complex)
+    if len(rows):
+        if rows.max() >= layout.n_photon_modes:
+            raise ValueError("a repeat's copies scatter past the sinks of the layout")
+        for offset in range(2):
+            np.add.at(absorbed, (rows[:, offset] - n, offset), amps[:, offset])
+    return prop.reshape(photons.shape), absorbed
 
 
 def run_sequence(
     layout: BasisLayout,
-    elements: Iterable[Element],
+    elements: Iterable[Element | Repeat],
     initial: JointState,
     *,
     mask_override: frozenset[str] = frozenset(),

@@ -21,11 +21,14 @@ The level response propagates the input photon times the atom m+ = m-
 keeps each absorbed amplitude under the level it came from.
 ``dsl.run_compiled`` scales its m+ column by alpha and its m- column by
 beta (the levels never mix), so a sweep over atoms costs one propagation
-per chain length.  Each branch's probability comes from two squared norms
-per mask (``CompiledCircuit.branch_weights``), and a run builds only the
-rows of the branch it factors, which ``score_outcome`` factors in closed
-form from their two level columns, with no SVD: the runners read the rows
-they report (``CompiledCircuit.amplitudes``), and an outcome's dense
+per chain length.  The compiled chain keeps its ``repeat N`` as one node,
+which that propagation runs by doubling the stage's map (``elements``): it
+takes O(log N) products, plus the O(N) sink rows it writes.  Each branch's
+probability comes from two squared norms per mask
+(``CompiledCircuit.branch_weights``), and a run builds only the rows of
+the branch it factors, which ``score_outcome`` factors in closed form from
+their two level columns, with no SVD: the runners read the rows they
+report (``CompiledCircuit.amplitudes``), and an outcome's dense
 ``final_state`` is built only when it is read.  The cavity's level
 response sums every later round trip in closed form onto the first
 trip's, from one propagation of the input and each row it carries between
@@ -108,7 +111,8 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
     """The bundled circuit ``name`` compiled at ``bindings``, kept with its
     level responses.  Long chains reuse three ``mz`` circuits; a sweep over
     N misses at any bound, and a larger one multiplies the worst case
-    (``mz`` at N = 10^5 holds 58 MB).
+    (``mz`` at N = 10^5 holds 29 MB once compiled, nearly all of it its sink
+    labels, and 49 MB once run at one mask).
     """
     return compile_circuit(_golden(name), bindings)
 
@@ -209,7 +213,9 @@ class _Cavity(CompiledCircuit):
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
         if mask not in self._responses:
             layout = self.layout
-            touched = {p for el in self.elements if isinstance(el, Relabel) for p in (el.src, el.dst)}
+            # At K = 1 the program is the trip written out: a repeat of one
+            # compiles to its body.
+            touched = {p for el in self.program if isinstance(el, Relabel) for p in (el.src, el.dst)}
             carried = [p for p in layout.paths if p not in touched]
             aims = [(self.input_path, self.input_pol)]
             aims += [(path, pol) for path in carried for pol in layout.polarizations]
@@ -299,8 +305,10 @@ def run_fabry_perot(
     float rounding of the trip's only inexact elements, its two mirrors
     (its ``phase fwd pi`` is an exact -1), by 1/(1 - r r').  Equal mirrors
     conserve to about 1e-15 up to r = 1 - 10^-15, and an empty cavity
-    transmits all but about 1e-15 there; unequal ones near 1 can fail
-    conservation (r = 1 - 10^-8 with r' = 1 - 10^-10 sums 3e-9 short).
+    transmits all but about 1e-15 there.  Unequal ones near 1 fail
+    conservation already from about r = 1 - 10^-6, r' = 1 - 10^-7, where
+    an empty cavity's branches sum to 1 + 1.5e-10; at r = 1 - 10^-8,
+    r' = 1 - 10^-10 they sum 2.55e-9 short.
 
     ``eps`` only sets ``details["round_trips"]``: one plus the first K at
     which the carried probability sum_l |T_l^K v_l|^2 falls below ``eps``,

@@ -61,6 +61,8 @@ BRANCH_LABELS = ("success", "failure", "absorbed")
 
 
 def _check_unique(kind: str, labels: Sequence[str]) -> None:
+    if len(set(labels)) == len(labels):
+        return
     seen = set()
     for label in labels:
         if label in seen:
@@ -105,7 +107,11 @@ class BasisLayout:
 
     @cached_property
     def _photon_index(self) -> dict[PhotonMode, int]:
-        return {m: i for i, m in enumerate(self.photon_modes)}
+        """The row of each propagating mode, and of each sink of a prefix of
+        ``sinks`` that ``photon_index`` extends as far as a lookup needs."""
+        return {
+            (p, pol): 2 * i + j for i, p in enumerate(self.paths) for j, pol in enumerate(self.polarizations)
+        }
 
     @cached_property
     def path_block(self) -> dict[str, slice]:
@@ -138,8 +144,21 @@ class BasisLayout:
         return self.n_photon_modes * self.n_levels
 
     def photon_index(self, mode: PhotonMode) -> int:
+        index = self._photon_index
+        if mode not in index and isinstance(mode, str):
+            # Sinks are indexed in order, up to the one looked for and at
+            # least twice as far as before, so lookups in order cost O(1)
+            # each: a compiled circuit names its sinks in order, and a run
+            # of a chain of 4N sinks looks up only its first stage's.
+            indexed = len(index) - 2 * len(self.paths)
+            try:
+                stop = max(self.sinks.index(mode, indexed) + 1, 2 * indexed)
+            except ValueError:
+                stop = len(self.sinks)
+            rows = range(2 * len(self.paths) + indexed, 2 * len(self.paths) + stop)
+            index.update(zip(self.sinks[indexed:stop], rows))
         try:
-            return self._photon_index[mode]
+            return index[mode]
         except KeyError:
             raise ValueError(f"unknown photon mode: {mode!r}") from None
 

@@ -5,11 +5,12 @@ import itertools
 import math
 import random
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nqisim import dsl, protocols
+from nqisim import dsl, elements, protocols
 from nqisim.dsl import (
     CompileError,
     ParseError,
@@ -746,8 +747,10 @@ class TestLevelResponse:
 
     def test_level_response_is_one_exact_propagation(self):
         # The response, with each sink row's m+ and m- cells added into its
-        # g cell, is run_sequence on the input photon times the atom
-        # (1, 1, 0), bitwise: no rescaling of any amplitude.
+        # g cell, is run_sequence of the compiled program on the input
+        # photon times the atom (1, 1, 0), bitwise: no rescaling of any
+        # amplitude.  (TestDoubledRepeats compares it with the unrolled
+        # elements, whose rounding differs.)
         bindings = {"N": 3, "K": 2, "T": 0.6, "R": 0.8, "TP": 0.28, "RP": 0.96}
         circuits = [
             compile_circuit(parse(load_golden(name)), bindings) for name in dsl.golden_names()
@@ -768,7 +771,7 @@ class TestLevelResponse:
                 POL_STATES[circuit.input_pol], [1, 1, 0]
             )
             want = run_sequence(
-                layout, circuit.elements, JointState(layout, amps.reshape(-1)), mask_override=mask
+                layout, circuit.program, JointState(layout, amps.reshape(-1)), mask_override=mask
             )
             response = circuit.level_response(mask)
             # Nothing reaches g, and a sink row absorbs from one level only.
@@ -788,6 +791,115 @@ class TestLevelResponse:
         again = run_compiled(circuit, atom)
         assert np.array_equal(again.final_state.amplitudes, kept)
         assert again.success_prob == pytest.approx(mz_closed_form(3), abs=1e-12)
+
+
+def _fp_bindings(r: float, trips: int) -> dict[str, float]:
+    t = math.sqrt(1 - r * r)
+    return {"T": t, "R": r, "TP": t, "RP": r, "K": trips}
+
+
+class TestDoubledRepeats:
+    """A ``Repeat`` node is run by doubling its body's map; the unrolled
+    elements, folded run by run, are the reference."""
+
+    MASKS = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+
+    @staticmethod
+    def circuits():
+        mz, fp = parse(load_golden("mz")), parse(load_golden("fp"))
+        circuits = {f"mz N={n}": compile_circuit(mz, {"N": n}) for n in (1, 2, 3, 64, 2000)}
+        for r, trips in ((0.9, 1), (0.9, 117), (0.95, 237)):
+            circuits[f"fp K={trips}"] = compile_circuit(fp, _fp_bindings(r, trips))
+        for name in ("twopass", "direct"):
+            circuits[name] = compile_circuit(parse(load_golden(name)))
+        nested = (
+            "repeat 3 {\n  atom a\n  repeat 2 {\n    bs a b t=0.6 r=0.8\n    repeat 4 {\n"
+            "      atom b transparent: m+\n      mirror a\n      relabel a -> b\n    }\n"
+            "    atom a\n    rot b matrix(0.6, 0.8, -0.8, 0.6)\n  }\n  phase b pi/3\n}\natom b"
+        )
+        two_paths = MINIMAL.replace("paths a", "paths a b").replace(
+            "classify a=failure", "classify a=failure b=success"
+        )
+        circuits["nested"] = compile_circuit(parse(two_paths.replace("atom a", nested)))
+        rng = random.Random(20260823)  # criterion 9's fuzzed sources
+        for index in range(100):
+            try:
+                circuits[f"fuzzed {index}"] = compile_circuit(parse(_random_source(rng)))
+            except CompileError:
+                continue
+        return circuits
+
+    def test_doubled_response_is_the_unrolled_fold(self):
+        circuits = self.circuits()
+        assert any(isinstance(item, elements.Repeat) for item in circuits["nested"].program)
+        assert len(circuits) > 60
+        for name, circuit in circuits.items():
+            layout = circuit.layout
+            n, sinks = 2 * len(layout.paths), layout.n_photon_modes
+            levels = [layout.level_index(level) for level in ("m+", "m-")]
+            # Every row and level populated, one unit column per input.
+            draw = np.random.default_rng(len(name)).standard_normal((2, n, layout.n_levels, 3))
+            block = draw[0] + 1j * draw[1]
+            block /= np.linalg.norm(block, axis=(0, 1))
+            for mask in self.MASKS:
+                # The response of the input photon, against the fold of it.
+                photon = np.zeros((n, layout.n_levels, 1), dtype=complex)
+                photon[:, levels, 0] = initial_state(
+                    layout, circuit.input_path, circuit.input_pol, AtomSpec(1, 0)
+                ).matrix()[:n, levels[:1]]
+                want_prop, want_absorbed = propagate(layout, circuit.elements, photon, mask=mask)
+                response = circuit.level_response(mask)
+                assert np.max(np.abs(response[:n] - want_prop[..., 0])) <= 1e-13, (name, mask)
+                dev = np.abs(response[n:sinks, levels] - want_absorbed[..., 0])
+                assert np.max(dev, initial=0) <= 1e-13, (name, mask)
+                # A block of inputs, through the program and through the elements.
+                prop, absorbed = propagate(layout, circuit.program, block, mask=mask)
+                want_prop, want_absorbed = propagate(layout, circuit.elements, block, mask=mask)
+                assert np.max(np.abs(prop - want_prop)) <= 1e-13, (name, mask)
+                assert np.max(np.abs(absorbed - want_absorbed), initial=0) <= 1e-13, (name, mask)
+
+    def test_kernel_calls_do_not_grow_with_the_count(self, monkeypatch):
+        calls = []
+        for kind, kernel in list(elements._KERNELS.items()):
+
+            def counted(*args, kernel=kernel):
+                calls.append(args[2])
+                kernel(*args)
+
+            monkeypatch.setitem(elements._KERNELS, kind, counted)
+        counts = []
+        for n in (64, 2000):
+            circuit = compile_circuit(parse(load_golden("mz")), {"N": n})
+            calls.clear()
+            circuit.level_response(frozenset())
+            counts.append(len(calls))
+            run_compiled(circuit, AtomSpec(0.6, 0.8j))
+            # The unrolled elements are never built to run the circuit.
+            assert "elements" not in vars(circuit)
+        assert counts[0] == counts[1] > 0
+
+    def test_a_repeat_that_absorbs_nothing_is_a_matrix_power(self):
+        # No copy absorbs, so nothing is kept per copy: i^900000 = 1, from
+        # 20 squarings of the mirror's map, in a few kilobytes.
+        source = MINIMAL.replace("atom a", "repeat 900000 {\nmirror a\n}\natom a")
+        circuit = compile_circuit(parse(source))
+        plain = compile_circuit(parse(MINIMAL))
+        tracemalloc.start()
+        try:
+            for mask in self.MASKS:
+                response = circuit.level_response(mask)
+                assert np.array_equal(response, plain.level_response(mask)), mask
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_a_chain_of_a_hundred_thousand_stages(self):
+        n = 10**5
+        out = run_mz_chain(n, AtomSpec(0.6, 0.8j))
+        total = out.success_prob + out.failure_prob + out.absorbed_prob
+        assert abs(total - 1.0) <= PROB_TOL
+        assert abs(out.success_prob - mz_closed_form(n)) <= 1e-10
 
 
 def _golden_circuits():

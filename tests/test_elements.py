@@ -425,6 +425,23 @@ class TestPropagate:
                     assert np.linalg.norm(prop[..., j] - one_prop[..., 0]) <= tol, (index, mask, j)
                     assert np.linalg.norm(absorbed[..., j] - one_absorbed[..., 0]) <= tol, (index, mask, j)
 
+    def test_repeat_copies_scatter_into_the_next_pairs(self):
+        # Copy c of a body scatters 2c rows past the pair its interaction
+        # names: two copies need a second pair in the layout.
+        body = (Mirror("a"), AtomInteraction("a"))
+        block = np.ones((4, 3, 1), dtype=complex)
+        with pytest.raises(ValueError, match="scatter past the sinks"):
+            propagate(layout2(), [elements.Repeat(body, 2)], block, mask=frozenset())
+        layout = make_layout(["a", "b"], ["S+", "S-", "S+#2", "S-#2"], LEVELS)
+        written_out = list(body) + [Mirror("a"), AtomInteraction("a", sink_plus="S+#2", sink_minus="S-#2")]
+        for mask in MASKS:
+            got = propagate(layout, [elements.Repeat(body, 2)], block, mask=mask)
+            want = propagate(layout, written_out, block, mask=mask)
+            for part, want_part in zip(got, want):
+                assert np.max(np.abs(part - want_part)) <= 1e-15, mask
+        with pytest.raises(ValueError, match="positive count"):
+            elements.Repeat(body, 0)
+
     def test_input_block_is_not_changed(self):
         layout = layout2()
         block = np.ones((4, 3, 2), dtype=complex)
