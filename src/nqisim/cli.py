@@ -199,7 +199,7 @@ def cmd_nogo_check(args) -> Rows:
     samples, header = _sample_atoms(args)
     circuit = mz_circuit(args.stages)
     factory = functools.partial(initial_state, circuit.layout, circuit.input_path, circuit.input_pol)
-    results = transparency_nogo_scan(circuit.layout, circuit.elements, factory, masks, samples)
+    results = transparency_nogo_scan(circuit.layout, circuit.program, factory, masks, samples)
     rows = []
     for row in results:
         rows.append(

@@ -61,7 +61,7 @@ from .state import (
     AtomSpec,
     BasisLayout,
     ProtocolOutcome,
-    initial_state,
+    _aimed_photon,
     make_layout,
     score_outcome,
 )
@@ -667,9 +667,8 @@ class CompiledCircuit:
         levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
         photons = np.zeros((n, layout.n_levels, len(aims)), dtype=complex)
         for j, (path, pol) in enumerate(aims):
-            # The atom (1, 0)'s m+ column, copied into m-: exact.
-            initial = initial_state(layout, path, pol, AtomSpec(1, 0)).matrix()
-            photons[:, levels, j] = initial[:n, levels[:1]]
+            block, vector = _aimed_photon(layout, path, pol)
+            photons[block, levels, j] = vector[:, None]
         response = np.zeros((layout.n_photon_modes, layout.n_levels, len(aims)), dtype=complex)
         response[:n], response[n:, levels] = propagate(layout, self.program, photons, mask=mask)
         return response

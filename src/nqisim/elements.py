@@ -20,15 +20,16 @@ mixes two blocks, a relabel adds one block into another.
 ``CompiledCircuit.level_response`` and the witness scan: it carries a
 block of inputs on the propagating rows (P paths) and is pure.  It splits
 the sequence at every atom interaction; each run of optical elements
-between two interactions is one 2P x 2P map on those rows, built once per
-call by the kernels on the identity.  An interaction moves its path's
-``+`` row at m+ and ``-`` row at m- onto its sink rows, kept under the
-level they came from.  A ``Repeat`` node of a compiled program is not
-unrolled: its body, propagated once on the identity, is one 2P x 2P map
-per level and the rows its interactions read, and binary powers of that
-map give every copy's input in O(log count) products, from which one more
-product reads what every copy absorbed (a body that absorbs nothing needs
-only the map's count-th power).
+between two interactions is one 2P x 2P map on those rows, built by the
+kernels on the identity where the run is met and applied as one product
+(a repeat's body is met once).  An interaction moves its path's ``+`` row
+at m+ and ``-`` row at m- onto its sink rows, kept under the level they
+came from.  A ``Repeat`` node of a compiled program is not unrolled: its
+body, propagated once on the identity, is one 2P x 2P map per level and
+the rows its interactions read, and binary powers of that map give every
+copy's input in O(log count) products, from which one more product reads
+what every copy absorbed (a body that absorbs nothing needs only the
+map's count-th power).
 """
 
 from __future__ import annotations
@@ -234,9 +235,6 @@ def propagate(
     if photons.shape != (n, n_levels, k):
         raise ValueError(f"photon block has shape {photons.shape}, not ({n}, {n_levels}, k)")
     interacts = not ABSENT_MASK <= mask
-    # One map per distinct optical run, keyed by its element ids; each entry
-    # keeps its run alive, so no id is reused while the call lasts.
-    maps: dict[tuple[int, ...], tuple[np.ndarray, list[Element]]] = {}
     # The interacting levels, (m+, m-), that ``mask`` leaves: (offset of the
     # row each reads in a path block, level, level index), found at the
     # first interaction.
@@ -261,13 +259,12 @@ def propagate(
                 run.append(el)
                 continue
             if run:
-                key = tuple(map(id, run))
-                if key not in maps:
-                    m = np.eye(n, dtype=complex)
-                    for optic in run:
-                        _KERNELS[type(optic)](m, layout, optic)
-                    maps[key] = m, run
-                flat = maps[key][0].dot(flat)
+                # One product, as a repeat body's map is applied: kernels
+                # applied to the block itself would round differently.
+                m = np.eye(n, dtype=complex)
+                for optic in run:
+                    _KERNELS[type(optic)](m, layout, optic)
+                flat = m.dot(flat)
                 run = []
             if isinstance(el, Repeat):
                 out, copies, sink_rows = repeat(el, flat.reshape(block.shape))

@@ -13,36 +13,32 @@ witness exists.
 
 Both final states come from the network's transfer under a mask: a run is
 linear in its initial state and never mixes atom levels, so one
-``propagate`` of the 2P x 2P identity on the propagating rows, at every
-level at once, gives each level's map of those rows and what each sink
-row absorbs from the inputs of each interacting level; g never interacts,
-so its map is the network with the atom absent.  Every atom of a scan is
-then a contraction of that transfer with its initial state.  Transfers of
-element tuples are kept in a small LRU, so a scan over many atoms, or
-many scans of one network, propagate once per (network, mask).
+``propagate`` of the 2P x 2P identity on the propagating rows gives each
+level's map of those rows and what each sink row absorbs from the inputs
+of each interacting level; g never interacts, so its map is the network
+with the atom absent.  Transfers are kept in a small LRU keyed by value
+(layout, element tuple, mask), so a scan propagates once per (network,
+mask); a compiled ``program`` keeps each repeat as one node, so its key
+stays short at any chain length.
 
 The scan never builds the dense states.  Its photon enters on a path, so
-the absent state lives on the 2P propagating rows, and the present state's
-sink rows are ``absorbed @ inputs``: with the thin QR ``absorbed = Q R``,
-taken once per transfer, they are ``Q`` times ``R @ inputs``.  The witness
-is decided on the 2P rows and the rows of ``R @ inputs`` (at most 2P per
-interacting level: 8 for the chain), an isometric image of the dense
-problem with the same singular values, residual and coefficient norm, so
-the decision costs the same at any number of sink rows; only the check
-that the initial state has no sink amplitude reads them.
+the absent state lives on the 2P propagating rows and the present state's
+sink rows are the column ``absorbed @ inputs`` at g.  A unitary on the
+sink rows takes that column to one row holding its norm, where the absent
+state is zero: the witness is decided on 2P + 1 rows, with the dense
+problem's singular values, residual and coefficient norm.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .elements import Element, propagate
+from .elements import Element, Repeat, propagate
 from .state import ATOM_LEVELS, AtomSpec, BasisLayout, JointState
 from .state import _rank_one, product_factors
 from .tolerances import RANK_TOL
@@ -84,87 +80,39 @@ class Absence:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class _Transfer:
-    """``propagate`` of the 2P x 2P identity under one mask, at every level:
-    level c of the 2P propagating rows leaves as ``prop[:, c]`` times its
-    column, and the sink rows add at g ``absorbed`` times the columns of
-    the interacting levels ``columns`` (m+ and m- less the masked ones),
-    stacked.  g never interacts, so ``prop[:, g]`` maps every level with
-    the atom absent."""
-
-    elements: tuple[Element, ...]
-    prop: np.ndarray
-    absorbed: np.ndarray
-    columns: list[int]
-
-    def _inputs(self, mat: np.ndarray) -> np.ndarray:
-        return mat[: len(self.prop), self.columns].T.reshape(-1)
-
-    @cached_property
-    def _sink_r(self) -> np.ndarray:
-        """``R`` of the thin QR ``absorbed = Q R``: min(S, 2P len(columns)) rows."""
-        return np.linalg.qr(self.absorbed, mode="r")
-
-    def final_states(self, initial: JointState) -> FinalStatePair:
-        layout, mat, n = initial.layout, initial.matrix(), len(self.prop)
-        g = layout.level_index("g")
-        absent, present = mat.copy(), mat.copy()
-        absent[:n] = self.prop[:, g] @ mat[:n]
-        present[:n] = np.einsum("icj,jc->ic", self.prop, mat[:n])
-        present[n:, g] += self.absorbed @ self._inputs(mat)
-        return FinalStatePair(*(JointState(layout, amps.reshape(-1)) for amps in (absent, present)))
-
-    def witness(self, initial: JointState, atom_init: np.ndarray) -> Witness | Absence:
-        """``find_witness`` of ``final_states(initial)``, decided on the 2P
-        propagating rows and the rows of ``R @ inputs``; ``initial`` must
-        hold no sink amplitude, and the witness's ``phi_p`` is over those
-        rows."""
-        layout, mat, n = initial.layout, initial.matrix(), len(self.prop)
-        if mat[n:].any():
-            raise ValueError("initial state has sink amplitude: the photon must enter on a path")
-        g, sink_r = layout.level_index("g"), self._sink_r
-        present = np.zeros((n + len(sink_r), layout.n_levels), dtype=complex)
-        present[:n] = np.einsum("icj,jc->ic", self.prop, mat[:n])
-        present[n:, g] = sink_r @ self._inputs(mat)
-        return _witness(present, self.prop[:, g] @ mat[:n], atom_init, layout.n_photon_modes)
-
-
-def _build_transfer(
-    layout: BasisLayout, elements: tuple[Element, ...], mask: frozenset[str]
-) -> _Transfer:
+@functools.lru_cache(maxsize=8)
+def _transfer(
+    layout: BasisLayout, elements: tuple[Element | Repeat, ...], mask: frozenset[str]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The read-only transfer ``(prop, absorbed, columns)``: level c of the
+    2P propagating rows leaves as ``prop[:, c]`` times its column, and the
+    sink rows add at g ``absorbed`` times the stacked columns ``columns`` of
+    the levels that interact (m+ and m- less the masked ones).  Eight
+    entries hold every mask of one network, so no scan evicts its own."""
     n = 2 * len(layout.paths)
     identity = np.eye(n, dtype=complex)[:, None].repeat(layout.n_levels, axis=1)
     prop, absorbed = propagate(layout, elements, identity, mask=mask)
     # A masked level absorbs nothing: keep the other levels' inputs alone.
     kept = [i for i, level in enumerate(ATOM_LEVELS[:2]) if level not in mask]
     absorbed = absorbed[:, kept].reshape(len(layout.sinks), len(kept) * n)
-    return _Transfer(elements, prop, absorbed, [layout.level_index(ATOM_LEVELS[i]) for i in kept])
+    prop.flags.writeable = absorbed.flags.writeable = False
+    return prop, absorbed, tuple(layout.level_index(ATOM_LEVELS[i]) for i in kept)
 
 
-# Transfers of element tuples, by (id(elements), layout, mask), oldest
-# first.  An entry holds its tuple, so that id is not reused while the
-# entry lives, and answers only to that tuple.  Eight is every mask of one
-# network (the subsets of m+, m- and g), so no scan evicts its own.
-_TRANSFER_CACHE_SIZE = 8
-_transfers: OrderedDict[tuple, _Transfer] = OrderedDict()
-
-
-def _transfer(layout: BasisLayout, elements: Sequence[Element], mask: frozenset[str]) -> _Transfer:
-    """The transfer of ``elements`` under ``mask``, kept when ``elements``
-    is a tuple: its elements are frozen and a rotator's matrix is read-only,
-    so the tuple cannot change under the transfer.  Any other sequence may,
-    so its transfer is built for this call alone."""
-    if not isinstance(elements, tuple):
-        return _build_transfer(layout, tuple(elements), mask)
-    key = (id(elements), layout, mask)
-    entry = _transfers.get(key)
-    if entry is None or entry.elements is not elements:
-        entry = _transfers[key] = _build_transfer(layout, elements, mask)
-        while len(_transfers) > _TRANSFER_CACHE_SIZE:
-            _transfers.popitem(last=False)
-    _transfers.move_to_end(key)
-    return entry
+def _compact_witness(
+    layout: BasisLayout, transfer: tuple, initial: JointState, atom_init: np.ndarray
+) -> Witness | Absence:
+    """``find_witness`` of ``initial``'s final states under ``transfer``,
+    decided on the 2P propagating rows and one sink row at g, over which
+    the witness's ``phi_p`` runs; ``initial`` must hold no sink amplitude."""
+    prop, absorbed, columns = transfer
+    mat, n, g = initial.matrix(), len(prop), layout.level_index("g")
+    if mat[n:].any():
+        raise ValueError("initial state has sink amplitude: the photon must enter on a path")
+    present = np.zeros((n + 1, layout.n_levels), dtype=complex)
+    present[:n] = np.einsum("icj,jc->ic", prop, mat[:n])
+    present[n, g] = np.linalg.norm(absorbed @ mat[:n, columns].T.reshape(-1))
+    return _witness(present, prop[:, g] @ mat[:n], atom_init, layout.n_photon_modes)
 
 
 def _checked_mask(mask: Iterable[str]) -> frozenset[str]:
@@ -189,11 +137,17 @@ def build_final_states(
     The initial state carries the atom superposition; interacted and
     absorbed components stay inside the atom-present final state.  Both
     are the network's transfer under ``transparency_mask`` applied to
-    ``initial``; the transfers of an element tuple are kept.
+    ``initial``, kept by value with the scan's.
     """
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
-    return _transfer(layout, elements, _checked_mask(transparency_mask)).final_states(initial)
+    prop, absorbed, columns = _transfer(layout, tuple(elements), _checked_mask(transparency_mask))
+    mat, n, g = initial.matrix(), len(prop), layout.level_index("g")
+    absent, present = mat.copy(), mat.copy()
+    absent[:n] = prop[:, g] @ mat[:n]
+    present[:n] = np.einsum("icj,jc->ic", prop, mat[:n])
+    present[n:, g] += absorbed @ mat[:n, columns].T.reshape(-1)
+    return FinalStatePair(*(JointState(layout, amps.reshape(-1)) for amps in (absent, present)))
 
 
 def _complement_basis(psi_f: np.ndarray) -> np.ndarray:
@@ -261,7 +215,8 @@ def find_witness(pair: FinalStatePair, atom_init: np.ndarray) -> Witness | Absen
     psi_f with ``I - psi_f psi_f^dagger`` (never forming the projector or
     a basis of the complement), and asks by least squares whether the
     initial atom vector lies in the projected row space.  The scan decides
-    the same problem on the transfer's compressed rows by the same core.
+    the same problem on the transfer's propagating rows and one sink row
+    by the same core.
     """
     atom_init = _unit_atom_vector(atom_init, pair.atom_dim)
     return _witness(pair.present.matrix(), pair.absent.matrix(), atom_init, pair.probe_dim)
@@ -352,11 +307,11 @@ def transparency_nogo_scan(
     state of another layout, or with sink amplitude, is a ValueError.  A
     sample's own transparency mask adds to the scan mask, so an absent
     sample gets ``Absence``.  Every mask is checked before the first sample
-    runs.  The network is propagated once per mask (the transfers of a
-    tuple are kept; a sequence other than a tuple is copied into one for
-    the scan), each mask's transfer is looked up once per call, and each
-    sample is decided as ``find_witness`` of ``build_final_states`` would,
-    on the transfer's compressed rows, without the dense states.
+    runs.  The network is propagated once per mask (transfers are kept
+    by value, so an equal network reuses them), each mask's transfer is
+    looked up once per call, and each sample is decided as
+    ``find_witness`` of ``build_final_states`` would, on the transfer's
+    propagating rows and one sink row, without the dense states.
     """
     masks = [_checked_mask(mask) for mask in masks]
     if not masks:
@@ -365,7 +320,7 @@ def transparency_nogo_scan(
     if not samples:
         raise ValueError("at least one sample is required")
     elements = tuple(elements)
-    transfers: dict[frozenset[str], _Transfer] = {}
+    transfers: dict[frozenset[str], tuple] = {}
     rows = []
     for mask in masks:
         for atom in samples:
@@ -376,16 +331,8 @@ def transparency_nogo_scan(
             if scan_mask not in transfers:
                 transfers[scan_mask] = _transfer(layout, elements, scan_mask)
             atom_init = _unit_atom_vector(atom.level_vector(layout), layout.n_levels)
-            result = transfers[scan_mask].witness(initial, atom_init)
+            result = _compact_witness(layout, transfers[scan_mask], initial, atom_init)
             found = isinstance(result, Witness)
-            rows.append(
-                NogoRow(
-                    mask,
-                    atom.alpha,
-                    atom.beta,
-                    found,
-                    result.residual,
-                    abs(result.delta) ** 2 if found else None,
-                )
-            )
+            delta_sq = abs(result.delta) ** 2 if found else None
+            rows.append(NogoRow(mask, atom.alpha, atom.beta, found, result.residual, delta_sq))
     return rows

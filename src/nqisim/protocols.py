@@ -71,7 +71,7 @@ import numpy as np
 from .dsl import CircuitAst, CompiledCircuit, compile_circuit, load_golden, parse, run_compiled
 # ``run_sequence`` is not called here; perfbench/tracing.py binds it as
 # ``protocols.run_sequence``.
-from .elements import Element, Relabel, run_sequence, sink_pair_labels
+from .elements import Element, Relabel, Repeat, run_sequence, sink_pair_labels
 from .state import (
     ATOM_LEVELS,
     AtomSpec,
@@ -112,7 +112,8 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
     level responses.  Long chains reuse three ``mz`` circuits; a sweep over
     N misses at any bound, and a larger one multiplies the worst case
     (``mz`` at N = 10^5 holds 29 MB once compiled, nearly all of it its sink
-    labels, and 49 MB once run at one mask).
+    labels, and 49 MB once run at one mask, after a peak of 81 MB during
+    that first run: tracemalloc).
     """
     return compile_circuit(_golden(name), bindings)
 
@@ -171,11 +172,12 @@ def mz_circuit(n_stages: int) -> CompiledCircuit:
 
 def build_mz(
     n_stages: int,
-) -> tuple[BasisLayout, tuple[Element, ...], dict[str, np.ndarray]]:
-    """Layout, element sequence and exit rows (``CompiledCircuit.branches``)
-    of the N-stage chain."""
+) -> tuple[BasisLayout, tuple[Element | Repeat, ...], dict[str, np.ndarray]]:
+    """Layout, compiled program and exit rows (``CompiledCircuit.branches``)
+    of the N-stage chain: the program keeps the chain as one ``Repeat`` of
+    its stage (``CompiledCircuit.elements`` unrolls it)."""
     circuit = mz_circuit(n_stages)
-    return circuit.layout, circuit.elements, circuit.branches
+    return circuit.layout, circuit.program, circuit.branches
 
 
 def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:

@@ -324,6 +324,17 @@ class AtomSpec:
         return vec
 
 
+def _aimed_photon(layout: BasisLayout, path: str, polarization: str) -> tuple[slice, np.ndarray]:
+    """The rows of ``path`` (its block) and the ``POL_STATES`` vector of
+    ``polarization`` on them, or a ValueError naming the unknown one."""
+    pol = POL_STATES.get(polarization)
+    if pol is None:
+        raise ValueError(f"unknown polarization: {polarization!r}")
+    if path not in layout.path_block:
+        raise ValueError(f"path {path!r} is not in the layout")
+    return layout.path_block[path], pol
+
+
 def initial_state(
     layout: BasisLayout,
     path: str,
@@ -332,14 +343,10 @@ def initial_state(
 ) -> JointState:
     """The photon on ``path`` with the ``POL_STATES`` polarization
     ``polarization``, times the atom superposition."""
-    pol = POL_STATES.get(polarization)
-    if pol is None:
-        raise ValueError(f"unknown polarization: {polarization!r}")
-    if path not in layout.path_block:
-        raise ValueError(f"path {path!r} is not in the layout")
+    block, pol = _aimed_photon(layout, path, polarization)
     amps = np.zeros(layout.dim, dtype=complex)
     mat = amps.reshape(layout.n_photon_modes, layout.n_levels)
-    mat[layout.path_block[path]] = np.outer(pol, atom.level_vector(layout))
+    mat[block] = np.outer(pol, atom.level_vector(layout))
     return JointState(layout, amps)
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nqisim import dsl, elements, protocols
+from nqisim import dsl, elements, protocols, state
 from nqisim.dsl import (
     CompileError,
     ParseError,
@@ -287,7 +287,7 @@ class TestCompiler:
             assert list(circuit.elements) == elements
             built_layout, built, _ = build_mz(n)
             assert built_layout == layout
-            assert list(built) == elements
+            assert built == circuit.program
 
     def test_branches_from_classify(self):
         # A port's label takes its path block; sinks= takes the sink tail.
@@ -781,6 +781,30 @@ class TestLevelResponse:
             got[n:, 2] = got[n:, 0] + got[n:, 1]
             got[n:, :2] = 0.0
             assert np.array_equal(got, want.matrix()), (circuit.input_path, mask)
+
+    def test_level_response_builds_no_dense_state(self, monkeypatch):
+        # Each aim fills only its path block of the 2P propagating rows, and
+        # an unknown path or polarization is refused as by initial_state.
+        mz = compile_circuit(parse(load_golden("mz")), {"N": 64})
+        cavity = protocols._cavity.__wrapped__(T=0.6, R=0.8, TP=0.28, RP=0.96)
+        layout = mz.layout
+        for path, pol, message in (("l", "z", "unknown polarization"), ("v", "+", "not in the layout")):
+            with pytest.raises(ValueError, match=message) as aimed:
+                dataclasses.replace(mz, input_path=path, input_pol=pol).level_response(frozenset())
+            with pytest.raises(ValueError) as dense:
+                initial_state(layout, path, pol, AtomSpec())
+            assert str(aimed.value) == str(dense.value)
+        masks = (frozenset(), frozenset({"m+"}), ABSENT_MASK)
+        want = [circuit.level_response(mask).copy() for circuit in (mz, cavity) for mask in masks]
+
+        def dense_state(*args, **kwargs):
+            raise AssertionError("a level response built a dense state")
+
+        monkeypatch.setattr(state, "JointState", dense_state)
+        mz = compile_circuit(parse(load_golden("mz")), {"N": 64})
+        cavity = protocols._cavity.__wrapped__(T=0.6, R=0.8, TP=0.28, RP=0.96)
+        got = [circuit.level_response(mask) for circuit in (mz, cavity) for mask in masks]
+        assert all(map(np.array_equal, got, want))
 
     def test_returned_state_does_not_reach_the_cache(self):
         circuit = compile_circuit(parse(load_golden("mz")), {"N": 3})

@@ -352,8 +352,9 @@ class TestRunMaps:
             assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-14, mask
 
     def test_repeat_copies_share_their_maps(self, monkeypatch):
-        # mz.nqi splits into two distinct runs, [bs] and the six optics
-        # between a stage's interactions: 7 kernel calls at any N.
+        # mz.nqi's program is one repeat, whose body is propagated once and
+        # splits into two runs, [bs] and the six optics between a stage's
+        # interactions: 7 kernel calls at any N.
         calls = []
         for kind, kernel in list(elements._KERNELS.items()):
 
@@ -366,7 +367,7 @@ class TestRunMaps:
         state = initial_state(circuit.layout, circuit.input_path, circuit.input_pol, AtomSpec())
         for mask in MASKS:
             calls.clear()
-            run_sequence(circuit.layout, circuit.elements, state, mask_override=mask)
+            run_sequence(circuit.layout, circuit.program, state, mask_override=mask)
             assert len(calls) <= 7, mask
 
 

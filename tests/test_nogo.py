@@ -6,7 +6,6 @@ import math
 import random
 import re
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from nqisim.elements import (
     PhaseShift,
     PolRotator,
     POL_FLIP,
+    Repeat,
     propagate,
     run_sequence,
 )
@@ -560,7 +560,7 @@ def counting_runs(monkeypatch) -> list:
         return propagate(*args, **kwargs)
 
     monkeypatch.setattr(nogo, "propagate", counted)
-    monkeypatch.setattr(nogo, "_transfers", OrderedDict())
+    nogo._transfer.cache_clear()
     return calls
 
 
@@ -624,38 +624,62 @@ class TestTransfer:
         # One propagation per scan mask: the absent state is read from the
         # g map of each, so no absent transfer is built or kept.
         assert calls == masks
-        assert [key[2] for key in nogo._transfers] == masks
+        assert nogo._transfer.cache_info().currsize == len(masks)
         calls.clear()
         assert transparency_nogo_scan(layout, elements, factory, masks, atoms) == first
         assert calls == []
-        # A list can change between calls: each call builds its own transfers.
-        for _ in range(2):
-            assert transparency_nogo_scan(layout, list(elements), factory, masks, atoms) == first
-            assert calls == masks
-            calls.clear()
+        # Transfers are kept by value: an equal list is the same network.
+        network = list(elements)
+        assert transparency_nogo_scan(layout, network, factory, masks, atoms) == first
+        assert calls == []
+        # A list changed between calls is another network: it propagates again.
+        network.insert(0, BeamSplitter(0.6, 0.8, "u", "l"))
+        changed = transparency_nogo_scan(layout, network, factory, masks, atoms)
+        assert calls == masks
+        assert changed != first
 
     def test_cache_is_bounded_and_never_stale(self, monkeypatch):
-        # Each tuple is dropped by the loop, so a freed id is soon reused;
-        # an entry holds its tuple and answers to it alone, so no phase is
-        # served for another.
+        # Each tuple is dropped by the loop, so a freed address is soon
+        # reused; the transfers are keyed by value, so no phase is served
+        # for another.
         calls = counting_runs(monkeypatch)
         layout = make_layout(["a"], ["S+", "S-"], list(ATOM_LEVELS))
         state = random_state(layout, 7)
-        for k in range(3 * nogo._TRANSFER_CACHE_SIZE):
+        for k in range(24):
             elements = (PhaseShift("a", 0.1 * k), AtomInteraction("a"))
             calls.clear()
             assert_direct_runs(layout, elements, state, frozenset())
             assert calls == [frozenset()]
-            assert len(nogo._transfers) <= nogo._TRANSFER_CACHE_SIZE
-        assert all(key[0] == id(entry.elements) for key, entry in nogo._transfers.items())
-        # An entry planted under the id of another tuple is not served.
-        elements = (PhaseShift("a", 2.0), AtomInteraction("a"))
-        other = nogo._build_transfer(layout, (AtomInteraction("a"),), frozenset())
-        nogo._transfers[id(elements), layout, frozenset()] = other
+            assert nogo._transfer.cache_info().currsize <= 8
+
+    def test_kept_transfer_serves_its_own_network_alone(self, monkeypatch):
+        # Networks that differ in one field, or only in their layout, are
+        # each propagated once and then served from their own transfer.
+        calls = counting_runs(monkeypatch)
+        ab = make_layout(["a", "b"], ["S+", "S-", "T+", "T-"], list(ATOM_LEVELS))
+        ba = make_layout(["b", "a"], ["S+", "S-", "T+", "T-"], list(ATOM_LEVELS))
+        split = BeamSplitter(0.6, 0.8, "a", "b")
+        hit = AtomInteraction("a")
+        mutable = [split, PhaseShift("a", 1.0), hit]
+        networks = [
+            (ab, (split, hit)),
+            (ba, (split, hit)),
+            (ab, (BeamSplitter(0.8, 0.6, "a", "b"), hit)),
+            (ab, (split, AtomInteraction("a", sink_plus="S-", sink_minus="S+"))),
+            (ab, (split, AtomInteraction("a", frozenset({"m-"})))),
+            (ab, (split, PolRotator("a", POL_FLIP), hit)),
+            (ab, (Repeat((split, PhaseShift("b", 0.3)), 2), hit)),
+            (ab, mutable),
+        ]
+        for sweep in range(2):
+            for index, (layout, network) in enumerate(networks):
+                calls.clear()
+                assert_direct_runs(layout, network, random_state(layout, index), frozenset())
+                assert calls == ([] if sweep else [frozenset()]), (sweep, index)
+        mutable.append(Mirror("b"))
         calls.clear()
-        assert_direct_runs(layout, elements, state, frozenset())
+        assert_direct_runs(ab, mutable, random_state(ab, 9), frozenset())
         assert calls == [frozenset()]
-        assert nogo._transfers[id(elements), layout, frozenset()].elements is elements
 
 
 def golden_mz_and_fuzzed_circuits(stages, draws):
@@ -691,7 +715,8 @@ def scan_and_dense_rows(circuit, masks, atoms):
 
 class TestCompactScan:
     """The scan decides each atom on the transfer's 2P propagating rows and
-    its compressed sink rows, as ``find_witness`` does on the dense pair."""
+    one sink row holding the norm of what the sinks absorb, as
+    ``find_witness`` does on the dense pair."""
 
     MASKS = [frozenset(), frozenset({"m+"}), frozenset({"m-"}), frozenset({"g"}), ABSENT_MASK]
 
@@ -710,6 +735,26 @@ class TestCompactScan:
                 witnesses += found
         assert cases > 2500 and 0 < witnesses < cases
 
+    def test_program_scans_as_its_unrolled_elements(self):
+        # A compiled program keeps each repeat as one node, which doubles
+        # where the unrolled elements fold stage by stage: the same
+        # decisions, to rounding.
+        atoms = haar_random_atoms(3, seed=13)
+        cases = witnesses = 0
+        for circuit in golden_mz_and_fuzzed_circuits((1, 2, 3, 64, 150, 2000), 100):
+            layout = circuit.layout
+            factory = functools.partial(initial_state, layout, circuit.input_path, circuit.input_pol)
+            got = transparency_nogo_scan(layout, circuit.program, factory, self.MASKS, atoms)
+            want = transparency_nogo_scan(layout, circuit.elements, factory, self.MASKS, atoms)
+            for row, ref in zip(got, want, strict=True):
+                assert row.witness_found == ref.witness_found
+                assert abs(row.residual - ref.residual) <= 1e-15
+                if ref.witness_found:
+                    assert abs(row.delta_sq - ref.delta_sq) <= 1e-14
+                cases += 1
+                witnesses += ref.witness_found
+        assert cases > 800 and 0 < witnesses < cases
+
     def test_compressed_sink_rows_fit_a_g_component(self):
         # The sink rows hold amplitude at g alone, and the scan's atom
         # vectors have none there, so only their norm reaches its rows.  An
@@ -725,7 +770,8 @@ class TestCompactScan:
                 atom_init[g] = 0.5j
                 atom_init /= np.linalg.norm(atom_init)
                 for mask in self.MASKS:
-                    got = nogo._transfer(layout, elements, mask).witness(initial, atom_init)
+                    transfer = nogo._transfer(layout, elements, mask)
+                    got = nogo._compact_witness(layout, transfer, initial, atom_init)
                     want = find_witness(build_final_states(layout, elements, initial, mask), atom_init)
                     assert type(got) is type(want)
                     # A witness's residual is roundoff times its
@@ -772,7 +818,7 @@ class TestCompactScan:
     def test_transfer_absorbs_from_interacting_levels_only(self, mask, width):
         layout, elements, _ = build_mz(8)
         n = 2 * len(layout.paths)
-        transfer = nogo._build_transfer(layout, elements, mask)
-        assert transfer.absorbed.shape == (len(layout.sinks), width * n)
-        # The compressed sink rows: at most 2P per interacting level.
-        assert transfer._sink_r.shape == (min(len(layout.sinks), width * n), width * n)
+        prop, absorbed, columns = nogo._transfer(layout, elements, mask)
+        assert absorbed.shape == (len(layout.sinks), width * n)
+        assert len(columns) == width
+        assert not prop.flags.writeable and not absorbed.flags.writeable
