@@ -5,7 +5,7 @@ mode, and lists element statements; a ``repeat`` block runs its body a
 given number of times, and a single ``classify`` statement maps every
 path, and the sinks together, to one of the branch labels ``success``,
 ``failure`` and ``absorbed``.  Expressions are limited to +, -, *, /,
-sin, cos, pi and named parameters.  Example::
+sin, cos, pi and other named parameters.  Example::
 
     paths l u
     sinks S+ S-
@@ -118,7 +118,8 @@ class Neg:
 
 Expr = Union[Num, Name, Call, BinOp, Neg]
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos}
+# The built-in constant and functions, which no let or binding may redefine.
+_BUILTINS = {"pi": math.pi, "sin": math.sin, "cos": math.cos}
 
 _EXPR_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[()+\-*/,]))"
@@ -204,7 +205,7 @@ class _ExprParser:
         tok = self.accept("name")
         if tok:
             name = tok[1]
-            if name in _FUNCTIONS:
+            if callable(_BUILTINS.get(name)):
                 if not self.accept("op", "("):
                     raise self._error(f"{name} needs an argument in parentheses")
                 arg = self.sum()
@@ -228,15 +229,15 @@ def eval_expr(expr: Expr, env: dict[str, float], line: int) -> float:
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Name):
-        if expr.ident == "pi":
-            return math.pi
+        if expr.ident in _BUILTINS:
+            return _BUILTINS[expr.ident]
         if expr.ident not in env:
             raise CompileError(line, f"unbound parameter: {expr.ident}")
         return float(env[expr.ident])
     if isinstance(expr, Call):
         arg = eval_expr(expr.arg, env, line)
         try:
-            return _FUNCTIONS[expr.fn](arg)
+            return _BUILTINS[expr.fn](arg)
         except ValueError:  # sin or cos of an infinity
             raise CompileError(line, f"{expr.fn}({arg!r}) is undefined") from None
     if isinstance(expr, Neg):
@@ -479,6 +480,8 @@ class _Parser:
             if m is None:
                 raise self.error(lineno, "malformed let binding", keyword)
             name = m.group(1)
+            if name in _BUILTINS:
+                raise self.error(lineno, f"cannot redefine built-in {name}", name, m.start(1))
             if name in self.let_names:
                 raise self.error(lineno, f"duplicate let binding: {name}", name, m.start(1))
             self.let_names.add(name)
@@ -739,6 +742,9 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     keep it with its count as one ``Repeat`` node; a repeat of one is its
     body, and an empty body is dropped."""
     env: dict[str, float] = dict(bindings or {})
+    builtin = sorted(_BUILTINS.keys() & env.keys())
+    if builtin:
+        raise ValueError(f"cannot bind built-in {', '.join(builtin)}")
     for let in ast.lets:
         env[let.name] = eval_expr(let.expr, env, let.line)
     # Elements and interactions of the unrolled program emitted so far.

@@ -22,14 +22,16 @@ block of inputs on the propagating rows (P paths) and is pure.  It splits
 the sequence at every atom interaction; each run of optical elements
 between two interactions is one 2P x 2P map on those rows, built by the
 kernels on the identity where the run is met and applied as one product
-(a repeat's body is met once).  An interaction moves its path's ``+`` row
-at m+ and ``-`` row at m- onto its sink rows, kept under the level they
-came from.  A ``Repeat`` node of a compiled program is not unrolled: its
-body, propagated once on the identity, is one 2P x 2P map per level and
-the rows its interactions read, and binary powers of that map give every
-copy's input in O(log count) products, from which one more product reads
-what every copy absorbed (a body that absorbs nothing needs only the
-map's count-th power).
+(a repeat's body is met once).  Under the run's mask each atom level is
+read or passes: an interaction moves its path's ``+`` row at m+ and ``-``
+row at m- onto its sink rows, kept under the level they came from, unless
+the mask holds that level; g and every masked level pass.  A ``Repeat``
+node of a compiled program is not unrolled: its body, propagated once on
+the identity, is one 2P x 2P map per level and the rows its interactions
+read.  Binary powers of that map, by repeated squaring, give each passing
+level its count-th power and each read level every copy's input in
+O(log count) products, from which one more product reads what every copy
+absorbed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import ABSENT_MASK, ATOM_LEVELS, BasisLayout, JointState
+from .state import ATOM_LEVELS, BasisLayout, JointState
 from .tolerances import NORM_TOL
 
 
@@ -229,26 +231,24 @@ def propagate(
     each of the L atom levels, (2P, L, k), through an element sequence or
     a compiled program.  Returns the propagating rows after it, (2P, L, k),
     and what each sink row absorbed from m+ and from m-, (S, 2, k).  Levels
-    in ``mask`` never interact, in addition to each interaction's own mask;
-    with ``ABSENT_MASK`` among them every interaction is skipped."""
+    in ``mask`` never interact, in addition to each interaction's own mask:
+    m+ and m- outside ``mask`` are read, and every other level passes."""
     n, n_levels, k = 2 * len(layout.paths), layout.n_levels, photons.shape[-1]
     if photons.shape != (n, n_levels, k):
         raise ValueError(f"photon block has shape {photons.shape}, not ({n}, {n_levels}, k)")
-    interacts = not ABSENT_MASK <= mask
-    # The interacting levels, (m+, m-), that ``mask`` leaves: (offset of the
-    # row each reads in a path block, level, level index), found at the
-    # first interaction.
-    levels: list[tuple[int, str, int]] = []
+    # The read levels: (offset of the row each reads in a path block, level,
+    # level index).
+    reads = [
+        (offset, level, layout.level_index(level))
+        for offset, level in enumerate(ATOM_LEVELS[:2])
+        if level not in mask
+    ]
 
     def advance(items: Iterable[Element | Repeat], block: np.ndarray):
         """``block``, (2P, L, c), after ``items``; what each interaction
         absorbed from m+ and from m-, (E, 2, c); and the two sink rows it
         absorbed into, (E, 2)."""
         c = block.shape[-1]
-        # Each level's c cells in a row of the flat block: a scalar index at
-        # c = 1, so that every move stays a scalar.
-        cells = [j if c == 1 else slice(j * c, (j + 1) * c) for j in range(block.shape[1])]
-        flat = block.reshape(n, -1)
         # The interactions met here one by one, then each repeat's copies.
         amps: list[np.ndarray] = []
         rows: list[tuple[int, int]] = []
@@ -264,86 +264,77 @@ def propagate(
                 m = np.eye(n, dtype=complex)
                 for optic in run:
                     _KERNELS[type(optic)](m, layout, optic)
-                flat = m.dot(flat)
+                block = m.dot(block.reshape(n, -1)).reshape(n, n_levels, c)
                 run = []
             if isinstance(el, Repeat):
-                out, copies, sink_rows = repeat(el, flat.reshape(block.shape))
-                flat = out.reshape(n, -1)
+                block, copies, sink_rows = repeat(el, block)
                 repeated.append((copies, sink_rows))
-            elif el is not None and interacts:
-                if not levels:
-                    levels.extend(
-                        (i, lev, layout.level_index(lev)) for i, lev in enumerate(ATOM_LEVELS[:2])
-                    )
+            elif el is not None and reads:
                 start = _block(layout, el.path).start
                 event = np.zeros((2, c), dtype=complex)
-                for offset, level, index in levels:
-                    if level not in el.transparency_mask and level not in mask:
-                        event[offset] = flat[start + offset, cells[index]]
-                        flat[start + offset, cells[index]] = 0.0
+                for offset, level, index in reads:
+                    if level not in el.transparency_mask:
+                        event[offset] = block[start + offset, index]
+                        block[start + offset, index] = 0.0
                 amps.append(event)
                 rows.append((_sink_row(layout, el.sink_plus), _sink_row(layout, el.sink_minus)))
         singles = np.array(amps, dtype=complex).reshape(-1, 2, c), np.array(rows, dtype=int).reshape(-1, 2)
         parts = [singles, *repeated]
         return (
-            flat.reshape(block.shape),
+            block,
             np.concatenate([part for part, _ in parts]),
             np.concatenate([part for _, part in parts]),
         )
 
     def repeat(node: Repeat, block: np.ndarray):
         """``advance`` through ``node.count`` copies of ``node.body``."""
-        apart, c = block.shape[1:]
-        count = node.count
-        # The body on the identity: its map per level, (L, 2P, 2P), and the
-        # row of the input that each of its interactions reads at m+ and m-.
-        identity = np.repeat(np.eye(n, dtype=complex)[:, None, :], apart, axis=1)
-        body, reads, sink_rows = advance(node.body, identity)
-        body, block = body.transpose(1, 0, 2), block.transpose(1, 0, 2)
-        if not len(reads):
-            # No copy absorbs: body^count block, by repeated squaring.
-            power = body
-            while count:
-                if count & 1:
-                    block = power @ block
-                count >>= 1
-                if count:
-                    power = power @ power
-            return block.transpose(1, 0, 2), np.zeros((0, 2, c), dtype=complex), sink_rows
-        # inputs[:, :, j] is copy j's input, body^j block, found by doubling:
-        # body^(2^i) carries the first 2^i inputs on to the next 2^i.
-        inputs = np.empty((apart, n, count, c), dtype=complex)
-        inputs[:, :, 0] = block
-        power, done = body, 1
-        while done < count:
-            step = min(done, count - done)
-            moved = inputs[:, :, done : done + step].reshape(apart, n, step * c)
-            np.matmul(power, inputs[:, :, :step].reshape(apart, n, step * c), out=moved)
-            done += step
-            if done < count:
+        count, c = node.count, block.shape[-1]
+        # The body on the identity: its map per level, and the row of the
+        # input that each of its interactions reads at m+ and m-.
+        identity = np.repeat(np.eye(n, dtype=complex)[:, None, :], n_levels, axis=1)
+        body, absorbs, sink_rows = advance(node.body, identity)
+        # The levels that the copies read, then those that pass.
+        order = [index for _, _, index in reads] if len(absorbs) else []
+        split = len(order)
+        order += [j for j in range(n_levels) if j not in order]
+        body, block = body.transpose(1, 0, 2)[order], block.transpose(1, 0, 2)[order]
+        # A passing level leaves as body^count block, by repeated squaring; a
+        # read level keeps copy j's input, body^j block, as inputs[:, :, j],
+        # by doubling: body^(2^i) carries the first 2^i inputs to the next 2^i.
+        passed, power = block[split:], body
+        if split:
+            inputs = np.empty((split, n, count, c), dtype=complex)
+            inputs[:, :, 0] = block[:split]
+        for i in range(count.bit_length()):
+            if i:
                 power = power @ power
-        out = (body @ inputs[:, :, -1]).transpose(1, 0, 2)
-        per_copy = len(reads)
-        copies = np.stack(
-            [reads[:, offset] @ inputs[index].reshape(n, count * c) for offset, _, index in levels],
-            axis=1,
-        )
+            if count >> i & 1:
+                passed = power[split:] @ passed
+            done = 1 << i
+            if split and done < count:
+                step = min(done, count - done)
+                moved = inputs[:, :, done : done + step].reshape(split, n, step * c)
+                np.matmul(power[:split], inputs[:, :, :step].reshape(split, n, step * c), out=moved)
+        if not split:  # every level passes, in its own order
+            return passed.transpose(1, 0, 2), np.zeros((0, 2, c), dtype=complex), sink_rows
+        out = np.empty((n_levels, n, c), dtype=complex)
+        out[order] = np.concatenate([body[:split] @ inputs[:, :, -1], passed])
+        per_copy = len(absorbs)
+        copies = np.zeros((per_copy, 2, count * c), dtype=complex)
+        for j, (offset, _, _) in enumerate(reads):
+            copies[:, offset] = absorbs[:, offset] @ inputs[j].reshape(n, count * c)
         copies = copies.reshape(per_copy, 2, count, c).transpose(2, 0, 1, 3).reshape(-1, 2, c)
         shifts = 2 * per_copy * np.arange(count)[:, None, None]
-        return out, copies, (sink_rows + shifts).reshape(-1, 2)
+        return out.transpose(1, 0, 2), copies, (sink_rows + shifts).reshape(-1, 2)
 
-    prop = np.array(photons, dtype=complex)
-    if not interacts:
-        # Every level takes the same maps: the levels ride side by side.
-        prop = prop.reshape(n, 1, n_levels * k)
-    prop, amps, rows = advance(elements, prop)
+    prop, amps, rows = advance(elements, np.array(photons, dtype=complex))
     absorbed = np.zeros((len(layout.sinks), 2, k), dtype=complex)
     if len(rows):
         if rows.max() >= layout.n_photon_modes:
             raise ValueError("a repeat's copies scatter past the sinks of the layout")
         for offset in range(2):
             np.add.at(absorbed, (rows[:, offset] - n, offset), amps[:, offset])
-    return prop.reshape(photons.shape), absorbed
+    return prop, absorbed
 
 
 def run_sequence(

@@ -228,7 +228,11 @@ class _Cavity(CompiledCircuit):
             levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
             maps = response[rows][:, levels].transpose(1, 0, 2)
             inside = first[rows][:, levels].T[..., None]
-            totals = np.linalg.solve(np.eye(len(rows)) - maps, inside)
+            # Later trips add only to a level that the first leaves light in:
+            # a closed entry mirror leaves none, and there I - T_l is singular.
+            lit = inside.any(axis=(1, 2))
+            totals = np.zeros_like(inside)
+            totals[lit] = np.linalg.solve(np.eye(len(rows)) - maps[lit], inside[lit])
             # Each level's column takes B_l times its total; the carried rows,
             # which would hold T_l times it, are empty once every trip is done.
             summed = response @ totals[..., 0].T

@@ -154,7 +154,7 @@ class BasisLayout:
             try:
                 stop = max(self.sinks.index(mode, indexed) + 1, 2 * indexed)
             except ValueError:
-                stop = len(self.sinks)
+                stop = indexed  # an unknown label indexes nothing
             rows = range(2 * len(self.paths) + indexed, 2 * len(self.paths) + stop)
             index.update(zip(self.sinks[indexed:stop], rows))
         try:
@@ -265,22 +265,18 @@ def _rank_one(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     if s[0] == 0.0:
         raise ValueError("cannot factor the zero state")
-    return u[:, 0], vh[0].copy()
+    return u[:, 0].copy(), vh[0].copy()
 
 
-def product_factors(state: JointState, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def product_factors(state: JointState) -> tuple[np.ndarray, np.ndarray]:
     """Factor a (sub-normalized) state into photon (x) atom unit vectors.
 
     Raises if the photon-atom amplitude matrix has rank > 1 beyond
     ``RANK_TOL``.  The product of the two factors times the state's norm
     reproduces the state up to a global phase absorbed into the photon
-    factor.  With ``rows`` (photon row indices or a slice) only those rows
-    are factored, and the photon factor is zero on every other row.
+    factor.
     """
-    photon_rows, atom = _rank_one(state.matrix()[rows])
-    photon = np.zeros(state.layout.n_photon_modes, dtype=complex)
-    photon[rows] = photon_rows
-    return photon, atom
+    return _rank_one(state.matrix())
 
 
 # ---------------------------------------------------------------------------

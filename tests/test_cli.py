@@ -368,6 +368,11 @@ class TestRun:
         assert code == 2
         assert "malformed binding" in err
 
+    def test_binding_of_pi_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "run", "mz", "--bind", "N=3", "--bind", "pi=0")
+        assert code == 2
+        assert "cannot bind built-in pi" in err
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_repeat_count(self, capsys, value):
         code, _, err = run_cli(capsys, "run", "mz", "--bind", f"N={value}")

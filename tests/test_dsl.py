@@ -180,6 +180,14 @@ class TestParser:
         with pytest.raises(ParseError, match="duplicate label: a"):
             parse(src)
 
+    @pytest.mark.parametrize("name", ["pi", "sin", "cos"])
+    def test_let_of_a_builtin_is_located(self, name):
+        # A let of pi would be ignored by every expression that reads pi.
+        src = MINIMAL.replace("atom a", f"let {name} = 0\nphase a pi\natom a")
+        with pytest.raises(ParseError, match=f"cannot redefine built-in {name}") as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.column, exc.value.token) == (5, 5, name)
+
     def test_declarations_not_allowed_in_repeat(self):
         src = MINIMAL.replace("atom a", "repeat 2 {\npaths b\n}")
         with pytest.raises(ParseError, match="not allowed inside repeat"):
@@ -320,6 +328,12 @@ class TestCompiler:
         ast = parse(load_golden("mz"))
         with pytest.raises(CompileError, match="unbound parameter: N"):
             compile_circuit(ast)
+
+    @pytest.mark.parametrize("name", ["pi", "sin", "cos"])
+    def test_binding_of_a_builtin_is_refused(self, name):
+        ast = parse(load_golden("mz"))
+        with pytest.raises(ValueError, match=f"cannot bind built-in {name}"):
+            compile_circuit(ast, {"N": 3, name: 0.0})
 
     def test_non_unitary_bs_cites_line(self):
         src = (
@@ -917,6 +931,25 @@ class TestDoubledRepeats:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    def test_copies_keep_inputs_at_read_levels_only(self, monkeypatch):
+        # Each copy's input is kept at m+ and m- unless masked: g and the
+        # masked levels pass as body^count, and an absent atom keeps none.
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 64})
+        kept, empty = [], np.empty
+
+        def recorded(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            if array.ndim == 4:
+                kept.append(array.shape)
+            return array
+
+        monkeypatch.setattr(np, "empty", recorded)
+        for mask, levels in zip(self.MASKS, ([2], [1], [1], [])):
+            kept.clear()
+            circuit.level_response(mask)
+            assert [shape[0] for shape in kept] == levels, mask
+            assert all(shape[1:] == (4, 64, 1) for shape in kept), mask
 
     def test_a_chain_of_a_hundred_thousand_stages(self):
         n = 10**5

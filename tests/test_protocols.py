@@ -529,6 +529,19 @@ class TestFabryPerot:
         out = run_fabry_perot(r, t, r, t, AtomSpec(present=False), eps=1e-22)
         assert abs(out.details["transmitted"] - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "atom",
+        [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask=frozenset({"m+"})), AtomSpec(0.6, 0.8)],
+    )
+    def test_closed_cavity_reflects_everything(self, atom):
+        # A closed entry mirror lets nothing in: the first trip leaves no
+        # light inside, where I - T_l is singular for a level that passes.
+        out = run_fabry_perot(1.0, 0.0, 1.0, 0.0, atom)
+        assert out.details["reflected"] == pytest.approx(1.0, abs=1e-15)
+        assert out.details["transmitted"] == 0.0
+        assert out.details["round_trips"] == 1
+        assert out.exit_polarization == "x"
+
     def test_compiled_once_per_mirror_binding(self, monkeypatch):
         calls = []
 

@@ -73,6 +73,16 @@ class TestLayout:
         with pytest.raises(ValueError, match="unknown atom level"):
             layout.level_index("e")
 
+    def test_unknown_sink_indexes_nothing(self):
+        # Sinks are indexed lazily in order; a miss must not index them all.
+        layout = make_layout(["l", "u"], [f"S{i}" for i in range(8000)], LEVELS)
+        assert layout.photon_index("S2") == 6
+        indexed = len(layout._photon_index)
+        with pytest.raises(ValueError, match="unknown photon mode: 'S#bogus'"):
+            layout.photon_index("S#bogus")
+        assert len(layout._photon_index) == indexed
+        assert layout.photon_index("S7999") == 8003
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate path label: 'l'"):
             make_layout(["l", "l"], [], LEVELS)
