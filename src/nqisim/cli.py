@@ -219,7 +219,11 @@ def cmd_nogo_check(args) -> Rows:
 def cmd_run(args) -> Rows | None:
     path = Path(args.circuit)
     if path.exists():
-        source = path.read_text()
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise SystemExit2(f"cannot read {args.circuit}: {reason}") from None
     elif args.circuit in dsl.golden_names():
         source = dsl.load_golden(args.circuit)
     else:

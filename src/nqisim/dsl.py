@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterable, Sequence, Union
 
@@ -60,8 +60,11 @@ from .state import (
     BRANCH_LABELS,
     AtomSpec,
     BasisLayout,
+    JointState,
     ProtocolOutcome,
     _aimed_photon,
+    _branch_rows,
+    _factor_rows,
     make_layout,
     score_outcome,
 )
@@ -620,26 +623,40 @@ def print_circuit(ast: CircuitAst) -> str:
 # Compiler
 
 
+@dataclass(frozen=True, eq=False)
+class _MaskRecord:
+    """What a compiled circuit keeps for one transparency mask, made by
+    its first run: the level response, read-only; the squared norms of its
+    m+ and its m- column over each branch's rows (``branch_weights``); the
+    non-zero rows of the success and failure branches, which a run scales
+    and factors (``run_compiled``); and, for the cavity, the powers of its
+    round-trip maps with the columns they act on (``protocols._Cavity``)."""
+
+    response: np.ndarray
+    weights: dict[str, tuple[float, float]]
+    # Per label: (position in the branch, m+ response, m- response) of each
+    # non-zero path row, then of each non-zero sink row.
+    scored: dict[str, tuple[list, list]]
+    trips: tuple[list[np.ndarray], np.ndarray] | None
+
+
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A compiled circuit with, per transparency mask, its level response:
-    one propagation, each absorbed amplitude under the level it came from."""
+    one propagation, each absorbed amplitude under the level it came from,
+    kept with what a run reads from it."""
 
     layout: BasisLayout
     # Elements and ``Repeat`` nodes, each interaction named with its sink
     # pair (a repeat body's with its first copy's); ``elements`` unrolls it.
     program: tuple[Element | Repeat, ...]
-    # Photon rows of each branch label, in increasing order: the classify
-    # statement compiled against the layout.
+    # Photon rows of each branch label, in increasing order and read-only:
+    # the classify statement compiled against the layout.
     branches: dict[str, np.ndarray] = field(compare=False)
     input_path: str
     input_pol: str
-    # Level responses by transparency mask, and the branch weights read
-    # from each; see run_compiled.
-    _responses: dict[frozenset[str], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _weights: dict[frozenset[str], dict[str, tuple[float, float]]] = field(
+    # One record per transparency mask, made by its first run.
+    _masks: dict[frozenset[str], _MaskRecord] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -676,33 +693,44 @@ class CompiledCircuit:
         response[:n], response[n:, levels] = propagate(layout, self.program, photons, mask=mask)
         return response
 
+    def _record(self, mask: frozenset[str]) -> _MaskRecord:
+        """The record of ``mask``, made on first use from one response."""
+        record = self._masks.get(mask)
+        if record is None:
+            response, trips = self._respond(mask)
+            response.flags.writeable = False
+            layout = self.layout
+            plus, minus, _ = layout._level_roles
+            squares = response.real**2 + response.imag**2
+            weights = {
+                label: (float(squares[rows, plus].sum()), float(squares[rows, minus].sum()))
+                for label, rows in self.branches.items()
+            }
+            scored = {
+                label: _branch_rows(layout, rows, response[rows], (plus, minus))
+                for label, rows in self.branches.items()
+                if label in ("success", "failure")
+            }
+            record = self._masks[mask] = _MaskRecord(response, weights, scored, trips)
+        return record
+
+    def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, None]:
+        """The level response under ``mask``, from one propagation of the
+        input photon, and no round-trip maps."""
+        return self._aimed_response([(self.input_path, self.input_pol)], mask)[..., 0], None
+
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
         """Final (photon mode, level) matrix for the input photon times the
         atom m+ = m- = 1, propagated once per transparency mask and kept,
         read-only; a sink row keeps what it absorbed under the level it
         came from.  An absent atom has the mask ``state.ABSENT_MASK``."""
-        response = self._responses.get(mask)
-        if response is None:
-            response = self._aimed_response([(self.input_path, self.input_pol)], mask)[..., 0]
-            response.flags.writeable = False
-            self._responses[mask] = response
-        return response
+        return self._record(mask).response
 
     def branch_weights(self, mask: frozenset[str]) -> dict[str, tuple[float, float]]:
         """Per branch label, the squared norms of the m+ and of the m-
         column of ``level_response(mask)`` over its rows, computed once per
         mask."""
-        weights = self._weights.get(mask)
-        if weights is None:
-            response = self.level_response(mask)
-            squares = response.real**2 + response.imag**2
-            plus, minus = (squares[:, self.layout.level_index(level)] for level in ATOM_LEVELS[:2])
-            weights = {
-                label: (float(plus[rows].sum()), float(minus[rows].sum()))
-                for label, rows in self.branches.items()
-            }
-            self._weights[mask] = weights
-        return weights
+        return self._record(mask).weights
 
     def amplitudes(self, atom: AtomSpec, rows=slice(None)) -> np.ndarray:
         """The final (photon mode, level) amplitudes of ``atom``'s run on the
@@ -733,7 +761,8 @@ def _unrolled(program: Iterable[Element | Repeat]) -> Iterable[Element]:
 # repeat stays one node, so the cost is each interaction's own sink pair:
 # mz.nqi at N = 10^5 (900,000 elements, 200,000 interactions) holds 29 MB
 # once compiled, nearly all of it its 400,000 sink labels, and 49 MB with
-# the level response of one mask (tracemalloc).
+# the record of one mask, after a peak of 74 MB while it is made
+# (tracemalloc).
 _MAX_ELEMENTS = 1_000_000
 
 
@@ -805,10 +834,13 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     groups: dict[str, list[np.ndarray]] = {}
     for port, port_block in port_rows.items():
         groups.setdefault(labels[port], []).append(port_block)
+    branches = {label: np.concatenate(parts) for label, parts in groups.items()}
+    for branch in branches.values():
+        branch.flags.writeable = False
     return CompiledCircuit(
         layout=layout,
         program=tuple(program),
-        branches={label: np.concatenate(parts) for label, parts in groups.items()},
+        branches=branches,
         input_path=ast.input_path,
         input_pol=ast.input_pol,
     )
@@ -828,26 +860,44 @@ def run_compiled(
     keeps what it absorbed from m+, scaled by alpha and its m- column by
     beta.  A branch's probability is |alpha|^2 P + |beta|^2 M, from the
     squared norms P and M of the two columns over its rows
-    (``CompiledCircuit.branch_weights``, once per mask).  ``score_outcome``
-    checks conservation on those and builds only the rows of the branch it
-    factors (``CompiledCircuit.amplitudes``): R diag(alpha, beta) on its
-    path rows and a g column on its sink rows, whose photon and atom
-    factors it takes in closed form, with no SVD.  So a run costs the same
-    at every chain length; the dense ``final_state``, each sink row's
-    amplitude at g, is built on first access.
+    (``CompiledCircuit.branch_weights``).  The branch that ``score_outcome``
+    factors is read from its non-zero rows, kept as plain (m+, m-) pairs
+    in the same per-mask record: a path row becomes (alpha m+, beta m-)
+    and a sink row alpha m+ + beta m- at g, whose photon and atom factors
+    ``state._factor_rows`` takes in closed form.  So a run builds no array
+    but the atom factor and costs the same at every chain length; the
+    dense ``final_state``, each sink row's amplitude at g
+    (``CompiledCircuit.amplitudes``), is built on first access.  These
+    products are Python's, which round each part of a complex product
+    once more than numpy's fused ones may: where a response entry has
+    both a real and an imaginary part, the factors can differ in the last
+    bit from those ``assemble_outcome`` takes from ``final_state``.
     """
     layout = circuit.layout
-    a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
-    probs = {
-        label: a2 * plus + b2 * minus
-        for label, (plus, minus) in circuit.branch_weights(atom.transparency_mask).items()
-    }
+    record = circuit._record(atom.transparency_mask)
+    alpha, beta = atom.alpha, atom.beta
+    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+    probs = {label: a2 * plus + b2 * minus for label, (plus, minus) in record.weights.items()}
+
+    def factors(label: str) -> tuple[list[complex], np.ndarray]:
+        path, sink = record.scored[label]
+        return _factor_rows(
+            layout,
+            len(circuit.branches[label]),
+            [(i, alpha * p, beta * m) for i, p, m in path],
+            [(i, alpha * p + beta * m) for i, p, m in sink],
+        )
+
+    plus, minus, _ = layout._level_roles
+    init = [0j] * layout.n_levels
+    init[plus], init[minus] = alpha, beta
     return score_outcome(
         layout,
         circuit.branches,
         probs,
-        partial(circuit.amplitudes, atom),
-        atom.level_vector(layout),
+        factors,
+        init,
+        lambda: JointState(layout, circuit.amplitudes(atom).reshape(-1)),
         prob_tol=prob_tol,
     )
 

@@ -25,14 +25,15 @@ per chain length.  The compiled chain keeps its ``repeat N`` as one node,
 which that propagation runs by doubling the stage's map (``elements``): it
 takes O(log N) products, plus the O(N) sink rows it writes.  Each branch's
 probability comes from two squared norms per mask
-(``CompiledCircuit.branch_weights``), and a run builds only the rows of
-the branch it factors, which ``score_outcome`` factors in closed form from
-their two level columns, with no SVD: the runners read the rows they
-report (``CompiledCircuit.amplitudes``), and an outcome's dense
-``final_state`` is built only when it is read.  The cavity's level
-response sums every later round trip in closed form onto the first
-trip's, from one propagation of the input and each row it carries between
-trips.
+(``CompiledCircuit.branch_weights``), and the branch a run factors comes
+from its non-zero rows, kept per mask as plain (m+, m-) pairs that the
+run scales by alpha and beta and ``score_outcome`` factors in closed
+form, with no SVD: a run builds no array but the atom factor.  Only the
+runners' ``details`` read amplitude rows (``CompiledCircuit.amplitudes``),
+and an outcome's dense ``final_state`` is built only when it is read.
+The cavity's level response sums every later round trip in closed form
+onto the first trip's, from one propagation of the input and each row it
+carries between trips.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -56,8 +57,8 @@ trip to the first, B (I - T)^-1 v per atom level for the beam v that the
 first trip leaves inside: the geometric series behind the paper's i r and
 t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
 ``fp.nqi`` leaves less than ``eps`` inside, found from powers of the trip
-maps that are kept per mask; its exits add coherently, so they miss an
-amplitude tail of order sqrt(eps)/(1 - r r'), not eps.
+maps that each mask's record keeps; its exits add coherently, so they
+miss an amplitude tail of order sqrt(eps)/(1 - r r'), not eps.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
     level responses.  Long chains reuse three ``mz`` circuits; a sweep over
     N misses at any bound, and a larger one multiplies the worst case
     (``mz`` at N = 10^5 holds 29 MB once compiled, nearly all of it its sink
-    labels, and 49 MB once run at one mask, after a peak of 81 MB during
+    labels, and 49 MB once run at one mask, after a peak of 74 MB during
     that first run: tracemalloc).
     """
     return compile_circuit(_golden(name), bindings)
@@ -122,12 +123,20 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
 # Direct interaction and the two-pass opacity demonstration
 
 
+@functools.lru_cache(maxsize=len(POL_STATES))
+def _direct(polarization: str) -> CompiledCircuit:
+    """``direct.nqi`` aimed at the ``POL_STATES`` polarization
+    ``polarization``, kept with its level responses."""
+    return dataclasses.replace(_circuit("direct"), input_pol=polarization)
+
+
 def run_direct(polarization: str, atom: AtomSpec) -> JointState:
     """One pass of a photon with the ``POL_STATES`` polarization
     ``polarization`` through the atom of ``direct.nqi``; returns the full
     joint state (no post-selection)."""
-    circuit = dataclasses.replace(_circuit("direct"), input_pol=polarization)
-    return run_compiled(circuit, atom).final_state
+    if polarization not in POL_STATES:
+        raise ValueError(f"unknown polarization: {polarization!r}")
+    return run_compiled(_direct(polarization), atom).final_state
 
 
 def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
@@ -191,7 +200,6 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 # Fabry-Perot cavity
 
 
-@dataclasses.dataclass(frozen=True)
 class _Cavity(CompiledCircuit):
     """``fp.nqi`` at K = 1, whose level response sums every round trip.
     The trip's only inexact elements are its two mirrors: its half turn,
@@ -204,51 +212,44 @@ class _Cavity(CompiledCircuit):
     the emptied input path or on the exits, so the response is the one-trip
     response plus B_l (I - T_l)^-1 v_l, with the carried rows emptied: T_l
     and B_l are one trip aimed at each carried row, propagated in one block
-    with the input.
+    with the input.  Each mask's record also keeps the powers T_l^(2^j),
+    from T_l itself, that ``_fp_round_trips`` squares on as far as an atom
+    needs, and the columns v_l that ``trips`` scales.
     """
 
-    # Per mask: the powers T_l^(2^j), from T_l itself, that
-    # ``_fp_round_trips`` squares on as far as an atom needs, and the
-    # columns v_l that ``trips`` scales.
-    _trips: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def level_response(self, mask: frozenset[str]) -> np.ndarray:
-        if mask not in self._responses:
-            layout = self.layout
-            # At K = 1 the program is the trip written out: a repeat of one
-            # compiles to its body.
-            touched = {p for el in self.program if isinstance(el, Relabel) for p in (el.src, el.dst)}
-            carried = [p for p in layout.paths if p not in touched]
-            aims = [(self.input_path, self.input_pol)]
-            aims += [(path, pol) for path in carried for pol in layout.polarizations]
-            block = self._aimed_response(aims, mask)
-            rows = np.r_[tuple(layout.path_block[p] for p in carried)]
-            # response[..., j] is one trip's output for carried row j.
-            first, response = block[..., 0], np.ascontiguousarray(block[..., 1:])
-            levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
-            maps = response[rows][:, levels].transpose(1, 0, 2)
-            inside = first[rows][:, levels].T[..., None]
-            # Later trips add only to a level that the first leaves light in:
-            # a closed entry mirror leaves none, and there I - T_l is singular.
-            lit = inside.any(axis=(1, 2))
-            totals = np.zeros_like(inside)
-            totals[lit] = np.linalg.solve(np.eye(len(rows)) - maps[lit], inside[lit])
-            # Each level's column takes B_l times its total; the carried rows,
-            # which would hold T_l times it, are empty once every trip is done.
-            summed = response @ totals[..., 0].T
-            final = first.copy()
-            final[:, levels] += summed[:, levels, [0, 1]]
-            final[rows] = 0.0
-            final.flags.writeable = False
-            self._trips[mask], self._responses[mask] = ([maps], inside), final
-        return self._responses[mask]
+    def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, tuple]:
+        layout = self.layout
+        # At K = 1 the program is the trip written out: a repeat of one
+        # compiles to its body.
+        touched = {p for el in self.program if isinstance(el, Relabel) for p in (el.src, el.dst)}
+        carried = [p for p in layout.paths if p not in touched]
+        aims = [(self.input_path, self.input_pol)]
+        aims += [(path, pol) for path in carried for pol in layout.polarizations]
+        block = self._aimed_response(aims, mask)
+        rows = np.r_[tuple(layout.path_block[p] for p in carried)]
+        # response[..., j] is one trip's output for carried row j.
+        first, response = block[..., 0], np.ascontiguousarray(block[..., 1:])
+        levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
+        maps = response[rows][:, levels].transpose(1, 0, 2)
+        inside = first[rows][:, levels].T[..., None]
+        # Later trips add only to a level that the first leaves light in:
+        # a closed entry mirror leaves none, and there I - T_l is singular.
+        lit = inside.any(axis=(1, 2))
+        totals = np.zeros_like(inside)
+        totals[lit] = np.linalg.solve(np.eye(len(rows)) - maps[lit], inside[lit])
+        # Each level's column takes B_l times its total; the carried rows,
+        # which would hold T_l times it, are empty once every trip is done.
+        summed = response @ totals[..., 0].T
+        final = first.copy()
+        final[:, levels] += summed[:, levels, [0, 1]]
+        final[rows] = 0.0
+        return final, ([maps], inside)
 
     def trips(self, atom: AtomSpec) -> tuple[list[np.ndarray], np.ndarray]:
         """The kept powers T_l^(2^j) of the maps T_l, stacked, and the
         columns v_l that ``atom`` leaves on the carried rows after the
         first trip."""
-        self.level_response(atom.transparency_mask)
-        powers, inside = self._trips[atom.transparency_mask]
+        powers, inside = self._record(atom.transparency_mask).trips
         return powers, np.array([atom.alpha, atom.beta])[:, None, None] * inside
 
 

@@ -11,11 +11,13 @@ photon of one ``POL_STATES`` polarization on an input path, times the
 atom superposition, and ``score_outcome`` scores a run by its three exits
 (``BRANCH_LABELS``: success, failure, absorbed), whose photon rows each
 circuit groups once as ``CompiledCircuit.branches``.  It takes the branch
-probabilities and reads the amplitudes of one exit, which it factors into
-photon (x) atom in closed form: the levels never mix, so the exit's path
-rows hold m+ and m- and its sink rows g, and the factors follow from 2 x 2
-data with no SVD.  ``assemble_outcome`` is its front end for a dense final
-state.  ``product_factors`` keeps the SVD for a general dense state.
+probabilities and the photon (x) atom factors of one exit, which one core
+(``_factor_rows``) takes in closed form from the exit's non-zero rows as
+plain tuples: the levels never mix, so the exit's path rows hold m+ and m-
+and its sink rows g, and the factors follow from 2 x 2 data with no SVD.
+``assemble_outcome`` is its front end for a dense final state, whose exit
+rows ``_branch_factors`` gathers.  ``product_factors`` keeps the SVD for a
+general dense state.
 """
 
 from __future__ import annotations
@@ -123,13 +125,9 @@ class BasisLayout:
         return {lev: i for i, lev in enumerate(self.atom_levels)}
 
     @cached_property
-    def _level_roles(self) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
-        """The indices of m+, m- and g, then those of the levels that a
-        path row and that a sink row never hold (``_branch_factors``)."""
-        plus, minus, g = map(self.level_index, ATOM_LEVELS)
-        levels = range(self.n_levels)
-        path_strays = tuple(k for k in levels if k not in (plus, minus))
-        return plus, minus, g, path_strays, tuple(k for k in levels if k != g)
+    def _level_roles(self) -> tuple[int, int, int]:
+        """The indices of m+, m- and g."""
+        return tuple(map(self.level_index, ATOM_LEVELS))
 
     @property
     def n_photon_modes(self) -> int:
@@ -366,31 +364,19 @@ class ProtocolOutcome:
         return self.build_final_state()
 
 
-def _branch_factors(
-    layout: BasisLayout, rows: np.ndarray, amps: np.ndarray
-) -> tuple[list[complex], np.ndarray]:
-    """The unit photon and atom factors of a branch's (photon rows, levels)
-    block ``amps`` on the photon rows ``rows``, as ``_rank_one`` takes them
-    but in closed form: the levels never mix, so the path rows hold
-    amplitude only at m+ and m- (the rows x 2 block P) and the sink rows
-    only at g (the column s), and the block's singular values are P's s1 and
-    s2 and ||s||.
-
-    s1 s2 is the root of the sum of P's squared 2 x 2 minors (Cauchy-Binet),
-    which keeps s2 to an absolute 1e-16 where the Gram determinant would
-    leave 1e-8, and s1^2 + s2^2 is P's squared norm.  P's leading right
-    vector v comes from the better-conditioned row of the 2 x 2 Gram, and
-    the photon factor on the path rows is P v / s1.  Raises ``ValueError``
-    on amplitude outside that structure, at a second singular value above
-    ``RANK_TOL`` or on the zero block.  The photon factor is a list over
-    ``rows``; the atom factor, on every level, is the only array built.
-    """
-    plus, minus, g, path_strays, sink_strays = layout._level_roles
+def _branch_rows(
+    layout: BasisLayout, rows: np.ndarray, amps: np.ndarray, sink_levels: tuple[int, ...]
+) -> tuple[list[tuple[int, complex, complex]], list[tuple]]:
+    """The non-zero rows of a branch's (photon rows, levels) block ``amps``
+    on the photon rows ``rows``: (position in ``rows``, m+ cell, m- cell)
+    of each path row and (position, its cells at ``sink_levels``) of each
+    sink row.  Raises ``ValueError`` on amplitude at any other level."""
+    plus, minus, _ = layout._level_roles
     n = 2 * len(layout.paths)
-    # (position in rows, m+ and m- amplitudes) of each non-zero path row,
-    # (position, g amplitude) of each non-zero sink row.
-    path: list[tuple[int, complex, complex]] = []
-    sink: list[tuple[int, complex]] = []
+    path, sink = [], []
+    levels = range(layout.n_levels)
+    path_strays = tuple(k for k in levels if k not in (plus, minus))
+    sink_strays = tuple(k for k in levels if k not in sink_levels)
     for i, (row, cells) in enumerate(zip(rows.tolist(), amps.tolist())):
         if row < n:
             strays = path_strays
@@ -398,13 +384,50 @@ def _branch_factors(
                 path.append((i, cells[plus], cells[minus]))
         else:
             strays = sink_strays
-            if cells[g]:
-                sink.append((i, cells[g]))
+            values = [cells[k] for k in sink_levels]
+            if any(values):
+                sink.append((i, *values))
         for k in strays:
             if cells[k]:
                 level = layout.atom_levels[k]
                 raise ValueError(f"photon row {row} has amplitude at level {level!r}")
+    return path, sink
 
+
+def _branch_factors(
+    layout: BasisLayout, rows: np.ndarray, amps: np.ndarray
+) -> tuple[list[complex], np.ndarray]:
+    """The unit photon and atom factors of a branch's (photon rows, levels)
+    block ``amps`` on the photon rows ``rows``, as ``_rank_one`` takes them
+    but in closed form (``_factor_rows``): the levels never mix, so the
+    path rows hold amplitude only at m+ and m- and the sink rows only at g.
+    Raises ``ValueError`` on amplitude outside that structure, at a second
+    singular value above ``RANK_TOL`` or on the zero block."""
+    g = layout._level_roles[2]
+    return _factor_rows(layout, len(amps), *_branch_rows(layout, rows, amps, (g,)))
+
+
+def _factor_rows(
+    layout: BasisLayout,
+    size: int,
+    path: list[tuple[int, complex, complex]],
+    sink: list[tuple[int, complex]],
+) -> tuple[list[complex], np.ndarray]:
+    """The unit photon and atom factors of a branch of ``size`` photon rows
+    whose non-zero rows are ``path``, (position, m+, m-) -- the rows x 2
+    block P -- and ``sink``, (position, g) -- the column s: the block's
+    singular values are P's s1 and s2 and ||s||.
+
+    s1 s2 is the root of the sum of P's squared 2 x 2 minors (Cauchy-Binet),
+    which keeps s2 to an absolute 1e-16 where the Gram determinant would
+    leave 1e-8, and s1^2 + s2^2 is P's squared norm.  P's leading right
+    vector v comes from the better-conditioned row of the 2 x 2 Gram, and
+    the photon factor on the path rows is P v / s1.  Raises ``ValueError``
+    at a second singular value above ``RANK_TOL`` or on the zero block.
+    The photon factor is a list over the branch's rows; the atom factor, on
+    every level, is the only array built.
+    """
+    plus, minus, g = layout._level_roles
     aa = bb = det2 = sink2 = 0.0
     c = 0j
     for j, (_, a, b) in enumerate(path):
@@ -429,7 +452,7 @@ def _branch_factors(
     if lead == 0.0:
         raise ValueError("cannot factor the zero state")
 
-    photon = [0j] * len(amps)
+    photon = [0j] * size
     atom = np.zeros(layout.n_levels, dtype=complex)
     if s_sink > s1:
         for i, z in sink:
@@ -475,26 +498,25 @@ def score_outcome(
     layout: BasisLayout,
     branches: dict[str, np.ndarray],
     probs: dict[str, float],
-    amplitudes: Callable[..., np.ndarray],
-    atom_init: np.ndarray,
+    factors: Callable[[str], tuple[list[complex], np.ndarray]],
+    atom_init: Sequence[complex],
+    final_state: Callable[[], JointState],
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
-    """Score a run from its branch probabilities ``probs`` and its final
-    amplitudes on request: ``amplitudes(rows)`` is the (photon rows,
-    levels) matrix on the photon rows ``rows`` (an index array, or
-    ``slice(None)`` for the dense state).
+    """Score a run from its branch probabilities ``probs`` and, on request,
+    the factors of one branch: ``factors(label)`` is the unit photon factor
+    over the photon rows ``branches[label]`` and the unit atom factor
+    (``_factor_rows``), or a ``ValueError`` if the branch is not a product.
 
     ``branches`` maps branch labels to photon row index arrays; a label
     ``probs`` lacks has probability zero, and the probabilities must sum
-    to one within ``prob_tol``.  Only one branch's rows are read: the
-    success rows, factored into the post-selected atom state, its fidelity
-    to ``atom_init`` (normalized here) and the exit polarization, or
-    failing that the failure rows, which name the exit polarization alone
-    ("mixed" if they are not a product).  A branch is factored in closed
-    form from its path rows' m+ and m- columns and its sink rows' g column
-    (``_branch_factors``), in plain Python arithmetic with no SVD; a
-    success branch that is not a product, or holds amplitude outside that
-    structure, raises ``ValueError``.
+    to one within ``prob_tol``.  Only one branch is factored: the success
+    branch, into the post-selected atom state, its fidelity to
+    ``atom_init`` (the initial amplitude of each level, normalized here)
+    and the exit polarization, or failing that the failure branch, which
+    names the exit polarization alone ("mixed" if it is not a product); a
+    success branch that is not a product raises ``ValueError``.  The
+    outcome's ``final_state`` is ``final_state()``, called on first access.
     """
     if not 0.0 <= prob_tol < math.inf:
         raise ValueError(f"prob_tol must be finite and non-negative, got {prob_tol!r}")
@@ -509,23 +531,20 @@ def score_outcome(
     success_fid = None
     exit_pol = "none"
     if probs["success"] > PROB_TOL:
-        rows = branches["success"]
-        photon, success_atom = _branch_factors(layout, rows, amplitudes(rows))
-        init = atom_init.tolist()
-        init2 = sum(z.real * z.real + z.imag * z.imag for z in init)
+        photon, success_atom = factors("success")
+        init2 = sum(z.real * z.real + z.imag * z.imag for z in atom_init)
         if not 0.0 < init2 < math.inf:
             raise ValueError("atom_init must be a finite non-zero vector")
-        overlap = sum(a.conjugate() * z for a, z in zip(success_atom.tolist(), init))
+        overlap = sum(a.conjugate() * z for a, z in zip(success_atom.tolist(), atom_init))
         success_fid = min(abs(overlap) ** 2 / init2, 1.0)
-        exit_pol = _exit_label(layout, rows, photon)
+        exit_pol = _exit_label(layout, branches["success"], photon)
     elif probs["failure"] > PROB_TOL:
-        rows = branches["failure"]
         try:
-            photon, _ = _branch_factors(layout, rows, amplitudes(rows))
+            photon, _ = factors("failure")
         except ValueError:
             exit_pol = "mixed"
         else:
-            exit_pol = _exit_label(layout, rows, photon)
+            exit_pol = _exit_label(layout, branches["failure"], photon)
 
     return ProtocolOutcome(
         success_prob=probs["success"],
@@ -534,7 +553,7 @@ def score_outcome(
         success_atom_state=success_atom,
         success_fidelity=success_fid,
         exit_polarization=exit_pol,
-        build_final_state=lambda: JointState(layout, amplitudes(slice(None)).reshape(-1)),
+        build_final_state=final_state,
     )
 
 
@@ -545,11 +564,17 @@ def assemble_outcome(
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
     """Branch probabilities of a dense final state, each the squared norm
-    of its branch's photon rows, scored by ``score_outcome``; the
-    outcome's ``final_state`` is ``final``'s amplitudes."""
+    of its branch's photon rows, scored by ``score_outcome`` on those rows
+    (``_branch_factors``); the outcome's ``final_state`` is ``final``."""
+    layout = final.layout
     mat = final.matrix()
-    all_rows = np.arange(final.layout.n_photon_modes)
+    all_rows = np.arange(layout.n_photon_modes)
     rows = {label: all_rows[branch] for label, branch in branches.items()}
     parts = {label: mat[rows[label]] for label in BRANCH_LABELS if label in rows}
     probs = {label: float(np.vdot(part, part).real) for label, part in parts.items()}
-    return score_outcome(final.layout, rows, probs, mat.__getitem__, atom_init, prob_tol)
+
+    def factors(label: str) -> tuple[list[complex], np.ndarray]:
+        return _branch_factors(layout, rows[label], parts[label])
+
+    init = np.asarray(atom_init).tolist()
+    return score_outcome(layout, rows, probs, factors, init, lambda: final, prob_tol)

@@ -358,6 +358,21 @@ class TestRun:
         assert code == 2
         assert "no such circuit" in err
 
+    def test_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_non_utf8_file_is_a_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.nqi"
+        bad.write_bytes(b"paths a\n\xff\n")
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "can't decode byte 0xff" in err
+
     def test_missing_binding(self, capsys):
         code, _, err = run_cli(capsys, "run", "mz")
         assert code == 2

@@ -1,11 +1,13 @@
 """Circuit language: parser, canonical printer, compiler, golden circuits."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
 import string
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1051,3 +1053,48 @@ class TestBranchWeights:
         assert "final_state" not in vars(out)
         assert out.final_state.layout.n_photon_modes == 2 * 2 + 2 * 2 * 2000
         assert "final_state" in vars(out)
+
+    def test_warm_run_reads_no_amplitudes(self, monkeypatch):
+        # A warm run scores from the rows kept per mask; only the dense
+        # final state reads the amplitudes.
+        calls = []
+        amplitudes = dsl.CompiledCircuit.amplitudes
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return amplitudes(self, *args, **kwargs)
+
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 64})
+        for mask in (frozenset(), frozenset({"m+"}), ABSENT_MASK):
+            run_compiled(circuit, AtomSpec(0.6, 0.8j, transparency_mask=mask))
+        monkeypatch.setattr(dsl.CompiledCircuit, "amplitudes", counted)
+        for mask, atom in itertools.product(
+            (frozenset(), frozenset({"m+"}), ABSENT_MASK), haar_random_atoms(3, seed=2)
+        ):
+            out = run_compiled(circuit, AtomSpec(atom.alpha, atom.beta, transparency_mask=mask))
+        assert calls == []
+        assert out.final_state.layout is circuit.layout
+        assert len(calls) == 1
+
+    def test_record_is_freed_with_its_circuit(self):
+        # Each mask's record lives on its circuit, and nothing else keeps it.
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 8})
+        out = run_compiled(circuit, AtomSpec(0.6, 0.8))
+        refs = [weakref.ref(circuit), weakref.ref(circuit._masks[frozenset()])]
+        del circuit, out
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_branch_rows_are_read_only(self):
+        # A write would leave the kept branch weights scoring other rows.
+        mirrors = {"T": 0.6, "R": 0.8, "TP": 0.6, "RP": 0.8, "K": 2}
+        bindings = {"direct": {}, "twopass": {}, "mz": {"N": 3}, "fp": mirrors}
+        for name, binding in bindings.items():
+            for rows in compile_circuit(parse(load_golden(name)), binding).branches.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[:] = 0
+        circuit = protocols.mz_circuit(3)
+        with pytest.raises(ValueError, match="read-only"):
+            circuit.branches["success"][:] = [2, 3]
+        out = run_mz_chain(3, AtomSpec())
+        assert out.success_prob == pytest.approx(mz_closed_form(3), abs=1e-15)
