@@ -63,7 +63,6 @@ from .state import (
     JointState,
     ProtocolOutcome,
     _aimed_photon,
-    _branch_rows,
     _factor_rows,
     make_layout,
     score_outcome,
@@ -627,17 +626,19 @@ def print_circuit(ast: CircuitAst) -> str:
 class _MaskRecord:
     """What a compiled circuit keeps for one transparency mask, made by
     its first run: the level response, read-only; the squared norms of its
-    m+ and its m- column over each branch's rows (``branch_weights``); the
-    non-zero rows of the success and failure branches, which a run scales
-    and factors (``run_compiled``); and, for the cavity, the powers of its
-    round-trip maps with the columns they act on (``protocols._Cavity``)."""
+    m+ and its m- column over each branch's rows (``branch_weights``); for
+    the cavity, the powers of its round-trip maps with the columns they
+    act on (``protocols._Cavity``); and the non-zero rows of each branch
+    that a run has factored (``run_compiled``), gathered when it first
+    factors that branch."""
 
     response: np.ndarray
     weights: dict[str, tuple[float, float]]
-    # Per label: (position in the branch, m+ response, m- response) of each
-    # non-zero path row, then of each non-zero sink row.
-    scored: dict[str, tuple[list, list]]
     trips: tuple[list[np.ndarray], np.ndarray] | None
+    # Per branch label: the positions in the branch of its non-zero rows,
+    # path rows first, their (m+, m-) response cells, read-only, and how
+    # many of them are path rows.
+    exits: dict[str, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -699,20 +700,30 @@ class CompiledCircuit:
         if record is None:
             response, trips = self._respond(mask)
             response.flags.writeable = False
-            layout = self.layout
-            plus, minus, _ = layout._level_roles
+            plus, minus = self.layout._level_roles[:2]
             squares = response.real**2 + response.imag**2
             weights = {
                 label: (float(squares[rows, plus].sum()), float(squares[rows, minus].sum()))
                 for label, rows in self.branches.items()
             }
-            scored = {
-                label: _branch_rows(layout, rows, response[rows], (plus, minus))
-                for label, rows in self.branches.items()
-                if label in ("success", "failure")
-            }
-            record = self._masks[mask] = _MaskRecord(response, weights, scored, trips)
+            record = self._masks[mask] = _MaskRecord(response, weights, trips)
         return record
+
+    def _exit_rows(self, record: _MaskRecord, label: str) -> tuple[np.ndarray, np.ndarray, int]:
+        """The non-zero rows of branch ``label`` in ``record``'s response,
+        gathered on first use: a response holds amplitude only at m+ and m-,
+        and a branch's rows are in increasing order, so its path rows come
+        first."""
+        kept = record.exits.get(label)
+        if kept is None:
+            rows = self.branches[label]
+            cells = record.response[rows[:, None], list(self.layout._level_roles[:2])]
+            positions = np.flatnonzero(cells.any(axis=1))
+            cells = cells[positions]
+            positions.flags.writeable = cells.flags.writeable = False
+            n_path = int(np.searchsorted(rows[positions], 2 * len(self.layout.paths)))
+            kept = record.exits[label] = (positions, cells, n_path)
+        return kept
 
     def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, None]:
         """The level response under ``mask``, from one propagation of the
@@ -861,17 +872,19 @@ def run_compiled(
     beta.  A branch's probability is |alpha|^2 P + |beta|^2 M, from the
     squared norms P and M of the two columns over its rows
     (``CompiledCircuit.branch_weights``).  The branch that ``score_outcome``
-    factors is read from its non-zero rows, kept as plain (m+, m-) pairs
-    in the same per-mask record: a path row becomes (alpha m+, beta m-)
-    and a sink row alpha m+ + beta m- at g, whose photon and atom factors
-    ``state._factor_rows`` takes in closed form.  So a run builds no array
-    but the atom factor and costs the same at every chain length; the
-    dense ``final_state``, each sink row's amplitude at g
-    (``CompiledCircuit.amplitudes``), is built on first access.  These
-    products are Python's, which round each part of a complex product
-    once more than numpy's fused ones may: where a response entry has
-    both a real and an imaginary part, the factors can differ in the last
-    bit from those ``assemble_outcome`` takes from ``final_state``.
+    factors is read from its non-zero rows, whose (m+, m-) response pairs
+    the same per-mask record keeps from the first run that factors it
+    (``CompiledCircuit._exit_rows``): a path row becomes (alpha m+, beta
+    m-) and a sink row alpha m+ + beta m- at g, in plain Python numbers,
+    whose photon and atom factors ``state._factor_rows`` takes in closed
+    form.  So a run builds no array but the atom factor and costs the same
+    at every chain length; the dense ``final_state``, each sink row's
+    amplitude at g (``CompiledCircuit.amplitudes``), is built on first
+    access.  These products are Python's, which round each part of a
+    complex product once more than numpy's fused ones may: where a
+    response entry has both a real and an imaginary part, the factors can
+    differ in the last bit from those ``assemble_outcome`` takes from
+    ``final_state``.
     """
     layout = circuit.layout
     record = circuit._record(atom.transparency_mask)
@@ -880,15 +893,16 @@ def run_compiled(
     probs = {label: a2 * plus + b2 * minus for label, (plus, minus) in record.weights.items()}
 
     def factors(label: str) -> tuple[list[complex], np.ndarray]:
-        path, sink = record.scored[label]
+        positions, cells, n_path = circuit._exit_rows(record, label)
+        rows = list(zip(positions.tolist(), cells.tolist()))
         return _factor_rows(
             layout,
             len(circuit.branches[label]),
-            [(i, alpha * p, beta * m) for i, p, m in path],
-            [(i, alpha * p + beta * m) for i, p, m in sink],
+            [(i, alpha * p, beta * m) for i, (p, m) in rows[:n_path]],
+            [(i, alpha * p + beta * m) for i, (p, m) in rows[n_path:]],
         )
 
-    plus, minus, _ = layout._level_roles
+    plus, minus = layout._level_roles[:2]
     init = [0j] * layout.n_levels
     init[plus], init[minus] = alpha, beta
     return score_outcome(

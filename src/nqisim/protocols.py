@@ -26,11 +26,12 @@ which that propagation runs by doubling the stage's map (``elements``): it
 takes O(log N) products, plus the O(N) sink rows it writes.  Each branch's
 probability comes from two squared norms per mask
 (``CompiledCircuit.branch_weights``), and the branch a run factors comes
-from its non-zero rows, kept per mask as plain (m+, m-) pairs that the
-run scales by alpha and beta and ``score_outcome`` factors in closed
-form, with no SVD: a run builds no array but the atom factor.  Only the
-runners' ``details`` read amplitude rows (``CompiledCircuit.amplitudes``),
-and an outcome's dense ``final_state`` is built only when it is read.
+from the (m+, m-) responses of its non-zero rows, kept per mask once a
+run factors it, which the run scales by alpha and beta and
+``score_outcome`` factors in closed form, with no SVD: a run builds no
+array but the atom factor.  Only the runners' ``details`` read amplitude
+rows (``CompiledCircuit.amplitudes``), and an outcome's dense
+``final_state`` is built only when it is read.
 The cavity's level response sums every later round trip in closed form
 onto the first trip's, from one propagation of the input and each row it
 carries between trips.
@@ -123,20 +124,12 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
 # Direct interaction and the two-pass opacity demonstration
 
 
-@functools.lru_cache(maxsize=len(POL_STATES))
-def _direct(polarization: str) -> CompiledCircuit:
-    """``direct.nqi`` aimed at the ``POL_STATES`` polarization
-    ``polarization``, kept with its level responses."""
-    return dataclasses.replace(_circuit("direct"), input_pol=polarization)
-
-
 def run_direct(polarization: str, atom: AtomSpec) -> JointState:
     """One pass of a photon with the ``POL_STATES`` polarization
     ``polarization`` through the atom of ``direct.nqi``; returns the full
     joint state (no post-selection)."""
-    if polarization not in POL_STATES:
-        raise ValueError(f"unknown polarization: {polarization!r}")
-    return run_compiled(_direct(polarization), atom).final_state
+    circuit = dataclasses.replace(_circuit("direct"), input_pol=polarization)
+    return run_compiled(circuit, atom).final_state
 
 
 def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:

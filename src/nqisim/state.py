@@ -125,9 +125,13 @@ class BasisLayout:
         return {lev: i for i, lev in enumerate(self.atom_levels)}
 
     @cached_property
-    def _level_roles(self) -> tuple[int, int, int]:
-        """The indices of m+, m- and g."""
-        return tuple(map(self.level_index, ATOM_LEVELS))
+    def _level_roles(self) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+        """The indices of m+, m- and g, then those of the levels that a
+        path row and that a sink row never hold (``_branch_factors``)."""
+        plus, minus, g = map(self.level_index, ATOM_LEVELS)
+        levels = range(self.n_levels)
+        path_strays = tuple(k for k in levels if k not in (plus, minus))
+        return plus, minus, g, path_strays, tuple(k for k in levels if k != g)
 
     @property
     def n_photon_modes(self) -> int:
@@ -364,36 +368,6 @@ class ProtocolOutcome:
         return self.build_final_state()
 
 
-def _branch_rows(
-    layout: BasisLayout, rows: np.ndarray, amps: np.ndarray, sink_levels: tuple[int, ...]
-) -> tuple[list[tuple[int, complex, complex]], list[tuple]]:
-    """The non-zero rows of a branch's (photon rows, levels) block ``amps``
-    on the photon rows ``rows``: (position in ``rows``, m+ cell, m- cell)
-    of each path row and (position, its cells at ``sink_levels``) of each
-    sink row.  Raises ``ValueError`` on amplitude at any other level."""
-    plus, minus, _ = layout._level_roles
-    n = 2 * len(layout.paths)
-    path, sink = [], []
-    levels = range(layout.n_levels)
-    path_strays = tuple(k for k in levels if k not in (plus, minus))
-    sink_strays = tuple(k for k in levels if k not in sink_levels)
-    for i, (row, cells) in enumerate(zip(rows.tolist(), amps.tolist())):
-        if row < n:
-            strays = path_strays
-            if cells[plus] or cells[minus]:
-                path.append((i, cells[plus], cells[minus]))
-        else:
-            strays = sink_strays
-            values = [cells[k] for k in sink_levels]
-            if any(values):
-                sink.append((i, *values))
-        for k in strays:
-            if cells[k]:
-                level = layout.atom_levels[k]
-                raise ValueError(f"photon row {row} has amplitude at level {level!r}")
-    return path, sink
-
-
 def _branch_factors(
     layout: BasisLayout, rows: np.ndarray, amps: np.ndarray
 ) -> tuple[list[complex], np.ndarray]:
@@ -403,8 +377,26 @@ def _branch_factors(
     path rows hold amplitude only at m+ and m- and the sink rows only at g.
     Raises ``ValueError`` on amplitude outside that structure, at a second
     singular value above ``RANK_TOL`` or on the zero block."""
-    g = layout._level_roles[2]
-    return _factor_rows(layout, len(amps), *_branch_rows(layout, rows, amps, (g,)))
+    plus, minus, g, path_strays, sink_strays = layout._level_roles
+    n = 2 * len(layout.paths)
+    # (position in rows, m+ and m- amplitudes) of each non-zero path row,
+    # (position, g amplitude) of each non-zero sink row.
+    path: list[tuple[int, complex, complex]] = []
+    sink: list[tuple[int, complex]] = []
+    for i, (row, cells) in enumerate(zip(rows.tolist(), amps.tolist())):
+        if row < n:
+            strays = path_strays
+            if cells[plus] or cells[minus]:
+                path.append((i, cells[plus], cells[minus]))
+        else:
+            strays = sink_strays
+            if cells[g]:
+                sink.append((i, cells[g]))
+        for k in strays:
+            if cells[k]:
+                level = layout.atom_levels[k]
+                raise ValueError(f"photon row {row} has amplitude at level {level!r}")
+    return _factor_rows(layout, len(amps), path, sink)
 
 
 def _factor_rows(
@@ -427,7 +419,7 @@ def _factor_rows(
     The photon factor is a list over the branch's rows; the atom factor, on
     every level, is the only array built.
     """
-    plus, minus, g = layout._level_roles
+    plus, minus, g = layout._level_roles[:3]
     aa = bb = det2 = sink2 = 0.0
     c = 0j
     for j, (_, a, b) in enumerate(path):

@@ -1085,6 +1085,24 @@ class TestBranchWeights:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
+    def test_exit_rows_kept_only_for_a_factored_branch(self):
+        # With its sinks classified as failure, the failure branch holds a
+        # row per sink; a run that factors success keeps none of them.
+        src = load_golden("mz").replace("sinks=absorbed", "sinks=failure")
+        circuit = compile_circuit(parse(src), {"N": 200})
+        run_compiled(circuit, AtomSpec(0.6, 0.8))
+        assert set(circuit._masks[frozenset()].exits) == {"success"}
+        # An absent atom's photon leaves by failure in +: its one lit path
+        # row is kept, not the 800 empty sink rows.
+        out = run_compiled(circuit, AtomSpec(0.6, 0.8, transparency_mask=ABSENT_MASK))
+        assert out.exit_polarization == "+"
+        record = circuit._masks[ABSENT_MASK]
+        assert set(record.exits) == {"failure"}
+        positions, cells, n_path = record.exits["failure"]
+        assert len(circuit.branches["failure"]) == 2 + 4 * 200
+        assert (len(positions), n_path) == (1, 1)
+        assert not cells.flags.writeable
+
     def test_branch_rows_are_read_only(self):
         # A write would leave the kept branch weights scoring other rows.
         mirrors = {"T": 0.6, "R": 0.8, "TP": 0.6, "RP": 0.8, "K": 2}

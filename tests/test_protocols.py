@@ -123,26 +123,6 @@ class TestDirect:
         with pytest.raises(ValueError, match="unknown polarization: 'z'"):
             run_direct("z", AtomSpec())
 
-    def test_each_polarization_propagates_once(self, monkeypatch):
-        # Each POL_STATES polarization keeps its aimed circuit, so a second
-        # run of the same polarization reads the kept response.
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return propagate(*args, **kwargs)
-
-        monkeypatch.setattr(dsl, "propagate", counted)
-        protocols._direct.cache_clear()
-        for pol in POL_STATES:
-            first = run_direct(pol, AtomSpec(0.6, 0.8j))
-            again = run_direct(pol, AtomSpec(0.6, 0.8j))
-            assert np.array_equal(first.amplitudes, again.amplitudes)
-        assert len(calls) == len(POL_STATES)
-        with pytest.raises(ValueError, match="unknown polarization"):
-            run_direct("q", AtomSpec())
-        assert protocols._direct.cache_info().currsize == len(POL_STATES)
-
 
 class TestTwoPass:
     @settings(max_examples=25, deadline=None)
