@@ -626,18 +626,20 @@ def print_circuit(ast: CircuitAst) -> str:
 class _MaskRecord:
     """What a compiled circuit keeps for one transparency mask, made by
     its first run: the level response, read-only; the squared norms of its
-    m+ and its m- column over each branch's rows (``branch_weights``); for
-    the cavity, the powers of its round-trip maps with the columns they
-    act on (``protocols._Cavity``); and the non-zero rows of each branch
+    m+ and its m- column over each branch's rows (``branch_weights``) and
+    over each path's block; for the cavity, each column that the first
+    round trip leaves inside with the powers of its trip map and their
+    norms (``protocols._Carried``); and the non-zero rows of each branch
     that a run has factored (``run_compiled``), gathered when it first
     factors that branch."""
 
     response: np.ndarray
     weights: dict[str, tuple[float, float]]
-    trips: tuple[list[np.ndarray], np.ndarray] | None
-    # Per branch label: the positions in the branch of its non-zero rows,
-    # path rows first, their (m+, m-) response cells, read-only, and how
-    # many of them are path rows.
+    ports: dict[str, tuple[float, float]]
+    trips: tuple | None
+    # Per branch label: the photon rows of its non-zero rows, path rows
+    # first, their (m+, m-) response cells, read-only, and how many of
+    # them are path rows.
     exits: dict[str, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
 
 
@@ -702,27 +704,29 @@ class CompiledCircuit:
             response.flags.writeable = False
             plus, minus = self.layout._level_roles[:2]
             squares = response.real**2 + response.imag**2
-            weights = {
-                label: (float(squares[rows, plus].sum()), float(squares[rows, minus].sum()))
-                for label, rows in self.branches.items()
-            }
-            record = self._masks[mask] = _MaskRecord(response, weights, trips)
+
+            def norms(rows) -> tuple[float, float]:
+                return float(squares[rows, plus].sum()), float(squares[rows, minus].sum())
+
+            weights = {label: norms(rows) for label, rows in self.branches.items()}
+            ports = {path: norms(block) for path, block in self.layout.path_block.items()}
+            record = self._masks[mask] = _MaskRecord(response, weights, ports, trips)
         return record
 
     def _exit_rows(self, record: _MaskRecord, label: str) -> tuple[np.ndarray, np.ndarray, int]:
-        """The non-zero rows of branch ``label`` in ``record``'s response,
-        gathered on first use: a response holds amplitude only at m+ and m-,
-        and a branch's rows are in increasing order, so its path rows come
-        first."""
+        """The photon rows and (m+, m-) response cells of the non-zero rows
+        of branch ``label`` in ``record``'s response, gathered on first use:
+        a response holds amplitude only at m+ and m-, and a branch's rows
+        are in increasing order, so its path rows come first."""
         kept = record.exits.get(label)
         if kept is None:
             rows = self.branches[label]
             cells = record.response[rows[:, None], list(self.layout._level_roles[:2])]
-            positions = np.flatnonzero(cells.any(axis=1))
-            cells = cells[positions]
-            positions.flags.writeable = cells.flags.writeable = False
-            n_path = int(np.searchsorted(rows[positions], 2 * len(self.layout.paths)))
-            kept = record.exits[label] = (positions, cells, n_path)
+            nonzero = cells.any(axis=1)
+            rows, cells = rows[nonzero], cells[nonzero]
+            rows.flags.writeable = cells.flags.writeable = False
+            n_path = int(np.searchsorted(rows, 2 * len(self.layout.paths)))
+            kept = record.exits[label] = (rows, cells, n_path)
         return kept
 
     def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, None]:
@@ -747,8 +751,16 @@ class CompiledCircuit:
         """The final (photon mode, level) amplitudes of ``atom``'s run on the
         photon rows ``rows``, as a new array: the level response there with
         its m+ column scaled by alpha and its m- column by beta, and each
-        sink row's amplitude moved to its g cell."""
-        amps = self.level_response(atom.transparency_mask)[rows] * atom.level_vector(self.layout)
+        sink row's amplitude moved to its g cell.  Each part of a product is
+        formed from separate float products, as Python's complex multiply
+        forms it, so the amplitudes agree bitwise with the numbers
+        ``run_compiled`` factors whether or not the CPU fuses a
+        multiply-add."""
+        response = self.level_response(atom.transparency_mask)[rows]
+        scale = atom.level_vector(self.layout)
+        amps = np.empty_like(response)
+        amps.real = scale.real * response.real - scale.imag * response.imag
+        amps.imag = scale.real * response.imag + scale.imag * response.real
         sinks = self._sink_rows[rows]
         if np.count_nonzero(sinks):
             absorbed = amps[sinks]
@@ -877,14 +889,11 @@ def run_compiled(
     (``CompiledCircuit._exit_rows``): a path row becomes (alpha m+, beta
     m-) and a sink row alpha m+ + beta m- at g, in plain Python numbers,
     whose photon and atom factors ``state._factor_rows`` takes in closed
-    form.  So a run builds no array but the atom factor and costs the same
+    form.  So a run builds nothing as long as its branch and costs the same
     at every chain length; the dense ``final_state``, each sink row's
     amplitude at g (``CompiledCircuit.amplitudes``), is built on first
-    access.  These products are Python's, which round each part of a
-    complex product once more than numpy's fused ones may: where a
-    response entry has both a real and an imaginary part, the factors can
-    differ in the last bit from those ``assemble_outcome`` takes from
-    ``final_state``.
+    access.  It forms its products as Python does, so ``assemble_outcome``
+    takes from it bitwise the factors, fidelity and label of the run.
     """
     layout = circuit.layout
     record = circuit._record(atom.transparency_mask)
@@ -892,22 +901,19 @@ def run_compiled(
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     probs = {label: a2 * plus + b2 * minus for label, (plus, minus) in record.weights.items()}
 
-    def factors(label: str) -> tuple[list[complex], np.ndarray]:
-        positions, cells, n_path = circuit._exit_rows(record, label)
-        rows = list(zip(positions.tolist(), cells.tolist()))
+    def factors(label: str) -> tuple[list[tuple[int, complex]], np.ndarray]:
+        rows, cells, n_path = circuit._exit_rows(record, label)
+        cells = cells.tolist()
         return _factor_rows(
             layout,
-            len(circuit.branches[label]),
-            [(i, alpha * p, beta * m) for i, (p, m) in rows[:n_path]],
-            [(i, alpha * p + beta * m) for i, (p, m) in rows[n_path:]],
+            [(row, alpha * p, beta * m) for row, (p, m) in zip(rows[:n_path].tolist(), cells)],
+            [alpha * p + beta * m for p, m in cells[n_path:]],
         )
 
     plus, minus = layout._level_roles[:2]
     init = [0j] * layout.n_levels
     init[plus], init[minus] = alpha, beta
     return score_outcome(
-        layout,
-        circuit.branches,
         probs,
         factors,
         init,

@@ -29,8 +29,8 @@ probability comes from two squared norms per mask
 from the (m+, m-) responses of its non-zero rows, kept per mask once a
 run factors it, which the run scales by alpha and beta and
 ``score_outcome`` factors in closed form, with no SVD: a run builds no
-array but the atom factor.  Only the runners' ``details`` read amplitude
-rows (``CompiledCircuit.amplitudes``), and an outcome's dense
+array but the atom factor.  Only ``run_two_pass``'s ``details`` read
+amplitude rows (``CompiledCircuit.amplitudes``), and an outcome's dense
 ``final_state`` is built only when it is read.
 The cavity's level response sums every later round trip in closed form
 onto the first trip's, from one propagation of the input and each row it
@@ -56,10 +56,16 @@ the exits are turned back once after the last.  The cavity runner compiles
 it at K = 1 and runs it with a level response that adds every later round
 trip to the first, B (I - T)^-1 v per atom level for the beam v that the
 first trip leaves inside: the geometric series behind the paper's i r and
-t t' beta.  Its ``details["round_trips"]`` is the K at which the compiled
-``fp.nqi`` leaves less than ``eps`` inside, found from powers of the trip
-maps that each mask's record keeps; its exits add coherently, so they
-miss an amplitude tail of order sqrt(eps)/(1 - r r'), not eps.
+t t' beta.  Its ``details["reflected"]`` and ``details["transmitted"]``
+are |alpha|^2 P + |beta|^2 M from the squared norms P and M of the m+
+and m- columns over each exit's path, which each mask's record keeps.
+Its ``details["round_trips"]`` is the K at which the compiled ``fp.nqi``
+leaves less than ``eps`` inside, bracketed from the squared norms
+|T^(2^j) v|^2 that the record keeps per carried column v and bisected by
+carrying v through the kept powers of T, in plain Python numbers: a warm
+run makes no numpy call outside ``run_compiled``.  The compiled circuit's
+exits add coherently, so they miss an amplitude tail of order
+sqrt(eps)/(1 - r r'), not eps.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -205,12 +213,12 @@ class _Cavity(CompiledCircuit):
     the emptied input path or on the exits, so the response is the one-trip
     response plus B_l (I - T_l)^-1 v_l, with the carried rows emptied: T_l
     and B_l are one trip aimed at each carried row, propagated in one block
-    with the input.  Each mask's record also keeps the powers T_l^(2^j),
-    from T_l itself, that ``_fp_round_trips`` squares on as far as an atom
-    needs, and the columns v_l that ``trips`` scales.
+    with the input.  Each mask's record also keeps, as its ``trips``, one
+    ``_Carried`` per distinct (T_l, v_l) with v_l != 0, which
+    ``_fp_round_trips`` reads.
     """
 
-    def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, tuple]:
+    def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, tuple[_Carried, ...]]:
         layout = self.layout
         # At K = 1 the program is the trip written out: a repeat of one
         # compiles to its body.
@@ -236,14 +244,7 @@ class _Cavity(CompiledCircuit):
         final = first.copy()
         final[:, levels] += summed[:, levels, [0, 1]]
         final[rows] = 0.0
-        return final, ([maps], inside)
-
-    def trips(self, atom: AtomSpec) -> tuple[list[np.ndarray], np.ndarray]:
-        """The kept powers T_l^(2^j) of the maps T_l, stacked, and the
-        columns v_l that ``atom`` leaves on the carried rows after the
-        first trip."""
-        powers, inside = self._record(atom.transparency_mask).trips
-        return powers, np.array([atom.alpha, atom.beta])[:, None, None] * inside
+        return final, _carried(maps, inside[..., 0])
 
 
 @functools.lru_cache(maxsize=4)
@@ -259,36 +260,100 @@ def _cavity(**mirrors: float) -> _Cavity:
 _FP_MAX_DOUBLINGS = 64
 
 
-def _fp_round_trips(powers: list[np.ndarray], starts: np.ndarray, eps: float) -> int:
-    """The first K at which sum_l |T_l^K v_l|^2 falls below ``eps``, for
-    the columns v_l in ``starts`` and the powers T^(2^j) of the trip maps
-    T_l, stacked, in ``powers``: T itself first, then each square this
-    search has needed so far, which it appends for the next search.
+def _apply(matrix: list[list[complex]], column: list[complex]) -> tuple[list[complex], float]:
+    """``matrix`` times ``column`` and its squared norm, in plain Python
+    numbers: on the few carried rows one numpy call costs more than the
+    arithmetic."""
+    out, norm2 = [], 0.0
+    for row in matrix:
+        z = sum(map(operator.mul, row, column))
+        out.append(z)
+        norm2 += z.real * z.real + z.imag * z.imag
+    return out, norm2
+
+
+@dataclasses.dataclass(eq=False)
+class _Carried:
+    """The column v that the first round trip leaves on the carried rows
+    for unit amplitude at each atom level of ``levels`` (0 for m+, 1 for
+    m-), which share v and the trip map T, with the powers T^(2^j), T
+    itself first, and the squared norms q: ``norms[0]`` is |v|^2 and
+    ``norms[j + 1]`` is |T^(2^j) v|^2.  Both lists grow as far as a search
+    needs, and are kept across atoms and ``eps`` values.  Every number is
+    a plain Python one."""
+
+    levels: list[int]
+    column: list[complex]
+    powers: list[list[list[complex]]]
+    norms: list[float]
+
+    def norm(self, j: int) -> float:
+        """``norms[j]``, squaring T on as far as it takes."""
+        while len(self.norms) <= j:
+            k = len(self.norms) - 1
+            if k == len(self.powers):
+                power = self.powers[-1]
+                columns = list(zip(*power))
+                self.powers.append([[sum(map(operator.mul, row, col)) for col in columns] for row in power])
+            self.norms.append(_apply(self.powers[k], self.column)[1])
+        return self.norms[j]
+
+
+def _carried(maps: np.ndarray, columns: np.ndarray) -> tuple[_Carried, ...]:
+    """One ``_Carried`` per level l whose column v_l, ``columns[l]``, is not
+    zero, for the trip maps T_l, ``maps[l]``: levels whose T_l and v_l are
+    bitwise equal, as an absent atom's two are, share one."""
+    entries: dict[bytes, _Carried] = {}
+    for level, (trip, column) in enumerate(zip(maps, columns)):
+        if column.any():
+            key = trip.tobytes() + column.tobytes()
+            if key in entries:
+                entries[key].levels.append(level)
+            else:
+                start = column.tolist()
+                norm2 = sum(z.real * z.real + z.imag * z.imag for z in start)
+                entries[key] = _Carried([level], start, [trip.tolist()], [norm2])
+    return tuple(entries.values())
+
+
+def _fp_round_trips(carried: Sequence[_Carried], weights: Sequence[float], eps: float) -> int:
+    """The first K at which sum_l w_l |T_l^K v_l|^2 falls below ``eps``,
+    for the columns v_l and trip maps T_l of the entries ``carried``, each
+    weighted by the sum of ``weights`` over its levels (|alpha|^2 and
+    |beta|^2).
 
     Each T_l is a contraction, so that carried probability never rises
-    from one trip to the next: K is bracketed by the powers T^(2^j), found
-    by repeated squaring, and then bisected.  A probability that is NaN
-    has not fallen below ``eps``.
+    from one trip to the next.  K is bracketed by the first power T^(2^j)
+    that leaves less than ``eps``, from the kept norms alone, and then
+    bisected by carrying each v through the kept powers.  A probability
+    that is NaN has not fallen below ``eps``.
     """
+    entries = [(entry, sum([weights[level] for level in entry.levels])) for entry in carried]
 
-    def emptied(vectors: np.ndarray) -> bool:
-        return float(np.vdot(vectors, vectors).real) < eps
+    def left(j: int) -> float:
+        """The carried probability after 2^(j-1) trips, or before any at j = 0."""
+        total = 0.0
+        for entry, w in entries:
+            total += w * entry.norm(j)
+        return total
 
-    if emptied(starts):
+    if left(0) < eps:
         return 0
     top = 0
-    while not emptied(powers[top] @ starts):
+    while not left(top + 1) < eps:
         if top == _FP_MAX_DOUBLINGS:
             raise ConservationError(f"the cavity does not empty below eps = {eps!r}")
         top += 1
-        if top == len(powers):
-            powers.append(powers[top - 1] @ powers[top - 1])
     # At step j, ``trips`` leave eps or more inside and trips + 2^(j+1) less.
-    trips, vectors = 0, starts
+    trips, columns = 0, [entry.column for entry, _ in entries]
     for j in reversed(range(top)):
-        trial = powers[j] @ vectors
-        if not emptied(trial):
-            trips, vectors = trips + 2**j, trial
+        trial, total = [], 0.0
+        for (entry, w), column in zip(entries, columns):
+            moved, norm2 = _apply(entry.powers[j], column)
+            trial.append(moved)
+            total += w * norm2
+        if not total < eps:
+            trips, columns = trips + 2**j, trial
     return trips + 1
 
 
@@ -310,12 +375,17 @@ def run_fabry_perot(
     an empty cavity's branches sum to 1 + 1.5e-10; at r = 1 - 10^-8,
     r' = 1 - 10^-10 they sum 2.55e-9 short.
 
-    ``eps`` only sets ``details["round_trips"]``: one plus the first K at
-    which the carried probability sum_l |T_l^K v_l|^2 falls below ``eps``,
-    v_l being the beam the first trip leaves inside.  The compiled
-    ``fp.nqi`` at that many trips leaves less than ``eps`` inside, but its
-    exits miss an amplitude tail of order sqrt(eps)/(1 - r r'), which
-    moves each of its probabilities by up to that much.
+    ``details["reflected"]`` and ``details["transmitted"]`` are each
+    exit's probability, |alpha|^2 P + |beta|^2 M from the squared norms of
+    the response's m+ and m- columns over the exit's path (``ports`` of the
+    mask's record).  ``eps`` only sets ``details["round_trips"]``: one plus
+    the first K at which the carried probability sum_l |a_l|^2
+    |T_l^K v_l|^2 falls below ``eps``, v_l being the beam the first trip
+    leaves inside for unit amplitude at level l and a_l the atom's
+    amplitude there (``_fp_round_trips``).  The compiled ``fp.nqi`` at that
+    many trips leaves less than ``eps`` inside, but its exits miss an
+    amplitude tail of order sqrt(eps)/(1 - r r'), which moves each of its
+    probabilities by up to that much.
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if tt < 0 or rr < 0:
@@ -332,8 +402,10 @@ def run_fabry_perot(
         gain = f"1/(1 - r r') = {1 / (1 - r * r_prime):.1e}"
         note = f"float rounding of the round trip's elements is amplified by {gain}"
         raise ConservationError(f"{exc}; {note}") from None
+    record = cavity._record(atom.transparency_mask)
+    weights = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
     for key, path in (("reflected", "refl"), ("transmitted", "trans")):
-        amps = cavity.amplitudes(atom, cavity.layout.path_block[path])
-        out.details[key] = float(np.sum(np.abs(amps) ** 2))
-    out.details["round_trips"] = 1 + _fp_round_trips(*cavity.trips(atom), eps)
+        plus, minus = record.ports[path]
+        out.details[key] = weights[0] * plus + weights[1] * minus
+    out.details["round_trips"] = 1 + _fp_round_trips(record.trips, weights, eps)
     return out

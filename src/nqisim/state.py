@@ -15,6 +15,8 @@ probabilities and the photon (x) atom factors of one exit, which one core
 (``_factor_rows``) takes in closed form from the exit's non-zero rows as
 plain tuples: the levels never mix, so the exit's path rows hold m+ and m-
 and its sink rows g, and the factors follow from 2 x 2 data with no SVD.
+The photon factor is kept on the non-zero path rows alone, all that
+names the exit polarization (``_exit_label``).
 ``assemble_outcome`` is its front end for a dense final state, whose exit
 rows ``_branch_factors`` gathers.  ``product_factors`` keeps the SVD for a
 general dense state.
@@ -370,7 +372,7 @@ class ProtocolOutcome:
 
 def _branch_factors(
     layout: BasisLayout, rows: np.ndarray, amps: np.ndarray
-) -> tuple[list[complex], np.ndarray]:
+) -> tuple[list[tuple[int, complex]], np.ndarray]:
     """The unit photon and atom factors of a branch's (photon rows, levels)
     block ``amps`` on the photon rows ``rows``, as ``_rank_one`` takes them
     but in closed form (``_factor_rows``): the levels never mix, so the
@@ -379,36 +381,35 @@ def _branch_factors(
     singular value above ``RANK_TOL`` or on the zero block."""
     plus, minus, g, path_strays, sink_strays = layout._level_roles
     n = 2 * len(layout.paths)
-    # (position in rows, m+ and m- amplitudes) of each non-zero path row,
-    # (position, g amplitude) of each non-zero sink row.
+    # (photon row, m+ and m- amplitudes) of each non-zero path row, the g
+    # amplitude of each non-zero sink row.
     path: list[tuple[int, complex, complex]] = []
-    sink: list[tuple[int, complex]] = []
-    for i, (row, cells) in enumerate(zip(rows.tolist(), amps.tolist())):
+    sink: list[complex] = []
+    for row, cells in zip(rows.tolist(), amps.tolist()):
         if row < n:
             strays = path_strays
             if cells[plus] or cells[minus]:
-                path.append((i, cells[plus], cells[minus]))
+                path.append((row, cells[plus], cells[minus]))
         else:
             strays = sink_strays
             if cells[g]:
-                sink.append((i, cells[g]))
+                sink.append(cells[g])
         for k in strays:
             if cells[k]:
                 level = layout.atom_levels[k]
                 raise ValueError(f"photon row {row} has amplitude at level {level!r}")
-    return _factor_rows(layout, len(amps), path, sink)
+    return _factor_rows(layout, path, sink)
 
 
 def _factor_rows(
     layout: BasisLayout,
-    size: int,
     path: list[tuple[int, complex, complex]],
-    sink: list[tuple[int, complex]],
-) -> tuple[list[complex], np.ndarray]:
-    """The unit photon and atom factors of a branch of ``size`` photon rows
-    whose non-zero rows are ``path``, (position, m+, m-) -- the rows x 2
-    block P -- and ``sink``, (position, g) -- the column s: the block's
-    singular values are P's s1 and s2 and ||s||.
+    sink: list[complex],
+) -> tuple[list[tuple[int, complex]], np.ndarray]:
+    """The unit photon and atom factors of a branch whose non-zero rows are
+    ``path``, (photon row, m+, m-) -- the rows x 2 block P -- and ``sink``,
+    the g amplitudes -- the column s: the block's singular values are P's
+    s1 and s2 and ||s||.
 
     s1 s2 is the root of the sum of P's squared 2 x 2 minors (Cauchy-Binet),
     which keeps s2 to an absolute 1e-16 where the Gram determinant would
@@ -416,8 +417,9 @@ def _factor_rows(
     vector v comes from the better-conditioned row of the 2 x 2 Gram, and
     the photon factor on the path rows is P v / s1.  Raises ``ValueError``
     at a second singular value above ``RANK_TOL`` or on the zero block.
-    The photon factor is a list over the branch's rows; the atom factor, on
-    every level, is the only array built.
+    The photon factor is given on the path rows of ``path`` alone, as
+    (photon row, amplitude) pairs, and is empty where the sink rows lead;
+    the atom factor, on every level, is the only array built.
     """
     plus, minus, g = layout._level_roles[:3]
     aa = bb = det2 = sink2 = 0.0
@@ -429,7 +431,7 @@ def _factor_rows(
         for _, a2, b2 in path[j + 1 :]:
             minor = a * b2 - a2 * b
             det2 += minor.real * minor.real + minor.imag * minor.imag
-    for _, z in sink:
+    for z in sink:
         sink2 += z.real * z.real + z.imag * z.imag
     frob, det, s_sink = aa + bb, math.sqrt(det2), math.sqrt(sink2)
     # s1^2 - s2^2, then s1 and s2 = s1 s2 / s1 without cancellation.
@@ -444,13 +446,10 @@ def _factor_rows(
     if lead == 0.0:
         raise ValueError("cannot factor the zero state")
 
-    photon = [0j] * size
     atom = np.zeros(layout.n_levels, dtype=complex)
     if s_sink > s1:
-        for i, z in sink:
-            photon[i] = z / s_sink
         atom[g] = 1.0
-        return photon, atom
+        return [], atom
     # The Gram [[aa, c], [c*, bb]] minus s1^2 annuls v; its row with the
     # smaller diagonal entry gives v without cancellation.
     if aa <= bb:
@@ -459,20 +458,17 @@ def _factor_rows(
         v_plus, v_minus = complex((aa - bb + gap) / 2.0), c.conjugate()
     norm = math.hypot(abs(v_plus), abs(v_minus))
     v_plus, v_minus = v_plus / norm, v_minus / norm
-    for i, a, b in path:
-        photon[i] = (a * v_plus + b * v_minus) / s1
+    photon = [(row, (a * v_plus + b * v_minus) / s1) for row, a, b in path]
     atom[plus], atom[minus] = v_plus.conjugate(), v_minus.conjugate()
     return photon, atom
 
 
-def _exit_label(layout: BasisLayout, rows: np.ndarray, photon: list[complex]) -> str:
-    """Name the polarization of a photon factor on the photon rows
-    ``rows`` that is confined to one path; sink rows are not a path."""
-    n = 2 * len(layout.paths)
+def _exit_label(photon: list[tuple[int, complex]]) -> str:
+    """Name the polarization of a photon factor, given as (path row,
+    amplitude) pairs, that is confined to one path."""
     blocks: dict[int, list[complex]] = {}
-    for row, z in zip(rows.tolist(), photon):
-        if row < n:
-            blocks.setdefault(row // 2, [0j, 0j])[row % 2] = z
+    for row, z in photon:
+        blocks.setdefault(row // 2, [0j, 0j])[row % 2] = z
     populated = [blk for blk in blocks.values() if max(abs(blk[0]), abs(blk[1])) > 1e-9]
     if not populated:
         return "none"
@@ -487,22 +483,19 @@ def _exit_label(layout: BasisLayout, rows: np.ndarray, photon: list[complex]) ->
 
 
 def score_outcome(
-    layout: BasisLayout,
-    branches: dict[str, np.ndarray],
     probs: dict[str, float],
-    factors: Callable[[str], tuple[list[complex], np.ndarray]],
+    factors: Callable[[str], tuple[list[tuple[int, complex]], np.ndarray]],
     atom_init: Sequence[complex],
     final_state: Callable[[], JointState],
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
     """Score a run from its branch probabilities ``probs`` and, on request,
     the factors of one branch: ``factors(label)`` is the unit photon factor
-    over the photon rows ``branches[label]`` and the unit atom factor
+    on the branch's non-zero path rows and the unit atom factor
     (``_factor_rows``), or a ``ValueError`` if the branch is not a product.
 
-    ``branches`` maps branch labels to photon row index arrays; a label
-    ``probs`` lacks has probability zero, and the probabilities must sum
-    to one within ``prob_tol``.  Only one branch is factored: the success
+    A label ``probs`` lacks has probability zero, and the probabilities
+    must sum to one within ``prob_tol``.  Only one branch is factored: the success
     branch, into the post-selected atom state, its fidelity to
     ``atom_init`` (the initial amplitude of each level, normalized here)
     and the exit polarization, or failing that the failure branch, which
@@ -529,14 +522,14 @@ def score_outcome(
             raise ValueError("atom_init must be a finite non-zero vector")
         overlap = sum(a.conjugate() * z for a, z in zip(success_atom.tolist(), atom_init))
         success_fid = min(abs(overlap) ** 2 / init2, 1.0)
-        exit_pol = _exit_label(layout, branches["success"], photon)
+        exit_pol = _exit_label(photon)
     elif probs["failure"] > PROB_TOL:
         try:
             photon, _ = factors("failure")
         except ValueError:
             exit_pol = "mixed"
         else:
-            exit_pol = _exit_label(layout, branches["failure"], photon)
+            exit_pol = _exit_label(photon)
 
     return ProtocolOutcome(
         success_prob=probs["success"],
@@ -565,8 +558,8 @@ def assemble_outcome(
     parts = {label: mat[rows[label]] for label in BRANCH_LABELS if label in rows}
     probs = {label: float(np.vdot(part, part).real) for label, part in parts.items()}
 
-    def factors(label: str) -> tuple[list[complex], np.ndarray]:
+    def factors(label: str) -> tuple[list[tuple[int, complex]], np.ndarray]:
         return _branch_factors(layout, rows[label], parts[label])
 
     init = np.asarray(atom_init).tolist()
-    return score_outcome(layout, rows, probs, factors, init, lambda: final, prob_tol)
+    return score_outcome(probs, factors, init, lambda: final, prob_tol)

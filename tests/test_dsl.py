@@ -1014,6 +1014,38 @@ class TestBranchWeights:
         # The unequal mirrors fail at every mask but the empty one.
         assert raised == 3 * 3
 
+    def test_dense_state_scores_bitwise_as_the_run(self):
+        # The dense final state forms each product part by part, as the
+        # run's Python numbers do, so its factors, fidelity and label agree
+        # bit for bit, whether or not the CPU fuses a multiply-add; response
+        # entries with both a real and an imaginary part tell the two apart.
+        rng = random.Random(20260823)  # criterion 9's fuzzed sources
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        compared = 0
+        for index in range(100):
+            try:
+                circuit = compile_circuit(parse(_random_source(rng)))
+            except CompileError:
+                continue
+            layout = circuit.layout
+            for mask, atom in itertools.product(masks, haar_random_atoms(10, seed=index)):
+                spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+                got = _outcome_or_error(lambda: run_compiled(circuit, spec))
+                if isinstance(got, type):
+                    continue
+                want = _outcome_or_error(
+                    lambda: assemble_outcome(got.final_state, circuit.branches, spec.level_vector(layout))
+                )
+                assert not isinstance(want, type), (index, spec)
+                assert got.success_fidelity == want.success_fidelity, (index, spec)
+                assert got.exit_polarization == want.exit_polarization, (index, spec)
+                if want.success_atom_state is None:
+                    assert got.success_atom_state is None, (index, spec)
+                else:
+                    assert got.success_atom_state.tobytes() == want.success_atom_state.tobytes()
+                compared += 1
+        assert compared > 1900
+
     def test_sinks_classified_as_success(self):
         # No golden or fuzzed circuit scores its sink rows as a success, so
         # no other test factors a block with g amplitude: alone (the atom
@@ -1044,7 +1076,8 @@ class TestBranchWeights:
                 assert np.max(np.abs(got.success_atom_state - phase * atom_factor)) <= 1e-15
                 fid = abs(np.vdot(atom_factor, spec.level_vector(layout))) ** 2
                 assert got.success_fidelity == pytest.approx(fid, abs=1e-15), (name, spec)
-                assert got.exit_polarization == _exit_label(layout, rows, list(photon))
+                paths = rows < 2 * len(layout.paths)
+                assert got.exit_polarization == _exit_label(list(zip(rows[paths].tolist(), photon[paths])))
                 seen.add((got.success_fidelity, got.exit_polarization))
         assert seen == {"no success", "not a product", (0.0, "none")}
 
@@ -1075,6 +1108,25 @@ class TestBranchWeights:
         assert calls == []
         assert out.final_state.layout is circuit.layout
         assert len(calls) == 1
+
+    def test_warm_run_builds_nothing_as_long_as_its_branch(self):
+        # With its sinks classified as failure, mz at N = 10^5 has a failure
+        # branch of 400,002 rows, one of them non-zero for an absent atom: a
+        # warm run factors that row alone, and its label reads that row.
+        source = load_golden("mz").replace("sinks=absorbed", "sinks=failure")
+        circuit = compile_circuit(parse(source), {"N": 10**5})
+        absent = AtomSpec(0.6, 0.8j, present=False)
+        first = run_compiled(circuit, absent)
+        assert len(circuit.branches["failure"]) == 400_002
+        tracemalloc.start()
+        try:
+            out = run_compiled(circuit, absent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert out.failure_prob == first.failure_prob == pytest.approx(1.0, abs=1e-12)
+        assert out.exit_polarization == first.exit_polarization != "mixed"
 
     def test_record_is_freed_with_its_circuit(self):
         # Each mask's record lives on its circuit, and nothing else keeps it.

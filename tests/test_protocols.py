@@ -422,7 +422,8 @@ class TestFabryPerot:
         trips, vectors = 0, starts
         while np.vdot(vectors, vectors).real >= eps:
             trips, vectors = trips + 1, maps @ vectors
-        assert protocols._fp_round_trips([maps], starts, eps) == trips
+        carried = protocols._carried(maps, starts[..., 0])
+        assert protocols._fp_round_trips(carried, (1.0, 1.0), eps) == trips
 
     def test_kept_powers_give_the_round_trips_of_fresh_ones(self):
         # [DERIVED] reference: the bracket and bisection on powers T^(2^j)
@@ -453,9 +454,16 @@ class TestFabryPerot:
             t = math.sqrt(1 - r * r)
             spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
             out = run_fabry_perot(r, t, r, t, spec, eps=eps)
-            powers, starts = protocols._cavity(T=t, R=r, TP=t, RP=r).trips(spec)
-            assert out.details["round_trips"] == 1 + fresh(powers[0], starts, eps), (eps, r, spec)
-            kept.add(len(powers))
+            record = protocols._cavity(T=t, R=r, TP=t, RP=r)._record(mask)
+            # Each level's trip map and its column scaled by alpha or beta,
+            # on the two carried rows (fwd's polarizations).
+            levels = [(entry, level) for entry in record.trips for level in entry.levels]
+            maps = np.array([entry.powers[0] for entry, _ in levels], dtype=complex)
+            scale = (spec.alpha, spec.beta)
+            starts = np.array([[scale[level] * z for z in entry.column] for entry, level in levels])
+            maps, starts = maps.reshape(-1, 2, 2), starts.reshape(-1, 2, 1)
+            assert out.details["round_trips"] == 1 + fresh(maps, starts, eps), (eps, r, spec)
+            kept.update(len(entry.powers) for entry in record.trips)
         assert max(kept) > 10
 
     @pytest.mark.parametrize("fill", [1.0, math.nan])
@@ -463,9 +471,62 @@ class TestFabryPerot:
         # T = I keeps the photon inside for ever, and NaN never falls
         # below eps: the search stops at T^(2^64) instead of squaring on.
         maps = np.where(np.eye(4), fill, 0.0)[None].astype(complex)
-        starts = np.full((1, 4, 1), 0.5, dtype=complex)
+        starts = np.full((1, 4), 0.5, dtype=complex)
         with pytest.raises(ConservationError, match="does not empty"):
-            protocols._fp_round_trips([maps], starts, 1e-22)
+            protocols._fp_round_trips(protocols._carried(maps, starts), (1.0,), 1e-22)
+
+    def test_warm_run_reads_no_amplitudes(self, monkeypatch):
+        # A warm run reads its exits from the kept port weights and its
+        # round trips from the kept carried norms; only the dense final
+        # state reads the amplitudes.
+        calls = []
+        amplitudes = dsl.CompiledCircuit.amplitudes
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return amplitudes(self, *args, **kwargs)
+
+        r = 0.99
+        t = math.sqrt(1 - r * r)
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        for mask in masks:
+            run_fabry_perot(r, t, r, t, AtomSpec(0.6, 0.8j, transparency_mask=mask))
+        monkeypatch.setattr(dsl.CompiledCircuit, "amplitudes", counted)
+        for mask, atom in itertools.product(masks, haar_random_atoms(3, seed=4)):
+            spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+            out = run_fabry_perot(r, t, r, t, spec, eps=1e-16)
+        assert calls == []
+        assert out.final_state.layout.paths == ("in", "fwd", "tport", "refl", "trans")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("r", [0.3, 0.99, 0.999])
+    def test_exits_are_the_squared_amplitudes_of_their_ports(self, r):
+        # [DERIVED] reference: the squared amplitudes of each exit's rows,
+        # alpha- and beta-scaled, against |alpha|^2 P + |beta|^2 M from the
+        # kept per-path squared norms.
+        t = math.sqrt(1 - r * r)
+        cavity = protocols._cavity(T=t, R=r, TP=t, RP=r)
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        for mask, atom in itertools.product(masks, haar_random_atoms(3, seed=31)):
+            spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+            out = run_fabry_perot(r, t, r, t, spec)
+            for key, path in (("reflected", "refl"), ("transmitted", "trans")):
+                amps = cavity.amplitudes(spec, cavity.layout.path_block[path])
+                want = float(np.sum(np.abs(amps) ** 2))
+                assert abs(out.details[key] - want) <= 1e-15, (key, spec)
+
+    def test_equal_levels_share_one_carried_column(self):
+        # An absent atom's two levels see the same trip map and are left
+        # the same column; a present atom absorbs the beam on its first
+        # trip at either level and leaves none inside.
+        r = 0.9
+        t = math.sqrt(1 - r * r)
+        cavity = protocols._cavity(T=t, R=r, TP=t, RP=r)
+        for mask in (ABSENT_MASK, frozenset(), frozenset({"m+"})):
+            run_fabry_perot(r, t, r, t, AtomSpec(0.6, 0.8, transparency_mask=mask))
+        assert [entry.levels for entry in cavity._record(ABSENT_MASK).trips] == [[0, 1]]
+        assert cavity._record(frozenset()).trips == ()
+        assert [entry.levels for entry in cavity._record(frozenset({"m+"})).trips] == [[0]]
 
     @pytest.mark.parametrize(
         "atom", [AtomSpec(present=False), AtomSpec(0.6, 0.8, transparency_mask={"m+"})]
