@@ -629,9 +629,10 @@ class _MaskRecord:
     m+ and its m- column over each branch's rows (``branch_weights``) and
     over each path's block; for the cavity, each column that the first
     round trip leaves inside with the powers of its trip map and their
-    norms (``protocols._Carried``); and the non-zero rows of each branch
+    norms (``protocols._Carried``); the non-zero rows of each branch
     that a run has factored (``run_compiled``), gathered when it first
-    factors that branch."""
+    factors that branch; and the weights of each group of sinks that a run
+    has read, taken when it is first read."""
 
     response: np.ndarray
     weights: dict[str, tuple[float, float]]
@@ -641,6 +642,9 @@ class _MaskRecord:
     # first, their (m+, m-) response cells, read-only, and how many of
     # them are path rows.
     exits: dict[str, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
+    # Per tuple of sink labels that a run has read (``sink_weights``): the
+    # squared norms of the m+ and the m- column over their rows.
+    sinks: dict[tuple[str, ...], tuple[float, float]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -746,6 +750,21 @@ class CompiledCircuit:
         column of ``level_response(mask)`` over its rows, computed once per
         mask."""
         return self._record(mask).weights
+
+    def sink_weights(self, mask: frozenset[str], sinks: tuple[str, ...]) -> tuple[float, float]:
+        """The squared norms of the m+ and of the m- column of
+        ``level_response(mask)`` over the rows of ``sinks``, computed once
+        per mask and tuple of labels: what they absorb is |alpha|^2 times
+        the first plus |beta|^2 times the second, as for a branch."""
+        record = self._record(mask)
+        kept = record.sinks.get(sinks)
+        if kept is None:
+            cells = record.response[[self.layout.photon_index(sink) for sink in sinks]]
+            squares = cells.real**2 + cells.imag**2
+            plus, minus = self.layout._level_roles[:2]
+            kept = float(squares[:, plus].sum()), float(squares[:, minus].sum())
+            record.sinks[sinks] = kept
+        return kept
 
     def amplitudes(self, atom: AtomSpec, rows=slice(None)) -> np.ndarray:
         """The final (photon mode, level) amplitudes of ``atom``'s run on the

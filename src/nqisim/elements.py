@@ -40,6 +40,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -159,6 +160,19 @@ class Repeat:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"a repeat needs a positive count, got {self.count!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Taken once: the witness scan keys its transfers by the program,
+        # and the field hash would walk the body on every lookup.
+        return hash((self.body, self.count))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes; a copy takes its own.
+        return {key: value for key, value in vars(self).items() if key != "_hash"}
 
 
 def _block(layout: BasisLayout, path: str) -> slice:

@@ -147,14 +147,16 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     With the atom present the photon is absorbed with certainty, which is
     what makes the atom in superposition equivalent to an opaque object.
     Each pass scatters into its own sink pair (``S+ S-``, then ``S+#2
-    S-#2``), from which ``details`` reads the absorption of that pass.  The
+    S-#2``), from which ``details`` reads the absorption of that pass as
+    |alpha|^2 P + |beta|^2 M, from the pair's kept ``sink_weights``.  The
     circuit is propagated once per transparency mask and serves every atom.
     """
     circuit = _circuit("twopass")
     out = run_compiled(circuit, atom)
+    a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
     for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
-        rows = [circuit.layout.photon_index(sink) for sink in sink_pair_labels(event)]
-        out.details[key] = float(np.sum(np.abs(circuit.amplitudes(atom, rows)) ** 2))
+        plus, minus = circuit.sink_weights(atom.transparency_mask, sink_pair_labels(event))
+        out.details[key] = a2 * plus + b2 * minus
     return out
 
 

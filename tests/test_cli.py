@@ -289,6 +289,16 @@ class TestNogoCheck:
         # A witness row's residual is roundoff, below the printed resolution.
         assert out.strip().splitlines() == self.EIGHT_STAGES
 
+    def test_pinned_output_at_the_benchmark_size(self, capsys):
+        # The witness scan's chain, 150 stages, at every mask kind: each
+        # decision, residual and |delta|^2 byte for byte.
+        argv = ["nogo-check", "--stages", "150", "--atoms", "10", "--seed", "0"]
+        for mask in ("none", "m+", "m-", "m+,m-", "g"):
+            argv += ["--mask", mask]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (PINNED / "nogo-check-stages150-masks5-atoms10-seed0.csv").read_text()
+
     def test_mask_levels_joined_by_a_space(self, capsys):
         # Level names hold '+' and '-', so '+' would make m+,m- read "m++m-".
         code, out, _ = run_cli(

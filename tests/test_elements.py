@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import random
 
 import numpy as np
@@ -442,6 +443,18 @@ class TestPropagate:
                 assert np.max(np.abs(part - want_part)) <= 1e-15, mask
         with pytest.raises(ValueError, match="positive count"):
             elements.Repeat(body, 0)
+
+    def test_repeat_hash_is_kept_by_value(self):
+        # The hash is taken once per repeat; equality still compares the
+        # body, and a pickled copy takes its own hash.
+        body = (BeamSplitter(0.6, 0.8, "a", "b"), PolRotator("a", POL_FLIP), AtomInteraction("a"))
+        repeat = elements.Repeat(body, 3)
+        again = elements.Repeat(tuple(body), 3)
+        assert repeat == again and hash(repeat) == hash(again) == hash(repeat)
+        assert repeat != elements.Repeat(body, 4) and repeat != elements.Repeat(body[:2], 3)
+        copy = pickle.loads(pickle.dumps(repeat))
+        assert copy == repeat and {copy: "found"}[repeat] == "found"
+        assert "_hash" not in repeat.__getstate__()
 
     def test_input_block_is_not_changed(self):
         layout = layout2()

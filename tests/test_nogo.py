@@ -1,5 +1,6 @@
 """Witness existence: least-squares decision versus the brute-force grid."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -336,6 +337,18 @@ class TestFindWitness:
         assert abs(np.vdot(hit, result.phi_p)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_find_witness_leaves_the_pair_as_it_is():
+    # The core projects a copy: the pair's states, whose matrices it is
+    # handed as views, stay bitwise what they were.
+    layout, elements, _ = build_mz(8)
+    for atom in haar_random_atoms(3, seed=9):
+        for mask in (frozenset(), frozenset({"m+"})):
+            pair = build_final_states(layout, elements, initial_state(layout, "l", "+", atom), mask)
+            before = [state.amplitudes.tobytes() for state in (pair.present, pair.absent)]
+            find_witness(pair, atom.level_vector(layout))
+            assert [state.amplitudes.tobytes() for state in (pair.present, pair.absent)] == before
+
+
 class TestWitnessInputs:
     SEARCHES = pytest.mark.parametrize("search", [find_witness, grid_witness_search])
 
@@ -372,6 +385,16 @@ class TestGridOracle:
         overlap = np.vdot(atom_init, atom_vec)
         defect = np.linalg.norm(atom_vec - overlap * atom_init) / np.linalg.norm(atom_vec)
         assert defect == pytest.approx(best, abs=1e-12)
+
+    def test_candidates_are_built_once_per_dimension(self):
+        nogo._grid_candidates.cache_clear()
+        pair, atom_init = single_path_pair(*CRITERION_7_CASES["one-pass-x"])
+        first = grid_witness_search(pair, atom_init)
+        second = grid_witness_search(pair, atom_init)
+        info = nogo._grid_candidates.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 3)
+        assert first[0] == second[0] and first[1].tobytes() == second[1].tobytes()
+        assert not nogo._grid_candidates(pair.probe_dim - 1).flags.writeable
 
     def test_large_complement_rejected(self):
         # Two paths and a sink pair: six photon modes, complement dimension 5.
@@ -794,6 +817,41 @@ class TestCompactScan:
 
         monkeypatch.setattr(nogo, "JointState", dense)
         monkeypatch.setattr(nogo, "FinalStatePair", dense)
+        assert transparency_nogo_scan(layout, elements, factory, masks, atoms) == want
+
+    def test_kept_operator_does_not_grow_with_the_sinks(self):
+        # mz at N = 2 has 8 sink rows and at N = 2000 has 8000: the product
+        # a sample costs is the same at both.  Its rows are the 2P x L
+        # present path rows, L rows for the sink row, the 2P x L absent
+        # path rows and the 2 x 2P triangular rows of the two interacting
+        # levels; its columns the 2P x L path inputs.
+        shapes = []
+        for n_stages in (2, 2000):
+            layout, elements, _ = build_mz(n_stages)
+            transfer = nogo._transfer(layout, elements, frozenset())
+            assert not transfer.operator.flags.writeable
+            shapes.append(transfer.operator.shape)
+        assert shapes == [((2 * 4 + 1) * 3 + 2 * 4, 4 * 3)] * 2
+
+    def test_sample_makes_no_product_with_the_sink_block(self, monkeypatch):
+        # Each sample reads the kept operator alone: a sink block that
+        # raises on any use leaves every row as it was.
+        class Unread:
+            def fail(self, *args, **kwargs):
+                raise AssertionError("a sample read the sink block")
+
+            __array__ = __matmul__ = __rmatmul__ = __getitem__ = __len__ = __iter__ = fail
+
+        layout, elements, _ = build_mz(150)
+        factory = functools.partial(initial_state, layout, "l", "+")
+        masks, atoms = self.MASKS, haar_random_atoms(3, seed=8)
+        want = transparency_nogo_scan(layout, elements, factory, masks, atoms)
+        transfer = nogo._transfer
+
+        def without_sinks(*key):
+            return dataclasses.replace(transfer(*key), absorbed=Unread())
+
+        monkeypatch.setattr(nogo, "_transfer", without_sinks)
         assert transparency_nogo_scan(layout, elements, factory, masks, atoms) == want
 
     def test_transfer_is_looked_up_once_per_mask(self, monkeypatch):

@@ -25,7 +25,7 @@ from nqisim.protocols import (
     run_mz_chain,
     run_two_pass,
 )
-from nqisim.elements import propagate
+from nqisim.elements import propagate, sink_pair_labels
 from nqisim.state import ABSENT_MASK, ATOM_LEVELS, JointState
 from nqisim.tolerances import PROB_TOL
 
@@ -160,6 +160,32 @@ class TestTwoPass:
         assert len(calls) == 2
         assert masked.final_state.amplitude("S+", "g") == 0.0
         assert masked.absorbed_prob == pytest.approx(0.64, abs=1e-12)
+
+    def test_warm_run_reads_absorption_from_kept_weights(self, monkeypatch):
+        # Each pass's absorption is |alpha|^2 P + |beta|^2 M from its sink
+        # pair's kept weights: the dense amplitudes give the same to 1e-15,
+        # and a warm run forms none of them.
+        atoms = [AtomSpec(0.6, 0.8), AtomSpec(0.8, -0.6j, transparency_mask={"m-"})]
+        atoms += haar_random_atoms(5, seed=21)
+        circuit = protocols._circuit("twopass")
+        for atom in atoms:
+            out = run_two_pass(atom)
+            for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
+                rows = [circuit.layout.photon_index(sink) for sink in sink_pair_labels(event)]
+                dense = float(np.sum(np.abs(circuit.amplitudes(atom, rows)) ** 2))
+                assert abs(out.details[key] - dense) <= 1e-15
+
+        calls = []
+        amplitudes = dsl.CompiledCircuit.amplitudes
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return amplitudes(self, *args, **kwargs)
+
+        monkeypatch.setattr(dsl.CompiledCircuit, "amplitudes", counted)
+        for atom in atoms:
+            run_two_pass(atom)
+        assert calls == []
 
     def test_absent_atom_never_absorbs(self):
         out = run_two_pass(AtomSpec(present=False))
