@@ -123,107 +123,102 @@ Expr = Union[Num, Name, Call, BinOp, Neg]
 # The built-in constant and functions, which no let or binding may redefine.
 _BUILTINS = {"pi": math.pi, "sin": math.sin, "cos": math.cos}
 
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# One token after optional blanks; any other non-blank character is a
+# ``bad`` token, so the matches of ``finditer`` cover the text.
 _EXPR_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[()+\-*/,]))"
+    rf"\s*(?:(?P<num>{_NUM})|(?P<name>{_NAME})|(?P<op>[()+\-*/,])|(?P<bad>\S))"
 )
+# An expression that is one number or one name, maybe negated: the usual case.
+_LONE_TOKEN = re.compile(rf"(-?)(?:({_NUM})|({_NAME}))")
 
 
 class _ExprParser:
-    """Recursive-descent parser for the tiny arithmetic language."""
+    """Recursive-descent parser for the tiny arithmetic language.
+
+    Each token is (kind, text, offset), an operator's kind being its own
+    character; a last ``end`` token sits one past the last non-blank
+    character, so a lookahead is one index and never runs off the list."""
 
     def __init__(self, text: str, line: int, col_offset: int):
-        self.text = text
         self.line = line
         self.col_offset = col_offset
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _EXPR_TOKEN.match(text, pos)
-            if m is None:
-                rest = text[pos:]
-                if rest.strip() == "":
-                    break
-                bad = pos + len(rest) - len(rest.lstrip())
-                raise ParseError(
-                    line,
-                    col_offset + bad + 1,
-                    f"unexpected character in expression: {text[bad]!r}",
-                    text[bad],
-                )
+        tokens = []
+        for m in _EXPR_TOKEN.finditer(text):
             kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+            tok = m.group(kind)
+            if kind == "bad":
+                at = m.start(kind)
+                raise ParseError(
+                    line, col_offset + at + 1, f"unexpected character in expression: {tok!r}", tok
+                )
+            tokens.append((tok if kind == "op" else kind, tok, m.start(kind)))
+        tokens.append(("end", "", len(text.rstrip())))
+        self.tokens = tokens
         self.i = 0
 
     def _error(self, message: str) -> ParseError:
-        if self.i < len(self.tokens):
-            _, tok, start = self.tokens[self.i]
-            return ParseError(self.line, self.col_offset + start + 1, message, tok)
-        # At the end of the expression: one past its last non-blank character.
-        return ParseError(self.line, self.col_offset + len(self.text.rstrip()) + 1, message)
+        _, tok, start = self.tokens[self.i]
+        return ParseError(self.line, self.col_offset + start + 1, message, tok)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def accept(self, kind: str, value: str | None = None):
-        tok = self.peek()
-        if tok and tok[0] == kind and (value is None or tok[1] == value):
-            self.i += 1
-            return tok
-        return None
+    def _close(self) -> None:
+        """Consume a ``)``, or raise."""
+        if self.tokens[self.i][0] != ")":
+            raise self._error("unbalanced parentheses")
+        self.i += 1
 
     def parse(self) -> Expr:
         expr = self.sum()
-        if self.peek() is not None:
+        if self.tokens[self.i][0] != "end":
             raise self._error("trailing tokens in expression")
         return expr
 
     def sum(self) -> Expr:
         expr = self.term()
-        while True:
-            if self.accept("op", "+"):
-                expr = BinOp("+", expr, self.term())
-            elif self.accept("op", "-"):
-                expr = BinOp("-", expr, self.term())
-            else:
-                return expr
+        while (op := self.tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
+            expr = BinOp(op, expr, self.term())
+        return expr
 
     def term(self) -> Expr:
         expr = self.factor()
-        while True:
-            if self.accept("op", "*"):
-                expr = BinOp("*", expr, self.factor())
-            elif self.accept("op", "/"):
-                expr = BinOp("/", expr, self.factor())
-            else:
-                return expr
+        while (op := self.tokens[self.i][0]) in ("*", "/"):
+            self.i += 1
+            expr = BinOp(op, expr, self.factor())
+        return expr
 
     def factor(self) -> Expr:
-        if self.accept("op", "-"):
+        kind, tok, _ = self.tokens[self.i]
+        if kind in ("-", "num", "name", "("):
+            self.i += 1
+        if kind == "-":
             return Neg(self.factor())
-        tok = self.accept("num")
-        if tok:
-            return Num(float(tok[1]))
-        tok = self.accept("name")
-        if tok:
-            name = tok[1]
-            if callable(_BUILTINS.get(name)):
-                if not self.accept("op", "("):
-                    raise self._error(f"{name} needs an argument in parentheses")
+        if kind == "num":
+            return Num(float(tok))
+        if kind == "name":
+            if callable(_BUILTINS.get(tok)):
+                if self.tokens[self.i][0] != "(":
+                    raise self._error(f"{tok} needs an argument in parentheses")
+                self.i += 1
                 arg = self.sum()
-                if not self.accept("op", ")"):
-                    raise self._error("unbalanced parentheses")
-                return Call(name, arg)
-            return Name(name)
-        if self.accept("op", "("):
+                self._close()
+                return Call(tok, arg)
+            return Name(tok)
+        if kind == "(":
             expr = self.sum()
-            if not self.accept("op", ")"):
-                raise self._error("unbalanced parentheses")
+            self._close()
             return expr
         raise self._error("expected a number, name, or parenthesized expression")
 
 
 def parse_expr(text: str, line: int = 1, col_offset: int = 0) -> Expr:
+    lone = _LONE_TOKEN.fullmatch(text)
+    if lone is not None:
+        minus, num, name = lone.groups()
+        if num is not None or not callable(_BUILTINS.get(name)):
+            expr = Num(float(num)) if num is not None else Name(name)
+            return Neg(expr) if minus else expr
     return _ExprParser(text, line, col_offset).parse()
 
 
@@ -325,6 +320,10 @@ _LABEL = r"[A-Za-z_][A-Za-z0-9_+\-#.]*|[+\-]"
 _LABEL_RE = re.compile(f"^(?:{_LABEL})$")
 _WORD = re.compile(r"\S+")
 _ARG = re.compile(r"\S(?:.*\S)?")  # a span stripped of surrounding blanks
+_ARG_MARK = re.compile(r"[(),]")  # what splits the arguments of matrix(...)
+_LET = re.compile(r"^\s*let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
+_REPEAT = re.compile(r"^\s*repeat\s+(.+?)\s*\{$")
+_CLASSIFY_ENTRY = re.compile(rf"^({_LABEL}|sinks)=([A-Za-z_][A-Za-z0-9_]*)$")
 
 _POLS = ("+", "-", "x", "y")
 
@@ -351,7 +350,7 @@ _SYNTAX = {
 _BUILD: dict[str, Callable[..., Element]] = {
     "bs": lambda p, v, l: BeamSplitter(*v, *p),
     "mirror": lambda p, v, l: Mirror(*p),
-    "rot": lambda p, v, l: PolRotator(*p, np.reshape(v, (2, 2)) if v else POL_FLIP),
+    "rot": lambda p, v, l: PolRotator(*p, [v[:2], v[2:]] if v else POL_FLIP),
     "phase": lambda p, v, l: PhaseShift(*p, *v),
     "atom": lambda p, v, l: AtomInteraction(*p, frozenset(l)),
     "relabel": lambda p, v, l: Relabel(*p),
@@ -374,7 +373,9 @@ def _words(line: str, pos: int = 0) -> list[tuple[str, int]]:
 class _Parser:
     def __init__(self, source: str):
         self.lines = source.splitlines()
-        self.i = 0
+        # (line number, line) of each line not yet read, shared by the
+        # blocks of nested repeats.
+        self.unread = enumerate(self.lines, 1)
         self.paths: list[str] = []
         self.sinks: list[str] = []
         self.levels: list[str] = []
@@ -426,10 +427,7 @@ class _Parser:
 
     def _parse_block(self, top_level: bool) -> list[Stmt]:
         statements: list[Stmt] = []
-        while self.i < len(self.lines):
-            lineno = self.i + 1
-            raw = self.lines[self.i]
-            self.i += 1
+        for lineno, raw in self.unread:
             line = raw.split("#", 1)[0].rstrip()
             if not line:
                 continue
@@ -446,11 +444,13 @@ class _Parser:
 
     def _parse_statement(self, lineno: int, line: str, top_level: bool) -> Stmt | None:
         # ``line`` keeps its indentation: every offset is a source column.
-        words = _words(line)
-        keyword = words[0][0]
-
+        keyword = _WORD.search(line).group()
+        syntax = _SYNTAX.get(keyword)
+        if syntax is not None:
+            return self._parse_element(lineno, line, keyword, *syntax)
         if keyword in ("paths", "sinks", "atom-levels", "input", "classify") and not top_level:
             raise self.error(lineno, f"{keyword} is not allowed inside repeat", keyword)
+        words = _words(line)
 
         if keyword == "paths":
             self._declare(lineno, words[1:], self.paths, "path")
@@ -478,7 +478,7 @@ class _Parser:
             self.input_decl = (path, pol)
             return None
         if keyword == "let":
-            m = re.match(r"^\s*let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", line)
+            m = _LET.match(line)
             if m is None:
                 raise self.error(lineno, "malformed let binding", keyword)
             name = m.group(1)
@@ -490,29 +490,8 @@ class _Parser:
             expr = parse_expr(m.group(2), lineno, m.start(2))
             self.lets.append(LetBinding(lineno, name, expr))
             return None
-        if keyword in _SYNTAX:
-            pattern, roles, usage = _SYNTAX[keyword]
-            m = pattern.match(line)
-            if m is None:
-                raise self.error(lineno, usage, keyword)
-            spans: dict[str, list[tuple[str, int]]] = {role: [] for role in "peml"}
-            for i, role in enumerate(roles, 1):
-                if m.group(i) is not None:
-                    spans[role].append((m.group(i), m.start(i)))
-            paths = tuple(self._check_path(lineno, *span) for span in spans["p"])
-            exprs = [parse_expr(text, lineno, at) for text, at in spans["e"]]
-            for text, at in spans["m"]:
-                parts = self._split_args(lineno, line, at + len("matrix("), at + len(text) - 1)
-                if len(parts) != 4:
-                    raise self.error(lineno, "matrix(...) needs four entries", "matrix", at)
-                exprs += [parse_expr(part, lineno, part_at) for part, part_at in parts]
-            levels = [word for _, at in spans["l"] for word in _words(line, at)]
-            for lev, at in levels:
-                if lev not in self.levels:
-                    raise self.error(lineno, f"undeclared atom level: {lev}", lev, at)
-            return ElementStmt(lineno, keyword, paths, tuple(exprs), tuple(lev for lev, _ in levels))
         if keyword == "repeat":
-            m = re.match(r"^\s*repeat\s+(.+?)\s*\{$", line)
+            m = _REPEAT.match(line)
             if m is None:
                 raise self.error(lineno, "malformed repeat statement (repeat N {)", keyword)
             count = parse_expr(m.group(1), lineno, m.start(1))
@@ -524,7 +503,7 @@ class _Parser:
             pairs = []
             seen_ports = set()
             for word, at in words[1:]:
-                m = re.match(rf"^({_LABEL}|sinks)=([A-Za-z_][A-Za-z0-9_]*)$", word)
+                m = _CLASSIFY_ENTRY.match(word)
                 if m is None:
                     raise self.error(lineno, f"malformed classify entry: {word}", word, at)
                 port = m.group(1)
@@ -552,11 +531,43 @@ class _Parser:
 
         raise self.error(lineno, f"unknown keyword: {keyword}", keyword)
 
+    def _parse_element(
+        self, lineno: int, line: str, keyword: str, pattern: re.Pattern, roles: str, usage: str
+    ) -> ElementStmt:
+        m = pattern.match(line)
+        if m is None:
+            raise self.error(lineno, usage, keyword)
+        paths: list[str] = []
+        exprs: list[Expr] = []
+        levels: list[tuple[str, int]] = []
+        # In role order, which names every path first.
+        for i, (role, text) in enumerate(zip(roles, m.groups()), 1):
+            if text is None:
+                continue
+            at = m.start(i)
+            if role == "p":
+                paths.append(self._check_path(lineno, text, at))
+            elif role == "e":
+                exprs.append(parse_expr(text, lineno, at))
+            elif role == "m":
+                parts = self._split_args(lineno, line, at + len("matrix("), at + len(text) - 1)
+                if len(parts) != 4:
+                    raise self.error(lineno, "matrix(...) needs four entries", "matrix", at)
+                exprs += [parse_expr(part, lineno, part_at) for part, part_at in parts]
+            else:
+                levels = _words(line, at)
+        for lev, at in levels:
+            if lev not in self.levels:
+                raise self.error(lineno, f"undeclared atom level: {lev}", lev, at)
+        names = tuple(lev for lev, _ in levels)
+        return ElementStmt(lineno, keyword, tuple(paths), tuple(exprs), names)
+
     def _split_args(self, lineno: int, line: str, start: int, end: int) -> list[tuple[str, int]]:
         """The non-blank arguments of ``line[start:end]`` at parenthesis
         depth 0, stripped, each with its offset."""
         cuts, depth = [start - 1], 0
-        for i in range(start, end):
+        for mark in _ARG_MARK.finditer(line, start, end):
+            i = mark.start()
             if line[i] == "," and depth == 0:
                 cuts.append(i)
             elif line[i] == "(":
@@ -626,16 +637,23 @@ def print_circuit(ast: CircuitAst) -> str:
 class _MaskRecord:
     """What a compiled circuit keeps for one transparency mask, made by
     its first run: the level response, read-only; the squared norms of its
-    m+ and its m- column over each branch's rows (``branch_weights``) and
-    over each path's block; for the cavity, each column that the first
+    m+ and its m- column over the rows of each label of ``BRANCH_LABELS``,
+    in that order and zero for a label no port takes (``branch_weights``),
+    and over each path's block; for the cavity, each column that the first
     round trip leaves inside with the powers of its trip map and their
     norms (``protocols._Carried``); the non-zero rows of each branch
     that a run has factored (``run_compiled``), gathered when it first
     factors that branch; and the weights of each group of sinks that a run
-    has read, taken when it is first read."""
+    has read, taken when it is first read.
+
+    Each branch weight is numpy's 1-d sum of the squared column over the
+    branch's rows in increasing order, bit for bit the sum over the gathered
+    rows: the m+ and m- columns are squared once, as two contiguous rows, a
+    branch whose rows form a range is read as a slice, and each path's
+    weight is the sum of its two adjacent rows, all paths in one operation."""
 
     response: np.ndarray
-    weights: dict[str, tuple[float, float]]
+    weights: tuple[tuple[float, float], ...]
     ports: dict[str, tuple[float, float]]
     trips: tuple | None
     # Per branch label: the photon rows of its non-zero rows, path rows
@@ -691,11 +709,11 @@ class CompiledCircuit:
         ``aims`` times the atom m+ = m- = 1; g is empty."""
         layout = self.layout
         n = 2 * len(layout.paths)
-        levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
+        plus, minus = levels = list(layout._level_roles[:2])
         photons = np.zeros((n, layout.n_levels, len(aims)), dtype=complex)
         for j, (path, pol) in enumerate(aims):
             block, vector = _aimed_photon(layout, path, pol)
-            photons[block, levels, j] = vector[:, None]
+            photons[block, plus, j] = photons[block, minus, j] = vector
         response = np.zeros((layout.n_photon_modes, layout.n_levels, len(aims)), dtype=complex)
         response[:n], response[n:, levels] = propagate(layout, self.program, photons, mask=mask)
         return response
@@ -706,15 +724,25 @@ class CompiledCircuit:
         if record is None:
             response, trips = self._respond(mask)
             response.flags.writeable = False
-            plus, minus = self.layout._level_roles[:2]
-            squares = response.real**2 + response.imag**2
-
-            def norms(rows) -> tuple[float, float]:
-                return float(squares[rows, plus].sum()), float(squares[rows, minus].sum())
-
-            weights = {label: norms(rows) for label, rows in self.branches.items()}
-            ports = {path: norms(block) for path, block in self.layout.path_block.items()}
-            record = self._masks[mask] = _MaskRecord(response, weights, ports, trips)
+            layout = self.layout
+            # The squared m+ and m- columns as two contiguous rows.
+            cells = response.T[list(layout._level_roles[:2])]
+            squares = cells.real**2 + cells.imag**2
+            weights = []
+            for label in BRANCH_LABELS:
+                rows = self.branches.get(label)
+                if rows is None:
+                    weights.append((0.0, 0.0))
+                    continue
+                # A range of rows is read as a slice, not gathered.
+                if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+                    rows = slice(rows[0], rows[-1] + 1)
+                branch = squares[:, rows]
+                weights.append((float(branch[0].sum()), float(branch[1].sum())))
+            # A path's two rows are adjacent; each port weight is their sum.
+            n = 2 * len(layout.paths)
+            ports = dict(zip(layout.paths, zip(*(squares[:, 0:n:2] + squares[:, 1:n:2]).tolist())))
+            record = self._masks[mask] = _MaskRecord(response, tuple(weights), ports, trips)
         return record
 
     def _exit_rows(self, record: _MaskRecord, label: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -729,7 +757,7 @@ class CompiledCircuit:
             nonzero = cells.any(axis=1)
             rows, cells = rows[nonzero], cells[nonzero]
             rows.flags.writeable = cells.flags.writeable = False
-            n_path = int(np.searchsorted(rows, 2 * len(self.layout.paths)))
+            n_path = int(rows.searchsorted(2 * len(self.layout.paths)))
             kept = record.exits[label] = (rows, cells, n_path)
         return kept
 
@@ -749,7 +777,8 @@ class CompiledCircuit:
         """Per branch label, the squared norms of the m+ and of the m-
         column of ``level_response(mask)`` over its rows, computed once per
         mask."""
-        return self._record(mask).weights
+        weights = dict(zip(BRANCH_LABELS, self._record(mask).weights))
+        return {label: weights[label] for label in self.branches}
 
     def sink_weights(self, mask: frozenset[str], sinks: tuple[str, ...]) -> tuple[float, float]:
         """The squared norms of the m+ and of the m- column of
@@ -918,7 +947,7 @@ def run_compiled(
     record = circuit._record(atom.transparency_mask)
     alpha, beta = atom.alpha, atom.beta
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    probs = {label: a2 * plus + b2 * minus for label, (plus, minus) in record.weights.items()}
+    (ps, ms), (pf, mf), (pa, ma) = record.weights
 
     def factors(label: str) -> tuple[list[tuple[int, complex]], np.ndarray]:
         rows, cells, n_path = circuit._exit_rows(record, label)
@@ -933,7 +962,7 @@ def run_compiled(
     init = [0j] * layout.n_levels
     init[plus], init[minus] = alpha, beta
     return score_outcome(
-        probs,
+        (a2 * ps + b2 * ms, a2 * pf + b2 * mf, a2 * pa + b2 * ma),
         factors,
         init,
         lambda: JointState(layout, circuit.amplitudes(atom).reshape(-1)),

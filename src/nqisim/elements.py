@@ -32,12 +32,22 @@ read.  Binary powers of that map, by repeated squaring, give each passing
 level its count-th power and each read level every copy's input in
 O(log count) products, from which one more product reads what every copy
 absorbed.
+
+A propagation of a fresh circuit is a few dozen numpy calls on small
+arrays, so its cost is their number, not their size.  Every map starts
+from a kept read-only identity, copied where it is met; a repeat keeps
+its copies' inputs as one (levels, 2P, count k) view that each doubling
+fills with one product, and writes what its copies absorbed in copy order
+as it reads it; what a compiled program absorbed lands in its sink rows
+without ``np.add.at``.  The bookkeeping never changes a product: each has
+the operand shapes and memory layout that the element sequence gives it,
+because BLAS may round a product of another shape differently.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,8 +94,18 @@ class PolRotator:
         u.flags.writeable = False
         if u.shape != (2, 2):
             raise ValueError("polarization rotator must be a 2x2 matrix")
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-        if not defect <= NORM_TOL:
+        # The entries of u^dag u - I, in plain numbers: on a 2 x 2 one numpy
+        # call costs more than the arithmetic.
+        (a, b), (c, d) = u.tolist()
+        defects = (
+            abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
+            abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
+            abs(a.conjugate() * b + c.conjugate() * d),
+        )
+        # Each test, not their max: max() passes over a NaN after its first
+        # argument, and a NaN defect fails every comparison.
+        if not (defects[0] <= NORM_TOL and defects[1] <= NORM_TOL and defects[2] <= NORM_TOL):
+            defect = math.nan if any(map(math.isnan, defects)) else max(defects)
             raise ValueError(f"polarization rotator is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "u", u)
 
@@ -234,6 +254,17 @@ _KERNELS = {
 }
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(n: int, n_levels: int = 0) -> np.ndarray:
+    """The n x n identity, read-only, or with ``n_levels`` its copy at every
+    level, (n, L, n): the start of every map, copied where it is met."""
+    eye = np.eye(n, dtype=complex)
+    if n_levels:
+        eye = np.repeat(eye[:, None, :], n_levels, axis=1)
+    eye.flags.writeable = False
+    return eye
+
+
 def propagate(
     layout: BasisLayout,
     elements: Iterable[Element | Repeat],
@@ -246,7 +277,14 @@ def propagate(
     a compiled program.  Returns the propagating rows after it, (2P, L, k),
     and what each sink row absorbed from m+ and from m-, (S, 2, k).  Levels
     in ``mask`` never interact, in addition to each interaction's own mask:
-    m+ and m- outside ``mask`` are read, and every other level passes."""
+    m+ and m- outside ``mask`` are read, and every other level passes.
+
+    What each interaction absorbed is gathered as (amplitudes, sink rows)
+    parts, a repeat's copies one part, and added into the zero sink block
+    at the end: straight into its rows where the parts name every sink
+    pair once, in layout order, as a compiled program does, and otherwise
+    by ``np.add.at`` in part order.  Each cell then takes 0 plus its
+    amplitudes, in the same order either way."""
     n, n_levels, k = 2 * len(layout.paths), layout.n_levels, photons.shape[-1]
     if photons.shape != (n, n_levels, k):
         raise ValueError(f"photon block has shape {photons.shape}, not ({n}, {n_levels}, k)")
@@ -258,6 +296,15 @@ def propagate(
         if level not in mask
     ]
 
+    def apply(run: list[Element], block: np.ndarray) -> np.ndarray:
+        """``block`` after the optical elements ``run``: one product, as a
+        repeat body's map is applied (kernels applied to the block itself
+        would round differently)."""
+        m = _identity(n).copy()
+        for optic in run:
+            _KERNELS[type(optic)](m, layout, optic)
+        return m.dot(block.reshape(n, -1)).reshape(block.shape)
+
     def advance(items: Iterable[Element | Repeat], block: np.ndarray):
         """``block``, (2P, L, c), after ``items``; what each interaction
         absorbed from m+ and from m-, (E, 2, c); and the two sink rows it
@@ -266,24 +313,18 @@ def propagate(
         # The interactions met here one by one, then each repeat's copies.
         amps: list[np.ndarray] = []
         rows: list[tuple[int, int]] = []
-        repeated: list[tuple[np.ndarray, np.ndarray]] = []
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
         run: list[Element] = []
-        for el in itertools.chain(items, [None]):
-            if el is not None and not isinstance(el, (AtomInteraction, Repeat)):
+        for el in items:
+            if not isinstance(el, (AtomInteraction, Repeat)):
                 run.append(el)
                 continue
             if run:
-                # One product, as a repeat body's map is applied: kernels
-                # applied to the block itself would round differently.
-                m = np.eye(n, dtype=complex)
-                for optic in run:
-                    _KERNELS[type(optic)](m, layout, optic)
-                block = m.dot(block.reshape(n, -1)).reshape(n, n_levels, c)
-                run = []
+                block, run = apply(run, block), []
             if isinstance(el, Repeat):
                 block, copies, sink_rows = repeat(el, block)
-                repeated.append((copies, sink_rows))
-            elif el is not None and reads:
+                parts.append((copies, sink_rows))
+            elif reads:
                 start = _block(layout, el.path).start
                 event = np.zeros((2, c), dtype=complex)
                 for offset, level, index in reads:
@@ -292,21 +333,21 @@ def propagate(
                         block[start + offset, index] = 0.0
                 amps.append(event)
                 rows.append((_sink_row(layout, el.sink_plus), _sink_row(layout, el.sink_minus)))
-        singles = np.array(amps, dtype=complex).reshape(-1, 2, c), np.array(rows, dtype=int).reshape(-1, 2)
-        parts = [singles, *repeated]
-        return (
-            block,
-            np.concatenate([part for part, _ in parts]),
-            np.concatenate([part for _, part in parts]),
-        )
+        if run:
+            block = apply(run, block)
+        if amps or not parts:
+            singles = np.array(amps, dtype=complex).reshape(-1, 2, c)
+            parts.insert(0, (singles, np.array(rows, dtype=int).reshape(-1, 2)))
+        if len(parts) == 1:
+            return block, *parts[0]
+        return block, np.concatenate([a for a, _ in parts]), np.concatenate([r for _, r in parts])
 
     def repeat(node: Repeat, block: np.ndarray):
         """``advance`` through ``node.count`` copies of ``node.body``."""
         count, c = node.count, block.shape[-1]
         # The body on the identity: its map per level, and the row of the
         # input that each of its interactions reads at m+ and m-.
-        identity = np.repeat(np.eye(n, dtype=complex)[:, None, :], n_levels, axis=1)
-        body, absorbs, sink_rows = advance(node.body, identity)
+        body, absorbs, sink_rows = advance(node.body, _identity(n, n_levels).copy())
         # The levels that the copies read, then those that pass.
         order = [index for _, _, index in reads] if len(absorbs) else []
         split = len(order)
@@ -319,31 +360,41 @@ def propagate(
         if split:
             inputs = np.empty((split, n, count, c), dtype=complex)
             inputs[:, :, 0] = block[:split]
+            # Copy j's input in columns j c to (j + 1) c, a view.
+            flat = inputs.reshape(split, n, count * c)
         for i in range(count.bit_length()):
             if i:
                 power = power @ power
             if count >> i & 1:
                 passed = power[split:] @ passed
-            done = 1 << i
-            if split and done < count:
-                step = min(done, count - done)
-                moved = inputs[:, :, done : done + step].reshape(split, n, step * c)
-                np.matmul(power[:split], inputs[:, :, :step].reshape(split, n, step * c), out=moved)
+            done = (1 << i) * c
+            if split and done < count * c:
+                step = min(done, count * c - done)
+                np.matmul(power[:split], flat[:, :, :step], out=flat[:, :, done : done + step])
         if not split:  # every level passes, in its own order
             return passed.transpose(1, 0, 2), np.zeros((0, 2, c), dtype=complex), sink_rows
-        out = np.empty((n_levels, n, c), dtype=complex)
-        out[order] = np.concatenate([body[:split] @ inputs[:, :, -1], passed])
+        out = np.empty((n, n_levels, c), dtype=complex)
+        out[:, order[:split]] = (body[:split] @ inputs[:, :, -1]).transpose(1, 0, 2)
+        out[:, order[split:]] = passed.transpose(1, 0, 2)
+        # What interaction e of copy j absorbed, in copy order.
         per_copy = len(absorbs)
-        copies = np.zeros((per_copy, 2, count * c), dtype=complex)
+        copies = np.zeros((count, per_copy, 2, c), dtype=complex)
         for j, (offset, _, _) in enumerate(reads):
-            copies[:, offset] = absorbs[:, offset] @ inputs[j].reshape(n, count * c)
-        copies = copies.reshape(per_copy, 2, count, c).transpose(2, 0, 1, 3).reshape(-1, 2, c)
+            read = absorbs[:, offset] @ flat[j]
+            copies[:, :, offset] = read.reshape(per_copy, count, c).transpose(1, 0, 2)
         shifts = 2 * per_copy * np.arange(count)[:, None, None]
-        return out.transpose(1, 0, 2), copies, (sink_rows + shifts).reshape(-1, 2)
+        return out, copies.reshape(-1, 2, c), (sink_rows + shifts).reshape(-1, 2)
 
     prop, amps, rows = advance(elements, np.array(photons, dtype=complex))
     absorbed = np.zeros((len(layout.sinks), 2, k), dtype=complex)
-    if len(rows):
+    events = len(rows)
+    if events:
+        if 2 * events <= len(layout.sinks) and (rows.ravel() == np.arange(n, n + 2 * events)).all():
+            # Interaction e absorbed into sink rows 2e and 2e + 1.
+            pairs = absorbed[: 2 * events].reshape(events, 2, 2, k)
+            pairs[:, 0, 0] += amps[:, 0]
+            pairs[:, 1, 1] += amps[:, 1]
+            return prop, absorbed
         if rows.max() >= layout.n_photon_modes:
             raise ValueError("a repeat's copies scatter past the sinks of the layout")
         for offset in range(2):

@@ -483,19 +483,20 @@ def _exit_label(photon: list[tuple[int, complex]]) -> str:
 
 
 def score_outcome(
-    probs: dict[str, float],
+    probs: tuple[float, float, float],
     factors: Callable[[str], tuple[list[tuple[int, complex]], np.ndarray]],
     atom_init: Sequence[complex],
     final_state: Callable[[], JointState],
     prob_tol: float = PROB_TOL,
 ) -> ProtocolOutcome:
-    """Score a run from its branch probabilities ``probs`` and, on request,
-    the factors of one branch: ``factors(label)`` is the unit photon factor
-    on the branch's non-zero path rows and the unit atom factor
-    (``_factor_rows``), or a ``ValueError`` if the branch is not a product.
+    """Score a run from its branch probabilities ``probs``, one per label of
+    ``BRANCH_LABELS`` in that order, and, on request, the factors of one
+    branch: ``factors(label)`` is the unit photon factor on the branch's
+    non-zero path rows and the unit atom factor (``_factor_rows``), or a
+    ``ValueError`` if the branch is not a product.
 
-    A label ``probs`` lacks has probability zero, and the probabilities
-    must sum to one within ``prob_tol``.  Only one branch is factored: the success
+    The probabilities, added in that order, must sum to one within
+    ``prob_tol``.  Only one branch is factored: the success
     branch, into the post-selected atom state, its fidelity to
     ``atom_init`` (the initial amplitude of each level, normalized here)
     and the exit polarization, or failing that the failure branch, which
@@ -505,8 +506,8 @@ def score_outcome(
     """
     if not 0.0 <= prob_tol < math.inf:
         raise ValueError(f"prob_tol must be finite and non-negative, got {prob_tol!r}")
-    probs = {label: probs.get(label, 0.0) for label in BRANCH_LABELS}
-    total = sum(probs.values())
+    success, failure, absorbed = probs
+    total = success + failure + absorbed
     if not abs(total - 1.0) <= prob_tol:
         raise ConservationError(
             f"branch probabilities sum to {total!r}, expected 1"
@@ -515,15 +516,19 @@ def score_outcome(
     success_atom = None
     success_fid = None
     exit_pol = "none"
-    if probs["success"] > PROB_TOL:
+    if success > PROB_TOL:
         photon, success_atom = factors("success")
-        init2 = sum(z.real * z.real + z.imag * z.imag for z in atom_init)
+        # The squared norm of atom_init and its overlap with the atom
+        # factor, each summed level by level.
+        init2 = overlap = 0
+        for a, z in zip(success_atom.tolist(), atom_init):
+            init2 += z.real * z.real + z.imag * z.imag
+            overlap += a.conjugate() * z
         if not 0.0 < init2 < math.inf:
             raise ValueError("atom_init must be a finite non-zero vector")
-        overlap = sum(a.conjugate() * z for a, z in zip(success_atom.tolist(), atom_init))
         success_fid = min(abs(overlap) ** 2 / init2, 1.0)
         exit_pol = _exit_label(photon)
-    elif probs["failure"] > PROB_TOL:
+    elif failure > PROB_TOL:
         try:
             photon, _ = factors("failure")
         except ValueError:
@@ -532,9 +537,9 @@ def score_outcome(
             exit_pol = _exit_label(photon)
 
     return ProtocolOutcome(
-        success_prob=probs["success"],
-        failure_prob=probs["failure"],
-        absorbed_prob=probs["absorbed"],
+        success_prob=success,
+        failure_prob=failure,
+        absorbed_prob=absorbed,
         success_atom_state=success_atom,
         success_fidelity=success_fid,
         exit_polarization=exit_pol,
@@ -556,7 +561,10 @@ def assemble_outcome(
     all_rows = np.arange(layout.n_photon_modes)
     rows = {label: all_rows[branch] for label, branch in branches.items()}
     parts = {label: mat[rows[label]] for label in BRANCH_LABELS if label in rows}
-    probs = {label: float(np.vdot(part, part).real) for label, part in parts.items()}
+    probs = tuple(
+        float(np.vdot(parts[label], parts[label]).real) if label in parts else 0.0
+        for label in BRANCH_LABELS
+    )
 
     def factors(label: str) -> tuple[list[tuple[int, complex]], np.ndarray]:
         return _branch_factors(layout, rows[label], parts[label])

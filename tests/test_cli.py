@@ -332,6 +332,20 @@ def test_fewer_than_one_atom_sample_rejected(capsys, argv):
 
 
 class TestRun:
+    def test_pinned_compiled_cavity(self, capsys):
+        # fp.nqi run as a circuit file at two mirror bindings, with an atom
+        # and without: each a fresh compile and first response.
+        out = ""
+        for r, trips in (("0.9", "117"), ("0.95", "237")):
+            t = repr(math.sqrt(1 - float(r) ** 2))
+            binds = [f"R={r}", f"T={t}", f"RP={r}", f"TP={t}", f"K={trips}"]
+            argv = ["run", "fp", *(arg for bind in binds for arg in ("--bind", bind))]
+            for atom in (["--alpha", "0.6", "--beta", "0.8i"], ["--no-atom"]):
+                code, text, _ = run_cli(capsys, *argv, *atom)
+                assert code == 0
+                out += text
+        assert out == (PINNED / "run-fp-R0.9-K117-R0.95-K237.csv").read_text()
+
     def test_bundled_circuit_with_binding(self, capsys):
         code, out, _ = run_cli(capsys, "run", "mz", "--bind", "N=4")
         assert code == 0

@@ -105,6 +105,21 @@ class TestExpressions:
             expr = parse_expr(text)
             assert parse_expr(dsl.print_expr(expr)) == expr
 
+    @pytest.mark.parametrize(
+        "text", ["7", "2.5e-3", "9e999", "-h", "-1", "pi", "-pi", "N_2", "sin", "-cos", "2N", "- h", " h"]
+    )
+    def test_a_lone_token_parses_as_the_full_grammar_does(self, text):
+        # parse_expr reads a lone number or name, negated or not, without
+        # tokenizing it; the tree, or the located error, is the grammar's.
+        def outcome(parse):
+            try:
+                return parse()
+            except ParseError as exc:
+                return exc.line, exc.column, exc.message, exc.token
+
+        want = outcome(lambda: dsl._ExprParser(text, 4, 9).parse())
+        assert outcome(lambda: parse_expr(text, 4, 9)) == want
+
 
 class TestParser:
     def test_minimal_circuit(self):
@@ -976,6 +991,36 @@ def _golden_circuits():
 
 
 class TestBranchWeights:
+    def test_record_sums_each_branch_and_path_as_gathered(self):
+        # Each kept weight is bit for bit the numpy sum of the squared
+        # response over the rows of its branch or path, gathered in order.
+        rng = random.Random(20260823)  # criterion 9's fuzzed sources
+        circuits = dict(_golden_circuits())
+        circuits["fp K=117"] = compile_circuit(parse(load_golden("fp")), _fp_bindings(0.9, 117))
+        for index in range(100):
+            try:
+                circuits[f"fuzzed {index}"] = compile_circuit(parse(_random_source(rng)))
+            except CompileError:
+                continue
+        assert len(circuits) > 60
+        masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
+        for (name, circuit), mask in itertools.product(circuits.items(), masks):
+            layout = circuit.layout
+            plus, minus = layout.level_index("m+"), layout.level_index("m-")
+            response = circuit.level_response(mask)
+            squares = response.real**2 + response.imag**2
+
+            def gathered(rows) -> tuple[str, str]:
+                sums = float(squares[rows, plus].sum()), float(squares[rows, minus].sum())
+                return sums[0].hex(), sums[1].hex()
+
+            weights = {label: gathered(rows) for label, rows in circuit.branches.items()}
+            ports = {path: gathered(block) for path, block in layout.path_block.items()}
+            kept = circuit.branch_weights(mask)
+            assert {k: (p.hex(), m.hex()) for k, (p, m) in kept.items()} == weights, (name, mask)
+            kept = circuit._record(mask).ports
+            assert {k: (p.hex(), m.hex()) for k, (p, m) in kept.items()} == ports, (name, mask)
+
     def test_run_agrees_with_the_dense_state(self):
         # run_compiled scores from per-mask branch weights and one branch's
         # rows; assemble_outcome sums every row of the dense state.

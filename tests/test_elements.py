@@ -158,6 +158,32 @@ class TestPolRotator:
         with pytest.raises(ValueError, match="2x2"):
             PolRotator("a", np.eye(3))
 
+    # Entry (i, j) of u^dag u - I set off by ``scale`` times NORM_TOL: the
+    # two diagonal entries through a column's norm, the off-diagonal one
+    # through a column's overlap with the other.
+    OFF_UNITARY = {
+        (0, 0): lambda d: [[math.sqrt(1 + d), 0], [0, 1]],
+        (1, 1): lambda d: [[1, 0], [0, math.sqrt(1 + d)]],
+        (0, 1): lambda d: [[1, d], [0, 1]],
+    }
+
+    @pytest.mark.parametrize("entry", sorted(OFF_UNITARY))
+    def test_unitarity_is_checked_at_the_tolerance(self, entry):
+        u = self.OFF_UNITARY[entry]
+        PolRotator("a", u(0.99 * elements.NORM_TOL))
+        with pytest.raises(ValueError, match="not unitary"):
+            PolRotator("a", u(1.01 * elements.NORM_TOL))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_entries_are_refused(self, bad, cell):
+        # A NaN in any entry, not only the first the check reads.
+        for base in (np.eye(2), POL_FLIP):
+            u = np.array(base, dtype=complex)
+            u[cell] = bad
+            with pytest.raises(ValueError, match="not unitary"):
+                PolRotator("a", u)
+
     def test_matrix_is_a_read_only_copy(self):
         # Compiled circuits share a rotator across repeat copies, and every
         # ``rot flip`` starts from the module constant.
