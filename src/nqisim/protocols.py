@@ -61,11 +61,12 @@ are |alpha|^2 P + |beta|^2 M from the squared norms P and M of the m+
 and m- columns over each exit's path, which each mask's record keeps.
 Its ``details["round_trips"]`` is the K at which the compiled ``fp.nqi``
 leaves less than ``eps`` inside, bracketed from the squared norms
-|T^(2^j) v|^2 that the record keeps per carried column v and bisected by
-carrying v through the kept powers of T, in plain Python numbers: a warm
-run makes no numpy call outside ``run_compiled``.  The compiled circuit's
-exits add coherently, so they miss an amplitude tail of order
-sqrt(eps)/(1 - r r'), not eps.
+|T^(2^j) v|^2 that the record keeps per carried column v and bisected
+over the nodes T^K v that the record keeps as searches visit them, in
+plain Python numbers: a warm run makes no numpy call outside
+``run_compiled``, and a repeated search computes no column.  The
+compiled circuit's exits add coherently, so they miss an amplitude tail
+of order sqrt(eps)/(1 - r r'), not eps.
 """
 
 from __future__ import annotations
@@ -261,6 +262,13 @@ def _cavity(**mirrors: float) -> _Cavity:
 # below every positive eps long before T^(2^64).
 _FP_MAX_DOUBLINGS = 64
 
+# Bisection nodes kept per carried column before every kept one is
+# dropped.  On fp.nqi's two carried rows a node holds about 300 bytes, so
+# a full entry holds about 0.9 MB (tracemalloc).  Uncapped, a sweep of
+# {m+} atoms at r = 0.99999 and eps = 1e-22 keeps 10,556 nodes (3.1 MB)
+# after 2000 atoms, and more with every further atom.
+_FP_MAX_NODES = 3000
+
 
 def _apply(matrix: list[list[complex]], column: list[complex]) -> tuple[list[complex], float]:
     """``matrix`` times ``column`` and its squared norm, in plain Python
@@ -281,13 +289,18 @@ class _Carried:
     m-), which share v and the trip map T, with the powers T^(2^j), T
     itself first, and the squared norms q: ``norms[0]`` is |v|^2 and
     ``norms[j + 1]`` is |T^(2^j) v|^2.  Both lists grow as far as a search
-    needs, and are kept across atoms and ``eps`` values.  Every number is
-    a plain Python one."""
+    needs.  ``nodes`` maps each bisection node K that a search has visited
+    to its column T^K v, as ``_fp_round_trips`` computes it, and that
+    column's squared norm.  All three are kept across atoms and ``eps``
+    values; ``nodes`` holds at most ``_FP_MAX_NODES`` entries (about 0.9
+    MB on fp.nqi's two carried rows) and is emptied when it is full.  Every
+    number is a plain Python one."""
 
     levels: list[int]
     column: list[complex]
     powers: list[list[list[complex]]]
     norms: list[float]
+    nodes: dict[int, tuple[list[complex], float]] = dataclasses.field(default_factory=dict, repr=False)
 
     def norm(self, j: int) -> float:
         """``norms[j]``, squaring T on as far as it takes."""
@@ -299,6 +312,14 @@ class _Carried:
                 self.powers.append([[sum(map(operator.mul, row, col)) for col in columns] for row in power])
             self.norms.append(_apply(self.powers[k], self.column)[1])
         return self.norms[j]
+
+    def keep(self, node: int, found: tuple[list[complex], float]) -> tuple[list[complex], float]:
+        """Keep ``found`` as node ``node``, first dropping every kept node
+        if ``_FP_MAX_NODES`` are kept."""
+        if len(self.nodes) >= _FP_MAX_NODES:
+            self.nodes.clear()
+        self.nodes[node] = found
+        return found
 
 
 def _carried(maps: np.ndarray, columns: np.ndarray) -> tuple[_Carried, ...]:
@@ -327,35 +348,44 @@ def _fp_round_trips(carried: Sequence[_Carried], weights: Sequence[float], eps: 
     Each T_l is a contraction, so that carried probability never rises
     from one trip to the next.  K is bracketed by the first power T^(2^j)
     that leaves less than ``eps``, from the kept norms alone, and then
-    bisected by carrying each v through the kept powers.  A probability
+    bisected.  From ``trips`` trips, a sum of powers of two above 2^j, the
+    bisection tries node trips + 2^j, whose column is T^(2^j) times the
+    column at ``trips``: it depends on the node alone, not on the weights
+    or ``eps``.  So each entry keeps the columns and squared norms of the
+    nodes it has visited (``_Carried.nodes``), and a search computes only
+    the nodes that no earlier one has; a repeated search computes none.
+    The search holds the columns along its own path, so a full entry that
+    drops its nodes loses none that the search still needs.  A probability
     that is NaN has not fallen below ``eps``.
     """
     entries = [(entry, sum([weights[level] for level in entry.levels])) for entry in carried]
-
-    def left(j: int) -> float:
-        """The carried probability after 2^(j-1) trips, or before any at j = 0."""
+    # The first ``top`` whose carried probability, after 2^(top-1) trips or
+    # before any at top = 0, is below eps.
+    top = 0
+    while True:
         total = 0.0
         for entry, w in entries:
-            total += w * entry.norm(j)
-        return total
-
-    if left(0) < eps:
-        return 0
-    top = 0
-    while not left(top + 1) < eps:
-        if top == _FP_MAX_DOUBLINGS:
+            total += w * entry.norm(top)
+        if total < eps:
+            break
+        if top > _FP_MAX_DOUBLINGS:
             raise ConservationError(f"the cavity does not empty below eps = {eps!r}")
         top += 1
+    if top == 0:
+        return 0
     # At step j, ``trips`` leave eps or more inside and trips + 2^(j+1) less.
-    trips, columns = 0, [entry.column for entry, _ in entries]
-    for j in reversed(range(top)):
-        trial, total = [], 0.0
-        for (entry, w), column in zip(entries, columns):
-            moved, norm2 = _apply(entry.powers[j], column)
-            trial.append(moved)
-            total += w * norm2
+    trips, path = 0, [entry.column for entry, _ in entries]
+    for j in reversed(range(top - 1)):
+        node = trips + (1 << j)
+        total = 0.0
+        for (entry, w), column in zip(entries, path):
+            kept = entry.nodes.get(node)
+            if kept is None:
+                kept = entry.keep(node, _apply(entry.powers[j], column))
+            total += w * kept[1]
         if not total < eps:
-            trips, columns = trips + 2**j, trial
+            # Every entry has kept this node since any drop.
+            trips, path = node, [entry.nodes[node][0] for entry, _ in entries]
     return trips + 1
 
 
@@ -387,7 +417,10 @@ def run_fabry_perot(
     amplitude there (``_fp_round_trips``).  The compiled ``fp.nqi`` at that
     many trips leaves less than ``eps`` inside, but its exits miss an
     amplitude tail of order sqrt(eps)/(1 - r r'), which moves each of its
-    probabilities by up to that much.
+    probabilities by up to that much.  The search keeps the columns T_l^K
+    v_l it visits on the mask's record, for every later atom and ``eps``
+    at these mirrors: up to ``_FP_MAX_NODES`` per carried column, about
+    0.9 MB, of which a mask has at most two (``_Carried``).
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if tt < 0 or rr < 0:

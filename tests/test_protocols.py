@@ -492,6 +492,76 @@ class TestFabryPerot:
             kept.update(len(entry.powers) for entry in record.trips)
         assert max(kept) > 10
 
+    @staticmethod
+    def _fresh_round_trips(trips, atom, eps):
+        """The search on entries built afresh from T and v: no kept power
+        beyond T, no kept norm beyond |v|^2 and no kept node."""
+        fresh = [protocols._Carried(list(e.levels), e.column, e.powers[:1], e.norms[:1]) for e in trips]
+        return protocols._fp_round_trips(fresh, (abs(atom.alpha) ** 2, abs(atom.beta) ** 2), eps)
+
+    def test_kept_nodes_give_the_round_trips_of_a_fresh_search(self):
+        # [DERIVED] reference: the same search on fresh entries.  Atoms and
+        # eps values interleave on one cavity per r, so each search meets
+        # nodes that searches at other weights and eps kept; at r = 0.99999
+        # the {m+} entry fills up and drops its nodes.
+        protocols._cavity.cache_clear()
+        masks = (frozenset({"m+"}), ABSENT_MASK)
+        atoms = haar_random_atoms(300, seed=41)
+        for r in (0.99, 0.999, 0.99999):
+            t = math.sqrt(1 - r * r)
+            cavity = protocols._cavity(T=t, R=r, TP=t, RP=r)
+            sizes, drops = {}, 0
+            for atom, eps, mask in itertools.product(atoms, (1e-12, 1e-16, 1e-22), masks):
+                spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=mask)
+                out = run_fabry_perot(r, t, r, t, spec, eps=eps)
+                trips = cavity._record(mask).trips
+                assert out.details["round_trips"] == 1 + self._fresh_round_trips(trips, spec, eps), (r, eps, spec)
+                for entry in trips:
+                    size = len(entry.nodes)
+                    assert size <= protocols._FP_MAX_NODES
+                    drops += size < sizes.get(id(entry), 0)
+                    sizes[id(entry)] = size
+            assert (drops > 0) == (r == 0.99999), r
+
+    def test_a_search_keeps_its_path_through_a_drop(self, monkeypatch):
+        # [DERIVED] reference: the same search on fresh entries.  With room
+        # for one node, every node a search keeps drops the one before it,
+        # which may be the column the search goes on from.
+        monkeypatch.setattr(protocols, "_FP_MAX_NODES", 1)
+        protocols._cavity.cache_clear()
+        r = 0.999
+        t = math.sqrt(1 - r * r)
+        cavity = protocols._cavity(T=t, R=r, TP=t, RP=r)
+        for atom, eps in itertools.product(haar_random_atoms(10, seed=43), (1e-12, 1e-22)):
+            spec = AtomSpec(atom.alpha, atom.beta, transparency_mask=frozenset({"m+"}))
+            out = run_fabry_perot(r, t, r, t, spec, eps=eps)
+            (entry,) = cavity._record(spec.transparency_mask).trips
+            assert len(entry.nodes) == 1
+            assert out.details["round_trips"] == 1 + self._fresh_round_trips([entry], spec, eps)
+
+    def test_a_repeated_search_computes_no_column(self, monkeypatch):
+        # The search keeps the nodes it visits, so the same weights and eps
+        # again, which the absent atom brings on every run, read kept norms
+        # and columns alone.
+        calls = []
+        apply = protocols._apply
+
+        def counted(*args):
+            calls.append(args)
+            return apply(*args)
+
+        protocols._cavity.cache_clear()
+        monkeypatch.setattr(protocols, "_apply", counted)
+        r = 0.999
+        t = math.sqrt(1 - r * r)
+        for atom in (AtomSpec(present=False), AtomSpec(0.6, 0.8j, transparency_mask={"m+"})):
+            first = run_fabry_perot(r, t, r, t, atom, eps=1e-16)
+            assert calls
+            calls.clear()
+            again = run_fabry_perot(r, t, r, t, atom, eps=1e-16)
+            assert calls == []
+            assert again.details["round_trips"] == first.details["round_trips"]
+
     @pytest.mark.parametrize("fill", [1.0, math.nan])
     def test_a_cavity_that_never_empties_is_refused(self, fill):
         # T = I keeps the photon inside for ever, and NaN never falls

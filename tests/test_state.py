@@ -5,6 +5,7 @@ import pickle
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,25 @@ def _error_kind(run):
     return None
 
 
+def _factor_deviation(photon, atom, want_photon, want_atom, paths):
+    """The largest deviation of the atom factor and of the photon factor's
+    ``paths`` rows from the reference factors, up to a global phase."""
+    phase = np.vdot(want_atom, atom)
+    phase /= abs(phase)
+    dev = np.abs(photon - want_photon / phase)[paths]
+    return max(np.max(np.abs(atom - phase * want_atom)), np.max(dev, initial=0.0))
+
+
+def _exact_rank_one(amps):
+    """The leading singular vectors of ``amps`` from a 50-digit SVD, each
+    entry rounded once to a complex double."""
+    with mpmath.workdps(50):
+        u, _, v = mpmath.svd_c(mpmath.matrix(amps.tolist()))
+        photon = [complex(u[i, 0]) for i in range(u.rows)]
+        atom = [complex(v[0, j]) for j in range(v.cols)]
+    return np.array(photon), np.array(atom)
+
+
 class TestBranchFactors:
     def test_agrees_with_the_svd(self):
         # [DERIVED] oracle: the leading singular vectors of the whole block.
@@ -283,17 +303,19 @@ class TestBranchFactors:
             if kind is not None:
                 continue
             photon, atom = _branch_factors(layout, rows, amps)
-            want_photon, want_atom = _rank_one(amps)
-            phase = np.vdot(want_atom, atom)
-            phase /= abs(phase)
-            assert np.max(np.abs(atom - phase * want_atom)) <= 1e-15, amps
             # The photon factor comes as (photon row, amplitude) pairs on the
             # non-zero path rows alone; the sink rows name no exit.
             paths = rows < 2 * len(layout.paths)
             got = dict(zip(rows.tolist(), [0j] * len(rows)))
             got.update(photon)
-            dev = np.abs(np.array(list(got.values())) - want_photon / phase)[paths]
-            assert np.max(dev, initial=0.0) <= 1e-15, amps
+            got = np.array(list(got.values()))
+            want_photon, want_atom = _rank_one(amps)
+            if _factor_deviation(got, atom, want_photon, want_atom, paths) > 1e-15:
+                # numpy's SVD rounds too, by more than 1e-15 on some BLAS
+                # kernels (OPENBLAS_CORETYPE=Prescott): there the closed form
+                # is judged against the exact factors instead.
+                want_photon, want_atom = _exact_rank_one(amps)
+            assert _factor_deviation(got, atom, want_photon, want_atom, paths) <= 1e-15, amps
             label = _exit_label(photon)
             assert label == _exit_label(list(zip(rows[paths].tolist(), want_photon[paths]))), amps
             labels.add(label)
