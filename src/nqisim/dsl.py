@@ -638,31 +638,25 @@ class _MaskRecord:
     """What a compiled circuit keeps for one transparency mask, made by
     its first run: the level response, read-only; the squared norms of its
     m+ and its m- column over the rows of each label of ``BRANCH_LABELS``,
-    in that order and zero for a label no port takes (``branch_weights``),
-    and over each path's block; for the cavity, each column that the first
-    round trip leaves inside with the powers of its trip map and their
-    norms (``protocols._Carried``); the non-zero rows of each branch
+    in that order and zero for a label no port takes (``branch_weights``);
+    for the cavity, each column that the first round trip leaves inside
+    with the powers of its trip map and the columns a round-trip search
+    has read (``protocols._Carried``); and the non-zero rows of each branch
     that a run has factored (``run_compiled``), gathered when it first
-    factors that branch; and the weights of each group of sinks that a run
-    has read, taken when it is first read.
+    factors that branch.
 
     Each branch weight is numpy's 1-d sum of the squared column over the
     branch's rows in increasing order, bit for bit the sum over the gathered
-    rows: the m+ and m- columns are squared once, as two contiguous rows, a
-    branch whose rows form a range is read as a slice, and each path's
-    weight is the sum of its two adjacent rows, all paths in one operation."""
+    rows: the m+ and m- columns are squared once, as two contiguous rows,
+    and a branch whose rows form a range is read as a slice."""
 
     response: np.ndarray
     weights: tuple[tuple[float, float], ...]
-    ports: dict[str, tuple[float, float]]
     trips: tuple | None
     # Per branch label: the photon rows of its non-zero rows, path rows
     # first, their (m+, m-) response cells, read-only, and how many of
     # them are path rows.
     exits: dict[str, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
-    # Per tuple of sink labels that a run has read (``sink_weights``): the
-    # squared norms of the m+ and the m- column over their rows.
-    sinks: dict[tuple[str, ...], tuple[float, float]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -724,9 +718,8 @@ class CompiledCircuit:
         if record is None:
             response, trips = self._respond(mask)
             response.flags.writeable = False
-            layout = self.layout
             # The squared m+ and m- columns as two contiguous rows.
-            cells = response.T[list(layout._level_roles[:2])]
+            cells = response.T[list(self.layout._level_roles[:2])]
             squares = cells.real**2 + cells.imag**2
             weights = []
             for label in BRANCH_LABELS:
@@ -739,10 +732,7 @@ class CompiledCircuit:
                     rows = slice(rows[0], rows[-1] + 1)
                 branch = squares[:, rows]
                 weights.append((float(branch[0].sum()), float(branch[1].sum())))
-            # A path's two rows are adjacent; each port weight is their sum.
-            n = 2 * len(layout.paths)
-            ports = dict(zip(layout.paths, zip(*(squares[:, 0:n:2] + squares[:, 1:n:2]).tolist())))
-            record = self._masks[mask] = _MaskRecord(response, tuple(weights), ports, trips)
+            record = self._masks[mask] = _MaskRecord(response, tuple(weights), trips)
         return record
 
     def _exit_rows(self, record: _MaskRecord, label: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -779,21 +769,6 @@ class CompiledCircuit:
         mask."""
         weights = dict(zip(BRANCH_LABELS, self._record(mask).weights))
         return {label: weights[label] for label in self.branches}
-
-    def sink_weights(self, mask: frozenset[str], sinks: tuple[str, ...]) -> tuple[float, float]:
-        """The squared norms of the m+ and of the m- column of
-        ``level_response(mask)`` over the rows of ``sinks``, computed once
-        per mask and tuple of labels: what they absorb is |alpha|^2 times
-        the first plus |beta|^2 times the second, as for a branch."""
-        record = self._record(mask)
-        kept = record.sinks.get(sinks)
-        if kept is None:
-            cells = record.response[[self.layout.photon_index(sink) for sink in sinks]]
-            squares = cells.real**2 + cells.imag**2
-            plus, minus = self.layout._level_roles[:2]
-            kept = float(squares[:, plus].sum()), float(squares[:, minus].sum())
-            record.sinks[sinks] = kept
-        return kept
 
     def amplitudes(self, atom: AtomSpec, rows=slice(None)) -> np.ndarray:
         """The final (photon mode, level) amplitudes of ``atom``'s run on the

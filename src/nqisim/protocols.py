@@ -30,8 +30,9 @@ from the (m+, m-) responses of its non-zero rows, kept per mask once a
 run factors it, which the run scales by alpha and beta and
 ``score_outcome`` factors in closed form, with no SVD: a run builds no
 array but the atom factor.  Only ``run_two_pass``'s ``details`` read
-amplitude rows (``CompiledCircuit.amplitudes``), and an outcome's dense
-``final_state`` is built only when it is read.
+response rows, its two sink pairs', and an outcome's dense
+``final_state`` (``CompiledCircuit.amplitudes``) is built only when it
+is read.
 The cavity's level response sums every later round trip in closed form
 onto the first trip's, from one propagation of the input and each row it
 carries between trips.
@@ -57,16 +58,16 @@ it at K = 1 and runs it with a level response that adds every later round
 trip to the first, B (I - T)^-1 v per atom level for the beam v that the
 first trip leaves inside: the geometric series behind the paper's i r and
 t t' beta.  Its ``details["reflected"]`` and ``details["transmitted"]``
-are |alpha|^2 P + |beta|^2 M from the squared norms P and M of the m+
-and m- columns over each exit's path, which each mask's record keeps.
-Its ``details["round_trips"]`` is the K at which the compiled ``fp.nqi``
-leaves less than ``eps`` inside, bracketed from the squared norms
-|T^(2^j) v|^2 that the record keeps per carried column v and bisected
-over the nodes T^K v that the record keeps as searches visit them, in
-plain Python numbers: a warm run makes no numpy call outside
-``run_compiled``, and a repeated search computes no column.  The
-compiled circuit's exits add coherently, so they miss an amplitude tail
-of order sqrt(eps)/(1 - r r'), not eps.
+are the run's success and failure probabilities: ``refl`` is the only
+success path, and of the failure paths only ``trans`` holds light once
+every trip is summed.  Its ``details["round_trips"]`` is the K at which
+the compiled ``fp.nqi`` leaves less than ``eps`` inside, bracketed over
+the columns T^(2^j) v and bisected over the columns T^K v of each carried
+column v, which the mask's record keeps as searches read them, in plain
+Python numbers: a warm run makes no numpy call outside ``run_compiled``,
+and a repeated search computes no column.  The compiled circuit's exits
+add coherently, so they miss an amplitude tail of order
+sqrt(eps)/(1 - r r'), not eps.
 """
 
 from __future__ import annotations
@@ -149,15 +150,20 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     what makes the atom in superposition equivalent to an opaque object.
     Each pass scatters into its own sink pair (``S+ S-``, then ``S+#2
     S-#2``), from which ``details`` reads the absorption of that pass as
-    |alpha|^2 P + |beta|^2 M, from the pair's kept ``sink_weights``.  The
-    circuit is propagated once per transparency mask and serves every atom.
+    |alpha|^2 P + |beta|^2 M, from the squared norms P and M of the m+ and
+    m- columns of the level response over the pair's two rows, summed on
+    each call.  The circuit is propagated once per transparency mask and
+    serves every atom.
     """
     circuit = _circuit("twopass")
     out = run_compiled(circuit, atom)
+    response = circuit.level_response(atom.transparency_mask)
+    plus, minus = circuit.layout._level_roles[:2]
     a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
     for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
-        plus, minus = circuit.sink_weights(atom.transparency_mask, sink_pair_labels(event))
-        out.details[key] = a2 * plus + b2 * minus
+        cells = response[[circuit.layout.photon_index(sink) for sink in sink_pair_labels(event)]]
+        squares = cells.real**2 + cells.imag**2
+        out.details[key] = a2 * float(squares[:, plus].sum()) + b2 * float(squares[:, minus].sum())
     return out
 
 
@@ -262,11 +268,11 @@ def _cavity(**mirrors: float) -> _Cavity:
 # below every positive eps long before T^(2^64).
 _FP_MAX_DOUBLINGS = 64
 
-# Bisection nodes kept per carried column before every kept one is
-# dropped.  On fp.nqi's two carried rows a node holds about 300 bytes, so
-# a full entry holds about 0.9 MB (tracemalloc).  Uncapped, a sweep of
-# {m+} atoms at r = 0.99999 and eps = 1e-22 keeps 10,556 nodes (3.1 MB)
-# after 2000 atoms, and more with every further atom.
+# Columns T^K v kept per carried column before every kept one is dropped.
+# On fp.nqi's two carried rows a node holds about 300 bytes, so a full
+# entry holds about 0.9 MB (tracemalloc).  Uncapped, a sweep of {m+} atoms
+# at r = 0.99999 and eps = 1e-22 keeps 10,556 nodes (3.1 MB) after 2000
+# atoms, and more with every further atom.
 _FP_MAX_NODES = 3000
 
 
@@ -286,40 +292,39 @@ def _apply(matrix: list[list[complex]], column: list[complex]) -> tuple[list[com
 class _Carried:
     """The column v that the first round trip leaves on the carried rows
     for unit amplitude at each atom level of ``levels`` (0 for m+, 1 for
-    m-), which share v and the trip map T, with the powers T^(2^j), T
-    itself first, and the squared norms q: ``norms[0]`` is |v|^2 and
-    ``norms[j + 1]`` is |T^(2^j) v|^2.  Both lists grow as far as a search
-    needs.  ``nodes`` maps each bisection node K that a search has visited
-    to its column T^K v, as ``_fp_round_trips`` computes it, and that
-    column's squared norm.  All three are kept across atoms and ``eps``
-    values; ``nodes`` holds at most ``_FP_MAX_NODES`` entries (about 0.9
-    MB on fp.nqi's two carried rows) and is emptied when it is full.  Every
-    number is a plain Python one."""
+    m-), which share v and the trip map T, with its squared norm ``norm``
+    and the powers T^(2^j), T itself first, squared on as far as a search
+    needs.  ``nodes`` maps each trip count K > 0 that a search has read
+    to the column T^K v and its squared norm (``node``).  The powers and
+    nodes are kept across atoms and ``eps`` values; ``nodes`` holds at most
+    ``_FP_MAX_NODES`` entries (about 0.9 MB on fp.nqi's two carried rows)
+    and is emptied when it is full.  Every number is a plain Python one."""
 
     levels: list[int]
     column: list[complex]
     powers: list[list[list[complex]]]
-    norms: list[float]
+    norm: float
     nodes: dict[int, tuple[list[complex], float]] = dataclasses.field(default_factory=dict, repr=False)
 
-    def norm(self, j: int) -> float:
-        """``norms[j]``, squaring T on as far as it takes."""
-        while len(self.norms) <= j:
-            k = len(self.norms) - 1
-            if k == len(self.powers):
+    def node(self, trips: int) -> tuple[list[complex], float]:
+        """T^trips v and its squared norm: T^(2^j) times the column at
+        ``trips`` with its lowest set bit 2^j cleared, so the same products
+        whichever search reads it, kept in ``nodes``."""
+        if not trips:
+            return self.column, self.norm
+        kept = self.nodes.get(trips)
+        if kept is None:
+            low = trips & -trips
+            j = low.bit_length() - 1
+            while len(self.powers) <= j:
                 power = self.powers[-1]
                 columns = list(zip(*power))
                 self.powers.append([[sum(map(operator.mul, row, col)) for col in columns] for row in power])
-            self.norms.append(_apply(self.powers[k], self.column)[1])
-        return self.norms[j]
-
-    def keep(self, node: int, found: tuple[list[complex], float]) -> tuple[list[complex], float]:
-        """Keep ``found`` as node ``node``, first dropping every kept node
-        if ``_FP_MAX_NODES`` are kept."""
-        if len(self.nodes) >= _FP_MAX_NODES:
-            self.nodes.clear()
-        self.nodes[node] = found
-        return found
+            kept = _apply(self.powers[j], self.node(trips - low)[0])
+            if len(self.nodes) >= _FP_MAX_NODES:
+                self.nodes.clear()
+            self.nodes[trips] = kept
+        return kept
 
 
 def _carried(maps: np.ndarray, columns: np.ndarray) -> tuple[_Carried, ...]:
@@ -335,7 +340,7 @@ def _carried(maps: np.ndarray, columns: np.ndarray) -> tuple[_Carried, ...]:
             else:
                 start = column.tolist()
                 norm2 = sum(z.real * z.real + z.imag * z.imag for z in start)
-                entries[key] = _Carried([level], start, [trip.tolist()], [norm2])
+                entries[key] = _Carried([level], start, [trip.tolist()], norm2)
     return tuple(entries.values())
 
 
@@ -346,46 +351,37 @@ def _fp_round_trips(carried: Sequence[_Carried], weights: Sequence[float], eps: 
     |beta|^2).
 
     Each T_l is a contraction, so that carried probability never rises
-    from one trip to the next.  K is bracketed by the first power T^(2^j)
-    that leaves less than ``eps``, from the kept norms alone, and then
-    bisected.  From ``trips`` trips, a sum of powers of two above 2^j, the
-    bisection tries node trips + 2^j, whose column is T^(2^j) times the
-    column at ``trips``: it depends on the node alone, not on the weights
-    or ``eps``.  So each entry keeps the columns and squared norms of the
-    nodes it has visited (``_Carried.nodes``), and a search computes only
-    the nodes that no earlier one has; a repeated search computes none.
-    The search holds the columns along its own path, so a full entry that
-    drops its nodes loses none that the search still needs.  A probability
-    that is NaN has not fallen below ``eps``.
+    from one trip to the next.  K is bracketed by the first power of two
+    of trips (or none) that leaves less than ``eps`` and then bisected:
+    from ``trips`` trips, a sum of powers of two above 2^j, the bisection
+    tries trips + 2^j.  Every count it reads is a node of the entry
+    (``_Carried.node``), which depends on the count alone, not on the
+    weights or ``eps``, so a repeated search computes no column.  A
+    probability that is NaN has not fallen below ``eps``.
     """
     entries = [(entry, sum([weights[level] for level in entry.levels])) for entry in carried]
-    # The first ``top`` whose carried probability, after 2^(top-1) trips or
-    # before any at top = 0, is below eps.
-    top = 0
+    # The bracket reads 0 trips and then 2^(top-1) for top = 1, 2, ...,
+    # until ``node`` leaves less than eps; ``trips``, read before it, does not.
+    top, trips, node = 0, 0, 0
     while True:
         total = 0.0
         for entry, w in entries:
-            total += w * entry.norm(top)
+            total += w * entry.node(node)[1]
         if total < eps:
             break
         if top > _FP_MAX_DOUBLINGS:
             raise ConservationError(f"the cavity does not empty below eps = {eps!r}")
-        top += 1
+        top, trips, node = top + 1, node, 1 << top
     if top == 0:
         return 0
     # At step j, ``trips`` leave eps or more inside and trips + 2^(j+1) less.
-    trips, path = 0, [entry.column for entry, _ in entries]
-    for j in reversed(range(top - 1)):
+    for j in reversed(range(top - 2)):
         node = trips + (1 << j)
         total = 0.0
-        for (entry, w), column in zip(entries, path):
-            kept = entry.nodes.get(node)
-            if kept is None:
-                kept = entry.keep(node, _apply(entry.powers[j], column))
-            total += w * kept[1]
+        for entry, w in entries:
+            total += w * entry.node(node)[1]
         if not total < eps:
-            # Every entry has kept this node since any drop.
-            trips, path = node, [entry.nodes[node][0] for entry, _ in entries]
+            trips = node
     return trips + 1
 
 
@@ -408,19 +404,22 @@ def run_fabry_perot(
     r' = 1 - 10^-10 they sum 2.55e-9 short.
 
     ``details["reflected"]`` and ``details["transmitted"]`` are each
-    exit's probability, |alpha|^2 P + |beta|^2 M from the squared norms of
-    the response's m+ and m- columns over the exit's path (``ports`` of the
-    mask's record).  ``eps`` only sets ``details["round_trips"]``: one plus
-    the first K at which the carried probability sum_l |a_l|^2
-    |T_l^K v_l|^2 falls below ``eps``, v_l being the beam the first trip
-    leaves inside for unit amplitude at level l and a_l the atom's
-    amplitude there (``_fp_round_trips``).  The compiled ``fp.nqi`` at that
-    many trips leaves less than ``eps`` inside, but its exits miss an
-    amplitude tail of order sqrt(eps)/(1 - r r'), which moves each of its
-    probabilities by up to that much.  The search keeps the columns T_l^K
-    v_l it visits on the mask's record, for every later atom and ``eps``
-    at these mirrors: up to ``_FP_MAX_NODES`` per carried column, about
-    0.9 MB, of which a mask has at most two (``_Carried``).
+    exit's probability, the run's ``success_prob`` and ``failure_prob``:
+    ``refl`` is the only success path, and the summed trips leave the other
+    failure paths, ``in``, ``fwd`` and ``tport``, at exactly zero, so the
+    failure sum adds only ``trans``'s rows.
+
+    ``eps`` only sets ``details["round_trips"]``: one plus the first K at
+    which the carried probability sum_l |a_l|^2 |T_l^K v_l|^2 falls below
+    ``eps``, v_l being the beam the first trip leaves inside for unit
+    amplitude at level l and a_l the atom's amplitude there
+    (``_fp_round_trips``).  The compiled ``fp.nqi`` at that many trips
+    leaves less than ``eps`` inside, but its exits miss an amplitude tail
+    of order sqrt(eps)/(1 - r r'), which moves each of its probabilities by
+    up to that much.  The search keeps the columns T_l^K v_l it reads on
+    the mask's record, for every later atom and ``eps`` at these mirrors:
+    up to ``_FP_MAX_NODES`` per carried column, about 0.9 MB, of which a
+    mask has at most two (``_Carried``).
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if tt < 0 or rr < 0:
@@ -437,10 +436,8 @@ def run_fabry_perot(
         gain = f"1/(1 - r r') = {1 / (1 - r * r_prime):.1e}"
         note = f"float rounding of the round trip's elements is amplified by {gain}"
         raise ConservationError(f"{exc}; {note}") from None
-    record = cavity._record(atom.transparency_mask)
+    out.details["reflected"], out.details["transmitted"] = out.success_prob, out.failure_prob
+    trips = cavity._record(atom.transparency_mask).trips
     weights = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
-    for key, path in (("reflected", "refl"), ("transmitted", "trans")):
-        plus, minus = record.ports[path]
-        out.details[key] = weights[0] * plus + weights[1] * minus
-    out.details["round_trips"] = 1 + _fp_round_trips(record.trips, weights, eps)
+    out.details["round_trips"] = 1 + _fp_round_trips(trips, weights, eps)
     return out

@@ -65,6 +65,16 @@ class TestMzSweep:
         assert doc["rows"][0]["success_prob"] == "0.25"
         assert doc["rows"][0]["fidelity"] == "1"
 
+    def test_json_format_keeps_the_seed_header(self, capsys):
+        # The CSV comment "# seed=3" becomes a key beside the rows.
+        argv = ("mz-sweep", "--max", "2", "--atoms", "2", "--seed", "3", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert sorted(doc) == ["rows", "seed"]
+        assert doc["seed"] == "3"
+        assert len(doc["rows"]) == 4
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "mz-sweep", "--min", "5", "--max", "2")
         assert code == 2
@@ -187,6 +197,22 @@ class TestFp:
         assert row["exit_polarization"] == "y"
         assert row["round_trips"] == "63"
 
+    def test_pinned_cavities(self, capsys):
+        # Empty cavities from r = 0.5 to 0.9999 at two eps (11 to 105,345
+        # round trips), each r with an atom, and unequal mirrors: round
+        # trips and exits byte for byte.
+        runs = []
+        for r in ("0.5", "0.9", "0.99", "0.999", "0.9999"):
+            runs += [("--r", r, "--no-atom", "--eps", eps) for eps in ("1e-12", "1e-22")]
+            runs.append(("--r", r, "--alpha", "0.6", "--beta", "0.8i"))
+        runs.append(("--r", "0.999", "--r-prime", "0.99", "--no-atom", "--eps", "1e-22"))
+        out = ""
+        for argv in runs:
+            code, text, _ = run_cli(capsys, "fp", *argv)
+            assert code == 0
+            out += text
+        assert out == (PINNED / "fp-r0.5-0.9999-eps1e-12-1e-22.csv").read_text()
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -195,6 +221,7 @@ class TestFp:
             (("--r", "0.9", "--eps", "nan"), "eps must be positive"),
             (("--r", "-0.5"), "entry mirror amplitudes must be non-negative"),
             (("--r", "0.9", "--r-prime", "-0.9"), "far mirror amplitudes must be non-negative"),
+            (("--r", "0.9", "--alpha", "0", "--beta", "0"), "atom amplitudes cannot both be zero"),
         ],
     )
     def test_bad_numbers_rejected(self, capsys, argv, message):
@@ -406,6 +433,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "mz", "--bind", "N")
         assert code == 2
         assert "malformed binding" in err
+
+    def test_binding_that_is_not_a_number(self, capsys):
+        code, out, err = run_cli(capsys, "run", "mz", "--bind", "N=abc")
+        assert code == 2
+        assert out == ""
+        assert "binding 'N' is not a number: 'abc'" in err
 
     def test_binding_of_pi_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "run", "mz", "--bind", "N=3", "--bind", "pi=0")

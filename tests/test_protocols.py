@@ -162,9 +162,9 @@ class TestTwoPass:
         assert masked.absorbed_prob == pytest.approx(0.64, abs=1e-12)
 
     def test_warm_run_reads_absorption_from_kept_weights(self, monkeypatch):
-        # Each pass's absorption is |alpha|^2 P + |beta|^2 M from its sink
-        # pair's kept weights: the dense amplitudes give the same to 1e-15,
-        # and a warm run forms none of them.
+        # Each pass's absorption is |alpha|^2 P + |beta|^2 M from the kept
+        # response's rows of its sink pair: the dense amplitudes give the
+        # same to 1e-15, and a warm run forms none of them.
         atoms = [AtomSpec(0.6, 0.8), AtomSpec(0.8, -0.6j, transparency_mask={"m-"})]
         atoms += haar_random_atoms(5, seed=21)
         circuit = protocols._circuit("twopass")
@@ -494,9 +494,9 @@ class TestFabryPerot:
 
     @staticmethod
     def _fresh_round_trips(trips, atom, eps):
-        """The search on entries built afresh from T and v: no kept power
-        beyond T, no kept norm beyond |v|^2 and no kept node."""
-        fresh = [protocols._Carried(list(e.levels), e.column, e.powers[:1], e.norms[:1]) for e in trips]
+        """The search on entries built afresh from T, v and |v|^2: no kept
+        power beyond T and no kept node."""
+        fresh = [protocols._Carried(list(e.levels), e.column, e.powers[:1], e.norm) for e in trips]
         return protocols._fp_round_trips(fresh, (abs(atom.alpha) ** 2, abs(atom.beta) ** 2), eps)
 
     def test_kept_nodes_give_the_round_trips_of_a_fresh_search(self):
@@ -526,7 +526,8 @@ class TestFabryPerot:
     def test_a_search_keeps_its_path_through_a_drop(self, monkeypatch):
         # [DERIVED] reference: the same search on fresh entries.  With room
         # for one node, every node a search keeps drops the one before it,
-        # which may be the column the search goes on from.
+        # which may be the column the search goes on from: the search
+        # computes that column again from the same products.
         monkeypatch.setattr(protocols, "_FP_MAX_NODES", 1)
         protocols._cavity.cache_clear()
         r = 0.999
@@ -540,9 +541,9 @@ class TestFabryPerot:
             assert out.details["round_trips"] == 1 + self._fresh_round_trips([entry], spec, eps)
 
     def test_a_repeated_search_computes_no_column(self, monkeypatch):
-        # The search keeps the nodes it visits, so the same weights and eps
-        # again, which the absent atom brings on every run, read kept norms
-        # and columns alone.
+        # The search keeps the nodes it reads, so the same weights and eps
+        # again, which the absent atom brings on every run, read kept nodes
+        # alone.
         calls = []
         apply = protocols._apply
 
@@ -572,9 +573,9 @@ class TestFabryPerot:
             protocols._fp_round_trips(protocols._carried(maps, starts), (1.0,), 1e-22)
 
     def test_warm_run_reads_no_amplitudes(self, monkeypatch):
-        # A warm run reads its exits from the kept port weights and its
-        # round trips from the kept carried norms; only the dense final
-        # state reads the amplitudes.
+        # A warm run's exits are its branch probabilities, from the kept
+        # branch weights, and its round trips come from the kept carried
+        # nodes; only the dense final state reads the amplitudes.
         calls = []
         amplitudes = dsl.CompiledCircuit.amplitudes
 
@@ -598,8 +599,8 @@ class TestFabryPerot:
     @pytest.mark.parametrize("r", [0.3, 0.99, 0.999])
     def test_exits_are_the_squared_amplitudes_of_their_ports(self, r):
         # [DERIVED] reference: the squared amplitudes of each exit's rows,
-        # alpha- and beta-scaled, against |alpha|^2 P + |beta|^2 M from the
-        # kept per-path squared norms.
+        # alpha- and beta-scaled, against the run's success and failure
+        # probabilities, which the exits are.
         t = math.sqrt(1 - r * r)
         cavity = protocols._cavity(T=t, R=r, TP=t, RP=r)
         masks = (frozenset(), frozenset({"m+"}), frozenset({"m-"}), ABSENT_MASK)
