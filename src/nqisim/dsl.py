@@ -27,7 +27,8 @@ rotator unitarity after substitution.  A repeat body has no loop index,
 so it is compiled once and kept with its count as one ``Repeat`` node of
 the program, which ``propagate`` runs by doubling the body's map; the
 k-th atom interaction of the unrolled program scatters into the k-th sink
-pair, and ``classify`` compiles into the photon rows of each branch label
+pair, which the layout's ``state.SinkLog`` names on demand, and
+``classify`` compiles into the photon rows of each branch label
 (``CompiledCircuit.branches``).
 """
 
@@ -62,6 +63,7 @@ from .state import (
     BasisLayout,
     JointState,
     ProtocolOutcome,
+    SinkLog,
     _aimed_photon,
     _factor_rows,
     make_layout,
@@ -804,11 +806,12 @@ def _unrolled(program: Iterable[Element | Repeat]) -> Iterable[Element]:
 
 
 # Unrolled program size beyond which a circuit is rejected, not built.  A
-# repeat stays one node, so the cost is each interaction's own sink pair:
-# mz.nqi at N = 10^5 (900,000 elements, 200,000 interactions) holds 29 MB
-# once compiled, nearly all of it its 400,000 sink labels, and 49 MB with
-# the record of one mask, after a peak of 74 MB while it is made
-# (tracemalloc).
+# repeat stays one node and the sinks one log, so the cost is each
+# interaction's own sink rows: mz.nqi at N = 10^5 (900,000 elements,
+# 200,000 interactions) holds 3.2 MB once compiled, nearly all of it the
+# sinks branch's 400,000 rows, and 22 MB with the record of one mask,
+# nearly all of it the (400,004 x 3) response, after a peak of 49 MB while
+# it is made (tracemalloc).
 _MAX_ELEMENTS = 1_000_000
 
 
@@ -867,10 +870,9 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
         return program
 
     program = emit(ast.statements)
-    # The labels of ``sink_pair_labels`` for every interaction, written out.
-    tags = [f"{base}#" for base in ast.sinks]
-    sinks = [*ast.sinks] + [tag + k for k in map(str, range(2, events + 1)) for tag in tags]
-    layout = make_layout(ast.paths, sinks, ast.atom_levels)
+    # One sink pair per interaction, named on demand; a program with none
+    # keeps the declared pair.
+    layout = make_layout(ast.paths, SinkLog(*ast.sinks, max(events, 1)), ast.atom_levels)
     # A port's label takes the port's path block; ``sinks`` takes every row
     # after the path blocks.  Ports are visited in row order.
     labels = dict(ast.classifier)

@@ -56,6 +56,8 @@ from typing import Iterable
 import numpy as np
 
 from .state import ATOM_LEVELS, BasisLayout, JointState
+# The naming rule of an interaction's sink pair, which a ``SinkLog`` reads.
+from .state import sink_pair_labels  # noqa: F401
 from .tolerances import NORM_TOL
 
 
@@ -421,10 +423,3 @@ def run_sequence(
     if absorbed.any():
         mat[n:, layout.level_index(ATOM_LEVELS[2])] += absorbed[:, 0, 0] + absorbed[:, 1, 0]
     return JointState(layout, mat.reshape(-1))
-
-
-def sink_pair_labels(event: int, base_plus: str = "S+", base_minus: str = "S-") -> tuple[str, str]:
-    """Sink labels for the event-th atom interaction; event 0 keeps the bare names."""
-    if event == 0:
-        return base_plus, base_minus
-    return f"{base_plus}#{event + 1}", f"{base_minus}#{event + 1}"

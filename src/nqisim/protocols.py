@@ -123,9 +123,10 @@ def _circuit(name: str, **bindings: float) -> CompiledCircuit:
     """The bundled circuit ``name`` compiled at ``bindings``, kept with its
     level responses.  Long chains reuse three ``mz`` circuits; a sweep over
     N misses at any bound, and a larger one multiplies the worst case
-    (``mz`` at N = 10^5 holds 29 MB once compiled, nearly all of it its sink
-    labels, and 49 MB once run at one mask, after a peak of 74 MB during
-    that first run: tracemalloc).
+    (``mz`` at N = 10^5 holds 3.2 MB once compiled, nearly all of it the
+    sinks branch's 400,000 rows, and 22 MB once run at one mask, nearly all
+    of it the kept response, after a peak of 49 MB during that first run:
+    tracemalloc).
     """
     return compile_circuit(_golden(name), bindings)
 

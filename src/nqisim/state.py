@@ -4,7 +4,9 @@ A photon mode is either a propagating mode ``(path, polarization)`` or a
 terminal sink label recording a scattered photon.  The joint basis is the
 product of photon modes with atom levels, flattened into one dense complex
 amplitude vector.  All operations here are pure functions on immutable
-values; states are never mutated in place.
+values; states are never mutated in place.  A compiled program's sinks
+are a ``SinkLog``: one pair per atom interaction, each label named by
+``sink_pair_labels`` on demand and its row found by arithmetic.
 
 The two ends of every run live here as well: ``initial_state`` puts a
 photon of one ``POL_STATES`` polarization on an input path, times the
@@ -25,9 +27,12 @@ general dense state.
 from __future__ import annotations
 
 import math
+import operator
+import re
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +69,107 @@ ABSENT_MASK = frozenset(ATOM_LEVELS[:2])
 BRANCH_LABELS = ("success", "failure", "absorbed")
 
 
+def sink_pair_labels(event: int, base_plus: str = "S+", base_minus: str = "S-") -> tuple[str, str]:
+    """Sink labels for the event-th atom interaction; event 0 keeps the bare names."""
+    if event == 0:
+        return base_plus, base_minus
+    return f"{base_plus}#{event + 1}", f"{base_minus}#{event + 1}"
+
+
+# The tail ``#k`` that ``sink_pair_labels`` appends to a base label: k
+# written in ASCII digits without a leading zero (``int`` would also take
+# ``+3``, `` 3``, ``03`` and ``1_0``).
+_EVENT_TAIL = re.compile(r"#([1-9][0-9]*)")
+
+
+class SinkLog(SequenceABC):
+    """The sink labels of ``pairs`` atom interactions as an event log: the
+    k-th interaction scatters into the k-th pair, which
+    ``sink_pair_labels(k, base_plus, base_minus)`` names on demand, so the
+    log keeps its two bases and its length, not its labels.  It reads as
+    the tuple of those labels -- ``S+, S-, S+#2, S-#2, ...`` -- and equals
+    and hashes as that tuple; ``index`` takes a label's row apart by
+    arithmetic and accepts only the labels the log names.  Raises
+    ``ValueError`` where two of its labels coincide (a base may hold
+    ``#``: bases ``S`` and ``S#2`` name ``S#2`` twice from two pairs on)."""
+
+    __slots__ = ("bases", "pairs")
+
+    def __init__(self, base_plus: str, base_minus: str, pairs: int):
+        if pairs < 1:
+            raise ValueError(f"a sink log needs at least one pair, got {pairs!r}")
+        self.bases = (base_plus, base_minus)
+        self.pairs = pairs
+        # Labels with a tail cannot coincide unless the bases do, so a
+        # repeated label is one base named by the other side of the log.
+        for side, other in ((0, base_minus), (1, base_plus)):
+            if self._pair(other, side) is not None:
+                raise ValueError(f"duplicate sink label: {other!r}")
+
+    def _pair(self, label: str, side: int) -> int | None:
+        """The pair whose label on ``side`` (0 for plus) is ``label``, or None."""
+        base = self.bases[side]
+        if label == base:
+            return 0
+        if label.startswith(base):
+            tail = _EVENT_TAIL.fullmatch(label, len(base))
+            # No more digits than the last pair's: ``int`` refuses long ones.
+            if tail is not None and len(tail[1]) <= len(str(self.pairs)):
+                event = int(tail[1]) - 1
+                if 1 <= event < self.pairs:
+                    return event
+        return None
+
+    def __len__(self) -> int:
+        return 2 * self.pairs
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("sink log index out of range")
+        pair, side = divmod(i % len(self), 2)
+        return sink_pair_labels(pair, *self.bases)[side]
+
+    def __iter__(self) -> Iterator[str]:
+        for pair in range(self.pairs):
+            yield from sink_pair_labels(pair, *self.bases)
+
+    def index(self, label, start: int = 0, stop: int | None = None) -> int:
+        if isinstance(label, str):
+            start, stop, _ = slice(start, stop).indices(len(self))
+            for side in range(2):
+                pair = self._pair(label, side)
+                if pair is not None and start <= 2 * pair + side < stop:
+                    return 2 * pair + side
+        raise ValueError(f"{label!r} is not in the sink log")
+
+    def __contains__(self, label) -> bool:
+        try:
+            self.index(label)
+        except ValueError:
+            return False
+        return True
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SinkLog):
+            return (self.bases, self.pairs) == (other.bases, other.pairs)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # As the label tuple hashes; the tuple is built for the hash alone.
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return SinkLog, (*self.bases, self.pairs)
+
+    def __repr__(self) -> str:
+        return f"SinkLog({self.bases[0]!r}, {self.bases[1]!r}, pairs={self.pairs})"
+
+
 def _check_unique(kind: str, labels: Sequence[str]) -> None:
     if len(set(labels)) == len(labels):
         return
@@ -85,7 +191,8 @@ class BasisLayout:
     """
 
     paths: tuple[str, ...]
-    sinks: tuple[str, ...]
+    # The labels given, or a compiled program's ``SinkLog``.
+    sinks: tuple[str, ...] | SinkLog
     atom_levels: tuple[str, ...]
     polarizations: ClassVar[tuple[str, str]] = POLARIZATIONS
 
@@ -94,9 +201,10 @@ class BasisLayout:
 
     @cached_property
     def _hash(self) -> int:
-        # Taken once: a compiled chain has 4N sink labels, and the field
-        # hash would walk them all on every lookup keyed by the layout.
-        return hash((self.paths, self.sinks, self.atom_levels))
+        # Equal layouts have equal sink counts, so the count stands in for
+        # the labels: a ``SinkLog`` would write out all of them to hash (4N
+        # for a chain of N stages).
+        return hash((self.paths, len(self.sinks), self.atom_levels))
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes; a copy takes its own.
@@ -111,11 +219,14 @@ class BasisLayout:
 
     @cached_property
     def _photon_index(self) -> dict[PhotonMode, int]:
-        """The row of each propagating mode, and of each sink of a prefix of
-        ``sinks`` that ``photon_index`` extends as far as a lookup needs."""
-        return {
+        """The row of each propagating mode and of each sink label given;
+        a ``SinkLog``'s labels are found by arithmetic (``photon_index``)."""
+        index: dict[PhotonMode, int] = {
             (p, pol): 2 * i + j for i, p in enumerate(self.paths) for j, pol in enumerate(self.polarizations)
         }
+        if not isinstance(self.sinks, SinkLog):
+            index.update(zip(self.sinks, range(len(index), self.n_photon_modes)))
+        return index
 
     @cached_property
     def path_block(self) -> dict[str, slice]:
@@ -148,23 +259,15 @@ class BasisLayout:
         return self.n_photon_modes * self.n_levels
 
     def photon_index(self, mode: PhotonMode) -> int:
-        index = self._photon_index
-        if mode not in index and isinstance(mode, str):
-            # Sinks are indexed in order, up to the one looked for and at
-            # least twice as far as before, so lookups in order cost O(1)
-            # each: a compiled circuit names its sinks in order, and a run
-            # of a chain of 4N sinks looks up only its first stage's.
-            indexed = len(index) - 2 * len(self.paths)
+        row = self._photon_index.get(mode)
+        if row is not None:
+            return row
+        if isinstance(self.sinks, SinkLog):
             try:
-                stop = max(self.sinks.index(mode, indexed) + 1, 2 * indexed)
+                return 2 * len(self.paths) + self.sinks.index(mode)
             except ValueError:
-                stop = indexed  # an unknown label indexes nothing
-            rows = range(2 * len(self.paths) + indexed, 2 * len(self.paths) + stop)
-            index.update(zip(self.sinks[indexed:stop], rows))
-        try:
-            return index[mode]
-        except KeyError:
-            raise ValueError(f"unknown photon mode: {mode!r}") from None
+                pass
+        raise ValueError(f"unknown photon mode: {mode!r}")
 
     def level_index(self, level: str) -> int:
         try:
@@ -181,16 +284,20 @@ def make_layout(
 ) -> BasisLayout:
     """Build a layout with deterministic index assignment.
 
-    Sinks may be empty; paths and atom levels must not be.
+    Sinks may be empty; paths and atom levels must not be.  A ``SinkLog``
+    is kept as it is (its labels are unique by its own check); any other
+    sequence of sinks is kept as a tuple of its labels.
     """
     if not paths:
         raise ValueError("at least one path is required")
     if not atom_levels:
         raise ValueError("at least one atom level is required")
     _check_unique("path", paths)
-    _check_unique("sink", sinks)
+    if not isinstance(sinks, SinkLog):
+        _check_unique("sink", sinks)
+        sinks = tuple(sinks)
     _check_unique("atom level", atom_levels)
-    return BasisLayout(tuple(paths), tuple(sinks), tuple(atom_levels))
+    return BasisLayout(tuple(paths), sinks, tuple(atom_levels))
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,16 @@ class TestRun:
                 out += text
         assert out == (PINNED / "run-fp-R0.9-K117-R0.95-K237.csv").read_text()
 
+    def test_pinned_long_chain(self, capsys):
+        # mz.nqi at 10^5 stages, 400,000 sink rows, with the atom and
+        # without: the repeat runs by doubling and the sinks form one log.
+        out = ""
+        for atom in ([], ["--no-atom"]):
+            code, text, _ = run_cli(capsys, "run", "mz", "--bind", "N=100000", *atom)
+            assert code == 0
+            out += text
+        assert out == (PINNED / "run-mz-N100000.csv").read_text()
+
     def test_bundled_circuit_with_binding(self, capsys):
         code, out, _ = run_cli(capsys, "run", "mz", "--bind", "N=4")
         assert code == 0

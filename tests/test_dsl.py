@@ -350,6 +350,39 @@ class TestCompiler:
         assert [a.sink_plus for a in atoms] == ["S+", "S+#2", "S+#3"]
         assert len(set(circuit.layout.sinks)) == 6
 
+    def test_sinks_are_an_event_log(self):
+        # One pair per interaction, from the declared bases; a circuit with
+        # no interaction keeps the declared pair.
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 1000})
+        assert circuit.layout.sinks == state.SinkLog("S+", "S-", 2000)
+        assert isinstance(circuit.layout.sinks, state.SinkLog)
+        empty = compile_circuit(parse(MINIMAL.replace("atom a", "mirror a")))
+        assert empty.layout.sinks == ("S+", "S-")
+
+    def test_colliding_sink_bases_are_refused(self):
+        # Labels may hold '#': bases S and S#2 name S#2 twice from the
+        # second interaction on.
+        ast = dataclasses.replace(parse(MINIMAL.replace("atom a", "atom a\natom a")), sinks=("S", "S#2"))
+        with pytest.raises(ValueError, match="duplicate sink label: 'S#2'"):
+            compile_circuit(ast)
+        ast = dataclasses.replace(parse(MINIMAL), sinks=("S", "S#2"))
+        assert list(compile_circuit(ast).layout.sinks) == ["S", "S#2"]
+
+    def test_long_chain_compiles_in_its_program(self):
+        # mz at N = 10^5 names 400,000 sink labels; compiled, it keeps the
+        # program and the sinks branch's rows (3.2 MB), not the labels, and
+        # hashing its layout writes no label out to keep.
+        ast = parse(load_golden("mz"))
+        tracemalloc.start()
+        try:
+            circuit = compile_circuit(ast, {"N": 10**5})
+            hash(circuit.layout)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(circuit.layout.sinks) == 400_000
+        assert kept < 4_000_000
+
     def test_missing_binding_names_parameter(self):
         ast = parse(load_golden("mz"))
         with pytest.raises(CompileError, match="unbound parameter: N"):

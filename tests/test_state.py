@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nqisim.state import (
     POL_STATES,
     AtomSpec,
+    SinkLog,
     _branch_factors,
     _exit_label,
     _rank_one,
@@ -22,6 +23,7 @@ from nqisim.state import (
     make_layout,
     partition_branches,
     product_factors,
+    sink_pair_labels,
     JointState,
 )
 from nqisim.tolerances import RANK_TOL
@@ -75,7 +77,7 @@ class TestLayout:
             layout.level_index("e")
 
     def test_unknown_sink_indexes_nothing(self):
-        # Sinks are indexed lazily in order; a miss must not index them all.
+        # Sinks given as labels are indexed once; a miss adds nothing.
         layout = make_layout(["l", "u"], [f"S{i}" for i in range(8000)], LEVELS)
         assert layout.photon_index("S2") == 6
         indexed = len(layout._photon_index)
@@ -108,6 +110,93 @@ class TestLayout:
         copy = pickle.loads(pickle.dumps(layout))
         assert copy == layout and {copy: "found"}[layout] == "found"
         assert "_hash" not in layout.__getstate__()
+
+
+def written_out(pairs, bases=("S+", "S-")):
+    """The labels of ``pairs`` interactions, one ``sink_pair_labels`` each."""
+    return [label for k in range(pairs) for label in sink_pair_labels(k, *bases)]
+
+
+class TestSinkLog:
+    # A compiled program's sinks: two base labels and a number of pairs,
+    # each label named on demand and found by arithmetic.
+    MALFORMED = [
+        "S+#1", "S+#0", "S+#02", "S+#1_0", "S+#+3", "S+# 3", "S+#", "S+#3 ",
+        "S+#\u0663",  # an Arabic-Indic 3, which int() reads as 3
+        "S-#1", "S-#02", "S+#8", "S-#8", "S+#2#2", "T+", "S", "s+", "",
+    ]
+
+    @pytest.mark.parametrize("pairs", [1, 2, 7, 2000])
+    def test_labels_are_the_naming_rule_written_out(self, pairs):
+        log = SinkLog("S+", "S-", pairs)
+        labels = written_out(pairs)
+        assert len(log) == len(labels) == 2 * pairs
+        assert list(log) == labels
+        assert [log[i] for i in range(-len(labels), len(labels))] == labels + labels
+        for cut in (slice(None), slice(None, None, 2), slice(1, 7), slice(None, None, -3)):
+            assert log[cut] == tuple(labels[cut])
+        assert log == tuple(labels) and tuple(labels) == log
+        assert log != tuple(labels[:-1]) and log != tuple(labels[:-1] + ["T"])
+        assert hash(log) == hash(tuple(labels))
+        with pytest.raises(IndexError):
+            log[2 * pairs]
+
+    @pytest.mark.parametrize("pairs", [1, 2, 7, 2000])
+    def test_photon_index_of_every_label_is_its_row(self, pairs):
+        log = SinkLog("S+", "S-", pairs)
+        layout = make_layout(["l", "u"], log, LEVELS)
+        assert layout.sinks is log and layout.n_photon_modes == 4 + 2 * pairs
+        for row, label in enumerate(written_out(pairs)):
+            assert label in log and log.index(label) == row
+            assert layout.photon_index(label) == 4 + row
+        assert layout.photon_index(("u", "-")) == 3
+        assert layout.photon_modes[4:] == tuple(log)
+
+    def test_index_honours_its_bounds(self):
+        log = SinkLog("S+", "S-", 7)
+        assert log.index("S-#3", 5) == 5
+        with pytest.raises(ValueError):
+            log.index("S-#3", 6)
+        with pytest.raises(ValueError):
+            log.index("S-#3", 0, 5)
+        assert log.index("S-#3", -9, -8) == 5
+
+    @pytest.mark.parametrize("label", MALFORMED)
+    def test_only_the_labels_it_names_are_known(self, label):
+        log = SinkLog("S+", "S-", 7)
+        layout = make_layout(["l", "u"], log, LEVELS)
+        assert label not in log
+        with pytest.raises(ValueError, match="unknown photon mode"):
+            layout.photon_index(label)
+
+    def test_colliding_bases_are_refused(self):
+        # A base may hold '#': S and S#2 both name S#2 once there are two
+        # pairs, and never with one.
+        for bases in (("S", "S#2"), ("S#2", "S")):
+            with pytest.raises(ValueError, match="duplicate sink label: 'S#2'"):
+                SinkLog(*bases, 2)
+            assert list(SinkLog(*bases, 1)) == list(bases)
+        with pytest.raises(ValueError, match="duplicate sink label: 'S'"):
+            SinkLog("S", "S", 1)
+        with pytest.raises(ValueError, match="at least one pair"):
+            SinkLog("S+", "S-", 0)
+        log = SinkLog("S", "S#3", 2)
+        assert list(log) == ["S", "S#3", "S#2", "S#3#2"]
+        assert [log.index(label) for label in log] == [0, 1, 2, 3]
+
+    def test_pickled_log_equals_the_written_out_layout(self):
+        log = SinkLog("S+", "S-", 2000)
+        layout = make_layout(["l", "u"], log, LEVELS)
+        explicit = make_layout(["l", "u"], written_out(2000), LEVELS)
+        assert isinstance(explicit.sinks, tuple)
+        assert layout == explicit and explicit == layout
+        assert hash(layout) == hash(explicit)
+        assert {explicit: "found"}[layout] == {layout: "found"}[explicit] == "found"
+        assert layout != make_layout(["l", "u"], SinkLog("S+", "S-", 1999), LEVELS)
+        assert layout != make_layout(["l", "u"], SinkLog("P", "M", 2000), LEVELS)
+        copy = pickle.loads(pickle.dumps(layout))
+        assert isinstance(copy.sinks, SinkLog) and copy.sinks is not log
+        assert copy == layout == explicit and hash(copy) == hash(explicit)
 
 
 class TestStates:
