@@ -1,11 +1,14 @@
 """Line-oriented circuit description language.
 
-A ``.nqi`` file declares paths, sinks and atom levels, names the input
-mode, and lists element statements; a ``repeat`` block runs its body a
-given number of times, and a single ``classify`` statement maps every
-path, and the sinks together, to one of the branch labels ``success``,
-``failure`` and ``absorbed``.  Expressions are limited to +, -, *, /,
-sin, cos, pi and other named parameters.  Example::
+A ``.nqi`` file declares paths and sinks, states the atom levels, names
+the input mode, and lists element statements; a ``repeat`` block runs its
+body a given number of times, and a single ``classify`` statement maps
+every path, and the sinks together, to one of the branch labels
+``success``, ``failure`` and ``absorbed``.  The atom levels are the
+model's, so the ``atom-levels`` line must read exactly ``atom-levels m+
+m- g``.  A ``#`` at the start of a line or after a blank opens a comment
+to the end of the line; a label never holds one.  Expressions are limited
+to +, -, *, /, sin, cos, pi and other named parameters.  Example::
 
     paths l u
     sinks S+ S-
@@ -59,6 +62,9 @@ from .elements import (
 from .state import (
     ATOM_LEVELS,
     BRANCH_LABELS,
+    G,
+    M_MINUS,
+    M_PLUS,
     AtomSpec,
     BasisLayout,
     JointState,
@@ -310,7 +316,6 @@ class LetBinding:
 class CircuitAst:
     paths: tuple[str, ...]
     sinks: tuple[str, str]
-    atom_levels: tuple[str, ...]
     input_path: str
     input_pol: str
     lets: tuple[LetBinding, ...]
@@ -318,9 +323,10 @@ class CircuitAst:
     classifier: tuple[tuple[str, str], ...]  # (port-or-"sinks", label) pairs
 
 
-_LABEL = r"[A-Za-z_][A-Za-z0-9_+\-#.]*|[+\-]"
+_LABEL = r"[A-Za-z_][A-Za-z0-9_+\-.]*|[+\-]"
 _LABEL_RE = re.compile(f"^(?:{_LABEL})$")
 _WORD = re.compile(r"\S+")
+_COMMENT = re.compile(r"(?:^|\s)#")
 _ARG = re.compile(r"\S(?:.*\S)?")  # a span stripped of surrounding blanks
 _ARG_MARK = re.compile(r"[(),]")  # what splits the arguments of matrix(...)
 _LET = re.compile(r"^\s*let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
@@ -381,7 +387,6 @@ class _Parser:
         self.paths: list[str] = []
         self.sinks: list[str] = []
         self.levels: list[str] = []
-        self.levels_line = 1
         self.input_decl: tuple[str, str] | None = None
         self.lets: list[LetBinding] = []
         self.classifier: list[tuple[str, str]] | None = None
@@ -407,19 +412,13 @@ class _Parser:
             raise ParseError(1, 1, "missing sinks statement")
         if self.input_decl is None:
             raise ParseError(1, 1, "missing input statement")
-        missing = [lev for lev in ATOM_LEVELS if lev not in self.levels]
-        if missing:
-            raise self.error(
-                self.levels_line,
-                f"atom-levels must declare {' '.join(ATOM_LEVELS)}; missing {' '.join(missing)}",
-                "atom-levels",
-            )
+        if not self.levels:
+            raise ParseError(1, 1, "missing atom-levels statement")
         if self.classifier is None:
             raise ParseError(len(self.lines) or 1, 1, "missing classify statement")
         return CircuitAst(
             paths=tuple(self.paths),
             sinks=tuple(self.sinks),
-            atom_levels=tuple(self.levels),
             input_path=self.input_decl[0],
             input_pol=self.input_decl[1],
             lets=tuple(self.lets),
@@ -430,7 +429,8 @@ class _Parser:
     def _parse_block(self, top_level: bool) -> list[Stmt]:
         statements: list[Stmt] = []
         for lineno, raw in self.unread:
-            line = raw.split("#", 1)[0].rstrip()
+            comment = _COMMENT.search(raw)
+            line = (raw[: comment.start()] if comment else raw).rstrip()
             if not line:
                 continue
             if line.lstrip() == "}":
@@ -465,8 +465,9 @@ class _Parser:
             self._declare(lineno, words[1:], self.sinks, "sink")
             return None
         if keyword == "atom-levels":
+            if tuple(word for word, _ in words[1:]) != ATOM_LEVELS:
+                raise self.error(lineno, f"atom-levels must read {' '.join(ATOM_LEVELS)}", keyword)
             self._declare(lineno, words[1:], self.levels, "atom level")
-            self.levels_line = lineno
             return None
         if keyword == "input":
             if len(words) != 3:
@@ -620,7 +621,7 @@ def print_circuit(ast: CircuitAst) -> str:
     out = [
         f"paths {' '.join(ast.paths)}",
         f"sinks {' '.join(ast.sinks)}",
-        f"atom-levels {' '.join(ast.atom_levels)}",
+        f"atom-levels {' '.join(ATOM_LEVELS)}",
         f"input {ast.input_path} {ast.input_pol}",
     ]
     for let in ast.lets:
@@ -694,24 +695,19 @@ class CompiledCircuit:
             for el in _unrolled(self.program)
         )
 
-    @cached_property
-    def _sink_rows(self) -> np.ndarray:
-        """Whether each photon row is a sink row: every row after the path blocks."""
-        return np.arange(self.layout.n_photon_modes) >= 2 * len(self.layout.paths)
-
     def _aimed_response(self, aims: Sequence[tuple[str, str]], mask: frozenset[str]) -> np.ndarray:
         """Final (photon mode, level, k) block of one ``propagate`` under
         ``mask`` of the photon aimed at each (path, polarization) of
         ``aims`` times the atom m+ = m- = 1; g is empty."""
         layout = self.layout
         n = 2 * len(layout.paths)
-        plus, minus = levels = list(layout._level_roles[:2])
         photons = np.zeros((n, layout.n_levels, len(aims)), dtype=complex)
         for j, (path, pol) in enumerate(aims):
             block, vector = _aimed_photon(layout, path, pol)
-            photons[block, plus, j] = photons[block, minus, j] = vector
+            photons[block, M_PLUS, j] = photons[block, M_MINUS, j] = vector
         response = np.zeros((layout.n_photon_modes, layout.n_levels, len(aims)), dtype=complex)
-        response[:n], response[n:, levels] = propagate(layout, self.program, photons, mask=mask)
+        prop, absorbed = propagate(layout, self.program, photons, mask=mask)
+        response[:n], response[n:, [M_PLUS, M_MINUS]] = prop, absorbed
         return response
 
     def _record(self, mask: frozenset[str]) -> _MaskRecord:
@@ -720,8 +716,11 @@ class CompiledCircuit:
         if record is None:
             response, trips = self._respond(mask)
             response.flags.writeable = False
-            # The squared m+ and m- columns as two contiguous rows.
-            cells = response.T[list(self.layout._level_roles[:2])]
+            # The squared m+ and m- columns as two contiguous rows: a gathered
+            # copy, not the strided view ``response.T[:2]``, so each weight is
+            # numpy's sum over contiguous memory; numpy promises neither the
+            # same rounding nor the same speed for a sum over strided memory.
+            cells = response.T[[M_PLUS, M_MINUS]]
             squares = cells.real**2 + cells.imag**2
             weights = []
             for label in BRANCH_LABELS:
@@ -745,7 +744,7 @@ class CompiledCircuit:
         kept = record.exits.get(label)
         if kept is None:
             rows = self.branches[label]
-            cells = record.response[rows[:, None], list(self.layout._level_roles[:2])]
+            cells = record.response[rows[:, None], [M_PLUS, M_MINUS]]
             nonzero = cells.any(axis=1)
             rows, cells = rows[nonzero], cells[nonzero]
             rows.flags.writeable = cells.flags.writeable = False
@@ -772,25 +771,23 @@ class CompiledCircuit:
         weights = dict(zip(BRANCH_LABELS, self._record(mask).weights))
         return {label: weights[label] for label in self.branches}
 
-    def amplitudes(self, atom: AtomSpec, rows=slice(None)) -> np.ndarray:
-        """The final (photon mode, level) amplitudes of ``atom``'s run on the
-        photon rows ``rows``, as a new array: the level response there with
-        its m+ column scaled by alpha and its m- column by beta, and each
-        sink row's amplitude moved to its g cell.  Each part of a product is
-        formed from separate float products, as Python's complex multiply
-        forms it, so the amplitudes agree bitwise with the numbers
-        ``run_compiled`` factors whether or not the CPU fuses a
-        multiply-add."""
-        response = self.level_response(atom.transparency_mask)[rows]
+    def amplitudes(self, atom: AtomSpec) -> np.ndarray:
+        """The final (photon mode, level) amplitudes of ``atom``'s run, as a
+        new array: the level response with its m+ column scaled by alpha and
+        its m- column by beta, and each sink row's amplitude moved to its g
+        cell.  Each part of a product is formed from separate float
+        products, as Python's complex multiply forms it, so the amplitudes
+        agree bitwise with the numbers ``run_compiled`` factors whether or
+        not the CPU fuses a multiply-add."""
+        response = self.level_response(atom.transparency_mask)
         scale = atom.level_vector(self.layout)
         amps = np.empty_like(response)
         amps.real = scale.real * response.real - scale.imag * response.imag
         amps.imag = scale.real * response.imag + scale.imag * response.real
-        sinks = self._sink_rows[rows]
-        if np.count_nonzero(sinks):
-            absorbed = amps[sinks]
-            amps[sinks] = 0.0
-            amps[sinks, self.layout.level_index(ATOM_LEVELS[2])] = absorbed.sum(axis=1)
+        sinks = amps[2 * len(self.layout.paths) :]
+        absorbed = sinks.sum(axis=1)
+        sinks[:] = 0.0
+        sinks[:, G] = absorbed
         return amps
 
 
@@ -872,7 +869,7 @@ def compile_circuit(ast: CircuitAst, bindings: dict[str, float] | None = None) -
     program = emit(ast.statements)
     # One sink pair per interaction, named on demand; a program with none
     # keeps the declared pair.
-    layout = make_layout(ast.paths, SinkLog(*ast.sinks, max(events, 1)), ast.atom_levels)
+    layout = make_layout(ast.paths, SinkLog(*ast.sinks, max(events, 1)))
     # A port's label takes the port's path block; ``sinks`` takes every row
     # after the path blocks.  Ports are visited in row order.
     labels = dict(ast.classifier)
@@ -930,18 +927,14 @@ def run_compiled(
         rows, cells, n_path = circuit._exit_rows(record, label)
         cells = cells.tolist()
         return _factor_rows(
-            layout,
             [(row, alpha * p, beta * m) for row, (p, m) in zip(rows[:n_path].tolist(), cells)],
             [alpha * p + beta * m for p, m in cells[n_path:]],
         )
 
-    plus, minus = layout._level_roles[:2]
-    init = [0j] * layout.n_levels
-    init[plus], init[minus] = alpha, beta
     return score_outcome(
         (a2 * ps + b2 * ms, a2 * pf + b2 * mf, a2 * pa + b2 * ma),
         factors,
-        init,
+        [alpha, beta, 0j],
         lambda: JointState(layout, circuit.amplitudes(atom).reshape(-1)),
         prob_tol=prob_tol,
     )

@@ -55,7 +55,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import ATOM_LEVELS, BasisLayout, JointState
+from .state import ATOM_LEVELS, G, BasisLayout, JointState
 # The naming rule of an interaction's sink pair, which a ``SinkLog`` reads.
 from .state import sink_pair_labels  # noqa: F401
 from .tolerances import NORM_TOL
@@ -290,13 +290,9 @@ def propagate(
     n, n_levels, k = 2 * len(layout.paths), layout.n_levels, photons.shape[-1]
     if photons.shape != (n, n_levels, k):
         raise ValueError(f"photon block has shape {photons.shape}, not ({n}, {n_levels}, k)")
-    # The read levels: (offset of the row each reads in a path block, level,
-    # level index).
-    reads = [
-        (offset, level, layout.level_index(level))
-        for offset, level in enumerate(ATOM_LEVELS[:2])
-        if level not in mask
-    ]
+    # The read levels, (column, level): m+ and m- read the rows at their
+    # own column's offset in a path block, ``+`` and ``-``.
+    reads = [(col, level) for col, level in enumerate(ATOM_LEVELS[:2]) if level not in mask]
 
     def apply(run: list[Element], block: np.ndarray) -> np.ndarray:
         """``block`` after the optical elements ``run``: one product, as a
@@ -329,10 +325,10 @@ def propagate(
             elif reads:
                 start = _block(layout, el.path).start
                 event = np.zeros((2, c), dtype=complex)
-                for offset, level, index in reads:
+                for col, level in reads:
                     if level not in el.transparency_mask:
-                        event[offset] = block[start + offset, index]
-                        block[start + offset, index] = 0.0
+                        event[col] = block[start + col, col]
+                        block[start + col, col] = 0.0
                 amps.append(event)
                 rows.append((_sink_row(layout, el.sink_plus), _sink_row(layout, el.sink_minus)))
         if run:
@@ -351,7 +347,7 @@ def propagate(
         # input that each of its interactions reads at m+ and m-.
         body, absorbs, sink_rows = advance(node.body, _identity(n, n_levels).copy())
         # The levels that the copies read, then those that pass.
-        order = [index for _, _, index in reads] if len(absorbs) else []
+        order = [col for col, _ in reads] if len(absorbs) else []
         split = len(order)
         order += [j for j in range(n_levels) if j not in order]
         body, block = body.transpose(1, 0, 2)[order], block.transpose(1, 0, 2)[order]
@@ -381,9 +377,9 @@ def propagate(
         # What interaction e of copy j absorbed, in copy order.
         per_copy = len(absorbs)
         copies = np.zeros((count, per_copy, 2, c), dtype=complex)
-        for j, (offset, _, _) in enumerate(reads):
-            read = absorbs[:, offset] @ flat[j]
-            copies[:, :, offset] = read.reshape(per_copy, count, c).transpose(1, 0, 2)
+        for j, (col, _) in enumerate(reads):
+            read = absorbs[:, col] @ flat[j]
+            copies[:, :, col] = read.reshape(per_copy, count, c).transpose(1, 0, 2)
         shifts = 2 * per_copy * np.arange(count)[:, None, None]
         return out, copies.reshape(-1, 2, c), (sink_rows + shifts).reshape(-1, 2)
 
@@ -421,5 +417,5 @@ def run_sequence(
     prop, absorbed = propagate(layout, elements, mat[:n, :, None], mask=mask_override)
     mat[:n] = prop[..., 0]
     if absorbed.any():
-        mat[n:, layout.level_index(ATOM_LEVELS[2])] += absorbed[:, 0, 0] + absorbed[:, 1, 0]
+        mat[n:, G] += absorbed[:, 0, 0] + absorbed[:, 1, 0]
     return JointState(layout, mat.reshape(-1))

@@ -44,8 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .elements import Element, Repeat, propagate
-from .state import ATOM_LEVELS, AtomSpec, BasisLayout, JointState
+from .elements import Element, Repeat, _identity, propagate
+from .state import ATOM_LEVELS, G, AtomSpec, BasisLayout, JointState
 from .state import _rank_one, product_factors
 from .tolerances import RANK_TOL
 
@@ -131,13 +131,12 @@ def _transfer(
     """The ``_Transfer`` of ``elements`` under ``mask``, from one
     ``propagate`` of the 2P x 2P identity.  Eight entries hold every mask
     of one network, so no scan evicts its own."""
-    n, n_levels, g = 2 * len(layout.paths), layout.n_levels, layout.level_index("g")
-    identity = np.eye(n, dtype=complex)[:, None].repeat(n_levels, axis=1)
-    prop, absorbed = propagate(layout, elements, identity, mask=mask)
+    n, n_levels = 2 * len(layout.paths), layout.n_levels
+    # ``propagate`` carries a copy of the kept read-only identity.
+    prop, absorbed = propagate(layout, elements, _identity(n, n_levels), mask=mask)
     # A masked level absorbs nothing: keep the other levels' inputs alone.
-    kept = [i for i, level in enumerate(ATOM_LEVELS[:2]) if level not in mask]
-    absorbed = absorbed[:, kept].reshape(len(layout.sinks), len(kept) * n)
-    columns = tuple(layout.level_index(ATOM_LEVELS[i]) for i in kept)
+    columns = tuple(c for c, level in enumerate(ATOM_LEVELS[:2]) if level not in mask)
+    absorbed = absorbed[:, list(columns)].reshape(len(layout.sinks), len(columns) * n)
     # |R v| is |absorbed v| to roundoff, at any size of v; the Gramian's
     # v^dagger G v would lose every part below sqrt(eps) of it.
     r = np.linalg.qr(absorbed, mode="r")
@@ -148,7 +147,7 @@ def _transfer(
     sink = operator[2 * width + n_levels :].reshape(len(r), n, n_levels)
     for c in range(n_levels):
         present[:, c, :, c] = prop[:, c]
-        absent[:, c, :, c] = prop[:, g]
+        absent[:, c, :, c] = prop[:, G]
     for block, c in enumerate(columns):
         sink[:, :, c] = r[:, block * n : (block + 1) * n]
     for array in (prop, absorbed, operator):
@@ -171,7 +170,7 @@ def _compact_witness(
     present = rows[: width + n_levels].reshape(n + 1, n_levels)
     absent = rows[width + n_levels : 2 * width + n_levels].reshape(n, n_levels)
     sink = rows[2 * width + n_levels :]
-    present[n, layout.level_index("g")] = math.sqrt(np.vdot(sink, sink).real)
+    present[n, G] = math.sqrt(np.vdot(sink, sink).real)
     return _witness(present, absent, atom_init, transfer.floor)
 
 
@@ -202,11 +201,11 @@ def build_final_states(
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
     prop, absorbed, columns = _transfer(layout, tuple(elements), _checked_mask(transparency_mask))
-    mat, n, g = initial.matrix(), len(prop), layout.level_index("g")
+    mat, n = initial.matrix(), len(prop)
     absent, present = mat.copy(), mat.copy()
-    absent[:n] = prop[:, g] @ mat[:n]
+    absent[:n] = prop[:, G] @ mat[:n]
     present[:n] = np.einsum("icj,jc->ic", prop, mat[:n])
-    present[n:, g] += absorbed @ mat[:n, columns].T.reshape(-1)
+    present[n:, G] += absorbed @ mat[:n, columns].T.reshape(-1)
     return FinalStatePair(*(JointState(layout, amps.reshape(-1)) for amps in (absent, present)))
 
 

@@ -86,6 +86,8 @@ from .dsl import CircuitAst, CompiledCircuit, compile_circuit, load_golden, pars
 from .elements import Element, Relabel, Repeat, run_sequence, sink_pair_labels
 from .state import (
     ATOM_LEVELS,
+    M_MINUS,
+    M_PLUS,
     AtomSpec,
     BasisLayout,
     ConservationError,
@@ -159,12 +161,12 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     circuit = _circuit("twopass")
     out = run_compiled(circuit, atom)
     response = circuit.level_response(atom.transparency_mask)
-    plus, minus = circuit.layout._level_roles[:2]
     a2, b2 = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
     for event, key in enumerate(("first_pass_absorbed", "second_pass_absorbed")):
         cells = response[[circuit.layout.photon_index(sink) for sink in sink_pair_labels(event)]]
         squares = cells.real**2 + cells.imag**2
-        out.details[key] = a2 * float(squares[:, plus].sum()) + b2 * float(squares[:, minus].sum())
+        plus, minus = float(squares[:, M_PLUS].sum()), float(squares[:, M_MINUS].sum())
+        out.details[key] = a2 * plus + b2 * minus
     return out
 
 
@@ -240,7 +242,7 @@ class _Cavity(CompiledCircuit):
         rows = np.r_[tuple(layout.path_block[p] for p in carried)]
         # response[..., j] is one trip's output for carried row j.
         first, response = block[..., 0], np.ascontiguousarray(block[..., 1:])
-        levels = [layout.level_index(level) for level in ATOM_LEVELS[:2]]
+        levels = [M_PLUS, M_MINUS]
         maps = response[rows][:, levels].transpose(1, 0, 2)
         inside = first[rows][:, levels].T[..., None]
         # Later trips add only to a level that the first leaves light in:

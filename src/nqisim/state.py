@@ -3,7 +3,10 @@
 A photon mode is either a propagating mode ``(path, polarization)`` or a
 terminal sink label recording a scattered photon.  The joint basis is the
 product of photon modes with atom levels, flattened into one dense complex
-amplitude vector.  All operations here are pure functions on immutable
+amplitude vector.  The atom levels are a constant of the model, as the
+two polarizations are: every layout has ``ATOM_LEVELS``, m+, m- and g, in
+the columns ``M_PLUS``, ``M_MINUS`` and ``G``, which every other module
+indexes directly.  All operations here are pure functions on immutable
 values; states are never mutated in place.  A compiled program's sinks
 are a ``SinkLog``: one pair per atom interaction, each label named by
 ``sink_pair_labels`` on demand and its row found by arithmetic.
@@ -60,6 +63,12 @@ _POL_BRAS = tuple(
 )
 
 ATOM_LEVELS = ("m+", "m-", "g")
+
+# The column of each atom level in every (photon mode, level) matrix: m+
+# and m- interact with the photon rows of their own polarization, ``+``
+# and ``-``, which sit at the same offsets 0 and 1 of a path block.
+M_PLUS, M_MINUS, G = range(len(ATOM_LEVELS))
+_LEVEL_INDEX = {level: i for i, level in enumerate(ATOM_LEVELS)}
 
 # An absent atom is transparent at both interacting levels: no probe
 # tells the two apart.
@@ -187,14 +196,17 @@ class BasisLayout:
     Index convention: photon modes run lexicographically (paths x
     polarizations, then sinks), atom levels fastest, so
     ``index = photon_index * n_levels + level_index``.  Path ``i`` owns
-    photon rows ``2i`` (``+``) and ``2i + 1`` (``-``): its block.
+    photon rows ``2i`` (``+``) and ``2i + 1`` (``-``): its block.  The
+    polarizations and the atom levels are the same in every layout: m+,
+    m- and g are the columns ``M_PLUS``, ``M_MINUS`` and ``G``.
     """
 
     paths: tuple[str, ...]
     # The labels given, or a compiled program's ``SinkLog``.
     sinks: tuple[str, ...] | SinkLog
-    atom_levels: tuple[str, ...]
     polarizations: ClassVar[tuple[str, str]] = POLARIZATIONS
+    atom_levels: ClassVar[tuple[str, str, str]] = ATOM_LEVELS
+    n_levels: ClassVar[int] = len(ATOM_LEVELS)
 
     def __hash__(self) -> int:
         return self._hash
@@ -204,7 +216,7 @@ class BasisLayout:
         # Equal layouts have equal sink counts, so the count stands in for
         # the labels: a ``SinkLog`` would write out all of them to hash (4N
         # for a chain of N stages).
-        return hash((self.paths, len(self.sinks), self.atom_levels))
+        return hash((self.paths, len(self.sinks)))
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes; a copy takes its own.
@@ -233,26 +245,9 @@ class BasisLayout:
         """The two adjacent photon rows of each path: ``+`` then ``-``."""
         return {p: slice(2 * i, 2 * i + 2) for i, p in enumerate(self.paths)}
 
-    @cached_property
-    def _level_index(self) -> dict[str, int]:
-        return {lev: i for i, lev in enumerate(self.atom_levels)}
-
-    @cached_property
-    def _level_roles(self) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
-        """The indices of m+, m- and g, then those of the levels that a
-        path row and that a sink row never hold (``_branch_factors``)."""
-        plus, minus, g = map(self.level_index, ATOM_LEVELS)
-        levels = range(self.n_levels)
-        path_strays = tuple(k for k in levels if k not in (plus, minus))
-        return plus, minus, g, path_strays, tuple(k for k in levels if k != g)
-
     @property
     def n_photon_modes(self) -> int:
         return len(self.paths) * 2 + len(self.sinks)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.atom_levels)
 
     @property
     def dim(self) -> int:
@@ -271,7 +266,7 @@ class BasisLayout:
 
     def level_index(self, level: str) -> int:
         try:
-            return self._level_index[level]
+            return _LEVEL_INDEX[level]
         except KeyError:
             raise ValueError(f"unknown atom level: {level!r}") from None
 
@@ -280,24 +275,24 @@ class BasisLayout:
 
 
 def make_layout(
-    paths: Sequence[str], sinks: Sequence[str], atom_levels: Sequence[str]
+    paths: Sequence[str], sinks: Sequence[str], atom_levels: Sequence[str] = ATOM_LEVELS
 ) -> BasisLayout:
     """Build a layout with deterministic index assignment.
 
-    Sinks may be empty; paths and atom levels must not be.  A ``SinkLog``
-    is kept as it is (its labels are unique by its own check); any other
-    sequence of sinks is kept as a tuple of its labels.
+    Sinks may be empty; paths must not be.  A ``SinkLog`` is kept as it is
+    (its labels are unique by its own check); any other sequence of sinks
+    is kept as a tuple of its labels.  ``atom_levels``, if given, must be
+    ``ATOM_LEVELS`` in that order: every layout has those columns.
     """
     if not paths:
         raise ValueError("at least one path is required")
-    if not atom_levels:
-        raise ValueError("at least one atom level is required")
+    if tuple(atom_levels) != ATOM_LEVELS:
+        raise ValueError(f"atom levels must be {ATOM_LEVELS}, got {tuple(atom_levels)}")
     _check_unique("path", paths)
     if not isinstance(sinks, SinkLog):
         _check_unique("sink", sinks)
         sinks = tuple(sinks)
-    _check_unique("atom level", atom_levels)
-    return BasisLayout(tuple(paths), sinks, tuple(atom_levels))
+    return BasisLayout(tuple(paths), sinks)
 
 
 @dataclass(frozen=True)
@@ -425,10 +420,9 @@ class AtomSpec:
             raise ValueError(f"atom amplitudes are not normalized: |a|^2+|b|^2={n}")
 
     def level_vector(self, layout: BasisLayout) -> np.ndarray:
-        vec = np.zeros(layout.n_levels, dtype=complex)
-        vec[layout.level_index("m+")] = self.alpha
-        vec[layout.level_index("m-")] = self.beta
-        return vec
+        """The atom's amplitudes at m+, m- and g, the levels of every
+        layout: alpha, beta and 0."""
+        return np.array([self.alpha, self.beta, 0j])
 
 
 def _aimed_photon(layout: BasisLayout, path: str, polarization: str) -> tuple[slice, np.ndarray]:
@@ -486,30 +480,26 @@ def _branch_factors(
     path rows hold amplitude only at m+ and m- and the sink rows only at g.
     Raises ``ValueError`` on amplitude outside that structure, at a second
     singular value above ``RANK_TOL`` or on the zero block."""
-    plus, minus, g, path_strays, sink_strays = layout._level_roles
     n = 2 * len(layout.paths)
     # (photon row, m+ and m- amplitudes) of each non-zero path row, the g
     # amplitude of each non-zero sink row.
     path: list[tuple[int, complex, complex]] = []
     sink: list[complex] = []
-    for row, cells in zip(rows.tolist(), amps.tolist()):
+    for row, (plus, minus, g) in zip(rows.tolist(), amps.tolist()):
         if row < n:
-            strays = path_strays
-            if cells[plus] or cells[minus]:
-                path.append((row, cells[plus], cells[minus]))
-        else:
-            strays = sink_strays
-            if cells[g]:
-                sink.append(cells[g])
-        for k in strays:
-            if cells[k]:
-                level = layout.atom_levels[k]
-                raise ValueError(f"photon row {row} has amplitude at level {level!r}")
-    return _factor_rows(layout, path, sink)
+            if g:
+                raise ValueError(f"photon row {row} has amplitude at level 'g'")
+            if plus or minus:
+                path.append((row, plus, minus))
+        elif plus or minus:
+            level = "m+" if plus else "m-"
+            raise ValueError(f"photon row {row} has amplitude at level {level!r}")
+        elif g:
+            sink.append(g)
+    return _factor_rows(path, sink)
 
 
 def _factor_rows(
-    layout: BasisLayout,
     path: list[tuple[int, complex, complex]],
     sink: list[complex],
 ) -> tuple[list[tuple[int, complex]], np.ndarray]:
@@ -528,7 +518,6 @@ def _factor_rows(
     (photon row, amplitude) pairs, and is empty where the sink rows lead;
     the atom factor, on every level, is the only array built.
     """
-    plus, minus, g = layout._level_roles[:3]
     aa = bb = det2 = sink2 = 0.0
     c = 0j
     for j, (_, a, b) in enumerate(path):
@@ -553,9 +542,9 @@ def _factor_rows(
     if lead == 0.0:
         raise ValueError("cannot factor the zero state")
 
-    atom = np.zeros(layout.n_levels, dtype=complex)
+    atom = np.zeros(len(ATOM_LEVELS), dtype=complex)
     if s_sink > s1:
-        atom[g] = 1.0
+        atom[G] = 1.0
         return [], atom
     # The Gram [[aa, c], [c*, bb]] minus s1^2 annuls v; its row with the
     # smaller diagonal entry gives v without cancellation.
@@ -566,7 +555,7 @@ def _factor_rows(
     norm = math.hypot(abs(v_plus), abs(v_minus))
     v_plus, v_minus = v_plus / norm, v_minus / norm
     photon = [(row, (a * v_plus + b * v_minus) / s1) for row, a, b in path]
-    atom[plus], atom[minus] = v_plus.conjugate(), v_minus.conjugate()
+    atom[M_PLUS], atom[M_MINUS] = v_plus.conjugate(), v_minus.conjugate()
     return photon, atom
 
 

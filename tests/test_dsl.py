@@ -263,7 +263,7 @@ class TestParser:
             # The ``)`` that closes matrix( early.
             ("rot a matrix(1, 0), 0, 1)", 5, 18, "unbalanced parentheses in matrix(...)"),
             ("paths", 5, 1, "empty path declaration"),
-            ("atom-levels", 5, 1, "empty atom level declaration"),
+            ("atom-levels", 5, 1, "atom-levels must read m+ m- g"),
         ],
     )
     def test_errors_are_located_at_the_token(self, statement, line, column, message):
@@ -279,13 +279,32 @@ class TestParser:
         assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
 
     def test_atom_levels_must_name_the_atom_roles(self):
-        # The atom interaction and AtomSpec act on m+, m- and g by name.
-        src = MINIMAL.replace("atom-levels m+ m- g", "atom-levels up down g")
-        with pytest.raises(ParseError, match="missing m\\+ m-") as exc:
+        # Every layout holds m+, m- and g in columns 0, 1 and 2, so the line
+        # reads exactly that: no other level, order or subset.
+        for levels in ("up down g", "m- m+ g", "m+ m- g e", "m+ m-"):
+            src = MINIMAL.replace("atom-levels m+ m- g", f"atom-levels {levels}")
+            with pytest.raises(ParseError, match="atom-levels must read m\\+ m- g") as exc:
+                parse(src)
+            assert (exc.value.line, exc.value.column, exc.value.token) == (3, 1, "atom-levels")
+
+    def test_missing_atom_levels_statement(self):
+        src = MINIMAL.replace("atom-levels m+ m- g\n", "")
+        with pytest.raises(ParseError, match="line 1, column 1: missing atom-levels statement"):
             parse(src)
-        assert exc.value.line == 3
-        assert exc.value.token == "atom-levels"
-        parse(MINIMAL.replace("atom-levels m+ m- g", "atom-levels m+ m- g e"))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("paths a", "paths a#b", "line 1, column 7: invalid path label: a#b"),
+            ("sinks S+ S-", "sinks S S#2", "line 2, column 9: invalid sink label: S#2"),
+        ],
+    )
+    def test_hash_inside_a_word_is_not_a_comment(self, old, new, message):
+        # A comment opens at the start of a line or after a blank, and no
+        # label holds a ``#``: the file is refused, not read in part.
+        with pytest.raises(ParseError) as exc:
+            parse(MINIMAL.replace(old, new))
+        assert str(exc.value) == message
 
 
 class TestCompiler:
@@ -1150,7 +1169,7 @@ class TestBranchWeights:
                     continue
                 # [DERIVED] oracle: the leading singular vectors of the rows.
                 try:
-                    photon, atom_factor = _rank_one(circuit.amplitudes(spec, rows))
+                    photon, atom_factor = _rank_one(circuit.amplitudes(spec)[rows])
                 except ValueError:
                     assert got is ValueError, (name, spec)
                     seen.add("not a product")

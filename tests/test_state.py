@@ -92,6 +92,15 @@ class TestLayout:
         with pytest.raises(ValueError, match="duplicate sink"):
             make_layout(["l"], ["S", "S"], LEVELS)
 
+    @pytest.mark.parametrize("levels", [["g", "m+", "m-"], ["m+", "m-", "g", "e"], ["m+", "m-"]])
+    def test_atom_levels_are_fixed(self, levels):
+        # m+, m- and g are columns 0, 1 and 2 of every layout.
+        with pytest.raises(ValueError, match="atom levels must be"):
+            make_layout(["l"], [], levels)
+        layout = make_layout(["l"], [])
+        assert layout == make_layout(["l"], [], LEVELS)
+        assert [layout.level_index(level) for level in LEVELS] == [0, 1, 2]
+
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
             make_layout([], ["S"], LEVELS)
@@ -414,12 +423,12 @@ class TestBranchFactors:
     @pytest.mark.parametrize(
         "row, level, where",
         [(0, 2, "photon row 0 has amplitude at level 'g'"), (4, 0, "photon row 4 has amplitude at level 'm+'"),
-         (1, 3, "photon row 1 has amplitude at level 'e'")],
+         (5, 1, "photon row 5 has amplitude at level 'm-'")],
     )
     def test_amplitude_off_its_levels_is_rejected(self, row, level, where):
-        # Path rows hold m+ and m-, sink rows g; no row holds any other level.
-        layout = make_layout(["l", "u"], ["S+", "S-"], LEVELS + ["e"])
-        amps = np.zeros((6, 4), dtype=complex)
+        # Path rows hold m+ and m-, sink rows g.
+        layout = small_layout()
+        amps = np.zeros((6, 3), dtype=complex)
         amps[0, :2] = 0.6, 0.8
         amps[row, level] += 1e-300
         with pytest.raises(ValueError, match=re.escape(where)):
