@@ -34,13 +34,13 @@ from .protocols import (
     ConservationError,
     ProtocolOutcome,
     haar_random_atoms,
-    initial_state,
     mz_circuit,
     mz_closed_form,
     run_direct,
     run_fabry_perot,
     run_mz_chain,
 )
+from .state import initial_state
 
 
 def _fmt(x: float) -> str:
@@ -170,8 +170,6 @@ def cmd_fp(args) -> Rows:
         "r_prime": _fmt(rp),
         "t_prime": _fmt(tp),
         "round_trips": str(out.details["round_trips"]),
-        "reflected": _prob(out.details["reflected"]),
-        "transmitted": _prob(out.details["transmitted"]),
     }
     row.update(_outcome_row(out, atom))
     return [row], None

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterable, Sequence, Union
 
@@ -467,6 +466,8 @@ class _Parser:
         if keyword == "atom-levels":
             if tuple(word for word, _ in words[1:]) != ATOM_LEVELS:
                 raise self.error(lineno, f"atom-levels must read {' '.join(ATOM_LEVELS)}", keyword)
+            if self.levels:
+                raise self.error(lineno, "duplicate atom-levels statement", keyword)
             self._declare(lineno, words[1:], self.levels, "atom level")
             return None
         if keyword == "input":
@@ -682,9 +683,9 @@ class CompiledCircuit:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @cached_property
+    @property
     def elements(self) -> tuple[Element, ...]:
-        """The program unrolled, built on first access: each repeat body
+        """The program unrolled on each read, not kept: each repeat body
         written out ``count`` times, the copies sharing its optics, and the
         k-th interaction given the k-th sink pair of the layout."""
         labels = iter(self.layout.sinks)

@@ -16,10 +16,8 @@ linear in its initial state and never mixes atom levels, so one
 ``propagate`` of the 2P x 2P identity on the propagating rows gives each
 level's map of those rows and what each sink row absorbs from the inputs
 of each interacting level; g never interacts, so its map is the network
-with the atom absent.  Transfers are kept in a small LRU keyed by value
-(layout, element tuple, mask), so a scan propagates once per (network,
-mask); a compiled ``program`` keeps each repeat as one node, so its key
-stays short at any chain length.
+with the atom absent.  ``build_final_states`` computes that dense pair on
+each call and keeps nothing.
 
 The scan never builds the dense states.  Its photon enters on a path, so
 the absent state lives on the 2P propagating rows and the present state's
@@ -31,7 +29,10 @@ the norm of R times the inputs, R the triangular factor of ``absorbed``,
 so each transfer keeps one operator that maps the initial path rows to the
 present path rows, the absent path rows and R's rows at once: a sample
 costs one product whose size does not depend on the number of sinks, and
-then the witness core that ``find_witness`` uses too.
+then the witness core that ``find_witness`` uses too.  The scan keeps that
+operator alone, in an LRU keyed by value (layout, element tuple, mask), so
+it propagates once per (network, mask); a compiled ``program`` keeps each
+repeat as one node, so its key stays short at any chain length.
 """
 
 from __future__ import annotations
@@ -93,18 +94,29 @@ def _floor(n_modes: int, n_levels: int) -> float:
     return max(np.finfo(float).eps * max(n_modes, n_levels), RANK_TOL)
 
 
+def _dense_transfer(
+    layout: BasisLayout, elements: Sequence[Element | Repeat], mask: frozenset[str]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """``(prop, absorbed, columns)`` of ``elements`` under ``mask``, from one
+    ``propagate`` of the 2P x 2P identity: level c of the 2P propagating
+    rows leaves as ``prop[:, c]`` times its column, and the sink rows add at
+    g ``absorbed`` times the stacked columns ``columns`` of the levels that
+    interact (m+ and m- less the masked ones).  Nothing is kept."""
+    n, n_levels = 2 * len(layout.paths), layout.n_levels
+    # ``propagate`` carries a copy of the kept read-only identity.
+    prop, absorbed = propagate(layout, elements, _identity(n, n_levels), mask=mask)
+    # A masked level absorbs nothing: keep the other levels' inputs alone.
+    columns = tuple(c for c, level in enumerate(ATOM_LEVELS[:2]) if level not in mask)
+    absorbed = absorbed[:, list(columns)].reshape(len(layout.sinks), len(columns) * n)
+    return prop, absorbed, columns
+
+
 @dataclass(frozen=True, eq=False)
 class _Transfer:
-    """The read-only transfer of one network under one mask.
-
-    Level c of the 2P propagating rows leaves as ``prop[:, c]`` times its
-    column, and the sink rows add at g ``absorbed`` times the stacked
-    columns ``columns`` of the levels that interact (m+ and m- less the
-    masked ones); it unpacks as ``(prop, absorbed, columns)``, which is what
-    ``build_final_states`` reads.
+    """What the scan keeps of one network under one mask.
 
     ``operator`` acts on the row-major path block vec(M), M the initial
-    state's 2P propagating rows, and stacks
+    state's 2P propagating rows, and stacks, in ``_dense_transfer``'s terms,
     - the atom-present matrix's 2P x L path rows (``prop[:, c] @ M[:, c]``
       per level c), then L zero rows that take its one sink row;
     - the atom-absent path rows ``prop[:, g] @ M``;
@@ -114,29 +126,18 @@ class _Transfer:
     Its shape does not depend on the number of sinks.  ``floor`` is
     ``_floor`` of the dense state's photon modes."""
 
-    prop: np.ndarray
-    absorbed: np.ndarray
-    columns: tuple[int, ...]
     operator: np.ndarray
     floor: float
-
-    def __iter__(self):
-        return iter((self.prop, self.absorbed, self.columns))
 
 
 @functools.lru_cache(maxsize=8)
 def _transfer(
     layout: BasisLayout, elements: tuple[Element | Repeat, ...], mask: frozenset[str]
 ) -> _Transfer:
-    """The ``_Transfer`` of ``elements`` under ``mask``, from one
-    ``propagate`` of the 2P x 2P identity.  Eight entries hold every mask
-    of one network, so no scan evicts its own."""
-    n, n_levels = 2 * len(layout.paths), layout.n_levels
-    # ``propagate`` carries a copy of the kept read-only identity.
-    prop, absorbed = propagate(layout, elements, _identity(n, n_levels), mask=mask)
-    # A masked level absorbs nothing: keep the other levels' inputs alone.
-    columns = tuple(c for c, level in enumerate(ATOM_LEVELS[:2]) if level not in mask)
-    absorbed = absorbed[:, list(columns)].reshape(len(layout.sinks), len(columns) * n)
+    """The ``_Transfer`` of ``elements`` under ``mask``, read-only.  Eight
+    entries hold every mask of one network, so no scan evicts its own."""
+    prop, absorbed, columns = _dense_transfer(layout, elements, mask)
+    n, n_levels = len(prop), layout.n_levels
     # |R v| is |absorbed v| to roundoff, at any size of v; the Gramian's
     # v^dagger G v would lose every part below sqrt(eps) of it.
     r = np.linalg.qr(absorbed, mode="r")
@@ -150,9 +151,8 @@ def _transfer(
         absent[:, c, :, c] = prop[:, G]
     for block, c in enumerate(columns):
         sink[:, :, c] = r[:, block * n : (block + 1) * n]
-    for array in (prop, absorbed, operator):
-        array.flags.writeable = False
-    return _Transfer(prop, absorbed, columns, operator, _floor(layout.n_photon_modes, n_levels))
+    operator.flags.writeable = False
+    return _Transfer(operator, _floor(layout.n_photon_modes, n_levels))
 
 
 def _compact_witness(
@@ -162,7 +162,7 @@ def _compact_witness(
     decided on the 2P propagating rows and one sink row at g, over which
     the witness's ``phi_p`` runs, from one product with the transfer's
     operator; ``initial`` must hold no sink amplitude."""
-    mat, n, n_levels = initial.matrix(), len(transfer.prop), layout.n_levels
+    mat, n, n_levels = initial.matrix(), 2 * len(layout.paths), layout.n_levels
     if mat[n:].any():
         raise ValueError("initial state has sink amplitude: the photon must enter on a path")
     rows = transfer.operator @ mat[:n].reshape(-1)
@@ -196,11 +196,11 @@ def build_final_states(
     The initial state carries the atom superposition; interacted and
     absorbed components stay inside the atom-present final state.  Both
     are the network's transfer under ``transparency_mask`` applied to
-    ``initial``, kept by value with the scan's.
+    ``initial``, propagated on each call and not kept.
     """
     if initial.layout != layout:
         raise ValueError("initial state does not match the layout")
-    prop, absorbed, columns = _transfer(layout, tuple(elements), _checked_mask(transparency_mask))
+    prop, absorbed, columns = _dense_transfer(layout, elements, _checked_mask(transparency_mask))
     mat, n = initial.matrix(), len(prop)
     absent, present = mat.copy(), mat.copy()
     absent[:n] = prop[:, G] @ mat[:n]

@@ -95,7 +95,6 @@ from .state import (
     POL_STATES,
     ProtocolOutcome,
     assemble_outcome,
-    initial_state,
 )
 from .tolerances import NORM_TOL
 

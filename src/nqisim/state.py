@@ -222,8 +222,9 @@ class BasisLayout:
         # String hashes differ between processes; a copy takes its own.
         return {key: value for key, value in vars(self).items() if key != "_hash"}
 
-    @cached_property
+    @property
     def photon_modes(self) -> tuple[PhotonMode, ...]:
+        """Every photon mode in row order, built on each read."""
         propagating: list[PhotonMode] = [
             (p, pol) for p in self.paths for pol in self.polarizations
         ]

@@ -174,17 +174,19 @@ class TestFp:
         code, out, _ = run_cli(capsys, "fp", "--r", "0.7", "--no-atom", "--eps", "1e-22")
         assert code == 0
         row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
-        assert float(row["transmitted"]) == pytest.approx(1.0, abs=1e-9)
+        assert float(row["failure_prob"]) == pytest.approx(1.0, abs=1e-9)
         assert row["alpha"] == ""
 
     def test_empty_high_finesse_cavity_pinned(self, capsys):
-        # An empty cavity reflects nothing: reflected and success print 0.
+        # An empty cavity reflects nothing: success prints 0.  The reflected
+        # and transmitted exits are the success and failure columns, printed
+        # once.
         code, out, _ = run_cli(capsys, "fp", "--r", "0.99", "--no-atom")
         assert code == 0
         assert out.splitlines() == [
-            "r,t,r_prime,t_prime,round_trips,reflected,transmitted,alpha,beta,"
+            "r,t,r_prime,t_prime,round_trips,alpha,beta,"
             "success_prob,failure_prob,absorbed_prob,fidelity,exit_polarization",
-            "0.99,0.141067359797,0.99,0.141067359797,591,0,1,,,0,1,0,,y",
+            "0.99,0.141067359797,0.99,0.141067359797,591,,,0,1,0,,y",
         ]
 
     def test_default_eps_leaves_nothing_inside(self, capsys):
@@ -193,7 +195,7 @@ class TestFp:
         code, out, _ = run_cli(capsys, "fp", "--r", "0.9", "--no-atom")
         assert code == 0
         row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
-        assert row["transmitted"] == "1"
+        assert row["failure_prob"] == "1"
         assert row["exit_polarization"] == "y"
         assert row["round_trips"] == "63"
 

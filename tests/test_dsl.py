@@ -264,6 +264,9 @@ class TestParser:
             ("rot a matrix(1, 0), 0, 1)", 5, 18, "unbalanced parentheses in matrix(...)"),
             ("paths", 5, 1, "empty path declaration"),
             ("atom-levels", 5, 1, "atom-levels must read m+ m- g"),
+            # A second line that reads right is refused at its keyword, not
+            # at its first label.
+            ("atom-levels m+ m- g", 5, 1, "duplicate atom-levels statement"),
         ],
     )
     def test_errors_are_located_at_the_token(self, statement, line, column, message):
@@ -401,6 +404,17 @@ class TestCompiler:
             tracemalloc.stop()
         assert len(circuit.layout.sinks) == 400_000
         assert kept < 4_000_000
+
+    def test_unrolled_views_are_not_kept(self):
+        # ``elements`` writes out every copy and the layout's
+        # ``photon_modes`` every sink label: each read builds them again
+        # and leaves nothing on the circuit or on its layout.
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 2000})
+        hash(circuit.layout)
+        before = set(vars(circuit)), set(vars(circuit.layout))
+        assert sum(isinstance(el, AtomInteraction) for el in circuit.elements) == 4000
+        assert len(circuit.layout.photon_modes) == 4 + 8000
+        assert (set(vars(circuit)), set(vars(circuit.layout))) == before
 
     def test_missing_binding_names_parameter(self):
         ast = parse(load_golden("mz"))
