@@ -71,7 +71,9 @@ def parse_complex(text: str) -> complex:
 
 
 def _atom_from_args(args) -> AtomSpec:
-    if getattr(args, "no_atom", False):
+    if args.no_atom:
+        if args.alpha is not None or args.beta is not None:
+            raise SystemExit2("--no-atom removes the atom and cannot be combined with --alpha or --beta")
         return AtomSpec(present=False)
     # An amplitude not given is 1/sqrt(2).
     alpha, beta = (complex(1 / math.sqrt(2)) if a is None else a for a in (args.alpha, args.beta))
@@ -235,6 +237,8 @@ def cmd_run(args) -> Rows | None:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise SystemExit2(f"malformed binding (expected NAME=VALUE): {item!r}")
+        if name in bindings:
+            raise SystemExit2(f"binding {name!r} is given more than once")
         try:
             bindings[name] = float(value)
         except ValueError:

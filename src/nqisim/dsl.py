@@ -640,34 +640,27 @@ def print_circuit(ast: CircuitAst) -> str:
 @dataclass(frozen=True, eq=False)
 class _MaskRecord:
     """What a compiled circuit keeps for one transparency mask, made by
-    its first run: the level response, read-only; the squared norms of its
-    m+ and its m- column over the rows of each label of ``BRANCH_LABELS``,
-    in that order and zero for a label no port takes (``branch_weights``);
-    for the cavity, each column that the first round trip leaves inside
-    with the powers of its trip map and the columns a round-trip search
-    has read (``protocols._Carried``); and the non-zero rows of each branch
-    that a run has factored (``run_compiled``), gathered when it first
-    factors that branch.
+    its first run from one level response, which it does not keep: the
+    squared norms of the response's m+ and its m- column over the rows of
+    each label of ``BRANCH_LABELS``, in that order and zero for a label no
+    port takes (``weights``), and per label that ``score_outcome`` can
+    factor, success and failure, the photon rows of the branch's non-zero
+    rows, path rows first, their (m+, m-) response cells, both read-only,
+    and how many of them are path rows (``exits``).
 
     Each branch weight is numpy's 1-d sum of the squared column over the
     branch's rows in increasing order, bit for bit the sum over the gathered
     rows: the m+ and m- columns are squared once, as two contiguous rows,
     and a branch whose rows form a range is read as a slice."""
 
-    response: np.ndarray
     weights: tuple[tuple[float, float], ...]
-    trips: tuple | None
-    # Per branch label: the photon rows of its non-zero rows, path rows
-    # first, their (m+, m-) response cells, read-only, and how many of
-    # them are path rows.
-    exits: dict[str, tuple[np.ndarray, np.ndarray, int]] = field(default_factory=dict)
+    exits: dict[str, tuple[np.ndarray, np.ndarray, int]]
 
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A compiled circuit with, per transparency mask, its level response:
-    one propagation, each absorbed amplitude under the level it came from,
-    kept with what a run reads from it."""
+    """A compiled circuit with, per transparency mask, what a run reads of
+    its level response: the branch weights and the exit rows."""
 
     layout: BasisLayout
     # Elements and ``Repeat`` nodes, each interaction named with its sink
@@ -715,55 +708,46 @@ class CompiledCircuit:
         """The record of ``mask``, made on first use from one response."""
         record = self._masks.get(mask)
         if record is None:
-            response, trips = self._respond(mask)
-            response.flags.writeable = False
-            # The squared m+ and m- columns as two contiguous rows: a gathered
-            # copy, not the strided view ``response.T[:2]``, so each weight is
+            # The m+ and m- columns as two contiguous rows: a gathered copy,
+            # not the strided view ``response.T[:2]``, so each weight is
             # numpy's sum over contiguous memory; numpy promises neither the
             # same rounding nor the same speed for a sum over strided memory.
-            cells = response.T[[M_PLUS, M_MINUS]]
+            cells = self.level_response(mask).T[[M_PLUS, M_MINUS]]
             squares = cells.real**2 + cells.imag**2
-            weights = []
+            weights, exits = [], {}
             for label in BRANCH_LABELS:
                 rows = self.branches.get(label)
                 if rows is None:
                     weights.append((0.0, 0.0))
                     continue
                 # A range of rows is read as a slice, not gathered.
+                span = rows
                 if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
-                    rows = slice(rows[0], rows[-1] + 1)
-                branch = squares[:, rows]
+                    span = slice(rows[0], rows[-1] + 1)
+                branch = squares[:, span]
                 weights.append((float(branch[0].sum()), float(branch[1].sum())))
-            record = self._masks[mask] = _MaskRecord(response, tuple(weights), trips)
+                if label != "absorbed":
+                    # A response holds amplitude only at m+ and m-, and a
+                    # branch's rows are in increasing order, so its path
+                    # rows come first.
+                    block = cells[:, span]
+                    lit = block.any(axis=0)
+                    lit_rows, lit_cells = rows[lit], block.T[lit]
+                    lit_rows.flags.writeable = lit_cells.flags.writeable = False
+                    n_path = int(lit_rows.searchsorted(2 * len(self.layout.paths)))
+                    exits[label] = (lit_rows, lit_cells, n_path)
+            record = self._masks[mask] = _MaskRecord(tuple(weights), exits)
         return record
-
-    def _exit_rows(self, record: _MaskRecord, label: str) -> tuple[np.ndarray, np.ndarray, int]:
-        """The photon rows and (m+, m-) response cells of the non-zero rows
-        of branch ``label`` in ``record``'s response, gathered on first use:
-        a response holds amplitude only at m+ and m-, and a branch's rows
-        are in increasing order, so its path rows come first."""
-        kept = record.exits.get(label)
-        if kept is None:
-            rows = self.branches[label]
-            cells = record.response[rows[:, None], [M_PLUS, M_MINUS]]
-            nonzero = cells.any(axis=1)
-            rows, cells = rows[nonzero], cells[nonzero]
-            rows.flags.writeable = cells.flags.writeable = False
-            n_path = int(rows.searchsorted(2 * len(self.layout.paths)))
-            kept = record.exits[label] = (rows, cells, n_path)
-        return kept
-
-    def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, None]:
-        """The level response under ``mask``, from one propagation of the
-        input photon, and no round-trip maps."""
-        return self._aimed_response([(self.input_path, self.input_pol)], mask)[..., 0], None
 
     def level_response(self, mask: frozenset[str]) -> np.ndarray:
         """Final (photon mode, level) matrix for the input photon times the
-        atom m+ = m- = 1, propagated once per transparency mask and kept,
-        read-only; a sink row keeps what it absorbed under the level it
-        came from.  An absent atom has the mask ``state.ABSENT_MASK``."""
-        return self._record(mask).response
+        atom m+ = m- = 1 under the transparency mask ``mask``, read-only,
+        from one propagation on each call and not kept; a sink row keeps
+        what it absorbed under the level it came from.  An absent atom has
+        the mask ``state.ABSENT_MASK``."""
+        response = self._aimed_response([(self.input_path, self.input_pol)], mask)[..., 0]
+        response.flags.writeable = False
+        return response
 
     def branch_weights(self, mask: frozenset[str]) -> dict[str, tuple[float, float]]:
         """Per branch label, the squared norms of the m+ and of the m-
@@ -807,9 +791,9 @@ def _unrolled(program: Iterable[Element | Repeat]) -> Iterable[Element]:
 # repeat stays one node and the sinks one log, so the cost is each
 # interaction's own sink rows: mz.nqi at N = 10^5 (900,000 elements,
 # 200,000 interactions) holds 3.2 MB once compiled, nearly all of it the
-# sinks branch's 400,000 rows, and 22 MB with the record of one mask,
-# nearly all of it the (400,004 x 3) response, after a peak of 49 MB while
-# it is made (tracemalloc).
+# sinks branch's 400,000 rows, and no more with the record of a mask,
+# which keeps no response, after a peak of 49 MB while the record is made
+# (tracemalloc).
 _MAX_ELEMENTS = 1_000_000
 
 
@@ -908,15 +892,16 @@ def run_compiled(
     squared norms P and M of the two columns over its rows
     (``CompiledCircuit.branch_weights``).  The branch that ``score_outcome``
     factors is read from its non-zero rows, whose (m+, m-) response pairs
-    the same per-mask record keeps from the first run that factors it
-    (``CompiledCircuit._exit_rows``): a path row becomes (alpha m+, beta
-    m-) and a sink row alpha m+ + beta m- at g, in plain Python numbers,
-    whose photon and atom factors ``state._factor_rows`` takes in closed
-    form.  So a run builds nothing as long as its branch and costs the same
-    at every chain length; the dense ``final_state``, each sink row's
-    amplitude at g (``CompiledCircuit.amplitudes``), is built on first
-    access.  It forms its products as Python does, so ``assemble_outcome``
-    takes from it bitwise the factors, fidelity and label of the run.
+    the same per-mask record keeps (``_MaskRecord.exits``): a path row
+    becomes (alpha m+, beta m-) and a sink row alpha m+ + beta m- at g, in
+    plain Python numbers, whose photon and atom factors
+    ``state._factor_rows`` takes in closed form.  The record keeps no
+    response, so a warm run builds nothing as long as its branch and costs
+    the same at every chain length; the dense ``final_state``, each sink
+    row's amplitude at g (``CompiledCircuit.amplitudes``), propagates again
+    on first access.  It forms its products as Python does, so
+    ``assemble_outcome`` takes from it bitwise the factors, fidelity and
+    label of the run.
     """
     layout = circuit.layout
     record = circuit._record(atom.transparency_mask)
@@ -925,7 +910,7 @@ def run_compiled(
     (ps, ms), (pf, mf), (pa, ma) = record.weights
 
     def factors(label: str) -> tuple[list[tuple[int, complex]], np.ndarray]:
-        rows, cells, n_path = circuit._exit_rows(record, label)
+        rows, cells, n_path = record.exits[label]
         cells = cells.tolist()
         return _factor_rows(
             [(row, alpha * p, beta * m) for row, (p, m) in zip(rows[:n_path].tolist(), cells)],

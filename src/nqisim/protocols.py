@@ -8,7 +8,7 @@ between passes.
 
 Every network is described only by a bundled circuit -- ``direct.nqi``,
 ``twopass.nqi``, ``mz.nqi`` and ``fp.nqi`` -- which the runners compile
-(``dsl``) once per binding and run through its level response
+(``dsl``) once per binding and run from its level response
 (``CompiledCircuit.level_response``); no element is built and nothing is
 propagated here.  Every run ends in ``state.score_outcome``, which scores
 it by the exit rows the circuit's ``classify`` line compiles to
@@ -17,25 +17,25 @@ for a dense final state, the atom and outcome types, ``POL_STATES`` and
 ``ATOM_LEVELS`` are re-exported here.
 
 The level response propagates the input photon times the atom m+ = m-
-= 1 once per transparency mask, an absent atom being masked at both, and
-keeps each absorbed amplitude under the level it came from.
+= 1 under a transparency mask, an absent atom being masked at both, and
+holds each absorbed amplitude under the level it came from.
 ``dsl.run_compiled`` scales its m+ column by alpha and its m- column by
 beta (the levels never mix), so a sweep over atoms costs one propagation
 per chain length.  The compiled chain keeps its ``repeat N`` as one node,
 which that propagation runs by doubling the stage's map (``elements``): it
-takes O(log N) products, plus the O(N) sink rows it writes.  Each branch's
-probability comes from two squared norms per mask
-(``CompiledCircuit.branch_weights``), and the branch a run factors comes
-from the (m+, m-) responses of its non-zero rows, kept per mask once a
-run factors it, which the run scales by alpha and beta and
-``score_outcome`` factors in closed form, with no SVD: a run builds no
-array but the atom factor.  Only ``run_two_pass``'s ``details`` read
-response rows, its two sink pairs', and an outcome's dense
-``final_state`` (``CompiledCircuit.amplitudes``) is built only when it
-is read.
+takes O(log N) products, plus the O(N) sink rows it writes.  The first
+run at a mask keeps, from that one response, two squared norms per
+branch (``CompiledCircuit.branch_weights``) and the (m+, m-) responses of
+the non-zero rows of the success and the failure branch, and drops the
+response.  A run scales those rows by alpha and beta and
+``score_outcome`` factors them in closed form, with no SVD: a run builds
+no array but the atom factor.  Only ``run_two_pass``'s ``details`` and an
+outcome's dense ``final_state`` (``CompiledCircuit.amplitudes``) read the
+response, which propagates again for each of them.
 The cavity's level response sums every later round trip in closed form
 onto the first trip's, from one propagation of the input and each row it
-carries between trips.
+carries between trips; the cavity keeps it per mask, because its checks
+read ``final_state`` warm.
 
 Mach-Zehnder geometry: each stage is one beam splitter followed by the
 two interferometer arms (atom pass, two mirrors and a polarization flip
@@ -63,7 +63,7 @@ success path, and of the failure paths only ``trans`` holds light once
 every trip is summed.  Its ``details["round_trips"]`` is the K at which
 the compiled ``fp.nqi`` leaves less than ``eps`` inside, bracketed over
 the columns T^(2^j) v and bisected over the columns T^K v of each carried
-column v, which the mask's record keeps as searches read them, in plain
+column v, which the cavity keeps per mask as searches read them, in plain
 Python numbers: a warm run makes no numpy call outside ``run_compiled``,
 and a repeated search computes no column.  The compiled circuit's exits
 add coherently, so they miss an amplitude tail of order
@@ -122,11 +122,11 @@ def _golden(name: str) -> CircuitAst:
 @functools.lru_cache(maxsize=4)
 def _circuit(name: str, **bindings: float) -> CompiledCircuit:
     """The bundled circuit ``name`` compiled at ``bindings``, kept with its
-    level responses.  Long chains reuse three ``mz`` circuits; a sweep over
-    N misses at any bound, and a larger one multiplies the worst case
-    (``mz`` at N = 10^5 holds 3.2 MB once compiled, nearly all of it the
-    sinks branch's 400,000 rows, and 22 MB once run at one mask, nearly all
-    of it the kept response, after a peak of 49 MB during that first run:
+    mask records.  Long chains reuse three ``mz`` circuits; a sweep over N
+    misses at any bound, and a larger one multiplies the worst case (``mz``
+    at N = 10^5 holds 3.2 MB once compiled, nearly all of it the sinks
+    branch's 400,000 rows, and no more once run, as a record keeps no
+    response, after a peak of 49 MB during the first run at a mask:
     tracemalloc).
     """
     return compile_circuit(_golden(name), bindings)
@@ -153,9 +153,9 @@ def run_two_pass(atom: AtomSpec) -> ProtocolOutcome:
     Each pass scatters into its own sink pair (``S+ S-``, then ``S+#2
     S-#2``), from which ``details`` reads the absorption of that pass as
     |alpha|^2 P + |beta|^2 M, from the squared norms P and M of the m+ and
-    m- columns of the level response over the pair's two rows, summed on
-    each call.  The circuit is propagated once per transparency mask and
-    serves every atom.
+    m- columns of the level response over the pair's two rows, propagated
+    and summed on each call.  The run itself propagates the circuit once
+    per transparency mask for every atom.
     """
     circuit = _circuit("twopass")
     out = run_compiled(circuit, atom)
@@ -212,6 +212,7 @@ def run_mz_chain(n_stages: int, atom: AtomSpec) -> ProtocolOutcome:
 # Fabry-Perot cavity
 
 
+@dataclasses.dataclass(frozen=True)
 class _Cavity(CompiledCircuit):
     """``fp.nqi`` at K = 1, whose level response sums every round trip.
     The trip's only inexact elements are its two mirrors: its half turn,
@@ -224,12 +225,25 @@ class _Cavity(CompiledCircuit):
     the emptied input path or on the exits, so the response is the one-trip
     response plus B_l (I - T_l)^-1 v_l, with the carried rows emptied: T_l
     and B_l are one trip aimed at each carried row, propagated in one block
-    with the input.  Each mask's record also keeps, as its ``trips``, one
-    ``_Carried`` per distinct (T_l, v_l) with v_l != 0, which
-    ``_fp_round_trips`` reads.
+    with the input.  Unlike a plain circuit's, each mask's response is kept,
+    read-only, for the dense ``final_state`` that the cavity's checks read
+    warm, with one ``_Carried`` per distinct (T_l, v_l) with v_l != 0, which
+    ``_fp_round_trips`` reads (``summed``).
     """
 
-    def _respond(self, mask: frozenset[str]) -> tuple[np.ndarray, tuple[_Carried, ...]]:
+    _sums: dict[frozenset[str], tuple[np.ndarray, tuple[_Carried, ...]]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def level_response(self, mask: frozenset[str]) -> np.ndarray:
+        return self.summed(mask)[0]
+
+    def summed(self, mask: frozenset[str]) -> tuple[np.ndarray, tuple[_Carried, ...]]:
+        """The summed response under ``mask`` and its carried columns,
+        made on first use and kept."""
+        kept = self._sums.get(mask)
+        if kept is not None:
+            return kept
         layout = self.layout
         # At K = 1 the program is the trip written out: a repeat of one
         # compiles to its body.
@@ -255,7 +269,9 @@ class _Cavity(CompiledCircuit):
         final = first.copy()
         final[:, levels] += summed[:, levels, [0, 1]]
         final[rows] = 0.0
-        return final, _carried(maps, inside[..., 0])
+        final.flags.writeable = False
+        kept = self._sums[mask] = (final, _carried(maps, inside[..., 0]))
+        return kept
 
 
 @functools.lru_cache(maxsize=4)
@@ -418,10 +434,11 @@ def run_fabry_perot(
     (``_fp_round_trips``).  The compiled ``fp.nqi`` at that many trips
     leaves less than ``eps`` inside, but its exits miss an amplitude tail
     of order sqrt(eps)/(1 - r r'), which moves each of its probabilities by
-    up to that much.  The search keeps the columns T_l^K v_l it reads on
-    the mask's record, for every later atom and ``eps`` at these mirrors:
-    up to ``_FP_MAX_NODES`` per carried column, about 0.9 MB, of which a
-    mask has at most two (``_Carried``).
+    up to that much.  The search keeps the columns T_l^K v_l it reads with
+    the cavity's summed response of the mask (``_Cavity.summed``), for every
+    later atom and ``eps`` at these mirrors: up to ``_FP_MAX_NODES`` per
+    carried column, about 0.9 MB, of which a mask has at most two
+    (``_Carried``).
     """
     for name, (tt, rr) in (("entry", (t, r)), ("far", (t_prime, r_prime))):
         if tt < 0 or rr < 0:
@@ -439,7 +456,7 @@ def run_fabry_perot(
         note = f"float rounding of the round trip's elements is amplified by {gain}"
         raise ConservationError(f"{exc}; {note}") from None
     out.details["reflected"], out.details["transmitted"] = out.success_prob, out.failure_prob
-    trips = cavity._record(atom.transparency_mask).trips
+    trips = cavity.summed(atom.transparency_mask)[1]
     weights = abs(atom.alpha) ** 2, abs(atom.beta) ** 2
     out.details["round_trips"] = 1 + _fp_round_trips(trips, weights, eps)
     return out

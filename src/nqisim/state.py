@@ -334,17 +334,6 @@ class Branch:
     label: str
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for normalized state vectors (any sector)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    for name, v in (("a", a), ("b", b)):
-        if not abs(np.vdot(v, v).real - 1.0) <= 1e-9:
-            raise ValueError(f"fidelity: argument {name} is not normalized")
-    f = abs(np.vdot(a, b)) ** 2
-    return float(min(f, 1.0))
-
-
 def partition_branches(
     state: JointState, branches: dict[str, np.ndarray]
 ) -> list[Branch]:

@@ -101,6 +101,23 @@ class TestMzSweep:
         assert out == ""
         assert "cannot be combined with --alpha or --beta" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mz-sweep", "--max", "2"),
+            ("fp", "--r", "0.9"),
+            ("direct",),
+            ("run", "mz", "--bind", "N=2"),
+        ],
+    )
+    @pytest.mark.parametrize("amplitudes", [("--alpha", "1"), ("--beta", "0.6")])
+    def test_no_atom_and_amplitudes_rejected(self, capsys, argv, amplitudes):
+        # --no-atom removes the atom; it used to drop the amplitudes silently.
+        code, out, err = run_cli(capsys, *argv, "--no-atom", *amplitudes)
+        assert code == 2
+        assert out == ""
+        assert "--no-atom removes the atom and cannot be combined with --alpha or --beta" in err
+
     def test_empty_chain_prints_exact_zeros(self, capsys):
         # Exact zeros print as 0 whatever residue the summation order leaves.
         code, out, _ = run_cli(capsys, "mz-sweep", "--min", "1", "--max", "3", "--no-atom")
@@ -451,6 +468,14 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "binding 'N' is not a number: 'abc'" in err
+
+    def test_repeated_binding(self, capsys):
+        # The last --bind N used to win silently: N = 3 gives 0.421875, N = 2
+        # gives 0.25.
+        code, out, err = run_cli(capsys, "run", "mz", "--bind", "N=2", "--bind", "N=3")
+        assert code == 2
+        assert out == ""
+        assert "binding 'N' is given more than once" in err
 
     def test_binding_of_pi_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "run", "mz", "--bind", "N=3", "--bind", "pi=0")

@@ -1255,22 +1255,56 @@ class TestBranchWeights:
         assert [ref() for ref in refs] == [None, None]
 
     def test_exit_rows_kept_only_for_a_factored_branch(self):
+        # A record keeps, when it is made, the non-zero rows of the two
+        # branches a run can factor, success and failure, and no row of
+        # absorbed: the bundled chain sends its 800 sink rows there.
+        circuit = compile_circuit(parse(load_golden("mz")), {"N": 200})
+        run_compiled(circuit, AtomSpec(0.6, 0.8))
+        record = circuit._masks[frozenset()]
+        assert set(record.exits) == {"success", "failure"}
+        assert all(n_path == len(rows) <= 2 for rows, _, n_path in record.exits.values())
         # With its sinks classified as failure, the failure branch holds a
-        # row per sink; a run that factors success keeps none of them.
+        # row per sink.  An absent atom's photon leaves by failure in +: its
+        # one lit path row is kept, not the 800 empty sink rows.
         src = load_golden("mz").replace("sinks=absorbed", "sinks=failure")
         circuit = compile_circuit(parse(src), {"N": 200})
-        run_compiled(circuit, AtomSpec(0.6, 0.8))
-        assert set(circuit._masks[frozenset()].exits) == {"success"}
-        # An absent atom's photon leaves by failure in +: its one lit path
-        # row is kept, not the 800 empty sink rows.
         out = run_compiled(circuit, AtomSpec(0.6, 0.8, transparency_mask=ABSENT_MASK))
         assert out.exit_polarization == "+"
         record = circuit._masks[ABSENT_MASK]
-        assert set(record.exits) == {"failure"}
+        assert set(record.exits) == {"success", "failure"}
         positions, cells, n_path = record.exits["failure"]
         assert len(circuit.branches["failure"]) == 2 + 4 * 200
         assert (len(positions), n_path) == (1, 1)
         assert not cells.flags.writeable
+        assert not positions.flags.writeable
+
+    def test_kept_record_holds_no_response(self):
+        # A mask's record is its branch weights and exit rows alone, with
+        # no (photon mode x level) response: the same bytes at 12 and 8004
+        # photon rows (tracemalloc), up to the few dozen that Python's own
+        # object bookkeeping varies by from call to call; the response would
+        # add 576 bytes at N = 2 and 384 KB at N = 2000.  The same run on a
+        # copy of the circuit, which shares its layout but no record, fills
+        # the caches of the layout and of numpy before the count starts, and
+        # reference cycles are collected before it is read.  The first count
+        # in a process also holds about 1 KB of one-time allocations, so
+        # N = 2 is counted twice and the first count dropped.
+        kept = []
+        for n_stages in (2, 2, 2000):
+            circuit = compile_circuit(parse(load_golden("mz")), {"N": n_stages})
+            run_compiled(dataclasses.replace(circuit), AtomSpec(0.6, 0.8))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_compiled(circuit, AtomSpec(0.6, 0.8))
+                gc.collect()
+                kept.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+            assert vars(circuit._masks[frozenset()]).keys() == {"weights", "exits"}
+        assert max(kept) < 16 * 2**10
+        assert abs(kept[2] - kept[1]) < 2**9
 
     def test_branch_rows_are_read_only(self):
         # A write would leave the kept branch weights scoring other rows.

@@ -18,7 +18,6 @@ from nqisim.state import (
     _branch_factors,
     _exit_label,
     _rank_one,
-    fidelity,
     initial_state,
     make_layout,
     partition_branches,
@@ -215,25 +214,6 @@ class TestStates:
         mat = state.matrix()
         assert mat.shape == (6, 3)
         assert mat[layout.photon_index("S+"), layout.level_index("g")] == 1.0
-
-
-class TestFidelity:
-    def test_identical_states(self):
-        v = np.array([0.6, 0.8j])
-        assert fidelity(v, v) == pytest.approx(1.0)
-
-    def test_global_phase_invariance(self):
-        v = np.array([0.6, 0.8j])
-        assert fidelity(v, np.exp(1.3j) * v) == pytest.approx(1.0)
-
-    def test_orthogonal_states(self):
-        assert fidelity(np.array([1.0, 0]), np.array([0, 1.0])) == 0.0
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            fidelity(np.array([2.0, 0]), np.array([1.0, 0]))
-        with pytest.raises(ValueError, match="argument b is not normalized"):
-            fidelity(np.array([1.0, 0]), np.array([np.nan, 0]))
 
 
 class TestInitialState:
